@@ -29,7 +29,6 @@ __all__ = [
     "parse_catalog",
     "dump_catalog",
     "validate_catalog",
-    "lookup_stage",
 ]
 
 VALUE_KINDS = ("string", "integer", "decimal", "boolean", "enum")
@@ -130,10 +129,6 @@ class Catalog:
             self.synonym_index = {k: frozenset(v) for k, v in index.items()}
 
 
-def lookup_stage(catalog: Catalog, name: str) -> StageDef | None:
-    return catalog.stages.get(name)
-
-
 # --- parsing ---------------------------------------------------------------
 
 
@@ -212,6 +207,9 @@ def _parse_stage(raw: object, locus: str) -> StageDef:
 
 def _stage_violations(stage: StageDef) -> list[Violation]:
     out: list[Violation] = []
+    if stage.name != stage.name.lower():
+        # operator answers are lowercased, so such a stage could never be predicted
+        out.append(Violation(stage.name, "name", "stage name is not lowercase"))
     for label, bound in (("inputs", stage.inputs), ("outputs", stage.outputs)):
         if bound.min < 0:
             out.append(Violation(stage.name, label, f"min {bound.min} is negative"))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import CatalogParseError, CatalogValidationError, parse_catalog
-from .classify import load_training_pairs, train
+from .classify import ClassifierError, load_training_pairs, train
 from .evaluation import DatasetError, load_dataset, report_json, report_table, run_eval
 from .llm import ProviderError
 from .pipeline import (
@@ -211,7 +211,15 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DatasetError, CatalogParseError, CatalogValidationError, FileNotFoundError, ValueError) as exc:
+    except (
+        ConfigError,
+        DatasetError,
+        CatalogParseError,
+        CatalogValidationError,
+        ClassifierError,
+        FileNotFoundError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:

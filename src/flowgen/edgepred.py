@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .catalog import CardinalityBound, Catalog
-from .llm import CompletionParams, CompletionProvider, load_template, render_prompt
+from .llm import CompletionProvider, complete, load_template, render_prompt
 
 from . import fixture_path
 
@@ -38,11 +38,14 @@ __all__ = [
     "segment_for_nodes",
     "predict_edges",
     "validate_cardinality",
-    "repair",
     "repair_with_renames",
     "edge_metrics",
     "to_dot",
 ]
+
+
+_SEGMENT_TEMPLATE = load_template(fixture_path("templates", "segment.txt"))
+_EDGES_TEMPLATE = load_template(fixture_path("templates", "edges.txt"))
 
 
 class GraphError(Exception):
@@ -168,9 +171,7 @@ def segment_for_nodes(
     nodes: list[NodeInstance],
     catalog: Catalog,
     provider: CompletionProvider,
-    usage=None,
     trace: list[dict] | None = None,
-    params: CompletionParams | None = None,
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -183,26 +184,14 @@ def segment_for_nodes(
         raise SegmentationError("cannot segment for an empty node list")
     if len(nodes) == 1:
         return {nodes[0].unique_name: utterance}
-    template = load_template(fixture_path("templates", "segment.txt"), family="plain")
     node_lines = "\n".join(
         f"{n.unique_name} ({n.stage}): {catalog.stages[n.stage].description}" for n in nodes
     )
-    prompt = render_prompt(template, {"nodes": node_lines, "utterance": utterance})
-    result = provider.complete(prompt, params or CompletionParams())
-    if usage is not None:
-        usage.add(prompt.token_estimate, result.completion_tokens)
-    if trace is not None:
-        trace.append(
-            {
-                "event": "llm_call",
-                "purpose": "segmentation",
-                "prompt_tokens": prompt.token_estimate,
-                "completion_tokens": result.completion_tokens,
-            }
-        )
+    prompt = render_prompt(_SEGMENT_TEMPLATE, {"nodes": node_lines, "utterance": utterance})
+    answer = complete(provider, prompt, [] if trace is None else trace, "segmentation")
     known = {n.unique_name for n in nodes}
     segments: dict[str, str] = {}
-    for line in result.text.splitlines():
+    for line in answer.splitlines():
         line = line.strip()
         if not line or ":" not in line:
             continue
@@ -233,9 +222,7 @@ def predict_edges(
     nodes: list[NodeInstance],
     utterance: str,
     provider: CompletionProvider,
-    usage=None,
     trace: list[dict] | None = None,
-    params: CompletionParams | None = None,
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -249,33 +236,22 @@ def predict_edges(
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
-    template = load_template(fixture_path("templates", "edges.txt"), family="plain")
     node_lines = "\n".join(
         f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
         f"outputs {_bound_text(n.outputs)}): {n.sub_utterance}"
         for n in nodes
     )
-    prompt = render_prompt(template, {"nodes": node_lines, "utterance": utterance})
-    result = provider.complete(prompt, params or CompletionParams())
-    if usage is not None:
-        usage.add(prompt.token_estimate, result.completion_tokens)
-    trace.append(
-        {
-            "event": "llm_call",
-            "purpose": "edge_prediction",
-            "prompt_tokens": prompt.token_estimate,
-            "completion_tokens": result.completion_tokens,
-        }
-    )
+    prompt = render_prompt(_EDGES_TEMPLATE, {"nodes": node_lines, "utterance": utterance})
+    answer = complete(provider, prompt, trace, "edge_prediction")
     known = graph.node_names()
     parsed: list[tuple[str, str]] = []
-    for line in result.text.splitlines():
+    for line in answer.splitlines():
         if "->" not in line:
             continue
         src, _, dst = line.partition("->")
         parsed.append((src.strip(), dst.strip()))
     if not parsed:
-        raise EdgePredictionError(f"no parseable edges in response {result.text!r}")
+        raise EdgePredictionError(f"no parseable edges in response {answer!r}")
     seen: set[tuple[str, str]] = set()
     for src, dst in parsed:
         if src not in known or dst not in known:
@@ -454,12 +430,6 @@ def repair_with_renames(
                     }
                 )
     return out, rename_map
-
-
-def repair(g: FlowGraph, trace: list[dict] | None = None) -> FlowGraph:
-    """Remove every over-connection; idempotent; never touches a valid graph."""
-    repaired, _ = repair_with_renames(g, trace)
-    return repaired
 
 
 # --- metrics --------------------------------------------------------------------

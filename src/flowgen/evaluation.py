@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics
+from .llm import usage
 from .pipeline import PipelineConfig, Runtime, build_runtime, generate_with_runtime, _predict_stages
 from .proppred import PropMetrics, PropTriple, canonical_value, coerce, prop_metrics
 
@@ -212,9 +213,7 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
     try:
         if needs_pipeline:
             workflow = generate_with_runtime(record.utterance, rt)
-            usage = workflow.provenance.get("usage", {})
-            result.prompt_tokens = usage.get("prompt_tokens", 0)
-            result.requests = usage.get("requests", 0)
+            spent = workflow.provenance["usage"]
             result.pred = [n.stage for n in workflow.graph.nodes]
             if "edges" in measures and record.gold_edges is not None:
                 metrics = edge_metrics(workflow.graph, _gold_graph(record, rt.catalog))
@@ -226,9 +225,9 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
                 result.gold_triples = _gold_triples(record, rt.catalog)
         else:
             prediction = _predict_stages(record.utterance, rt)
-            result.prompt_tokens = prediction.usage.prompt_tokens
-            result.requests = prediction.usage.requests
+            spent = usage(prediction.trace)
             result.pred = list(prediction.stages)
+        result.prompt_tokens, result.requests = spent["prompt_tokens"], spent["requests"]
     except Exception as exc:
         result.failure = str(exc)
     return result

@@ -9,11 +9,14 @@ its own). Both are plain data — template files with ``{{placeholder}}`` slots
 
 Two providers speak the completion contract: a deterministic scripted mock
 for offline runs and tests, and a chat-completions-style HTTP client for real
-endpoints.
+endpoints. Every model call of the pipeline goes through ``complete``, which
+appends one ``llm_call`` record to the caller's trace; ``usage`` sums those
+records, so the trace is the only token ledger.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -45,6 +48,8 @@ __all__ = [
     "load_mock_scripts",
     "HTTPProvider",
     "provider_from_env",
+    "complete",
+    "usage",
 ]
 
 FAMILIES = ("granite", "llama", "plain")
@@ -336,23 +341,29 @@ class HTTPProvider:
             doc = resp.json()
         except json.JSONDecodeError as exc:
             raise ProviderError(f"non-JSON completion response: {resp.text[:200]!r}") from exc
+        if not isinstance(doc, dict):
+            raise ProviderError(f"completion response is not a JSON object: {doc!r}")
         text: str | None = None
+        choices = doc.get("choices")
+        choice = choices[0] if isinstance(choices, list) and choices else None
         if isinstance(doc.get("text"), str):
             text = doc["text"]
-        elif isinstance(doc.get("choices"), list) and doc["choices"]:
-            choice = doc["choices"][0]
+        elif isinstance(choice, dict):
             if isinstance(choice.get("text"), str):
                 text = choice["text"]
             elif isinstance(choice.get("message"), dict):
                 text = choice["message"].get("content")
         if not isinstance(text, str):
             raise ProviderError(f"completion response carries no text: {doc!r}")
-        usage = doc.get("usage") or {}
-        return CompletionResult(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", prompt.token_estimate)),
-            completion_tokens=int(usage.get("completion_tokens", count_tokens(text))),
-        )
+        reported = doc.get("usage") or {}
+        try:
+            return CompletionResult(
+                text=text,
+                prompt_tokens=int(reported.get("prompt_tokens", prompt.token_estimate)),
+                completion_tokens=int(reported.get("completion_tokens", count_tokens(text))),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ProviderError(f"malformed usage in completion response: {reported!r}") from exc
 
 
 def provider_from_env(env: Mapping[str, str] | None = None) -> HTTPProvider:
@@ -366,3 +377,45 @@ def provider_from_env(env: Mapping[str, str] | None = None) -> HTTPProvider:
         api_key=env.get("LLM_API_KEY"),
         model=env.get("LLM_MODEL"),
     )
+
+
+# --- the completion path and its ledger --------------------------------------------
+
+
+def complete(
+    provider: CompletionProvider,
+    prompt: RenderedPrompt,
+    trace: list[dict],
+    purpose: str,
+    **fields: str,
+) -> str:
+    """Send one rendered prompt; append its ``llm_call`` record; return the answer.
+
+    ``fields`` (such as ``node``) go into the record after ``purpose``. The
+    prompt-token count is the rendered prompt's estimate, not what the
+    provider reports, so usage is comparable across providers.
+    """
+    result = provider.complete(prompt, CompletionParams())
+    trace.append(
+        {
+            "event": "llm_call",
+            "purpose": purpose,
+            **fields,
+            "prompt_tokens": prompt.token_estimate,
+            "completion_tokens": result.completion_tokens,
+            "prompt_sha256": hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16],
+        }
+    )
+    return result.text
+
+
+def usage(*traces: list[dict]) -> dict[str, int]:
+    """Token usage summed over the ``llm_call`` records of the given traces."""
+    total = {"prompt_tokens": 0, "completion_tokens": 0, "requests": 0}
+    for trace in traces:
+        for entry in trace:
+            if entry.get("event") == "llm_call":
+                total["prompt_tokens"] += entry["prompt_tokens"]
+                total["completion_tokens"] += entry["completion_tokens"]
+                total["requests"] += 1
+    return total

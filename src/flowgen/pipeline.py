@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import fixture_path
 from .catalog import Catalog, load_catalog
-from .classify import StageClassifier, load_training_pairs, train
+from .classify import ClassifierError, StageClassifier, load_training_pairs, train
 from .edgepred import (
     CardinalityViolation,
     EdgePredictionError,
@@ -42,6 +42,7 @@ from .llm import (
     ProviderError,
     load_mock_scripts,
     provider_from_env,
+    usage,
 )
 from .proppred import (
     ACCEPTED,
@@ -59,7 +60,6 @@ from .stagepred import (
     SplitExample,
     StagePrediction,
     StagePredictionError,
-    TokenUsage,
     load_examples,
     load_split_examples,
     predict_agentic,
@@ -122,7 +122,6 @@ class PipelineConfig:
     classifier_threshold: float = 0.25
     agent_max_steps: int = DEFAULT_MAX_STEPS
     fixpoint_dependencies: bool = False
-    full_prompts: bool = False  # keep full prompt text in provenance instead of hashes
 
 
 def _check_config(cfg: PipelineConfig) -> None:
@@ -224,12 +223,11 @@ def _edge_branch(
     utterance: str,
     nodes: list[NodeInstance],
     rt: Runtime,
-    usage: TokenUsage,
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     try:
-        graph = predict_edges(nodes, utterance, rt.provider, usage, trace)
+        graph = predict_edges(nodes, utterance, rt.provider, trace=trace)
     except (EdgePredictionError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
@@ -245,7 +243,7 @@ def _property_branch_one(
     diagnostics: list[dict] = []
     stage = rt.catalog.stages[node.stage]
     try:
-        raw = predict_properties(node, stage, rt.provider, None, trace)
+        raw = predict_properties(node, stage, rt.provider, trace)
         statused = validate(
             raw, stage, rt.registry, fixpoint=rt.cfg.fixpoint_dependencies
         )
@@ -264,29 +262,25 @@ def generate(utterance: str, cfg: PipelineConfig | None = None) -> Workflow:
 
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     cfg = rt.cfg
-    usage = TokenUsage()
     provenance: dict = {"utterance": utterance, "strategy": cfg.strategy}
     diagnostics: list[dict] = []
 
     try:
         prediction = _predict_stages(utterance, rt)
-    except (StagePredictionError, ProviderError, ValueError) as exc:
+    except (StagePredictionError, ProviderError, ClassifierError, ValueError) as exc:
         raise PipelineError("stage_prediction", str(exc), provenance) from exc
     provenance["stage_trace"] = prediction.trace
     provenance["stages"] = list(prediction.stages)
-    usage.prompt_tokens += prediction.usage.prompt_tokens
-    usage.completion_tokens += prediction.usage.completion_tokens
-    usage.requests += prediction.usage.requests
 
     nodes = build_nodes(prediction.stages, rt.catalog)
     if not nodes:
-        provenance["usage"] = vars(usage)
+        provenance["usage"] = usage(prediction.trace)
         provenance["diagnostics"] = diagnostics
         return Workflow(graph=FlowGraph(nodes=[]), properties={}, provenance=provenance)
 
     seg_trace: list[dict] = []
     try:
-        segments = segment_for_nodes(utterance, nodes, rt.catalog, rt.provider, usage, seg_trace)
+        segments = segment_for_nodes(utterance, nodes, rt.catalog, rt.provider, seg_trace)
     except (SegmentationError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
         diagnostics.append({"step": "segmentation", "message": str(exc)})
@@ -296,22 +290,17 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    edge_usage = TokenUsage()
     if cfg.parallel > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            edge_future = pool.submit(_edge_branch, utterance, nodes, rt, edge_usage)
+            edge_future = pool.submit(_edge_branch, utterance, nodes, rt)
             prop_futures = [pool.submit(_property_branch_one, n, rt) for n in nodes]
             graph, renames, pre_violations, edge_trace, edge_diags = edge_future.result()
             prop_results = [f.result() for f in prop_futures]
     else:
         graph, renames, pre_violations, edge_trace, edge_diags = _edge_branch(
-            utterance, nodes, rt, edge_usage
+            utterance, nodes, rt
         )
         prop_results = [_property_branch_one(n, rt) for n in nodes]
-
-    usage.prompt_tokens += edge_usage.prompt_tokens
-    usage.completion_tokens += edge_usage.completion_tokens
-    usage.requests += edge_usage.requests
     diagnostics.extend(edge_diags)
 
     statused_by_node: dict[str, list[PropertyAssignment]] = {}
@@ -320,9 +309,6 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         statused_by_node[name] = statused
         prop_trace.extend(trace)
         diagnostics.extend(diags)
-        for entry in trace:
-            if entry.get("event") == "llm_call":
-                usage.add(entry["prompt_tokens"], entry["completion_tokens"])
 
     # carry properties across repair renames (split copies share them)
     final_names = graph.node_names()
@@ -351,7 +337,7 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     ]
     provenance["renames"] = {k: v for k, v in sorted(renames.items())}
     provenance["rejections"] = {k: rejections[k] for k in sorted(rejections)}
-    provenance["usage"] = vars(usage)
+    provenance["usage"] = usage(prediction.trace, seg_trace, edge_trace, prop_trace)
     provenance["diagnostics"] = diagnostics
 
     workflow = Workflow(graph=graph, properties=properties, provenance=provenance)

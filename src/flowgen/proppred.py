@@ -31,7 +31,7 @@ from . import fixture_path
 from .catalog import PropertyDef, StageDef, ValueType
 from .condexpr import eval_condition, parse_condition
 from .edgepred import NodeInstance
-from .llm import CompletionParams, CompletionProvider, load_template, render_prompt
+from .llm import CompletionProvider, complete, load_template, render_prompt
 
 __all__ = [
     "ACCEPTED",
@@ -58,6 +58,8 @@ REJECTED_DEPENDENCY = "rejected_dependency"
 REJECTED_EXTERNAL = "rejected_external"
 
 REGISTRY_KINDS = ("connection", "schema", "table")
+
+_PROPERTIES_TEMPLATE = load_template(fixture_path("templates", "properties.txt"))
 
 
 class RegistryError(Exception):
@@ -109,36 +111,23 @@ def predict_properties(
     node: NodeInstance,
     stage: StageDef,
     provider: CompletionProvider,
-    usage=None,
     trace: list[dict] | None = None,
-    params: CompletionParams | None = None,
 ) -> list[PropertyAssignment]:
     """Ask the model for ``name = value`` lines; zero parseable lines is fine."""
-    template = load_template(fixture_path("templates", "properties.txt"), family="plain")
     prop_lines = "\n".join(f"{p.name}: {p.description}" for p in stage.properties)
     prompt = render_prompt(
-        template,
+        _PROPERTIES_TEMPLATE,
         {
             "stage": stage.name,
             "properties": prop_lines,
             "sub_utterance": node.sub_utterance,
         },
     )
-    result = provider.complete(prompt, params or CompletionParams())
-    if usage is not None:
-        usage.add(prompt.token_estimate, result.completion_tokens)
-    if trace is not None:
-        trace.append(
-            {
-                "event": "llm_call",
-                "purpose": "properties",
-                "node": node.unique_name,
-                "prompt_tokens": prompt.token_estimate,
-                "completion_tokens": result.completion_tokens,
-            }
-        )
+    answer = complete(
+        provider, prompt, [] if trace is None else trace, "properties", node=node.unique_name
+    )
     out: list[PropertyAssignment] = []
-    for line in result.text.splitlines():
+    for line in answer.splitlines():
         if "=" not in line:
             continue
         name, _, value = line.partition("=")

@@ -20,7 +20,6 @@ dropped and trace-recorded, never invented.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +29,10 @@ from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
     FAMILY_PRESEED,
-    CompletionParams,
     CompletionProvider,
     PromptTemplate,
     RenderedPrompt,
+    complete,
     load_template,
     parse_operator_list,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "SplitExample",
     "SubUtterance",
     "CandidateSet",
-    "TokenUsage",
     "StagePrediction",
     "StagePredictionError",
     "DecompositionError",
@@ -63,6 +61,17 @@ __all__ = [
 
 DEFAULT_EXAMPLE_CAP = 40
 DEFAULT_MAX_STEPS = 8
+
+_STAGE_TEMPLATES = {
+    family: load_template(
+        fixture_path("templates", f"{family}_stage.txt"),
+        family=family,
+        preseed=FAMILY_PRESEED[family],
+    )
+    for family in ("granite", "llama")
+}
+_DECOMPOSE_TEMPLATE = load_template(fixture_path("templates", "decompose.txt"))
+_AGENT_TEMPLATE = load_template(fixture_path("templates", "agent.txt"))
 
 
 class StagePredictionError(Exception):
@@ -105,23 +114,10 @@ class CandidateSet:
 
 
 @dataclass
-class TokenUsage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    requests: int = 0
-
-    def add(self, prompt_tokens: int, completion_tokens: int) -> None:
-        self.prompt_tokens += prompt_tokens
-        self.completion_tokens += completion_tokens
-        self.requests += 1
-
-
-@dataclass
 class StagePrediction:
     stages: list[str]  # answer-ordered; duplicates are distinct nodes
     strategy: str
-    usage: TokenUsage = field(default_factory=TokenUsage)
-    trace: list[dict] = field(default_factory=list)
+    trace: list[dict] = field(default_factory=list)  # llm_call records carry the usage
     # estimate for the final stage-selection prompt (0 if no prompt was sent);
     # this is the request the single-prompt baseline is compared against
     stage_prompt_tokens: int = 0
@@ -166,14 +162,10 @@ def load_split_examples(path: str | Path) -> list[SplitExample]:
 
 def stage_template(family: str) -> PromptTemplate:
     """The per-family stage-selection template (granite role tokens, llama preseed)."""
-    name = {"granite": "granite_stage.txt", "llama": "llama_stage.txt"}.get(family)
-    if name is None:
+    template = _STAGE_TEMPLATES.get(family)
+    if template is None:
         raise StagePredictionError(f"no stage template for family {family!r}")
-    return load_template(fixture_path("templates", name), family=family, preseed=FAMILY_PRESEED[family])
-
-
-def _aux_template(name: str) -> PromptTemplate:
-    return load_template(fixture_path("templates", name), family="plain")
+    return template
 
 
 def _context_block(catalog: Catalog, stages: set[str] | None = None) -> str:
@@ -185,32 +177,6 @@ def _examples_block(examples: list[FewShotExample]) -> str:
     return "\n\n".join(
         f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples
     )
-
-
-def _prompt_digest(prompt: RenderedPrompt) -> str:
-    return hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16]
-
-
-def _complete(
-    provider: CompletionProvider,
-    prompt: RenderedPrompt,
-    usage: TokenUsage,
-    trace: list[dict],
-    purpose: str,
-    params: CompletionParams | None = None,
-):
-    result = provider.complete(prompt, params or CompletionParams())
-    usage.add(prompt.token_estimate, result.completion_tokens)
-    trace.append(
-        {
-            "event": "llm_call",
-            "purpose": purpose,
-            "prompt_tokens": prompt.token_estimate,
-            "completion_tokens": result.completion_tokens,
-            "prompt_sha256": _prompt_digest(prompt),
-        }
-    )
-    return result
 
 
 def _verified(
@@ -235,19 +201,15 @@ def predict_single(
     bank: list[FewShotExample],
     provider: CompletionProvider,
     family: str = "granite",
-    params: CompletionParams | None = None,
 ) -> StagePrediction:
     """One prompt over the full catalog and the full example bank."""
-    usage = TokenUsage()
     trace: list[dict] = []
     prompt = render_stage_prompt(catalog, None, bank, utterance, family)
-    result = _complete(provider, prompt, usage, trace, "stage_selection", params)
-    answer = parse_operator_list(result.text)
+    answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
     stages = _verified(answer, set(catalog.stages), trace)
     return StagePrediction(
         stages=stages,
         strategy="single",
-        usage=usage,
         trace=trace,
         stage_prompt_tokens=prompt.token_estimate,
     )
@@ -260,11 +222,11 @@ def render_stage_prompt(
     utterance: str,
     family: str = "granite",
 ) -> RenderedPrompt:
+    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    template = stage_template(family)
     return render_prompt(
-        template,
+        stage_template(family),
         {
             "context": _context_block(catalog, candidates),
             "examples": _examples_block(examples),
@@ -280,13 +242,11 @@ def decompose(
     utterance: str,
     provider: CompletionProvider,
     split_examples: list[SplitExample],
-    usage: TokenUsage | None = None,
     trace: list[dict] | None = None,
-    params: CompletionParams | None = None,
 ) -> list[SubUtterance]:
     """Split an utterance into single-stage sub-utterances via one completion."""
-    usage = TokenUsage() if usage is None else usage
     trace = [] if trace is None else trace
+    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
     examples_block = "\n\n".join(
@@ -296,18 +256,17 @@ def decompose(
         for ex in split_examples
     )
     prompt = render_prompt(
-        _aux_template("decompose.txt"),
-        {"examples": examples_block, "utterance": utterance},
+        _DECOMPOSE_TEMPLATE, {"examples": examples_block, "utterance": utterance}
     )
-    result = _complete(provider, prompt, usage, trace, "decompose", params)
+    answer = complete(provider, prompt, trace, "decompose")
     subs = [
         line.strip()[2:].strip()
-        for line in result.text.splitlines()
+        for line in answer.splitlines()
         if line.strip().startswith("- ")
     ]
     subs = [s for s in subs if s]
     if not subs:
-        raise DecompositionError(f"no sub-utterances parsed from {result.text!r}")
+        raise DecompositionError(f"no sub-utterances parsed from {answer!r}")
     return [SubUtterance(text=s, order=i) for i, s in enumerate(subs)]
 
 
@@ -324,6 +283,7 @@ def build_candidates(
     stray label cannot smuggle it into the prompt. Adding synonyms or
     training data can only grow the set.
     """
+    # local: perfbench/tracer.py wraps flowgen.classify.keyword_scan; hoisting it empties that span
     from .classify import keyword_scan
 
     trace = [] if trace is None else trace
@@ -398,7 +358,6 @@ def predict_cag(
     family: str = "granite",
     split_examples: list[SplitExample] | None = None,
     cap: int = DEFAULT_EXAMPLE_CAP,
-    params: CompletionParams | None = None,
 ) -> StagePrediction:
     """Classifier-augmented prediction: scoped context, scoped examples.
 
@@ -407,23 +366,20 @@ def predict_cag(
     An empty candidate set short-circuits to an empty prediction — there is
     nothing the model could legally answer.
     """
-    usage = TokenUsage()
     trace: list[dict] = []
-    subs = decompose(utterance, provider, split_examples or [], usage, trace, params)
+    subs = decompose(utterance, provider, split_examples or [], trace)
     candidates = build_candidates(subs, classifier, catalog, utterance, trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
-        return StagePrediction(stages=[], strategy="cag", usage=usage, trace=trace)
+        return StagePrediction(stages=[], strategy="cag", trace=trace)
     examples = select_examples(candidates, bank, cap)
     trace.append({"event": "examples_selected", "count": len(examples)})
     prompt = render_stage_prompt(catalog, set(candidates.stages), examples, utterance, family)
-    result = _complete(provider, prompt, usage, trace, "stage_selection", params)
-    answer = parse_operator_list(result.text)
+    answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
     stages = _verified(answer, set(candidates.stages), trace)
     return StagePrediction(
         stages=stages,
         strategy="cag",
-        usage=usage,
         trace=trace,
         stage_prompt_tokens=prompt.token_estimate,
     )
@@ -449,7 +405,6 @@ def predict_agentic(
     classifier: StageClassifier,
     provider: CompletionProvider,
     max_steps: int = DEFAULT_MAX_STEPS,
-    params: CompletionParams | None = None,
 ) -> StagePrediction:
     """ReAct-style loop: the model drives the classifier one call per turn.
 
@@ -458,31 +413,27 @@ def predict_agentic(
     reply that still tries to act (or does not parse as an operator list) is
     a protocol violation carrying the transcript.
     """
+    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    usage = TokenUsage()
     trace: list[dict] = []
-    template = _aux_template("agent.txt")
     transcript: list[str] = []
     last_reply = ""
     for _step in range(max_steps):
         prompt = render_prompt(
-            template, {"utterance": utterance, "transcript": "\n".join(transcript)}
+            _AGENT_TEMPLATE, {"utterance": utterance, "transcript": "\n".join(transcript)}
         )
-        result = _complete(provider, prompt, usage, trace, "agent_step", params)
-        last_reply = result.text
-        action = _scan_agent_reply(result.text)
+        last_reply = complete(provider, prompt, trace, "agent_step")
+        action = _scan_agent_reply(last_reply)
         if action is None:
-            transcript.append(result.text.strip())
+            transcript.append(last_reply.strip())
             continue
         kind, payload = action
         if kind == "final":
             answer = parse_operator_list(payload)
             stages = _verified(answer, set(catalog.stages), trace)
             trace.append({"event": "final", "answer": payload})
-            return StagePrediction(
-                stages=stages, strategy="agentic", usage=usage, trace=trace
-            )
+            return StagePrediction(stages=stages, strategy="agentic", trace=trace)
         transcript.append(f"CALL classify: {payload}")
         outcome = classifier.classify(payload)
         label = outcome.top if outcome.matched and outcome.top else "no match"
@@ -497,5 +448,5 @@ def predict_agentic(
         if answer:
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})
             stages = _verified(answer, set(catalog.stages), trace)
-            return StagePrediction(stages=stages, strategy="agentic", usage=usage, trace=trace)
+            return StagePrediction(stages=stages, strategy="agentic", trace=trace)
     raise ProtocolViolation(f"no FINAL answer within {max_steps} steps", transcript)

@@ -36,7 +36,6 @@ from flowgen.edgepred import (
     NodeInstance,
     build_nodes,
     edge_metrics,
-    repair,
     repair_with_renames,
     validate_cardinality,
 )
@@ -194,7 +193,8 @@ def test_criterion_3_repair_soundness():
             assert len(repaired.edges) == len(g.edges) - pruned
             assert len(repaired.edges) <= len(g.edges)
 
-            again = repair(repaired)
+            again, again_renames = repair_with_renames(repaired)
+            assert again_renames == {}
             assert again.edges == repaired.edges
             assert [(n.unique_name, n.stage) for n in again.nodes] == [
                 (n.unique_name, n.stage) for n in repaired.nodes

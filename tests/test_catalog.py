@@ -19,7 +19,6 @@ from flowgen.catalog import (
     ValueType,
     dump_catalog,
     load_catalog,
-    lookup_stage,
     parse_catalog,
     validate_catalog,
 )
@@ -171,11 +170,13 @@ def test_validate_catalog_is_pure_and_reports_all():
         outputs=CardinalityBound(1, 1),
         properties=(),
     )
-    bad = make_catalog(no_description, make_stage("b"))
+    # answers are lowercased before verification, so "Mixed" could never be predicted
+    bad = make_catalog(no_description, make_stage("b"), make_stage("Mixed"))
     messages = [str(v) for v in validate_catalog(bad)]
-    assert len(messages) == 2
+    assert len(messages) == 3
     assert any("exceeds max" in m for m in messages)
     assert any("description" in m for m in messages)
+    assert "Mixed.name: stage name is not lowercase" in messages
 
 
 # --- lookup and synonym index -------------------------------------------------------
@@ -191,8 +192,8 @@ def test_synonym_index_covers_names_and_synonyms_lowercased():
 
 def test_lookup_stage_by_exact_name_only():
     catalog = make_catalog(make_stage("head"))
-    assert lookup_stage(catalog, "head").name == "head"
-    assert lookup_stage(catalog, "HEAD") is None
+    assert catalog.stages["head"].name == "head"
+    assert catalog.stages.get("HEAD") is None
 
 
 # --- randomized round-trip ----------------------------------------------------------

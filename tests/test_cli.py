@@ -109,6 +109,36 @@ def test_generate_pipeline_failure_prints_envelope(capsys, tmp_path):
     assert envelope["provenance"]["utterance"] == "sort the rows"
 
 
+def test_generate_classifier_failure_prints_envelope(capsys, monkeypatch):
+    from flowgen.classify import ClassifierError, RemoteClassifier
+
+    def down(self, text):
+        raise ClassifierError("remote classifier failed: connection refused")
+
+    monkeypatch.setattr(RemoteClassifier, "classify", down)
+    code, _, err = run(
+        capsys,
+        "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
+        "--classifier", "http://127.0.0.1:9",
+    )
+    assert code == 2
+    envelope = json.loads(err)
+    assert envelope["error"]["step"] == "stage_prediction"
+    assert "connection refused" in envelope["error"]["message"]
+
+
+def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([{"utterance": "zebra stripes", "label": "no_such_stage"}]))
+    code, _, err = run(
+        capsys,
+        "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
+        "--classifier", str(pairs),
+    )
+    assert code == 1
+    assert err.startswith("error: unknown label 'no_such_stage'")
+
+
 def test_generate_without_provider_config(capsys, monkeypatch):
     monkeypatch.delenv("LLM_ENDPOINT", raising=False)
     code, _, err = run(capsys, "generate", "--utterance", "sort the rows")

@@ -23,13 +23,12 @@ from flowgen.edgepred import (
     build_nodes,
     edge_metrics,
     predict_edges,
-    repair,
     repair_with_renames,
     segment_for_nodes,
     to_dot,
     validate_cardinality,
 )
-from flowgen.stagepred import TokenUsage
+from flowgen.llm import usage
 
 
 def node(
@@ -96,10 +95,9 @@ def test_segment_assigns_each_node_a_verbatim_span():
     provider = scripted(
         ("Assignments:", "sort: sort by age\nhead: take the first rows\nghost: noise\njunk line")
     )
-    usage = TokenUsage()
-    segments = segment_for_nodes(utterance, nodes, catalog, provider, usage, trace := [])
+    segments = segment_for_nodes(utterance, nodes, catalog, provider, trace := [])
     assert segments == {"sort": "sort by age", "head": "take the first rows"}
-    assert usage.requests == 1
+    assert usage(trace)["requests"] == 1
     assert trace[0]["purpose"] == "segmentation"
 
 
@@ -174,7 +172,7 @@ def test_predict_edges_drops_unknown_duplicate_and_cycle_edges():
     nodes = [node("a"), node("b")]
     provider = scripted(("Edges:", "a -> b\na -> ghost\na -> b\nb -> a\na -> a"))
     trace: list[dict] = []
-    g = predict_edges(nodes, "u", provider, None, trace)
+    g = predict_edges(nodes, "u", provider, trace=trace)
     assert g.edges == [("a", "b")]
     reasons = [(e["edge"], e["reason"]) for e in trace if e["event"] == "edge_dropped"]
     assert reasons == [
@@ -255,7 +253,7 @@ def test_repair_splits_fan_in_sink():
     srcs = [node(s, inputs=(0, 0), outputs=(1, 1)) for s in ("a", "b")]
     sink = node("writer", inputs=(1, 1), outputs=(0, 0))
     g = FlowGraph(nodes=[*srcs, sink], edges=[("a", "writer"), ("b", "writer")])
-    repaired = repair(g)
+    repaired, _ = repair_with_renames(g)
     assert [n.unique_name for n in repaired.nodes] == ["a", "b", "writer_1", "writer_2"]
     assert repaired.edges == [("a", "writer_1"), ("b", "writer_2")]
     assert validate_cardinality(repaired) == []
@@ -286,8 +284,9 @@ def test_repair_prunes_newest_edges_when_split_is_ineligible():
         edges=[("x", "p"), ("p", "y"), ("p", "z")],
     )
     trace: list[dict] = []
-    repaired = repair(g, trace)
+    repaired, renames = repair_with_renames(g, trace)
     assert repaired.edges == [("x", "p"), ("p", "y")]
+    assert renames == {}
     pruned = [e for e in trace if e["event"] == "edge_pruned"]
     assert pruned == [{"event": "edge_pruned", "edge": "p -> z", "node": "p", "direction": "outputs"}]
 
@@ -297,7 +296,7 @@ def test_repair_never_fixes_under_connections():
         nodes=[node("a", inputs=(0, 0), outputs=(1, 1)), node("join", inputs=(2, 2), outputs=(0, 0))],
         edges=[("a", "join")],
     )
-    repaired = repair(g)
+    repaired, _ = repair_with_renames(g)
     assert repaired.edges == g.edges
     assert [v.kind for v in validate_cardinality(repaired)] == ["under"]
 
@@ -307,8 +306,9 @@ def test_repair_leaves_valid_graphs_alone():
         nodes=[node("a", inputs=(0, 0), outputs=(1, 1)), node("b", inputs=(1, 1), outputs=(0, 0))],
         edges=[("a", "b")],
     )
-    repaired = repair(g)
+    repaired, renames = repair_with_renames(g)
     assert [n.unique_name for n in repaired.nodes] == ["a", "b"]
+    assert renames == {}
     assert repaired.edges == [("a", "b")]
 
 
@@ -331,11 +331,12 @@ def graphs(draw):
 @given(graphs())
 def test_repair_is_total_and_idempotent(g):
     trace: list[dict] = []
-    repaired = repair(g, trace)
+    repaired, _ = repair_with_renames(g, trace)
     assert all(v.kind == "under" for v in validate_cardinality(repaired))
     pruned = sum(1 for e in trace if e["event"] == "edge_pruned")
     assert len(repaired.edges) == len(g.edges) - pruned
-    again = repair(repaired, trace2 := [])
+    again, renames = repair_with_renames(repaired, trace2 := [])
+    assert renames == {}
     assert [n.unique_name for n in again.nodes] == [n.unique_name for n in repaired.nodes]
     assert again.edges == repaired.edges
     assert not [e for e in trace2 if e["event"] in ("node_split", "edge_pruned")]

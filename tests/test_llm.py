@@ -243,6 +243,31 @@ def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
     assert seen["headers"]["Authorization"] == "Bearer k"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        [1, 2],
+        {"choices": [5]},
+        {"choices": []},
+        {"usage": {"prompt_tokens": 3}},
+        {"text": "ok", "usage": {"prompt_tokens": "n/a"}},
+        {"text": "ok", "usage": ["prompt_tokens"]},
+    ],
+)
+def test_http_provider_wraps_malformed_bodies(monkeypatch, body):
+    class FakeResponse:
+        status_code = 200
+        text = "body"
+
+        def json(self):
+            return body
+
+    monkeypatch.setattr("flowgen.llm.requests.post", lambda *a, **k: FakeResponse())
+    provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
+    with pytest.raises(ProviderError):
+        provider.complete(prompt_of("ping"), PARAMS)
+
+
 def test_http_provider_surfaces_client_errors_without_retry(monkeypatch):
     calls = {"n": 0}
 

@@ -122,6 +122,27 @@ def test_linear_walkthrough(demo_config):
     assert w.provenance["diagnostics"] == []
 
 
+def test_linear_walkthrough_usage_sums_uniform_llm_call_records(demo_config):
+    w = generate(LINEAR_FLOW, demo_config())
+    records = [
+        entry
+        for key in ("stage_trace", "segment_trace", "edge_trace", "property_trace")
+        for entry in w.provenance[key]
+        if entry["event"] == "llm_call"
+    ]
+    assert [r["purpose"] for r in records] == [
+        "decompose", "stage_selection", "segmentation", "edge_prediction", *["properties"] * 6,
+    ]
+    keys = {"event", "purpose", "prompt_tokens", "completion_tokens", "prompt_sha256"}
+    for r in records:
+        assert set(r) == (keys | {"node"} if r["purpose"] == "properties" else keys)
+    assert w.provenance["usage"] == {
+        "prompt_tokens": sum(r["prompt_tokens"] for r in records),
+        "completion_tokens": sum(r["completion_tokens"] for r in records),
+        "requests": len(records),
+    }
+
+
 def test_branching_walkthrough(demo_config):
     w = generate(BRANCHING_FLOW, demo_config())
     assert [n.unique_name for n in w.graph.nodes] == [

@@ -29,7 +29,7 @@ from flowgen.proppred import (
     prop_metrics,
     validate,
 )
-from flowgen.stagepred import TokenUsage
+from flowgen.llm import usage
 
 WRITE_MODE = ValueType.enum_of(("append", "replace", "upsert"))
 
@@ -98,11 +98,10 @@ def test_predict_properties_prompt_carries_schema_and_span():
         "Set the properties of the warehouse operator"
     )
     provider = scripted((cue, "Row Limit = 5"))
-    usage = TokenUsage()
     trace: list[dict] = []
-    out = predict_properties(prop_node("limit to 5 rows"), connector_stage(), provider, usage, trace)
+    out = predict_properties(prop_node("limit to 5 rows"), connector_stage(), provider, trace)
     assert out[0].name == "Row Limit"
-    assert usage.requests == 1
+    assert usage(trace)["requests"] == 1
     assert trace[0]["purpose"] == "properties" and trace[0]["node"] == "warehouse"
 
 

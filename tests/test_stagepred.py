@@ -15,6 +15,7 @@ from conftest import FULL_NAME_FLOW, make_catalog, make_stage, scripted
 from flowgen import fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, TrainingPair, train
+from flowgen.llm import usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -166,12 +167,10 @@ def test_decompose_renders_split_examples_and_counts_usage():
     cue = "Utterance: {}\nSub-utterances:\n- {}".format(splits[0].utterance, splits[0].subs[0])
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
-    from flowgen.stagepred import TokenUsage
-
-    usage = TokenUsage()
-    subs = decompose("u", provider, splits, usage, usage_trace)
+    subs = decompose("u", provider, splits, usage_trace)
     assert [s.text for s in subs] == ["one"]
-    assert usage.requests == 1 and usage.prompt_tokens > 0
+    spent = usage(usage_trace)
+    assert spent["requests"] == 1 and spent["prompt_tokens"] > 0
     assert usage_trace[0]["event"] == "llm_call" and usage_trace[0]["purpose"] == "decompose"
 
 
@@ -263,9 +262,9 @@ def test_predict_single_answers_and_counts_tokens(catalog):
     provider = scripted(("Context:", '"head, join"'))
     pred = predict_single("u", catalog, bank, provider)
     assert pred.stages == ["head", "join"] and pred.strategy == "single"
-    assert pred.usage.requests == 1
+    assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
-    assert pred.stage_prompt_tokens == expected == pred.usage.prompt_tokens
+    assert pred.stage_prompt_tokens == expected == usage(pred.trace)["prompt_tokens"]
 
 
 def test_predict_single_keeps_duplicates_and_drops_unknown(catalog):
@@ -290,7 +289,7 @@ def test_predict_cag_scopes_context_and_examples(catalog):
     )
     pred = predict_cag("first rows then combine data", catalog, model, bank, provider)
     assert pred.stages == ["head", "join"] and pred.strategy == "cag"
-    assert pred.usage.requests == 2  # decompose + one scoped stage prompt
+    assert usage(pred.trace)["requests"] == 2  # decompose + one scoped stage prompt
     # the scoped prompt is strictly smaller than the full listing would be
     full = render_stage_prompt(catalog, None, bank, "first rows then combine data")
     assert 0 < pred.stage_prompt_tokens < full.token_estimate
@@ -312,7 +311,7 @@ def test_predict_cag_empty_candidates_short_circuits(catalog):
     provider = scripted(("Sub-utterances:", "- zzz qqq"))
     pred = predict_cag("zzz qqq", catalog, model, [], provider)
     assert pred.stages == [] and pred.stage_prompt_tokens == 0
-    assert pred.usage.requests == 1  # nothing after decomposition
+    assert usage(pred.trace)["requests"] == 1  # nothing after decomposition
     assert {"event": "empty_candidates"} in pred.trace
 
 
@@ -357,7 +356,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
     )
     pred = predict_agentic("u", catalog, model, provider)
     assert pred.stages == ["head", "join"] and pred.strategy == "agentic"
-    assert pred.usage.requests == 3
+    assert usage(pred.trace)["requests"] == 3
     calls = [e for e in pred.trace if e["event"] == "classify_call"]
     assert [(c["text"], c["result"]) for c in calls] == [
         ("first rows", "head"),
@@ -381,7 +380,7 @@ def test_predict_agentic_appends_free_form_replies(catalog):
         ("Utterance:", "let me think"),
     )
     pred = predict_agentic("u", catalog, model, provider)
-    assert pred.stages == ["head"] and pred.usage.requests == 2
+    assert pred.stages == ["head"] and usage(pred.trace)["requests"] == 2
 
 
 def test_predict_agentic_protocol_violation_at_step_cap(catalog):
@@ -400,5 +399,5 @@ def test_predict_agentic_best_effort_answer_at_cap(catalog):
     provider = scripted(("Utterance:", '"head, join"'))  # neither CALL nor FINAL
     pred = predict_agentic("u", catalog, model, provider, max_steps=2)
     assert pred.stages == ["head", "join"]
-    assert pred.usage.requests == 2
+    assert usage(pred.trace)["requests"] == 2
     assert any(e["event"] == "best_effort_final" for e in pred.trace)
