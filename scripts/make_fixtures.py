@@ -22,7 +22,6 @@ from flowgen.catalog import load_catalog, validate_catalog
 from flowgen.classify import load_training_pairs, train
 from flowgen.llm import load_mock_scripts
 from flowgen.stagepred import (
-    SubUtterance,
     build_candidates,
     load_examples,
     load_split_examples,
@@ -79,8 +78,7 @@ def verify(out_dir: Path) -> dict[str, float]:
     singles, scopeds = [], []
     for rec in records:
         utterance, gold = rec["utterance"], rec["gold_stages"]
-        subs = [SubUtterance(text=s, order=i) for i, s in enumerate(rec["subs"])]
-        candidates = build_candidates(subs, model, catalog, utterance)
+        candidates = build_candidates(rec["subs"], model, catalog, utterance)
         missing = set(gold) - set(candidates.stages)
         assert not missing, (utterance, missing)
 

@@ -244,6 +244,17 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
     return out
 
 
+def _name_collisions(names: list[str]) -> list[Violation]:
+    """Stages named ``<other>_<digits>``: a numbered node of ``other`` would share that name."""
+    known = set(names)
+    out: list[Violation] = []
+    for name in names:
+        base, sep, digits = name.rpartition("_")
+        if sep and base in known and digits.isascii() and digits.isdigit():
+            out.append(Violation(name, "name", f"collides with the node names of stage {base!r}"))
+    return out
+
+
 def _referenced_paths(expr: condexpr.ConditionExpr) -> set[str]:
     if isinstance(expr, condexpr.PropertyRef):
         return {expr.path}
@@ -263,6 +274,7 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
     out: list[Violation] = []
     for stage in catalog.stages.values():
         out.extend(_stage_violations(stage))
+    out.extend(_name_collisions(list(catalog.stages)))
     return out
 
 
@@ -286,6 +298,7 @@ def parse_catalog(text: str) -> Catalog:
             violations.append(Violation(stage.name, "name", "duplicate stage name"))
         seen.add(stage.name)
         violations.extend(_stage_violations(stage))
+    violations.extend(_name_collisions([s.name for s in stages]))
     if violations:
         raise CatalogValidationError(violations)
     return Catalog({s.name: s for s in stages})

@@ -34,6 +34,7 @@ __all__ = [
     "GraphError",
     "SegmentationError",
     "EdgePredictionError",
+    "node_names",
     "build_nodes",
     "segment_for_nodes",
     "predict_edges",
@@ -73,12 +74,6 @@ class NodeInstance:
 class FlowGraph:
     nodes: list[NodeInstance]
     edges: list[tuple[str, str]] = field(default_factory=list)  # ordered, no duplicates
-
-    def node(self, name: str) -> NodeInstance:
-        for n in self.nodes:
-            if n.unique_name == name:
-                return n
-        raise KeyError(name)
 
     def node_names(self) -> set[str]:
         return {n.unique_name for n in self.nodes}
@@ -130,24 +125,31 @@ class EdgeMetrics:
 # --- node construction -------------------------------------------------------
 
 
-def build_nodes(stages: list[str], catalog: Catalog) -> list[NodeInstance]:
-    """Instantiate nodes from an answer-ordered stage multiset.
+def node_names(stages: list[str]) -> list[str]:
+    """Node names for an ordered stage multiset, position by position.
 
     ``[head, tail, head]`` becomes ``head_1, tail, head_2`` — only duplicated
-    stages get numbered.
+    stages get numbered, in order.
     """
     counts = Counter(stages)
     seen: Counter[str] = Counter()
+    names: list[str] = []
+    for stage in stages:
+        if counts[stage] > 1:
+            seen[stage] += 1
+            names.append(f"{stage}_{seen[stage]}")
+        else:
+            names.append(stage)
+    return names
+
+
+def build_nodes(stages: list[str], catalog: Catalog) -> list[NodeInstance]:
+    """Instantiate nodes from an answer-ordered stage multiset, named by ``node_names``."""
     nodes: list[NodeInstance] = []
-    for stage_name in stages:
+    for stage_name, unique in zip(stages, node_names(stages)):
         stage = catalog.stages.get(stage_name)
         if stage is None:
             raise GraphError(f"prediction references unknown stage {stage_name!r}")
-        if counts[stage_name] > 1:
-            seen[stage_name] += 1
-            unique = f"{stage_name}_{seen[stage_name]}"
-        else:
-            unique = stage_name
         nodes.append(
             NodeInstance(
                 unique_name=unique,
@@ -384,12 +386,10 @@ def repair_with_renames(
     # renumber every node of a split stage, flow-wide, in node order
     renames: dict[str, str] = {}
     if split_stages:
-        for stage in split_stages:
-            members = [n for n in out.nodes if n.stage == stage]
-            for k, member in enumerate(members, start=1):
-                final = stage if len(members) == 1 else f"{stage}_{k}"
-                if member.unique_name != final:
-                    renames[member.unique_name] = final
+        finals = node_names([n.stage for n in out.nodes])
+        for node, final in zip(out.nodes, finals):
+            if node.stage in split_stages and node.unique_name != final:
+                renames[node.unique_name] = final
         for node in out.nodes:
             if node.unique_name in renames:
                 node.unique_name = renames[node.unique_name]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog
-from .edgepred import FlowGraph, build_nodes, edge_metrics
+from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
 from .pipeline import PipelineConfig, Runtime, build_runtime, generate_with_runtime, _predict_stages
 from .proppred import PropMetrics, PropTriple, canonical_value, coerce, prop_metrics
@@ -80,19 +80,6 @@ class MetricsReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def _gold_node_names(gold_stages: list[str]) -> list[str]:
-    counts = Counter(gold_stages)
-    seen: Counter[str] = Counter()
-    names = []
-    for stage in gold_stages:
-        if counts[stage] > 1:
-            seen[stage] += 1
-            names.append(f"{stage}_{seen[stage]}")
-        else:
-            names.append(stage)
-    return names
-
-
 def load_dataset(path: str | Path) -> list[EvalRecord]:
     """Load and validate a dataset; edges must reference gold stage instances."""
     text = Path(path).read_text(encoding="utf-8")
@@ -109,8 +96,8 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
         if not gold_stages:
             raise DatasetError(f"{path}: record {i} has empty gold_stages")
         record = EvalRecord(utterance=str(item["utterance"]), gold_stages=gold_stages)
+        names = set(node_names(gold_stages))
         if "gold_edges" in item and item["gold_edges"] is not None:
-            names = set(_gold_node_names(gold_stages))
             edges = []
             for e in item["gold_edges"]:
                 src, dst = str(e["from"]), str(e["to"])
@@ -122,7 +109,6 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
                 edges.append((src, dst))
             record.gold_edges = edges
         if "gold_properties" in item and item["gold_properties"] is not None:
-            names = set(_gold_node_names(gold_stages))
             props: dict[str, list[tuple[str, str]]] = {}
             for node, items in item["gold_properties"].items():
                 if node not in names:
@@ -179,9 +165,9 @@ def _gold_graph(record: EvalRecord, catalog: Catalog) -> FlowGraph:
 
 def _gold_triples(record: EvalRecord, catalog: Catalog) -> list[PropTriple]:
     triples: list[PropTriple] = []
+    stage_of = dict(zip(node_names(record.gold_stages), record.gold_stages))
     for node, items in (record.gold_properties or {}).items():
-        stage_name = node.rsplit("_", 1)[0] if node not in catalog.stages else node
-        stage = catalog.stages.get(stage_name) or catalog.stages.get(node)
+        stage = catalog.stages.get(stage_of[node]) if node in stage_of else None
         for name, value in items:
             canon = value.strip()
             declared = stage.find_property(name) if stage else None

@@ -8,7 +8,7 @@ its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
 Two providers speak the completion contract: a deterministic scripted mock
-for offline runs and tests, and a chat-completions-style HTTP client for real
+for offline runs and tests, and a completions-style HTTP client for real
 endpoints. Every model call of the pipeline goes through ``complete``, which
 appends one ``llm_call`` record to the caller's trace; ``usage`` sums those
 records, so the trace is the only token ledger.
@@ -102,7 +102,6 @@ class RenderedPrompt:
 class CompletionParams:
     temperature: float = 0.0
     max_tokens: int = 512
-    stop: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,6 @@ class MockScript:
     kind: str  # "exact" | "contains"
     pattern: str
     response: str
-    prompt_tokens: int | None = None
-    completion_tokens: int | None = None
 
     def matches(self, prompt_text: str) -> bool:
         if self.kind == "exact":
@@ -228,16 +225,8 @@ class MockProvider:
             if script.matches(prompt.text):
                 return CompletionResult(
                     text=script.response,
-                    prompt_tokens=(
-                        prompt.token_estimate
-                        if script.prompt_tokens is None
-                        else script.prompt_tokens
-                    ),
-                    completion_tokens=(
-                        count_tokens(script.response)
-                        if script.completion_tokens is None
-                        else script.completion_tokens
-                    ),
+                    prompt_tokens=prompt.token_estimate,
+                    completion_tokens=count_tokens(script.response),
                 )
         tried = "\n".join(
             f"  {i}: {s.kind} {s.pattern[:80]!r}" for i, s in enumerate(self.scripts)
@@ -262,20 +251,12 @@ def load_mock_scripts(path: str | Path) -> MockProvider:
         (kind, pattern), = match.items()
         if kind not in ("exact", "contains"):
             raise ProviderError(f"{path}: script {i} has unknown matcher {kind!r}")
-        scripts.append(
-            MockScript(
-                kind=kind,
-                pattern=str(pattern),
-                response=str(item["response"]),
-                prompt_tokens=item.get("prompt_tokens"),
-                completion_tokens=item.get("completion_tokens"),
-            )
-        )
+        scripts.append(MockScript(kind=kind, pattern=str(pattern), response=str(item["response"])))
     return MockProvider(scripts=scripts)
 
 
 class HTTPProvider:
-    """Chat-completions-style HTTP client, used in raw-prompt mode.
+    """Completions-style HTTP client: the rendered prompt goes out as ``prompt``.
 
     Retries transport errors and 5xx responses a bounded number of times;
     client errors are surfaced immediately.
@@ -286,14 +267,12 @@ class HTTPProvider:
         endpoint: str,
         api_key: str | None = None,
         model: str | None = None,
-        raw_prompt: bool = True,
         max_retries: int = 2,
         timeout: float = 60.0,
     ):
         self.endpoint = endpoint
         self.api_key = api_key
         self.model = model
-        self.raw_prompt = raw_prompt
         self.max_retries = max_retries
         self.timeout = timeout
 
@@ -304,12 +283,7 @@ class HTTPProvider:
         }
         if self.model:
             payload["model"] = self.model
-        if params.stop:
-            payload["stop"] = list(params.stop)
-        if self.raw_prompt:
-            payload["prompt"] = prompt.text
-        else:
-            payload["messages"] = [{"role": "user", "content": prompt.text}]
+        payload["prompt"] = prompt.text
         return payload
 
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult:

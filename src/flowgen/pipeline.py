@@ -24,6 +24,7 @@ from pathlib import Path
 from . import fixture_path
 from .catalog import Catalog, load_catalog
 from .classify import ClassifierError, StageClassifier, load_training_pairs, train
+from .condexpr import ConditionTypeError
 from .edgepred import (
     CardinalityViolation,
     EdgePredictionError,
@@ -55,7 +56,6 @@ from .proppred import (
 )
 from .stagepred import (
     DEFAULT_EXAMPLE_CAP,
-    DEFAULT_MAX_STEPS,
     FewShotExample,
     SplitExample,
     StagePrediction,
@@ -119,9 +119,6 @@ class PipelineConfig:
     family: str = "granite"
     parallel: int = 1
     example_cap: int = DEFAULT_EXAMPLE_CAP
-    classifier_threshold: float = 0.25
-    agent_max_steps: int = DEFAULT_MAX_STEPS
-    fixpoint_dependencies: bool = False
 
 
 def _check_config(cfg: PipelineConfig) -> None:
@@ -167,7 +164,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         classifier: StageClassifier = RemoteClassifier(cfg.classifier_endpoint)
     else:
         pairs = load_training_pairs(cfg.classifier_path)
-        classifier = train(pairs, catalog.stages, threshold=cfg.classifier_threshold)
+        classifier = train(pairs, catalog.stages)
     bank = load_examples(cfg.examples_path, catalog)
     split_examples = load_split_examples(cfg.split_examples_path)
     registry = load_registry(cfg.registry_path) if cfg.registry_path else None
@@ -192,17 +189,14 @@ class Workflow:
     properties: dict[str, list[PropertyAssignment]]  # accepted assignments per node
     provenance: dict
 
-    def accepted_properties(self, unique_name: str) -> list[PropertyAssignment]:
-        return self.properties.get(unique_name, [])
-
 
 # --- generation ----------------------------------------------------------------
 
 
-def _predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
+def _predict_stages(utterance: str, rt: Runtime, trace: list[dict] | None = None) -> StagePrediction:
     cfg = rt.cfg
     if cfg.strategy == "single":
-        return predict_single(utterance, rt.catalog, rt.bank, rt.provider, cfg.family)
+        return predict_single(utterance, rt.catalog, rt.bank, rt.provider, cfg.family, trace=trace)
     if cfg.strategy == "cag":
         return predict_cag(
             utterance,
@@ -213,10 +207,9 @@ def _predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
             cfg.family,
             rt.split_examples,
             cfg.example_cap,
+            trace=trace,
         )
-    return predict_agentic(
-        utterance, rt.catalog, rt.classifier, rt.provider, cfg.agent_max_steps
-    )
+    return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
 
 
 def _edge_branch(
@@ -244,10 +237,8 @@ def _property_branch_one(
     stage = rt.catalog.stages[node.stage]
     try:
         raw = predict_properties(node, stage, rt.provider, trace)
-        statused = validate(
-            raw, stage, rt.registry, fixpoint=rt.cfg.fixpoint_dependencies
-        )
-    except Exception as exc:  # degrade per node, keep the flow
+        statused = validate(raw, stage, rt.registry)
+    except (ProviderError, ConditionTypeError) as exc:  # degrade per node, keep the flow
         diagnostics.append(
             {"step": "properties", "node": node.unique_name, "message": str(exc)}
         )
@@ -265,9 +256,13 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     provenance: dict = {"utterance": utterance, "strategy": cfg.strategy}
     diagnostics: list[dict] = []
 
+    stage_trace: list[dict] = []
     try:
-        prediction = _predict_stages(utterance, rt)
+        prediction = _predict_stages(utterance, rt, stage_trace)
     except (StagePredictionError, ProviderError, ClassifierError, ValueError) as exc:
+        # the calls made before the failure were paid for; keep their records
+        provenance["stage_trace"] = stage_trace
+        provenance["usage"] = usage(stage_trace)
         raise PipelineError("stage_prediction", str(exc), provenance) from exc
     provenance["stage_trace"] = prediction.trace
     provenance["stages"] = list(prediction.stages)
@@ -374,7 +369,7 @@ def emit(workflow: Workflow, format: str = "doc") -> str:
                 "sub_utterance": n.sub_utterance,
                 "properties": [
                     {"name": a.name, "value": canonical_value(a.coerced)}
-                    for a in workflow.accepted_properties(n.unique_name)
+                    for a in workflow.properties.get(n.unique_name, [])
                 ],
             }
             for n in nodes

@@ -11,10 +11,9 @@ step that fired:
 4. registry-bound values — connections, schemas, tables — must name
    something that actually exists (``rejected_external``).
 
-Dependency evaluation is single-pass by default: the environment is fixed to
-the step-1–2 survivors, so a later external rejection does not retroactively
-re-reject a dependent sibling. An optional fixpoint mode re-evaluates until
-stable for callers that prefer cascading.
+Dependency evaluation is a single pass: the environment is fixed to the
+step-1–2 survivors, so a rejection in step 3 or 4 does not cascade to the
+siblings whose conditions name the rejected property.
 """
 
 from __future__ import annotations
@@ -195,14 +194,11 @@ def validate(
     assignments: list[PropertyAssignment],
     stage: StageDef,
     registry: ExternalRegistry | None = None,
-    fixpoint: bool = False,
 ) -> list[PropertyAssignment]:
     """Run the four validation steps; returns statused copies in input order.
 
     Property names match case-insensitively and are canonicalized to the
-    declared spelling. With ``fixpoint=True`` the dependency step re-runs
-    with dependency-rejected assignments removed from the environment until
-    stable.
+    declared spelling.
     """
     out: list[PropertyAssignment] = []
     for a in assignments:
@@ -227,32 +223,23 @@ def validate(
 
     # dependency environment: assignments that survived steps 1-2 (first
     # occurrence wins on duplicate names)
-    def build_env(items: list[PropertyAssignment]) -> dict[str, object]:
-        env: dict[str, object] = {}
-        for a in items:
-            if a.status is None and a.name not in env:
-                env[a.name] = a.coerced
-        return env
-
-    while True:
-        env = build_env(out)
-        changed = False
-        for i, a in enumerate(out):
-            if a.status is not None:
-                continue
-            prop = stage.find_property(a.name)
-            assert prop is not None
-            if prop.availability is None:
-                continue
-            if not eval_condition(parse_condition(prop.availability), env):
-                out[i] = replace(
-                    a,
-                    status=REJECTED_DEPENDENCY,
-                    detail=f"availability not met: {prop.availability}",
-                )
-                changed = True
-        if not (fixpoint and changed):
-            break
+    env: dict[str, object] = {}
+    for a in out:
+        if a.status is None and a.name not in env:
+            env[a.name] = a.coerced
+    for i, a in enumerate(out):
+        if a.status is not None:
+            continue
+        prop = stage.find_property(a.name)
+        assert prop is not None
+        if prop.availability is None:
+            continue
+        if not eval_condition(parse_condition(prop.availability), env):
+            out[i] = replace(
+                a,
+                status=REJECTED_DEPENDENCY,
+                detail=f"availability not met: {prop.availability}",
+            )
 
     bindings = registry.bindings.get(stage.name, {}) if registry else {}
     for i, a in enumerate(out):

@@ -30,6 +30,7 @@ from .classify import Classification, StageClassifier
 from .llm import (
     FAMILY_PRESEED,
     CompletionProvider,
+    OperatorParseError,
     PromptTemplate,
     RenderedPrompt,
     complete,
@@ -40,7 +41,6 @@ from .llm import (
 __all__ = [
     "FewShotExample",
     "SplitExample",
-    "SubUtterance",
     "CandidateSet",
     "StagePrediction",
     "StagePredictionError",
@@ -98,12 +98,6 @@ class FewShotExample:
 class SplitExample:
     utterance: str
     subs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SubUtterance:
-    text: str
-    order: int
 
 
 @dataclass
@@ -201,9 +195,10 @@ def predict_single(
     bank: list[FewShotExample],
     provider: CompletionProvider,
     family: str = "granite",
+    trace: list[dict] | None = None,
 ) -> StagePrediction:
     """One prompt over the full catalog and the full example bank."""
-    trace: list[dict] = []
+    trace = [] if trace is None else trace
     prompt = render_stage_prompt(catalog, None, bank, utterance, family)
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
     stages = _verified(answer, set(catalog.stages), trace)
@@ -243,7 +238,7 @@ def decompose(
     provider: CompletionProvider,
     split_examples: list[SplitExample],
     trace: list[dict] | None = None,
-) -> list[SubUtterance]:
+) -> list[str]:
     """Split an utterance into single-stage sub-utterances via one completion."""
     trace = [] if trace is None else trace
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
@@ -267,11 +262,11 @@ def decompose(
     subs = [s for s in subs if s]
     if not subs:
         raise DecompositionError(f"no sub-utterances parsed from {answer!r}")
-    return [SubUtterance(text=s, order=i) for i, s in enumerate(subs)]
+    return subs
 
 
 def build_candidates(
-    subs: list[SubUtterance],
+    subs: list[str],
     classifier: StageClassifier,
     catalog: Catalog,
     full_utterance: str,
@@ -289,12 +284,12 @@ def build_candidates(
     trace = [] if trace is None else trace
     provenance: dict[str, set[str]] = {}
     for sub in subs:
-        result: Classification = classifier.classify(sub.text)
+        result: Classification = classifier.classify(sub)
         top = result.top
         trace.append(
             {
                 "event": "classified",
-                "sub_utterance": sub.text,
+                "sub_utterance": sub,
                 "top": top,
                 "score": result.ranked[0][1] if result.ranked else 0.0,
                 "matched": result.matched,
@@ -358,6 +353,7 @@ def predict_cag(
     family: str = "granite",
     split_examples: list[SplitExample] | None = None,
     cap: int = DEFAULT_EXAMPLE_CAP,
+    trace: list[dict] | None = None,
 ) -> StagePrediction:
     """Classifier-augmented prediction: scoped context, scoped examples.
 
@@ -366,7 +362,7 @@ def predict_cag(
     An empty candidate set short-circuits to an empty prediction — there is
     nothing the model could legally answer.
     """
-    trace: list[dict] = []
+    trace = [] if trace is None else trace
     subs = decompose(utterance, provider, split_examples or [], trace)
     candidates = build_candidates(subs, classifier, catalog, utterance, trace)
     if not candidates.stages:
@@ -405,6 +401,7 @@ def predict_agentic(
     classifier: StageClassifier,
     provider: CompletionProvider,
     max_steps: int = DEFAULT_MAX_STEPS,
+    trace: list[dict] | None = None,
 ) -> StagePrediction:
     """ReAct-style loop: the model drives the classifier one call per turn.
 
@@ -416,7 +413,7 @@ def predict_agentic(
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    trace: list[dict] = []
+    trace = [] if trace is None else trace
     transcript: list[str] = []
     last_reply = ""
     for _step in range(max_steps):
@@ -443,7 +440,7 @@ def predict_agentic(
     if "CALL" not in last_reply:
         try:
             answer = parse_operator_list(last_reply)
-        except Exception:
+        except OperatorParseError:
             answer = None
         if answer:
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})

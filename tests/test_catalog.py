@@ -160,6 +160,15 @@ def test_availability_must_parse_and_reference_siblings():
     assert any("unknown property" in str(v) for v in err.value.violations)
 
 
+def test_stage_name_colliding_with_node_names_rejected():
+    head = json.loads(doc_with({}))["stages"][0]
+    with pytest.raises(CatalogValidationError) as err:
+        parse_catalog(json.dumps({"stages": [head, {**head, "name": "head_1"}]}))
+    assert [str(v) for v in err.value.violations] == [
+        "head_1.name: collides with the node names of stage 'head'"
+    ]
+
+
 def test_validate_catalog_is_pure_and_reports_all():
     no_description = StageDef(
         name="a",
@@ -171,12 +180,16 @@ def test_validate_catalog_is_pure_and_reports_all():
         properties=(),
     )
     # answers are lowercased before verification, so "Mixed" could never be predicted
-    bad = make_catalog(no_description, make_stage("b"), make_stage("Mixed"))
+    # and "b_2" would be the name of the second node of "b" in [b, b, b_2]
+    bad = make_catalog(
+        no_description, make_stage("b"), make_stage("Mixed"), make_stage("b_2"), make_stage("b_x")
+    )
     messages = [str(v) for v in validate_catalog(bad)]
-    assert len(messages) == 3
+    assert len(messages) == 4
     assert any("exceeds max" in m for m in messages)
     assert any("description" in m for m in messages)
     assert "Mixed.name: stage name is not lowercase" in messages
+    assert "b_2.name: collides with the node names of stage 'b'" in messages
 
 
 # --- lookup and synonym index -------------------------------------------------------
@@ -247,9 +260,22 @@ def stage_defs(draw, name: str):
     )
 
 
+def numbered_after_another(stage_names: list[str]) -> bool:
+    """Some name is ``<other name>_<digits>``, which validation rejects."""
+    return any(
+        base in stage_names and digits.isdigit()
+        for base, _, digits in (name.rpartition("_") for name in stage_names)
+    )
+
+
 @st.composite
 def catalogs(draw):
-    stage_names = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    # valid catalogs only, so the round trip never meets a validation error
+    stage_names = draw(
+        st.lists(names, min_size=1, max_size=4, unique=True).filter(
+            lambda ns: not numbered_after_another(ns)
+        )
+    )
     return Catalog(
         stages={name: draw(stage_defs(name)) for name in stage_names}
     )

@@ -125,6 +125,10 @@ def test_generate_classifier_failure_prints_envelope(capsys, monkeypatch):
     envelope = json.loads(err)
     assert envelope["error"]["step"] == "stage_prediction"
     assert "connection refused" in envelope["error"]["message"]
+    # the decomposition call made before the classifier failed is on the bill
+    assert envelope["provenance"]["usage"]["requests"] == 1
+    calls = [e for e in envelope["provenance"]["stage_trace"] if e["event"] == "llm_call"]
+    assert [c["purpose"] for c in calls] == ["decompose"]
 
 
 def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):

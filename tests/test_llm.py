@@ -161,16 +161,6 @@ def test_default_token_accounting_uses_estimates():
     assert result.completion_tokens == 2
 
 
-def test_script_token_overrides_take_precedence():
-    provider = MockProvider(
-        scripts=[
-            MockScript("contains", "x", "reply", prompt_tokens=111, completion_tokens=7)
-        ]
-    )
-    result = provider.complete(prompt_of("x"), PARAMS)
-    assert (result.prompt_tokens, result.completion_tokens) == (111, 7)
-
-
 def test_no_match_error_lists_the_scripts_tried():
     provider = MockProvider(scripts=[MockScript("contains", "needle", "r")])
     with pytest.raises(NoScriptMatchError, match="needle"):
@@ -183,13 +173,13 @@ def test_load_mock_scripts_round_trip(tmp_path):
         json.dumps(
             [
                 {"match": {"exact": "p"}, "response": "r"},
-                {"match": {"contains": "q"}, "response": "s", "prompt_tokens": 5},
+                {"match": {"contains": "q"}, "response": "s"},
             ]
         )
     )
     provider = load_mock_scripts(path)
     assert provider.complete(prompt_of("p"), PARAMS).text == "r"
-    assert provider.complete(prompt_of("a q b"), PARAMS).prompt_tokens == 5
+    assert provider.complete(prompt_of("a q b"), PARAMS).text == "s"
 
 
 def test_load_mock_scripts_rejects_bad_shapes(tmp_path):

@@ -297,6 +297,27 @@ def test_property_failure_degrades_per_node():
     assert sorted(steps) == [("properties", "head"), ("properties", "sort")]
 
 
+def test_property_branch_degrades_on_condition_errors_only(demo_config, monkeypatch):
+    from flowgen.condexpr import ConditionTypeError
+
+    def raising(exc):
+        def validate(*args, **kwargs):
+            raise exc
+
+        return validate
+
+    monkeypatch.setattr("flowgen.pipeline.validate", raising(ConditionTypeError("bad operand")))
+    w = generate(LINEAR_FLOW, demo_config())
+    steps = [(d["step"], d.get("node")) for d in w.provenance["diagnostics"]]
+    assert steps == [("properties", n.unique_name) for n in w.graph.nodes]
+    assert len(steps) == 6 and all(p == [] for p in w.properties.values())
+
+    # a programming error is not a degraded result: it escapes
+    monkeypatch.setattr("flowgen.pipeline.validate", raising(KeyError("bug")))
+    with pytest.raises(KeyError):
+        generate(LINEAR_FLOW, demo_config())
+
+
 def test_degradation_is_identical_under_parallelism():
     outputs = []
     for parallel in (1, 4):

@@ -284,11 +284,6 @@ def test_validate_single_pass_does_not_cascade():
     assert [a.status for a in out] == [ACCEPTED, REJECTED_DEPENDENCY, ACCEPTED]
 
 
-def test_validate_fixpoint_cascades_dependency_rejections():
-    out = validate(assigned(("A", "off"), ("B", "set"), ("C", "x")), chain_stage(), fixpoint=True)
-    assert [a.status for a in out] == [ACCEPTED, REJECTED_DEPENDENCY, REJECTED_DEPENDENCY]
-
-
 def registry() -> ExternalRegistry:
     return ExternalRegistry(
         kinds={"connection": frozenset({"teradata-00", "mysql-prod-01"})},

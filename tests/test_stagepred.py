@@ -24,7 +24,6 @@ from flowgen.stagepred import (
     FewShotExample,
     ProtocolViolation,
     StagePredictionError,
-    SubUtterance,
     build_candidates,
     decompose,
     load_examples,
@@ -153,12 +152,12 @@ def test_frozen_full_listing_prompt(family, frozen, tokens):
 def test_decompose_parses_bullet_lines():
     provider = scripted(("Sub-utterances:", "- first rows\n- combine data\nignored"))
     subs = decompose("first rows then combine data", provider, [])
-    assert subs == [SubUtterance("first rows", 0), SubUtterance("combine data", 1)]
+    assert subs == ["first rows", "combine data"]
 
 
 def test_decompose_skips_blank_bullets_and_indented_noise():
     provider = scripted(("Sub-utterances:", "- \n  - keep me\nplain text\n- also"))
-    subs = [s.text for s in decompose("u", provider, [])]
+    subs = decompose("u", provider, [])
     assert subs == ["keep me", "also"]
 
 
@@ -168,7 +167,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
     subs = decompose("u", provider, splits, usage_trace)
-    assert [s.text for s in subs] == ["one"]
+    assert subs == ["one"]
     spent = usage(usage_trace)
     assert spent["requests"] == 1 and spent["prompt_tokens"] > 0
     assert usage_trace[0]["event"] == "llm_call" and usage_trace[0]["purpose"] == "decompose"
@@ -185,7 +184,7 @@ def test_decompose_error_when_no_bullets():
 
 def test_build_candidates_unions_classifier_and_keyword_evidence(catalog):
     model = fit([("first rows", "head"), ("combine data", "join")])
-    subs = [SubUtterance("first rows", 0), SubUtterance("combine data", 1)]
+    subs = ["first rows", "combine data"]
     cand = build_candidates(subs, model, catalog, "read from sqlserver first rows", trace := [])
     assert cand.stages == {"head", "join", "sql_server"}
     assert cand.provenance["head"] == {"classifier"}
@@ -195,7 +194,7 @@ def test_build_candidates_unions_classifier_and_keyword_evidence(catalog):
 
 def test_build_candidates_marks_both_sources(catalog):
     model = fit([("first rows head", "head")])
-    cand = build_candidates([SubUtterance("first rows head", 0)], model, catalog, "use head now")
+    cand = build_candidates(["first rows head"], model, catalog, "use head now")
     assert cand.provenance["head"] == {"classifier", "keyword"}
 
 
@@ -204,13 +203,13 @@ def test_build_candidates_ignores_labels_outside_catalog(catalog):
         def classify(self, text):
             return Classification(ranked=(("not_a_stage", 0.99),), matched=True)
 
-    cand = build_candidates([SubUtterance("x", 0)], Stray(), catalog, "nothing here")
+    cand = build_candidates(["x"], Stray(), catalog, "nothing here")
     assert cand.stages == frozenset()
 
 
 def test_build_candidates_ignores_below_threshold(catalog):
     model = fit([("alpha beta gamma", "head")], threshold=0.9)
-    cand = build_candidates([SubUtterance("alpha zzz yyy", 0)], model, catalog, "no names")
+    cand = build_candidates(["alpha zzz yyy"], model, catalog, "no names")
     assert cand.stages == frozenset()
 
 
@@ -334,7 +333,7 @@ def test_predict_cag_output_is_subset_of_candidates(answer):
     )
     pred = predict_cag("first rows then combine data", catalog, model, [], provider)
     cand = build_candidates(
-        [SubUtterance("first rows", 0), SubUtterance("combine data", 1)],
+        ["first rows", "combine data"],
         model,
         catalog,
         "first rows then combine data",
