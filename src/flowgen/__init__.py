@@ -2,11 +2,44 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 __version__ = "0.1.0"
 
 
+class InputError(ValueError):
+    """A configuration, data or training file that flowgen cannot use."""
+
+
 def fixture_path(*parts: str) -> Path:
     """Absolute path of a bundled fixture file."""
     return Path(__file__).parent.joinpath("fixtures", *parts)
+
+
+def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = ()):
+    """Parse a JSON input file and check its top-level shape.
+
+    A ``list`` file is an array of ``what`` objects that each carry ``keys``;
+    a ``dict`` file is one object, ``what``, that carries ``keys``. A blank
+    file reads as an empty ``kind``. A bad shape raises :class:`InputError`.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text) if text.strip() else kind()
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    if kind is list:
+        if not isinstance(raw, list):
+            raise InputError(f"{path}: expected a JSON array of {what}s")
+        for i, item in enumerate(raw):
+            if not has_keys(item, keys):
+                raise InputError(f"{path}: {what} {i} needs {' and '.join(keys)}")
+    elif not has_keys(raw, keys):
+        raise InputError(f"{path}: expected {what}")
+    return raw
+
+
+def has_keys(item: object, keys: tuple[str, ...]) -> bool:
+    """Whether ``item`` is a JSON object carrying every key of ``keys``."""
+    return isinstance(item, dict) and all(k in item for k in keys)

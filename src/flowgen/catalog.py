@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import condexpr
+from . import InputError, condexpr
 
 __all__ = [
     "CardinalityBound",
@@ -34,7 +34,7 @@ __all__ = [
 VALUE_KINDS = ("string", "integer", "decimal", "boolean", "enum")
 
 
-class CatalogError(Exception):
+class CatalogError(InputError):
     pass
 
 

@@ -11,7 +11,6 @@ the same contract over HTTP can be swapped in without the pipeline noticing.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -22,13 +21,14 @@ from typing import Iterable, Protocol
 
 import requests
 
+from . import InputError, read_json
 from .catalog import Catalog
+from .llm import ProviderError
 
 __all__ = [
     "TrainingPair",
     "ClassifierModel",
     "Classification",
-    "ClassifierError",
     "StageClassifier",
     "DEFAULT_THRESHOLD",
     "tokenize",
@@ -46,10 +46,6 @@ DEFAULT_THRESHOLD = 0.25
 _SCORE_DIGITS = 12
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-class ClassifierError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -115,11 +111,11 @@ def train(
     """
     pairs = list(pairs)
     if not pairs:
-        raise ClassifierError("empty training set")
+        raise InputError("empty training set")
     known = set(labels)
     for pair in pairs:
         if pair.label not in known:
-            raise ClassifierError(f"unknown label {pair.label!r} for {pair.utterance!r}")
+            raise InputError(f"unknown label {pair.label!r} for {pair.utterance!r}")
 
     docs = [tokenize(p.utterance) for p in pairs]
     n_docs = len(docs)
@@ -132,7 +128,7 @@ def train(
     for pair, doc in zip(pairs, docs):
         vec = _unit(_vectorize(doc, idf, default_idf))
         if not vec:
-            raise ClassifierError(f"training utterance has no tokens: {pair.utterance!r}")
+            raise InputError(f"training utterance has no tokens: {pair.utterance!r}")
         model.exemplars.append((vec, pair.label))
     return model
 
@@ -160,15 +156,8 @@ def classify(model: ClassifierModel, text: str) -> Classification:
 
 
 def load_training_pairs(path: str | Path) -> list[TrainingPair]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ClassifierError(f"{path}: expected a JSON array of pairs")
-    out = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "utterance" not in item or "label" not in item:
-            raise ClassifierError(f"{path}: pair {i} needs utterance and label")
-        out.append(TrainingPair(str(item["utterance"]), str(item["label"])))
-    return out
+    raw = read_json(path, list, "pair", ("utterance", "label"))
+    return [TrainingPair(str(item["utterance"]), str(item["label"])) for item in raw]
 
 
 # --- keyword scan ----------------------------------------------------------
@@ -212,10 +201,10 @@ class RemoteClassifier:
             resp.raise_for_status()
             doc = resp.json()
         except (requests.RequestException, JSONDecodeError) as exc:
-            raise ClassifierError(f"remote classifier failed: {exc}") from exc
+            raise ProviderError(f"remote classifier failed: {exc}") from exc
         try:
             ranked = tuple((str(l), float(s)) for l, s in doc["ranked"])
             matched = bool(doc["matched"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ClassifierError(f"malformed classifier response: {doc!r}") from exc
+            raise ProviderError(f"malformed classifier response: {doc!r}") from exc
         return Classification(ranked=ranked, matched=matched)

@@ -8,8 +8,9 @@ Subcommands::
     flowgen catalog-validate  check a stage catalog and report violations
     flowgen export            re-emit a saved workflow document as JSON or DOT
 
-Exit codes: 0 on success, 1 for usage or configuration problems, 2 when the
-pipeline itself fails (a JSON error envelope goes to stderr).
+Exit codes: 0 on success, 1 for bad usage or bad input of any kind (a
+``ValueError`` or ``OSError``, printed as ``error: ...``), 2 when the
+pipeline or its provider fails (a JSON error envelope goes to stderr).
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .catalog import CatalogParseError, CatalogValidationError, parse_catalog
-from .classify import ClassifierError, load_training_pairs, train
-from .evaluation import DatasetError, load_dataset, report_json, report_table, run_eval
+from .catalog import CatalogValidationError, parse_catalog
+from .classify import load_training_pairs, train
+from .evaluation import load_dataset, report_json, report_table, run_eval
 from .llm import ProviderError
 from .pipeline import (
-    ConfigError,
     PipelineConfig,
     PipelineError,
     build_runtime,
@@ -38,7 +38,7 @@ from .pipeline import (
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -208,18 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ConfigError,
-        DatasetError,
-        CatalogParseError,
-        CatalogValidationError,
-        ClassifierError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # usage, configuration and input files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:

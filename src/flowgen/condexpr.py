@@ -152,7 +152,7 @@ def _tokenize(text: str) -> list[_Token]:
                     raise ConditionSyntaxError(
                         f"unknown word {word!r}; property paths must be single-quoted", pos
                     )
-                kind = word if word in ("true", "false") else word
+                kind = word
             tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
     tokens.append(_Token("end", "", len(text)))

@@ -25,17 +25,24 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError, has_keys, read_json
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
-from .pipeline import PipelineConfig, Runtime, build_runtime, generate_with_runtime, _predict_stages
+from .pipeline import (
+    PipelineConfig,
+    PipelineError,
+    Runtime,
+    build_runtime,
+    generate_with_runtime,
+    predict_stages,
+)
 from .proppred import PropMetrics, PropTriple, canonical_value, coerce, prop_metrics
 
 __all__ = [
     "EvalRecord",
     "StageAccuracy",
     "MetricsReport",
-    "DatasetError",
     "load_dataset",
     "stage_accuracy",
     "run_eval",
@@ -44,10 +51,6 @@ __all__ = [
 ]
 
 MEASURES = ("stages", "edges", "props")
-
-
-class DatasetError(Exception):
-    pass
 
 
 @dataclass
@@ -82,39 +85,35 @@ class MetricsReport:
 
 def load_dataset(path: str | Path) -> list[EvalRecord]:
     """Load and validate a dataset; edges must reference gold stage instances."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        return []
-    raw = json.loads(text)
-    if not isinstance(raw, list):
-        raise DatasetError(f"{path}: expected a JSON array of records")
     records: list[EvalRecord] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "utterance" not in item or "gold_stages" not in item:
-            raise DatasetError(f"{path}: record {i} needs utterance and gold_stages")
+    for i, item in enumerate(read_json(path, list, "record", ("utterance", "gold_stages"))):
+        where = f"{path}: record {i}"
+        if not isinstance(item["gold_stages"], list):
+            raise InputError(f"{where} gold_stages must be an array of stage names")
         gold_stages = [str(s) for s in item["gold_stages"]]
         if not gold_stages:
-            raise DatasetError(f"{path}: record {i} has empty gold_stages")
+            raise InputError(f"{where} has empty gold_stages")
         record = EvalRecord(utterance=str(item["utterance"]), gold_stages=gold_stages)
         names = set(node_names(gold_stages))
-        if "gold_edges" in item and item["gold_edges"] is not None:
-            edges = []
-            for e in item["gold_edges"]:
-                src, dst = str(e["from"]), str(e["to"])
-                for endpoint in (src, dst):
-                    if endpoint not in names:
-                        raise DatasetError(
-                            f"{path}: record {i} edge references unknown node {endpoint!r}"
-                        )
-                edges.append((src, dst))
-            record.gold_edges = edges
-        if "gold_properties" in item and item["gold_properties"] is not None:
+        if item.get("gold_edges") is not None:
+            edges = item["gold_edges"]
+            if not isinstance(edges, list) or not all(has_keys(e, ("from", "to")) for e in edges):
+                raise InputError(f"{where} gold_edges must be an array of from/to objects")
+            record.gold_edges = [(str(e["from"]), str(e["to"])) for e in edges]
+            for endpoint in (name for edge in record.gold_edges for name in edge):
+                if endpoint not in names:
+                    raise InputError(f"{where} edge references unknown node {endpoint!r}")
+        if item.get("gold_properties") is not None:
+            if not isinstance(item["gold_properties"], dict):
+                raise InputError(f"{where} gold_properties must be an object keyed by node")
             props: dict[str, list[tuple[str, str]]] = {}
             for node, items in item["gold_properties"].items():
                 if node not in names:
-                    raise DatasetError(
-                        f"{path}: record {i} properties reference unknown node {node!r}"
-                    )
+                    raise InputError(f"{where} properties reference unknown node {node!r}")
+                if not isinstance(items, list) or not all(
+                    has_keys(p, ("name", "value")) for p in items
+                ):
+                    raise InputError(f"{where} properties of {node!r} need name and value")
                 props[node] = [(str(p["name"]), str(p["value"])) for p in items]
             record.gold_properties = props
         records.append(record)
@@ -210,11 +209,11 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
                         result.pred_triples.append((node, a.name, canonical_value(a.coerced)))
                 result.gold_triples = _gold_triples(record, rt.catalog)
         else:
-            prediction = _predict_stages(record.utterance, rt)
+            prediction = predict_stages(record.utterance, rt)
             spent = usage(prediction.trace)
             result.pred = list(prediction.stages)
         result.prompt_tokens, result.requests = spent["prompt_tokens"], spent["requests"]
-    except Exception as exc:
+    except PipelineError as exc:
         result.failure = str(exc)
     return result
 
@@ -236,6 +235,10 @@ def run_eval(
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r} (choose from {MEASURES})")
     rt = runtime or build_runtime(cfg)
+    for index, record in enumerate(dataset):
+        unknown = sorted(set(record.gold_stages) - rt.catalog.stages.keys())
+        if unknown:
+            raise InputError(f"record {index} has gold stages outside the catalog: {unknown}")
     report = MetricsReport(measures=list(measures))
 
     if rt.cfg.parallel > 1 and len(dataset) > 1:

@@ -27,6 +27,8 @@ from typing import Mapping, Protocol
 
 import requests
 
+from . import InputError, read_json
+
 __all__ = [
     "PromptTemplate",
     "RenderedPrompt",
@@ -52,10 +54,8 @@ __all__ = [
     "usage",
 ]
 
-FAMILIES = ("granite", "llama", "plain")
-
 # operator-list prompts preseed a single opening quote for llama models
-FAMILY_PRESEED: dict[str, str | None] = {"granite": None, "llama": '"', "plain": None}
+FAMILY_PRESEED: dict[str, str | None] = {"granite": None, "llama": '"'}
 
 
 class TemplateError(ValueError):
@@ -83,13 +83,8 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 class PromptTemplate:
     """Fixed text and placeholder segments; ``preseed`` is appended after the end."""
 
-    family: str
     segments: tuple[tuple[str, str], ...]  # ("text", raw) | ("slot", name)
     preseed: str | None = None
-
-    @property
-    def placeholders(self) -> tuple[str, ...]:
-        return tuple(name for kind, name in self.segments if kind == "slot")
 
 
 @dataclass(frozen=True)
@@ -115,11 +110,7 @@ class CompletionProvider(Protocol):
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult: ...
 
 
-def parse_template(text: str, family: str = "plain", preseed: str | None = None) -> PromptTemplate:
-    if family not in FAMILIES:
-        raise TemplateError(f"unknown family {family!r}")
-    if family == "granite" and "<|start_of_role|>" not in text:
-        raise TemplateError("granite template lacks role-delimiter tokens")
+def parse_template(text: str, preseed: str | None = None) -> PromptTemplate:
     segments: list[tuple[str, str]] = []
     pos = 0
     for m in _PLACEHOLDER_RE.finditer(text):
@@ -129,15 +120,15 @@ def parse_template(text: str, family: str = "plain", preseed: str | None = None)
         pos = m.end()
     if pos < len(text):
         segments.append(("text", text[pos:]))
-    return PromptTemplate(family=family, segments=tuple(segments), preseed=preseed)
+    return PromptTemplate(segments=tuple(segments), preseed=preseed)
 
 
-def load_template(path: str | Path, family: str = "plain", preseed: str | None = None) -> PromptTemplate:
+def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplate:
     """Load a template file; one trailing newline is ignored so files can end normally."""
     text = Path(path).read_text(encoding="utf-8")
     if text.endswith("\n"):
         text = text[:-1]
-    return parse_template(text, family=family, preseed=preseed)
+    return parse_template(text, preseed=preseed)
 
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> RenderedPrompt:
@@ -238,19 +229,14 @@ class MockProvider:
 
 
 def load_mock_scripts(path: str | Path) -> MockProvider:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ProviderError(f"{path}: expected a JSON array of scripts")
     scripts: list[MockScript] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "match" not in item or "response" not in item:
-            raise ProviderError(f"{path}: script {i} needs match and response")
+    for i, item in enumerate(read_json(path, list, "script", ("match", "response"))):
         match = item["match"]
         if not isinstance(match, dict) or len(match) != 1:
-            raise ProviderError(f"{path}: script {i} match must be {{exact|contains: text}}")
+            raise InputError(f"{path}: script {i} match must be {{exact|contains: text}}")
         (kind, pattern), = match.items()
         if kind not in ("exact", "contains"):
-            raise ProviderError(f"{path}: script {i} has unknown matcher {kind!r}")
+            raise InputError(f"{path}: script {i} has unknown matcher {kind!r}")
         scripts.append(MockScript(kind=kind, pattern=str(pattern), response=str(item["response"])))
     return MockProvider(scripts=scripts)
 
@@ -317,16 +303,11 @@ class HTTPProvider:
             raise ProviderError(f"non-JSON completion response: {resp.text[:200]!r}") from exc
         if not isinstance(doc, dict):
             raise ProviderError(f"completion response is not a JSON object: {doc!r}")
-        text: str | None = None
+        text = doc.get("text")
         choices = doc.get("choices")
         choice = choices[0] if isinstance(choices, list) and choices else None
-        if isinstance(doc.get("text"), str):
-            text = doc["text"]
-        elif isinstance(choice, dict):
-            if isinstance(choice.get("text"), str):
-                text = choice["text"]
-            elif isinstance(choice.get("message"), dict):
-                text = choice["message"].get("content")
+        if not isinstance(text, str) and isinstance(choice, dict):
+            text = choice.get("text")
         if not isinstance(text, str):
             raise ProviderError(f"completion response carries no text: {doc!r}")
         reported = doc.get("usage") or {}

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import fixture_path
+from . import InputError, fixture_path, read_json
 from .catalog import Catalog, load_catalog
-from .classify import ClassifierError, StageClassifier, load_training_pairs, train
+from .classify import StageClassifier, load_training_pairs, train
 from .condexpr import ConditionTypeError
 from .edgepred import (
     CardinalityViolation,
@@ -40,6 +40,7 @@ from .edgepred import (
 )
 from .llm import (
     CompletionProvider,
+    OperatorParseError,
     ProviderError,
     load_mock_scripts,
     provider_from_env,
@@ -71,20 +72,16 @@ __all__ = [
     "PipelineConfig",
     "Runtime",
     "Workflow",
-    "ConfigError",
     "PipelineError",
     "build_runtime",
     "generate",
     "generate_with_runtime",
+    "predict_stages",
     "emit",
     "load_workflow_doc",
 ]
 
 STRATEGIES = ("cag", "single", "agentic")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class PipelineError(Exception):
@@ -123,11 +120,11 @@ class PipelineConfig:
 
 def _check_config(cfg: PipelineConfig) -> None:
     if cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
+        raise InputError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
     if cfg.family not in ("granite", "llama"):
-        raise ConfigError(f"unknown model family {cfg.family!r}")
+        raise InputError(f"unknown model family {cfg.family!r}")
     if cfg.parallel < 1:
-        raise ConfigError("parallel width must be at least 1")
+        raise InputError("parallel width must be at least 1")
     paths = {
         "catalog": cfg.catalog_path,
         "examples": cfg.examples_path,
@@ -140,7 +137,7 @@ def _check_config(cfg: PipelineConfig) -> None:
         paths["mock-scripts"] = cfg.mock_scripts_path
     missing = [f"{label}: {path}" for label, path in paths.items() if not Path(path).is_file()]
     if missing:
-        raise ConfigError("missing input files:\n  " + "\n  ".join(missing))
+        raise InputError("missing input files:\n  " + "\n  ".join(missing))
 
 
 @dataclass
@@ -193,23 +190,39 @@ class Workflow:
 # --- generation ----------------------------------------------------------------
 
 
-def _predict_stages(utterance: str, rt: Runtime, trace: list[dict] | None = None) -> StagePrediction:
+def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
+    """Predict the utterance's stage multiset with the configured strategy.
+
+    Any failure raises ``PipelineError("stage_prediction")``. Its provenance
+    keeps the ``stage_trace`` and ``usage`` of the calls made before the
+    failure, since those were paid for.
+    """
     cfg = rt.cfg
-    if cfg.strategy == "single":
-        return predict_single(utterance, rt.catalog, rt.bank, rt.provider, cfg.family, trace=trace)
-    if cfg.strategy == "cag":
-        return predict_cag(
-            utterance,
-            rt.catalog,
-            rt.classifier,
-            rt.bank,
-            rt.provider,
-            cfg.family,
-            rt.split_examples,
-            cfg.example_cap,
-            trace=trace,
-        )
-    return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
+    trace: list[dict] = []
+    try:
+        if cfg.strategy == "single":
+            return predict_single(utterance, rt.catalog, rt.bank, rt.provider, cfg.family, trace=trace)
+        if cfg.strategy == "cag":
+            return predict_cag(
+                utterance,
+                rt.catalog,
+                rt.classifier,
+                rt.bank,
+                rt.provider,
+                cfg.family,
+                rt.split_examples,
+                cfg.example_cap,
+                trace=trace,
+            )
+        return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
+    except (StagePredictionError, ProviderError, OperatorParseError) as exc:
+        provenance = {
+            "utterance": utterance,
+            "strategy": cfg.strategy,
+            "stage_trace": trace,
+            "usage": usage(trace),
+        }
+        raise PipelineError("stage_prediction", str(exc), provenance) from exc
 
 
 def _edge_branch(
@@ -253,19 +266,14 @@ def generate(utterance: str, cfg: PipelineConfig | None = None) -> Workflow:
 
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     cfg = rt.cfg
-    provenance: dict = {"utterance": utterance, "strategy": cfg.strategy}
+    prediction = predict_stages(utterance, rt)
+    provenance: dict = {
+        "utterance": utterance,
+        "strategy": cfg.strategy,
+        "stage_trace": prediction.trace,
+        "stages": list(prediction.stages),
+    }
     diagnostics: list[dict] = []
-
-    stage_trace: list[dict] = []
-    try:
-        prediction = _predict_stages(utterance, rt, stage_trace)
-    except (StagePredictionError, ProviderError, ClassifierError, ValueError) as exc:
-        # the calls made before the failure were paid for; keep their records
-        provenance["stage_trace"] = stage_trace
-        provenance["usage"] = usage(stage_trace)
-        raise PipelineError("stage_prediction", str(exc), provenance) from exc
-    provenance["stage_trace"] = prediction.trace
-    provenance["stages"] = list(prediction.stages)
 
     nodes = build_nodes(prediction.stages, rt.catalog)
     if not nodes:
@@ -387,7 +395,7 @@ def load_workflow_doc(path: str | Path) -> Workflow:
     """
     from .catalog import CardinalityBound
 
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path, dict, "a workflow document", ("nodes", "edges"))
     anybound = CardinalityBound(0, None)
     try:
         nodes = []
@@ -413,6 +421,6 @@ def load_workflow_doc(path: str | Path) -> Workflow:
             ]
         edges = [(str(e["from"]), str(e["to"])) for e in raw["edges"]]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a workflow document ({exc})") from exc
+        raise InputError(f"{path}: not a workflow document ({exc})") from exc
     graph = FlowGraph(nodes=nodes, edges=edges)
     return Workflow(graph=graph, properties=properties, provenance={"source": str(path)})

@@ -18,7 +18,6 @@ siblings whose conditions name the rejected property.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterable
 
-from . import fixture_path
+from . import InputError, fixture_path, read_json
 from .catalog import PropertyDef, StageDef, ValueType
 from .condexpr import eval_condition, parse_condition
 from .edgepred import NodeInstance
@@ -41,7 +40,6 @@ __all__ = [
     "PropertyAssignment",
     "ExternalRegistry",
     "PropMetrics",
-    "RegistryError",
     "predict_properties",
     "coerce",
     "canonical_value",
@@ -59,10 +57,6 @@ REJECTED_EXTERNAL = "rejected_external"
 REGISTRY_KINDS = ("connection", "schema", "table")
 
 _PROPERTIES_TEMPLATE = load_template(fixture_path("templates", "properties.txt"))
-
-
-class RegistryError(Exception):
-    pass
 
 
 @dataclass
@@ -83,22 +77,27 @@ class ExternalRegistry:
 
 
 def load_registry(path: str | Path) -> ExternalRegistry:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    expected = "kinds and bindings objects"
+    raw = read_json(path, dict, expected)
     kinds_raw = raw.get("kinds")
     bindings_raw = raw.get("bindings")
     if not isinstance(kinds_raw, dict) or not isinstance(bindings_raw, dict):
-        raise RegistryError(f"{path}: expected kinds and bindings objects")
+        raise InputError(f"{path}: expected {expected}")
     kinds = {}
     for kind, names in kinds_raw.items():
         if kind not in REGISTRY_KINDS:
-            raise RegistryError(f"{path}: unknown registry kind {kind!r}")
+            raise InputError(f"{path}: unknown registry kind {kind!r}")
+        if not isinstance(names, list):
+            raise InputError(f"{path}: registry kind {kind!r} needs an array of names")
         kinds[kind] = frozenset(str(n) for n in names)
     bindings: dict[str, dict[str, str]] = {}
     for stage, props in bindings_raw.items():
+        if not isinstance(props, dict):
+            raise InputError(f"{path}: bindings of {stage!r} must be an object")
         bindings[stage] = {}
         for prop, kind in props.items():
             if kind not in kinds:
-                raise RegistryError(f"{path}: binding {stage}/{prop} uses undeclared kind {kind!r}")
+                raise InputError(f"{path}: binding {stage}/{prop} uses undeclared kind {kind!r}")
             bindings[stage][prop] = kind
     return ExternalRegistry(kinds=kinds, bindings=bindings)
 

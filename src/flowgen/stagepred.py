@@ -20,18 +20,16 @@ dropped and trace-recorded, never invented.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import fixture_path
+from . import InputError, fixture_path, read_json
 from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
     FAMILY_PRESEED,
     CompletionProvider,
     OperatorParseError,
-    PromptTemplate,
     RenderedPrompt,
     complete,
     load_template,
@@ -50,7 +48,6 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "load_examples",
     "load_split_examples",
-    "stage_template",
     "decompose",
     "build_candidates",
     "select_examples",
@@ -64,9 +61,7 @@ DEFAULT_MAX_STEPS = 8
 
 _STAGE_TEMPLATES = {
     family: load_template(
-        fixture_path("templates", f"{family}_stage.txt"),
-        family=family,
-        preseed=FAMILY_PRESEED[family],
+        fixture_path("templates", f"{family}_stage.txt"), preseed=FAMILY_PRESEED[family]
     )
     for family in ("granite", "llama")
 }
@@ -121,45 +116,29 @@ class StagePrediction:
 
 
 def load_examples(path: str | Path, catalog: Catalog | None = None) -> list[FewShotExample]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise StagePredictionError(f"{path}: expected a JSON array of examples")
     out: list[FewShotExample] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "utterance" not in item or "operators" not in item:
-            raise StagePredictionError(f"{path}: example {i} needs utterance and operators")
+    for i, item in enumerate(read_json(path, list, "example", ("utterance", "operators"))):
+        if not isinstance(item["operators"], list):
+            raise InputError(f"{path}: example {i} operators must be an array")
         ops = tuple(str(op) for op in item["operators"])
         if catalog is not None:
             for op in ops:
                 if op not in catalog.stages:
-                    raise StagePredictionError(
-                        f"{path}: example {i} references unknown stage {op!r}"
-                    )
+                    raise InputError(f"{path}: example {i} references unknown stage {op!r}")
         out.append(FewShotExample(str(item["utterance"]), ops))
     return out
 
 
 def load_split_examples(path: str | Path) -> list[SplitExample]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise StagePredictionError(f"{path}: expected a JSON array of split examples")
     out: list[SplitExample] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "utterance" not in item or "subs" not in item:
-            raise StagePredictionError(f"{path}: split example {i} needs utterance and subs")
+    for i, item in enumerate(read_json(path, list, "split example", ("utterance", "subs"))):
+        if not isinstance(item["subs"], list):
+            raise InputError(f"{path}: split example {i} subs must be an array")
         out.append(SplitExample(str(item["utterance"]), tuple(str(s) for s in item["subs"])))
     return out
 
 
 # --- prompt assembly ---------------------------------------------------------
-
-
-def stage_template(family: str) -> PromptTemplate:
-    """The per-family stage-selection template (granite role tokens, llama preseed)."""
-    template = _STAGE_TEMPLATES.get(family)
-    if template is None:
-        raise StagePredictionError(f"no stage template for family {family!r}")
-    return template
 
 
 def _context_block(catalog: Catalog, stages: set[str] | None = None) -> str:
@@ -221,7 +200,7 @@ def render_stage_prompt(
     from .llm import render_prompt
 
     return render_prompt(
-        stage_template(family),
+        _STAGE_TEMPLATES[family],
         {
             "context": _context_block(catalog, candidates),
             "examples": _examples_block(examples),

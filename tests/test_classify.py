@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_catalog, make_stage
-from flowgen import fixture_path
+from flowgen import InputError, fixture_path
+from flowgen.llm import ProviderError
 from flowgen.classify import (
     Classification,
-    ClassifierError,
     RemoteClassifier,
     TrainingPair,
     classify,
@@ -87,11 +87,11 @@ def test_per_label_aggregation_takes_the_best_exemplar():
 
 
 def test_unknown_label_and_empty_training_rejected():
-    with pytest.raises(ClassifierError, match="unknown label"):
+    with pytest.raises(InputError, match="unknown label"):
         train([TrainingPair("text", "ghost")], {"real"})
-    with pytest.raises(ClassifierError, match="empty training set"):
+    with pytest.raises(InputError, match="empty training set"):
         train([], {"real"})
-    with pytest.raises(ClassifierError, match="no tokens"):
+    with pytest.raises(InputError, match="no tokens"):
         train([TrainingPair("...", "real")], {"real"})
 
 
@@ -112,10 +112,13 @@ def test_demo_pairs_recall_their_own_labels():
 def test_load_training_pairs_rejects_malformed(tmp_path):
     bad = tmp_path / "pairs.json"
     bad.write_text(json.dumps([{"utterance": "x"}]))
-    with pytest.raises(ClassifierError, match="pair 0"):
+    with pytest.raises(InputError, match="pair 0"):
         load_training_pairs(bad)
     bad.write_text(json.dumps({"not": "a list"}))
-    with pytest.raises(ClassifierError, match="array"):
+    with pytest.raises(InputError, match="array"):
+        load_training_pairs(bad)
+    bad.write_text('[{"utterance": ')
+    with pytest.raises(InputError, match="pairs.json: malformed JSON"):
         load_training_pairs(bad)
 
 
@@ -243,5 +246,5 @@ def test_remote_classifier_wraps_malformed_payloads(monkeypatch):
             return {"oops": True}
 
     monkeypatch.setattr("flowgen.classify.requests.post", lambda *a, **k: FakeResponse())
-    with pytest.raises(ClassifierError, match="malformed"):
+    with pytest.raises(ProviderError, match="malformed"):
         RemoteClassifier("http://cls.local").classify("x")

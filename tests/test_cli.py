@@ -110,10 +110,11 @@ def test_generate_pipeline_failure_prints_envelope(capsys, tmp_path):
 
 
 def test_generate_classifier_failure_prints_envelope(capsys, monkeypatch):
-    from flowgen.classify import ClassifierError, RemoteClassifier
+    from flowgen.classify import RemoteClassifier
+    from flowgen.llm import ProviderError
 
     def down(self, text):
-        raise ClassifierError("remote classifier failed: connection refused")
+        raise ProviderError("remote classifier failed: connection refused")
 
     monkeypatch.setattr(RemoteClassifier, "classify", down)
     code, _, err = run(
@@ -150,6 +151,59 @@ def test_generate_without_provider_config(capsys, monkeypatch):
     envelope = json.loads(err)
     assert envelope["error"]["step"] == "provider"
     assert "LLM_ENDPOINT" in envelope["error"]["message"]
+
+
+_GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, content",
+    [
+        ("generate", "--registry", []),
+        ("generate", "--registry", {"kinds": {"bucket": []}, "bindings": {}}),
+        ("generate", "--examples", {"utterance": "u", "operators": ["sort"]}),
+        ("generate", "--examples", [{"utterance": "u", "operators": "sort"}]),
+        ("generate", "--split-examples", {"utterance": "u", "subs": ["u"]}),
+        ("generate", "--classifier", {"utterance": "u", "label": "sort"}),
+        ("generate", "--mock-scripts", [{"match": {"regex": "x"}, "response": "r"}]),
+        ("eval", "--dataset", [{**_GOLD_SORT, "gold_edges": [{"to": "sort"}]}]),
+        ("eval", "--dataset", [{**_GOLD_SORT, "gold_properties": [{"name": "P", "value": "v"}]}]),
+        ("eval", "--dataset", [{**_GOLD_SORT, "gold_stages": "sort"}]),
+        ("eval", "--dataset", None),  # a directory
+        ("eval", "--dataset", [{**_GOLD_SORT, "gold_stages": ["bogus"]}]),
+        ("export", "--workflow", []),
+    ],
+    ids=[
+        "registry-array",
+        "registry-unknown-kind",
+        "examples-object",
+        "examples-string-operators",
+        "split-examples-object",
+        "classifier-object",
+        "mock-scripts-unknown-matcher",
+        "dataset-edge-without-from",
+        "dataset-properties-list",
+        "dataset-string-stages",
+        "dataset-directory",
+        "dataset-unknown-gold-stage",
+        "workflow-array",
+    ],
+)
+def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    argv = {
+        "generate": ["generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS],
+        "eval": ["eval", "--strategy", "single", "--mock-scripts", EVAL_GOLD],
+        "export": ["export"],
+    }[command]
+    code, _, err = run(capsys, *argv, flag, str(path))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -7,10 +7,9 @@ import json
 import pytest
 
 from conftest import make_catalog, make_runtime, make_stage, scripted
-from flowgen import fixture_path
+from flowgen import InputError, fixture_path
 from flowgen.catalog import INTEGER, STRING, PropertyDef
 from flowgen.evaluation import (
-    DatasetError,
     EvalRecord,
     StageAccuracy,
     load_dataset,
@@ -65,12 +64,25 @@ def test_load_dataset_empty_file(tmp_path):
         ([{"utterance": "u"}], "needs utterance and gold_stages"),
         ([{"gold_stages": ["a"]}], "needs utterance and gold_stages"),
         ([{"utterance": "u", "gold_stages": []}], "empty gold_stages"),
+        ([{"utterance": "u", "gold_stages": "sort"}], "record 0 gold_stages must be an array"),
+        (
+            [{"utterance": "u", "gold_stages": ["sort"], "gold_edges": [{"to": "sort"}]}],
+            "record 0 gold_edges must be an array of from/to objects",
+        ),
+        (
+            [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": [["sort"]]}],
+            "record 0 gold_properties must be an object",
+        ),
+        (
+            [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": [{"name": "P"}]}}],
+            "record 0 properties of 'sort' need name and value",
+        ),
     ],
 )
 def test_load_dataset_shape_errors(tmp_path, payload, message):
     p = tmp_path / "data.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(DatasetError, match=message):
+    with pytest.raises(InputError, match=message):
         load_dataset(p)
 
 
@@ -101,7 +113,7 @@ def test_load_dataset_validates_edge_endpoints(tmp_path):
             ]
         )
     )
-    with pytest.raises(DatasetError, match="unknown node 'head'"):
+    with pytest.raises(InputError, match="unknown node 'head'"):
         load_dataset(p)
 
 
@@ -118,7 +130,7 @@ def test_load_dataset_validates_property_nodes(tmp_path):
             ]
         )
     )
-    with pytest.raises(DatasetError, match="unknown node 'ghost'"):
+    with pytest.raises(InputError, match="unknown node 'ghost'"):
         load_dataset(p)
 
 

@@ -22,11 +22,10 @@ from conftest import (
     make_stage,
     scripted,
 )
-from flowgen import fixture_path
+from flowgen import InputError, fixture_path
 from flowgen.catalog import STRING, PropertyDef
 from flowgen.llm import MockProvider
 from flowgen.pipeline import (
-    ConfigError,
     PipelineConfig,
     PipelineError,
     build_runtime,
@@ -41,22 +40,22 @@ from flowgen.pipeline import (
 
 
 def test_config_rejects_unknown_strategy(demo_config):
-    with pytest.raises(ConfigError, match="unknown strategy 'greedy'"):
+    with pytest.raises(InputError, match="unknown strategy 'greedy'"):
         build_runtime(demo_config(strategy="greedy"))
 
 
 def test_config_rejects_unknown_family(demo_config):
-    with pytest.raises(ConfigError, match="unknown model family"):
+    with pytest.raises(InputError, match="unknown model family"):
         build_runtime(demo_config(family="plain"))
 
 
 def test_config_rejects_bad_parallel_width(demo_config):
-    with pytest.raises(ConfigError, match="parallel width"):
+    with pytest.raises(InputError, match="parallel width"):
         build_runtime(demo_config(parallel=0))
 
 
 def test_config_reports_missing_files_by_label(demo_config):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(InputError) as err:
         build_runtime(demo_config(catalog_path="/nonexistent/catalog.json"))
     assert "catalog: /nonexistent/catalog.json" in str(err.value)
 

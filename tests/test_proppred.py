@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_stage, scripted
-from flowgen import fixture_path
+from flowgen import InputError, fixture_path
 from flowgen.catalog import BOOLEAN, DECIMAL, INTEGER, STRING, PropertyDef, ValueType
 from flowgen.edgepred import NodeInstance
 from flowgen.catalog import CardinalityBound
@@ -21,7 +21,6 @@ from flowgen.proppred import (
     REJECTED_UNKNOWN_NAME,
     ExternalRegistry,
     PropertyAssignment,
-    RegistryError,
     canonical_value,
     coerce,
     load_registry,
@@ -353,21 +352,31 @@ def test_load_registry_demo_fixture():
 def test_load_registry_rejects_unknown_kind(tmp_path):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"kinds": {"bucket": []}, "bindings": {}}))
-    with pytest.raises(RegistryError, match="unknown registry kind 'bucket'"):
+    with pytest.raises(InputError, match="unknown registry kind 'bucket'"):
         load_registry(p)
 
 
 def test_load_registry_rejects_undeclared_binding_kind(tmp_path):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"kinds": {"connection": []}, "bindings": {"s": {"P": "table"}}}))
-    with pytest.raises(RegistryError, match="undeclared kind 'table'"):
+    with pytest.raises(InputError, match="undeclared kind 'table'"):
         load_registry(p)
 
 
 def test_load_registry_requires_both_sections(tmp_path):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"kinds": {}}))
-    with pytest.raises(RegistryError, match="expected kinds and bindings"):
+    with pytest.raises(InputError, match="expected kinds and bindings"):
+        load_registry(p)
+
+
+def test_load_registry_rejects_nested_shapes(tmp_path):
+    p = tmp_path / "reg.json"
+    p.write_text(json.dumps({"kinds": {"table": "orders"}, "bindings": {}}))
+    with pytest.raises(InputError, match="kind 'table' needs an array of names"):
+        load_registry(p)
+    p.write_text(json.dumps({"kinds": {"table": []}, "bindings": {"sort": ["table"]}}))
+    with pytest.raises(InputError, match="bindings of 'sort' must be an object"):
         load_registry(p)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FULL_NAME_FLOW, make_catalog, make_stage, scripted
-from flowgen import fixture_path
+from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, TrainingPair, train
 from flowgen.llm import usage
@@ -23,7 +23,6 @@ from flowgen.stagepred import (
     DecompositionError,
     FewShotExample,
     ProtocolViolation,
-    StagePredictionError,
     build_candidates,
     decompose,
     load_examples,
@@ -33,7 +32,6 @@ from flowgen.stagepred import (
     predict_single,
     render_stage_prompt,
     select_examples,
-    stage_template,
 )
 
 
@@ -71,18 +69,24 @@ def test_load_examples_rejects_unknown_stage_only_when_catalog_given(tmp_path, c
     p = tmp_path / "bank.json"
     p.write_text(json.dumps([{"utterance": "u", "operators": ["head", "bogus"]}]))
     assert load_examples(p)[0].operators == ("head", "bogus")
-    with pytest.raises(StagePredictionError, match="unknown stage 'bogus'"):
+    with pytest.raises(InputError, match="unknown stage 'bogus'"):
         load_examples(p, catalog)
 
 
 @pytest.mark.parametrize(
     "payload",
-    [{"utterance": "u"}, [{"utterance": "u"}], [{"operators": ["head"]}], ["text"]],
+    [
+        {"utterance": "u"},
+        [{"utterance": "u"}],
+        [{"operators": ["head"]}],
+        ["text"],
+        [{"utterance": "u", "operators": "sort"}],
+    ],
 )
 def test_load_examples_shape_errors(tmp_path, payload):
     p = tmp_path / "bank.json"
     p.write_text(json.dumps(payload))
-    with pytest.raises(StagePredictionError):
+    with pytest.raises(InputError):
         load_examples(p)
 
 
@@ -95,7 +99,10 @@ def test_load_split_examples():
 def test_load_split_examples_shape_errors(tmp_path):
     p = tmp_path / "splits.json"
     p.write_text(json.dumps([{"utterance": "u"}]))
-    with pytest.raises(StagePredictionError, match="needs utterance and subs"):
+    with pytest.raises(InputError, match="needs utterance and subs"):
+        load_split_examples(p)
+    p.write_text(json.dumps([{"utterance": "u", "subs": "sort the rows"}]))
+    with pytest.raises(InputError, match="subs must be an array"):
         load_split_examples(p)
 
 
@@ -123,11 +130,6 @@ def test_examples_render_as_utterance_operator_pairs(catalog):
     text = render_stage_prompt(catalog, None, bank, "utt").text
     assert 'Utterance: first rows please\nOperators: "head"' in text
     assert 'Utterance: route then join\nOperators: "switch, join"' in text
-
-
-def test_stage_template_unknown_family():
-    with pytest.raises(StagePredictionError, match="no stage template"):
-        stage_template("plain")
 
 
 @pytest.mark.parametrize(
