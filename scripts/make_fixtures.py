@@ -29,6 +29,7 @@ from flowgen.stagepred import (
     predict_single,
     render_stage_prompt,
     select_examples,
+    stage_listing,
 )
 from flowgen.synthdata import DEFAULT_SEED, render_all
 
@@ -75,6 +76,7 @@ def verify(out_dir: Path) -> dict[str, float]:
     provider = load_mock_scripts(out_dir / "mock_scripts_synthetic.json")
     split_examples = load_split_examples(fixture_path("split_examples.json"))
 
+    listing = stage_listing(catalog, None, bank)
     singles, scopeds = [], []
     for rec in records:
         utterance, gold = rec["utterance"], rec["gold_stages"]
@@ -92,7 +94,7 @@ def verify(out_dir: Path) -> dict[str, float]:
         scopeds.append(scoped.token_estimate)
 
         # the scripts must drive both strategies to the labeled answer
-        assert predict_single(utterance, catalog, bank, provider).stages == gold
+        assert predict_single(utterance, catalog, listing, provider).stages == gold
         prediction = predict_cag(
             utterance, catalog, model, bank, provider, split_examples=split_examples
         )

@@ -10,7 +10,9 @@ round-trip regression data.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import InputError, condexpr
@@ -127,6 +129,18 @@ class Catalog:
                 for syn in stage.synonyms:
                     index.setdefault(syn.lower(), set()).add(stage.name)
             self.synonym_index = {k: frozenset(v) for k, v in index.items()}
+
+    @cached_property
+    def keyword_patterns(self) -> tuple[tuple[re.Pattern[str], frozenset[str]], ...]:
+        """One whole-word, case-insensitive pattern per ``synonym_index`` keyword.
+
+        An underscore matches an underscore or a space. Compiled at the first
+        keyword scan, so a catalog that is never scanned pays nothing.
+        """
+        return tuple(
+            (re.compile(r"\b" + re.escape(k).replace("_", "[_ ]") + r"\b", re.IGNORECASE), stages)
+            for k, stages in self.synonym_index.items()
+        )
 
 
 # --- parsing ---------------------------------------------------------------

@@ -19,8 +19,6 @@ from json import JSONDecodeError
 from pathlib import Path
 from typing import Iterable, Protocol
 
-import requests
-
 from . import InputError, read_json
 from .catalog import Catalog
 from .llm import ProviderError
@@ -172,9 +170,8 @@ def keyword_scan(catalog: Catalog, text: str) -> set[str]:
     does not surface ``filter``.
     """
     found: set[str] = set()
-    for keyword, stages in catalog.synonym_index.items():
-        pattern = r"\b" + re.escape(keyword).replace("_", "[_ ]") + r"\b"
-        if re.search(pattern, text, re.IGNORECASE):
+    for pattern, stages in catalog.keyword_patterns:
+        if pattern.search(text):
             found.update(stages)
     return found
 
@@ -194,6 +191,8 @@ class RemoteClassifier:
         self.timeout = timeout
 
     def classify(self, text: str) -> Classification:
+        import requests  # local: half of flowgen.cli's import time; only live clients use it
+
         try:
             resp = requests.post(
                 f"{self.endpoint}/classify", json={"text": text}, timeout=self.timeout

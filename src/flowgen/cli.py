@@ -164,6 +164,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.top < 0:
+        raise _UsageError("--top must not be negative")
     cfg = PipelineConfig()
     catalog_path = Path(args.catalog) if args.catalog else cfg.catalog_path
     pairs_path = Path(args.classifier) if args.classifier else cfg.classifier_path

@@ -20,14 +20,16 @@ import hashlib
 import json
 import os
 import re
+import string
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol
 
 from . import InputError, read_json
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "PromptTemplate",
@@ -42,6 +44,7 @@ __all__ = [
     "FAMILY_PRESEED",
     "parse_template",
     "load_template",
+    "bind",
     "render_prompt",
     "count_tokens",
     "parse_operator_list",
@@ -81,10 +84,14 @@ _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Fixed text and placeholder segments; ``preseed`` is appended after the end."""
+    """Fixed text and placeholder segments, each text counted once when built.
 
-    segments: tuple[tuple[str, str], ...]  # ("text", raw) | ("slot", name)
-    preseed: str | None = None
+    ``segments`` holds ``("text", raw, tokens)`` and ``("slot", name, 0)``.
+    No text segment is empty and no two are adjacent, so a render counts
+    only its slot values.
+    """
+
+    segments: tuple[tuple[str, str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -110,17 +117,35 @@ class CompletionProvider(Protocol):
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult: ...
 
 
+def _add_text(segments: list[tuple[str, str, int]], text: str, tokens: int) -> None:
+    """Append counted text, merging it into a text segment that ends the list.
+
+    The join rule: the estimate of ``a + b`` is the sum of theirs, less one
+    exactly when ``a`` ends and ``b`` starts with an ASCII letter or digit,
+    where two alphanumeric runs merge into one. Punctuation counts per
+    character, so nothing else changes at a join. Empty text joins nothing.
+    """
+    if not text:
+        return
+    if segments and segments[-1][0] == "text":
+        _, before, before_tokens = segments.pop()
+        tokens += before_tokens - (before[-1] in _ALNUM and text[0] in _ALNUM)
+        text = before + text
+    segments.append(("text", text, tokens))
+
+
 def parse_template(text: str, preseed: str | None = None) -> PromptTemplate:
-    segments: list[tuple[str, str]] = []
+    """Split ``{{name}}`` slots out of ``text``; ``preseed`` is appended after the end."""
+    segments: list[tuple[str, str, int]] = []
     pos = 0
     for m in _PLACEHOLDER_RE.finditer(text):
-        if m.start() > pos:
-            segments.append(("text", text[pos : m.start()]))
-        segments.append(("slot", m.group(1)))
+        fixed = text[pos : m.start()]
+        _add_text(segments, fixed, count_tokens(fixed))
+        segments.append(("slot", m.group(1), 0))
         pos = m.end()
-    if pos < len(text):
-        segments.append(("text", text[pos:]))
-    return PromptTemplate(segments=tuple(segments), preseed=preseed)
+    tail = text[pos:] + (preseed or "")
+    _add_text(segments, tail, count_tokens(tail))
+    return PromptTemplate(segments=tuple(segments))
 
 
 def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplate:
@@ -131,32 +156,48 @@ def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplat
     return parse_template(text, preseed=preseed)
 
 
+def bind(template: PromptTemplate, bindings: Mapping[str, str]) -> PromptTemplate:
+    """Fill the slots named in ``bindings``, counting each value once; the rest stay open."""
+    segments: list[tuple[str, str, int]] = []
+    for kind, value, tokens in template.segments:
+        if kind == "text":
+            _add_text(segments, value, tokens)
+        elif value in bindings:
+            text = str(bindings[value])
+            _add_text(segments, text, count_tokens(text))
+        else:
+            segments.append((kind, value, tokens))
+    return PromptTemplate(segments=tuple(segments))
+
+
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> RenderedPrompt:
     """Substitute every placeholder; unbound placeholders are an error."""
-    parts: list[str] = []
-    for kind, value in template.segments:
-        if kind == "text":
-            parts.append(value)
-        else:
-            if value not in bindings:
-                raise TemplateError(f"unbound placeholder {value!r}")
-            parts.append(str(bindings[value]))
-    if template.preseed:
-        parts.append(template.preseed)
-    text = "".join(parts)
-    return RenderedPrompt(text=text, token_estimate=count_tokens(text))
+    bound = bind(template, bindings).segments
+    open_slots = [value for kind, value, _ in bound if kind == "slot"]
+    if open_slots:
+        raise TemplateError(f"unbound placeholder {open_slots[0]!r}")
+    if not bound:
+        return RenderedPrompt(text="", token_estimate=0)
+    ((_, text, tokens),) = bound
+    return RenderedPrompt(text=text, token_estimate=tokens)
 
 
 # --- token estimation ------------------------------------------------------
 
 _RUN_RE = re.compile(r"[A-Za-z0-9]+")
+_SPACE_OR_WORD_RE = re.compile(r"[\s\w]+")
+_ALNUM = frozenset(string.ascii_letters + string.digits)
 
 
 def count_tokens(text: str) -> int:
-    """Cheap token estimate: alphanumeric runs plus non-space punctuation marks."""
-    runs = len(_RUN_RE.findall(text))
-    punct = sum(1 for ch in text if not ch.isspace() and not ch.isalnum())
-    return runs + punct
+    """Cheap token estimate: ASCII alphanumeric runs plus non-space punctuation marks.
+
+    A punctuation mark is a character that is neither whitespace nor
+    alphanumeric, ``_`` included; a non-ASCII letter or digit is neither a
+    run nor a mark. ``\\w`` matches the alphanumerics and ``_``, so the
+    underscores it removes are added back.
+    """
+    return len(_RUN_RE.findall(text)) + len(_SPACE_OR_WORD_RE.sub("", text)) + text.count("_")
 
 
 # --- operator-list answers ---------------------------------------------------
@@ -273,6 +314,8 @@ class HTTPProvider:
         return payload
 
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult:
+        import requests  # local: half of flowgen.cli's import time; only live clients use it
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

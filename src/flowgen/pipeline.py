@@ -41,6 +41,7 @@ from .edgepred import (
 from .llm import (
     CompletionProvider,
     OperatorParseError,
+    PromptTemplate,
     ProviderError,
     load_mock_scripts,
     provider_from_env,
@@ -66,6 +67,7 @@ from .stagepred import (
     predict_agentic,
     predict_cag,
     predict_single,
+    stage_listing,
 )
 
 __all__ = [
@@ -125,6 +127,8 @@ def _check_config(cfg: PipelineConfig) -> None:
         raise InputError(f"unknown model family {cfg.family!r}")
     if cfg.parallel < 1:
         raise InputError("parallel width must be at least 1")
+    if cfg.example_cap < 0:
+        raise InputError("example cap must not be negative")
     paths = {
         "catalog": cfg.catalog_path,
         "examples": cfg.examples_path,
@@ -149,6 +153,9 @@ class Runtime:
     registry: ExternalRegistry | None
     provider: CompletionProvider
     cfg: PipelineConfig
+    # the single strategy's full-catalog stage prompt, all but the utterance
+    # bound and counted once; None for the other strategies
+    listing: PromptTemplate | None
 
 
 def build_runtime(cfg: PipelineConfig) -> Runtime:
@@ -169,6 +176,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         provider: CompletionProvider = load_mock_scripts(cfg.mock_scripts_path)
     else:
         provider = provider_from_env()
+    listing = stage_listing(catalog, None, bank, cfg.family) if cfg.strategy == "single" else None
     return Runtime(
         catalog=catalog,
         classifier=classifier,
@@ -177,6 +185,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         registry=registry,
         provider=provider,
         cfg=cfg,
+        listing=listing,
     )
 
 
@@ -201,7 +210,7 @@ def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
     trace: list[dict] = []
     try:
         if cfg.strategy == "single":
-            return predict_single(utterance, rt.catalog, rt.bank, rt.provider, cfg.family, trace=trace)
+            return predict_single(utterance, rt.catalog, rt.listing, rt.provider, trace=trace)
         if cfg.strategy == "cag":
             return predict_cag(
                 utterance,

@@ -30,7 +30,9 @@ from .llm import (
     FAMILY_PRESEED,
     CompletionProvider,
     OperatorParseError,
+    PromptTemplate,
     RenderedPrompt,
+    bind,
     complete,
     load_template,
     parse_operator_list,
@@ -51,6 +53,7 @@ __all__ = [
     "decompose",
     "build_candidates",
     "select_examples",
+    "stage_listing",
     "predict_single",
     "predict_cag",
     "predict_agentic",
@@ -165,27 +168,20 @@ def _verified(
     return kept
 
 
-# --- single-prompt strategy --------------------------------------------------
-
-
-def predict_single(
-    utterance: str,
+def stage_listing(
     catalog: Catalog,
-    bank: list[FewShotExample],
-    provider: CompletionProvider,
+    candidates: set[str] | None,
+    examples: list[FewShotExample],
     family: str = "granite",
-    trace: list[dict] | None = None,
-) -> StagePrediction:
-    """One prompt over the full catalog and the full example bank."""
-    trace = [] if trace is None else trace
-    prompt = render_stage_prompt(catalog, None, bank, utterance, family)
-    answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
-    stages = _verified(answer, set(catalog.stages), trace)
-    return StagePrediction(
-        stages=stages,
-        strategy="single",
-        trace=trace,
-        stage_prompt_tokens=prompt.token_estimate,
+) -> PromptTemplate:
+    """The stage template with its context and examples bound; ``utterance`` stays open.
+
+    The context lists the candidate stages, or the whole catalog when
+    ``candidates`` is None.
+    """
+    return bind(
+        _STAGE_TEMPLATES[family],
+        {"context": _context_block(catalog, candidates), "examples": _examples_block(examples)},
     )
 
 
@@ -199,13 +195,37 @@ def render_stage_prompt(
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    return render_prompt(
-        _STAGE_TEMPLATES[family],
-        {
-            "context": _context_block(catalog, candidates),
-            "examples": _examples_block(examples),
-            "utterance": utterance,
-        },
+    listing = stage_listing(catalog, candidates, examples, family)
+    return render_prompt(listing, {"utterance": utterance})
+
+
+# --- single-prompt strategy --------------------------------------------------
+
+
+def predict_single(
+    utterance: str,
+    catalog: Catalog,
+    listing: PromptTemplate,
+    provider: CompletionProvider,
+    trace: list[dict] | None = None,
+) -> StagePrediction:
+    """One prompt over the full catalog and the full example bank.
+
+    ``listing`` is ``stage_listing(catalog, None, bank, family)``, built once
+    and reused for every utterance.
+    """
+    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
+    from .llm import render_prompt
+
+    trace = [] if trace is None else trace
+    prompt = render_prompt(listing, {"utterance": utterance})
+    answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
+    stages = _verified(answer, set(catalog.stages), trace)
+    return StagePrediction(
+        stages=stages,
+        strategy="single",
+        trace=trace,
+        stage_prompt_tokens=prompt.token_estimate,
     )
 
 

@@ -9,6 +9,7 @@ from flowgen.catalog import Catalog, CardinalityBound, PropertyDef, StageDef, ST
 from flowgen.classify import Classification
 from flowgen.llm import MockProvider, MockScript
 from flowgen.pipeline import PipelineConfig, Runtime
+from flowgen.stagepred import stage_listing
 
 # canonical walkthrough texts; cleaned of source-PDF line-wrap artifacts
 LINEAR_FLOW = (
@@ -75,6 +76,7 @@ class NeverClassify:
 
 def make_runtime(catalog: Catalog, provider: MockProvider, **cfg_overrides) -> Runtime:
     """In-memory runtime for tests that need no fixture files."""
+    cfg = PipelineConfig(**cfg_overrides)
     return Runtime(
         catalog=catalog,
         classifier=NeverClassify(),
@@ -82,7 +84,8 @@ def make_runtime(catalog: Catalog, provider: MockProvider, **cfg_overrides) -> R
         split_examples=[],
         registry=None,
         provider=provider,
-        cfg=PipelineConfig(**cfg_overrides),
+        cfg=cfg,
+        listing=stage_listing(catalog, None, [], cfg.family),
     )
 
 

@@ -55,7 +55,7 @@ from flowgen.proppred import (
     prop_metrics,
     validate,
 )
-from flowgen.stagepred import predict_cag, predict_single
+from flowgen.stagepred import predict_cag, predict_single, stage_listing
 
 
 @contextmanager
@@ -135,8 +135,9 @@ def test_criterion_2_token_reduction():
         )
         records = load_dataset(fixture_path("synthetic_utterances.json"))
         assert len(records) == 20
+        listing = stage_listing(rt.catalog, None, rt.bank)
         for record in records:
-            full = predict_single(record.utterance, rt.catalog, rt.bank, rt.provider)
+            full = predict_single(record.utterance, rt.catalog, listing, rt.provider)
             scoped = predict_cag(
                 record.utterance,
                 rt.catalog,

@@ -230,7 +230,7 @@ def test_remote_classifier_parses_contract(monkeypatch):
         calls["url"], calls["payload"] = url, json
         return FakeResponse()
 
-    monkeypatch.setattr("flowgen.classify.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     result = RemoteClassifier("http://cls.local/").classify("sort it")
     assert calls["url"] == "http://cls.local/classify"
     assert calls["payload"] == {"text": "sort it"}
@@ -245,6 +245,6 @@ def test_remote_classifier_wraps_malformed_payloads(monkeypatch):
         def json(self):
             return {"oops": True}
 
-    monkeypatch.setattr("flowgen.classify.requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
     with pytest.raises(ProviderError, match="malformed"):
         RemoteClassifier("http://cls.local").classify("x")

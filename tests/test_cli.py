@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from flowgen.cli import main
 DEMO_SCRIPTS = str(fixture_path("mock_scripts_demo.json"))
 EVAL_GOLD = str(fixture_path("mock_scripts_eval_gold.json"))
 EVAL_DATASET = str(fixture_path("eval_dataset_small.json"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -172,6 +177,8 @@ _GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
         ("eval", "--dataset", None),  # a directory
         ("eval", "--dataset", [{**_GOLD_SORT, "gold_stages": ["bogus"]}]),
         ("export", "--workflow", []),
+        ("classify", "--top", -1),  # a count goes in as the flag's value, not a file
+        ("generate", "--cap", -1),
     ],
     ids=[
         "registry-array",
@@ -187,23 +194,39 @@ _GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
         "dataset-directory",
         "dataset-unknown-gold-stage",
         "workflow-array",
+        "classify-negative-top",
+        "generate-negative-cap",
     ],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
     path = tmp_path / "input.json"
-    if content is None:
-        path.mkdir()
+    if isinstance(content, int):
+        value = str(content)
     else:
-        path.write_text(json.dumps(content))
+        value = str(path)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(json.dumps(content))
     argv = {
         "generate": ["generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS],
         "eval": ["eval", "--strategy", "single", "--mock-scripts", EVAL_GOLD],
         "export": ["export"],
+        "classify": ["classify", "--text", "sort the rows"],
     }[command]
-    code, _, err = run(capsys, *argv, flag, str(path))
+    code, _, err = run(capsys, *argv, flag, value)
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_import_leaves_requests_unloaded():
+    # requests is imported only by the live HTTP clients, when they send
+    probe = "import sys, flowgen.cli; print('requests' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_usage_errors_exit_one(capsys):

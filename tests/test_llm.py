@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flowgen import InputError
 from flowgen.llm import (
@@ -18,6 +19,7 @@ from flowgen.llm import (
     ProviderError,
     RenderedPrompt,
     TemplateError,
+    bind,
     count_tokens,
     load_mock_scripts,
     load_template,
@@ -59,6 +61,34 @@ def test_count_tokens_ignores_nonascii_alphanumerics():
     assert count_tokens("²") == 0
 
 
+def per_character_count(text: str) -> int:
+    """The estimate's definition, one character at a time: the reference for count_tokens."""
+    runs, in_run, marks = 0, False, 0
+    for ch in text:
+        ascii_alnum = ch.isascii() and ch.isalnum()
+        runs += ascii_alnum and not in_run
+        in_run = ascii_alnum
+        marks += not ch.isspace() and not ch.isalnum()
+    return runs + marks
+
+
+def test_count_tokens_matches_reference_on_every_code_point():
+    mismatched = [cp for cp in range(sys.maxunicode + 1)
+                  if count_tokens(chr(cp)) != per_character_count(chr(cp))]
+    assert mismatched == []
+
+
+MIXED_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("_aZ09 \t\n.,-\"'é²ß٣\u00a0"), st.characters()),
+    max_size=60,
+)
+
+
+@given(MIXED_TEXT)
+def test_count_tokens_matches_reference(text):
+    assert count_tokens(text) == per_character_count(text)
+
+
 # --- templates ---------------------------------------------------------------------
 
 
@@ -83,6 +113,48 @@ def test_extra_bindings_are_ignored():
 def test_preseed_appends_after_rendered_text():
     template = parse_template("Operators: ", preseed=FAMILY_PRESEED["llama"])
     assert render_prompt(template, {}).text == 'Operators: "'
+
+
+# pieces that often start or end with an ASCII alphanumeric, so joins merge runs;
+# no "}", so no piece can close a placeholder of its own
+PIECES = st.text(alphabet=st.sampled_from("aZ7_ .,\n\"é{"), max_size=6)
+SLOT_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def templates(draw):
+    parts = draw(st.lists(st.one_of(PIECES, st.sampled_from(SLOT_NAMES)), max_size=8))
+    text = "".join("{{%s}}" % p if p in SLOT_NAMES else p for p in parts)
+    preseed = draw(st.none() | PIECES)
+    values = {name: draw(PIECES) for name in SLOT_NAMES}  # empty values included
+    expected = "".join(values[p] if p in SLOT_NAMES else p for p in parts) + (preseed or "")
+    return parse_template(text, preseed=preseed), values, expected
+
+
+@given(templates())
+@example((parse_template("a{{x}}{{y}}b", preseed="c"), {"x": "1", "y": "", "z": ""}, "a1bc"))
+@example((parse_template("{{x}}{{y}}"), {"x": "", "y": "", "z": ""}, ""))
+def test_render_estimate_matches_count_of_rendered_text(case):
+    template, values, expected = case
+    rendered = render_prompt(template, values)
+    assert rendered.text == expected
+    assert rendered.token_estimate == count_tokens(expected)
+
+
+@given(templates(), st.sets(st.sampled_from(SLOT_NAMES)))
+def test_bind_then_render_matches_render(case, first):
+    template, values, expected = case
+    partial = bind(template, {name: values[name] for name in first})
+    rendered = render_prompt(partial, {n: v for n, v in values.items() if n not in first})
+    assert rendered == render_prompt(template, values)
+    assert rendered.token_estimate == count_tokens(expected)
+
+
+def test_bind_leaves_other_slots_open():
+    partial = bind(parse_template("{{x}} and {{y}}"), {"x": "1"})
+    with pytest.raises(TemplateError, match="'y'"):
+        render_prompt(partial, {})
+    assert render_prompt(partial, {"y": "2"}).text == "1 and 2"
 
 
 def test_load_template_drops_one_trailing_newline(tmp_path):
@@ -215,7 +287,7 @@ def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
         seen["payload"], seen["headers"] = json, headers
         return FakeResponse()
 
-    monkeypatch.setattr("flowgen.llm.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local", "LLM_API_KEY": "k"})
     result = provider.complete(prompt_of("ping"), PARAMS)
     assert result.text == "answer"
@@ -245,7 +317,7 @@ def test_http_provider_wraps_malformed_bodies(monkeypatch, body, message):
         def json(self):
             return body
 
-    monkeypatch.setattr("flowgen.llm.requests.post", lambda *a, **k: FakeResponse())
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
     with pytest.raises(ProviderError, match=message):
         provider.complete(prompt_of("ping"), PARAMS)
@@ -262,7 +334,7 @@ def test_http_provider_surfaces_client_errors_without_retry(monkeypatch):
         calls["n"] += 1
         return FakeResponse()
 
-    monkeypatch.setattr("flowgen.llm.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
     with pytest.raises(ProviderError, match="rejected"):
         provider.complete(prompt_of("ping"), PARAMS)
@@ -286,7 +358,7 @@ def test_http_provider_retries_server_errors(monkeypatch):
         calls["n"] += 1
         return Flaky() if calls["n"] == 1 else Good()
 
-    monkeypatch.setattr("flowgen.llm.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
     assert provider.complete(prompt_of("ping"), PARAMS).text == "ok"

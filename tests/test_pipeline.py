@@ -24,7 +24,7 @@ from conftest import (
 )
 from flowgen import InputError, fixture_path
 from flowgen.catalog import STRING, PropertyDef
-from flowgen.llm import MockProvider
+from flowgen.llm import MockProvider, count_tokens, render_prompt
 from flowgen.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -34,6 +34,7 @@ from flowgen.pipeline import (
     generate_with_runtime,
     load_workflow_doc,
 )
+from flowgen.stagepred import render_stage_prompt
 
 
 # --- configuration -----------------------------------------------------------------
@@ -66,6 +67,26 @@ def test_build_runtime_loads_demo_assets(demo_config):
     assert len(rt.bank) == 50
     assert rt.registry is not None
     assert isinstance(rt.provider, MockProvider)
+
+
+@pytest.mark.parametrize("family", ["granite", "llama"])
+def test_single_runtime_listing_renders_the_full_stage_prompt(family):
+    rt = build_runtime(
+        PipelineConfig(
+            strategy="single",
+            family=family,
+            catalog_path=fixture_path("synthetic_catalog.json"),
+            examples_path=fixture_path("synthetic_bank.json"),
+            classifier_path=fixture_path("synthetic_training_pairs.json"),
+            registry_path=None,
+            mock_scripts_path=fixture_path("mock_scripts_synthetic.json"),
+        )
+    )
+    records = json.loads(fixture_path("synthetic_utterances.json").read_text(encoding="utf-8"))
+    for utterance in [r["utterance"] for r in records[:3]] + ["", "7", "_x", "é"]:
+        prompt = render_prompt(rt.listing, {"utterance": utterance})
+        assert prompt == render_stage_prompt(rt.catalog, None, rt.bank, utterance, family)
+        assert prompt.token_estimate == count_tokens(prompt.text)
 
 
 def test_build_runtime_without_mock_scripts_needs_endpoint(demo_config, monkeypatch):

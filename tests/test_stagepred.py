@@ -32,6 +32,7 @@ from flowgen.stagepred import (
     predict_single,
     render_stage_prompt,
     select_examples,
+    stage_listing,
 )
 
 
@@ -261,7 +262,7 @@ def test_default_limits():
 def test_predict_single_answers_and_counts_tokens(catalog):
     bank = [FewShotExample("first rows", ("head",))]
     provider = scripted(("Context:", '"head, join"'))
-    pred = predict_single("u", catalog, bank, provider)
+    pred = predict_single("u", catalog, stage_listing(catalog, None, bank), provider)
     assert pred.stages == ["head", "join"] and pred.strategy == "single"
     assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
@@ -270,7 +271,7 @@ def test_predict_single_answers_and_counts_tokens(catalog):
 
 def test_predict_single_keeps_duplicates_and_drops_unknown(catalog):
     provider = scripted(("Context:", '"head, head, bogus"'))
-    pred = predict_single("u", catalog, [], provider)
+    pred = predict_single("u", catalog, stage_listing(catalog, None, []), provider)
     assert pred.stages == ["head", "head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 

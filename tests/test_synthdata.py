@@ -8,7 +8,11 @@ re-reviewing the diffs) is part of the change.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,21 @@ FILES = (
     "synthetic_utterances.json",
     "mock_scripts_synthetic.json",
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_make_fixtures_check_passes():
+    # byte-compares the fixtures and proves their invariants, the scoped/single
+    # prompt ratio <= 0.45 among them; --check writes nothing
+    done = subprocess.run(
+        [sys.executable, "-B", "scripts/make_fixtures.py", "--check"],
+        cwd=REPO, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("checked 5 files")
 
 
 @pytest.mark.parametrize("filename", FILES)
