@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, TypeVar
 
 __version__ = "0.1.0"
+
+_T = TypeVar("_T")
 
 
 class InputError(ValueError):
@@ -43,3 +47,16 @@ def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = (
 def has_keys(item: object, keys: tuple[str, ...]) -> bool:
     """Whether ``item`` is a JSON object carrying every key of ``keys``."""
     return isinstance(item, dict) and all(k in item for k in keys)
+
+
+def run_in_order(calls: list[Callable[[], _T]], width: int) -> list[_T]:
+    """Results of ``calls`` in list order, run on up to ``width`` threads.
+
+    Calls are submitted in list order. At width 1, or with fewer than two
+    calls, they run one after another on the calling thread.
+    """
+    if width < 2 or len(calls) < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        futures = [pool.submit(call) for call in calls]
+        return [future.result() for future in futures]

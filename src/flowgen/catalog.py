@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -118,17 +118,16 @@ class Violation:
 @dataclass
 class Catalog:
     stages: dict[str, StageDef]
-    # lowercase keyword -> stage names it identifies (names plus synonyms)
-    synonym_index: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.synonym_index:
-            index: dict[str, set[str]] = {}
-            for stage in self.stages.values():
-                index.setdefault(stage.name.lower(), set()).add(stage.name)
-                for syn in stage.synonyms:
-                    index.setdefault(syn.lower(), set()).add(stage.name)
-            self.synonym_index = {k: frozenset(v) for k, v in index.items()}
+    @cached_property
+    def synonym_index(self) -> dict[str, frozenset[str]]:
+        """Lowercase keyword -> stage names it identifies (names plus synonyms)."""
+        index: dict[str, set[str]] = {}
+        for stage in self.stages.values():
+            index.setdefault(stage.name.lower(), set()).add(stage.name)
+            for syn in stage.synonyms:
+                index.setdefault(syn.lower(), set()).add(stage.name)
+        return {k: frozenset(v) for k, v in index.items()}
 
     @cached_property
     def keyword_patterns(self) -> tuple[tuple[re.Pattern[str], frozenset[str]], ...]:

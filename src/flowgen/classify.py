@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "tokenize",
     "train",
-    "classify",
     "load_training_pairs",
     "keyword_scan",
     "RemoteClassifier",
@@ -76,7 +75,25 @@ class ClassifierModel:
     threshold: float = DEFAULT_THRESHOLD
 
     def classify(self, text: str) -> Classification:
-        return classify(self, text)
+        """Score ``text`` against every label; deterministic for identical inputs.
+
+        Ties rank lexicographically by label. Empty or fully-unknown text scores
+        0.0 everywhere and cannot match.
+        """
+        query = _unit(_vectorize(tokenize(text), self.idf, self.default_idf))
+        best: dict[str, float] = {label: 0.0 for _, label in self.exemplars}
+        for vec, label in self.exemplars:
+            if len(query) < len(vec):
+                small, big = query, vec
+            else:
+                small, big = vec, query
+            score = sum(w * big.get(t, 0.0) for t, w in small.items())
+            score = round(score, _SCORE_DIGITS)
+            if score > best[label]:
+                best[label] = score
+        ranked = tuple(sorted(best.items(), key=lambda kv: (-kv[1], kv[0])))
+        matched = bool(ranked) and ranked[0][1] >= self.threshold
+        return Classification(ranked=ranked, matched=matched)
 
 
 def tokenize(text: str) -> list[str]:
@@ -129,28 +146,6 @@ def train(
             raise InputError(f"training utterance has no tokens: {pair.utterance!r}")
         model.exemplars.append((vec, pair.label))
     return model
-
-
-def classify(model: ClassifierModel, text: str) -> Classification:
-    """Score ``text`` against every label; deterministic for identical inputs.
-
-    Ties rank lexicographically by label. Empty or fully-unknown text scores
-    0.0 everywhere and cannot match.
-    """
-    query = _unit(_vectorize(tokenize(text), model.idf, model.default_idf))
-    best: dict[str, float] = {label: 0.0 for _, label in model.exemplars}
-    for vec, label in model.exemplars:
-        if len(query) < len(vec):
-            small, big = query, vec
-        else:
-            small, big = vec, query
-        score = sum(w * big.get(t, 0.0) for t, w in small.items())
-        score = round(score, _SCORE_DIGITS)
-        if score > best[label]:
-            best[label] = score
-    ranked = tuple(sorted(best.items(), key=lambda kv: (-kv[1], kv[0])))
-    matched = bool(ranked) and ranked[0][1] >= model.threshold
-    return Classification(ranked=ranked, matched=matched)
 
 
 def load_training_pairs(path: str | Path) -> list[TrainingPair]:

@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .catalog import CatalogValidationError, parse_catalog
+from .catalog import CatalogValidationError, load_catalog
 from .classify import load_training_pairs, train
 from .evaluation import load_dataset, report_json, report_table, run_eval
 from .llm import ProviderError
@@ -167,10 +167,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise _UsageError("--top must not be negative")
     cfg = PipelineConfig()
-    catalog_path = Path(args.catalog) if args.catalog else cfg.catalog_path
-    pairs_path = Path(args.classifier) if args.classifier else cfg.classifier_path
-    catalog = parse_catalog(Path(catalog_path).read_text(encoding="utf-8"))
-    pairs = load_training_pairs(pairs_path)
+    catalog = load_catalog(args.catalog or cfg.catalog_path)
+    pairs = load_training_pairs(args.classifier or cfg.classifier_path)
     model = train(pairs, labels=frozenset(catalog.stages))
     result = model.classify(args.text)
     print(f"matched: {str(result.matched).lower()}")
@@ -181,7 +179,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_catalog_validate(args: argparse.Namespace) -> int:
     try:
-        catalog = parse_catalog(Path(args.catalog).read_text(encoding="utf-8"))
+        catalog = load_catalog(args.catalog)
     except CatalogValidationError as exc:
         for violation in exc.violations:
             print(f"{violation.stage}: {violation.field}: {violation.message}", file=sys.stderr)

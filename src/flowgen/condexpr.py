@@ -39,7 +39,6 @@ __all__ = [
     "ConditionTypeError",
     "parse_condition",
     "eval_condition",
-    "to_text",
 ]
 
 EnvValue = Union[str, int, Decimal, bool]
@@ -368,50 +367,3 @@ def eval_condition(expr: ConditionExpr, env: Mapping[str, EnvValue]) -> bool:
         return left or right
     raise AssertionError(f"unknown expression node {expr!r}")
 
-
-# --- pretty printer --------------------------------------------------------
-
-# binding strength; children weaker than their parent get parenthesized
-# (comparisons sit between `and` and `not`: `not` binds tightest)
-_PRECEDENCE = {Or: 1, And: 2, Comparison: 3, Not: 4}
-_ATOM_PRECEDENCE = 5
-
-
-def _precedence(expr: ConditionExpr) -> int:
-    return _PRECEDENCE.get(type(expr), _ATOM_PRECEDENCE)
-
-
-def _literal_text(lit: Literal) -> str:
-    if lit.kind == "string":
-        return f'"{lit.value}"'
-    if lit.kind == "boolean":
-        return "true" if lit.value else "false"
-    return str(lit.value)
-
-
-def _render(expr: ConditionExpr, parent_prec: int) -> str:
-    prec = _precedence(expr)
-    if isinstance(expr, Literal):
-        text = _literal_text(expr)
-    elif isinstance(expr, PropertyRef):
-        text = f"'{expr.path}'"
-    elif isinstance(expr, Comparison):
-        text = f"'{expr.ref.path}' {expr.op} {_literal_text(expr.literal)}"
-    elif isinstance(expr, Defined):
-        text = f"defined('{expr.path}')"
-    elif isinstance(expr, Not):
-        text = f"not {_render(expr.operand, prec)}"
-    elif isinstance(expr, And):
-        text = f"{_render(expr.left, prec)} and {_render(expr.right, prec + 1)}"
-    elif isinstance(expr, Or):
-        text = f"{_render(expr.left, prec)} or {_render(expr.right, prec + 1)}"
-    else:
-        raise AssertionError(f"unknown expression node {expr!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
-
-
-def to_text(expr: ConditionExpr) -> str:
-    """Render an expression tree back to source; reparsing yields an equal tree."""
-    return _render(expr, 0)

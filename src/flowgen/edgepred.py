@@ -11,9 +11,11 @@ a DAG by construction.
 Cardinality repair is total and idempotent. Pass 1 splits boundary nodes
 that exceed a bound on one side while having no links on the other (a source
 connector feeding three branches becomes three single-output copies); pass 2
-prunes excess edges, newest first. Under-connection is reported, never
-repaired — inventing links the user didn't describe is worse than leaving a
-hole visible.
+prunes excess edges, newest first. Split copies are tracked by position and
+named once, with every node of their stage, by ``node_names``; no
+intermediate names exist, so no stage name is reserved. Under-connection is
+reported, never repaired — inventing links the user didn't describe is worse
+than leaving a hole visible.
 """
 
 from __future__ import annotations
@@ -78,12 +80,6 @@ class FlowGraph:
     def node_names(self) -> set[str]:
         return {n.unique_name for n in self.nodes}
 
-    def in_degree(self, name: str) -> int:
-        return sum(1 for _, dst in self.edges if dst == name)
-
-    def out_degree(self, name: str) -> int:
-        return sum(1 for src, _ in self.edges if src == name)
-
     def has_path(self, start: str, goal: str) -> bool:
         if start == goal:
             return True
@@ -98,9 +94,6 @@ class FlowGraph:
                     seen.add(dst)
                     frontier.append(dst)
         return False
-
-    def copy(self) -> "FlowGraph":
-        return FlowGraph(nodes=[replace(n) for n in self.nodes], edges=list(self.edges))
 
 
 @dataclass
@@ -273,53 +266,49 @@ def predict_edges(
 # --- cardinality validation and repair -------------------------------------------
 
 
-def _node_violations(g: FlowGraph, node: NodeInstance) -> list[CardinalityViolation]:
-    out: list[CardinalityViolation] = []
-    for direction, bound, actual in (
-        ("inputs", node.inputs, g.in_degree(node.unique_name)),
-        ("outputs", node.outputs, g.out_degree(node.unique_name)),
-    ):
-        if bound.max is not None and actual > bound.max:
-            out.append(CardinalityViolation(node.unique_name, direction, "over", actual, bound.max))
-        if actual < bound.min:
-            out.append(CardinalityViolation(node.unique_name, direction, "under", actual, bound.min))
-    return out
+# directions are named after NodeInstance's bound fields; _END gives the end
+# of an edge that a node holds in each
+_END = {"inputs": 1, "outputs": 0}
+
+
+def _incident(edges: list[tuple[str, str]], name: str, direction: str) -> list[int]:
+    """Indices, oldest first, of the edges on node ``name`` in ``direction``."""
+    end = _END[direction]
+    return [k for k, edge in enumerate(edges) if edge[end] == name]
 
 
 def validate_cardinality(g: FlowGraph) -> list[CardinalityViolation]:
     """All cardinality violations, in node order; pure."""
     out: list[CardinalityViolation] = []
     for node in g.nodes:
-        out.extend(_node_violations(g, node))
+        for direction in ("inputs", "outputs"):
+            bound = getattr(node, direction)
+            actual = len(_incident(g.edges, node.unique_name, direction))
+            if bound.max is not None and actual > bound.max:
+                out.append(CardinalityViolation(node.unique_name, direction, "over", actual, bound.max))
+            if actual < bound.min:
+                out.append(CardinalityViolation(node.unique_name, direction, "under", actual, bound.min))
     return out
 
 
 def _splittable(g: FlowGraph, node: NodeInstance) -> str | None:
     """Direction to split along, or None.
 
-    A node qualifies when its single violation is an over-bound on one side
-    while the other side has no links at all, and giving each copy exactly
-    one edge of the violating direction satisfies every bound.
+    A node qualifies when one side is over its bound while the other side has
+    no links at all and a zero minimum, and giving each copy exactly one edge
+    of the violating direction satisfies every bound.
     """
-    violations = _node_violations(g, node)
-    if len(violations) != 1 or violations[0].kind != "over":
-        return None
-    direction = violations[0].direction
-    if direction == "outputs":
-        if g.in_degree(node.unique_name) != 0:
-            return None
-        if node.inputs.min != 0 or node.outputs.min > 1:
-            return None
-        if node.outputs.max is not None and node.outputs.max < 1:
-            return None
-    else:
-        if g.out_degree(node.unique_name) != 0:
-            return None
-        if node.outputs.min != 0 or node.inputs.min > 1:
-            return None
-        if node.inputs.max is not None and node.inputs.max < 1:
-            return None
-    return direction
+    for direction, other in (("inputs", "outputs"), ("outputs", "inputs")):
+        bound = getattr(node, direction)
+        if (
+            bound.max is not None
+            and bound.min <= 1 <= bound.max
+            and getattr(node, other).min == 0
+            and len(_incident(g.edges, node.unique_name, direction)) > bound.max
+            and not _incident(g.edges, node.unique_name, other)
+        ):
+            return direction
+    return None
 
 
 def _suffix_index(unique_name: str, stage: str) -> int:
@@ -341,86 +330,56 @@ def repair_with_renames(
     per-node data — property assignments, sub-utterances — across a split.
     """
     trace = [] if trace is None else trace
-    out = g.copy()
-    split_stages: set[str] = set()
-    temp_of: dict[str, list[str]] = {}
-    temp_counter = 0
-
-    # pass 1: split over-bound boundary nodes
-    i = 0
-    while i < len(out.nodes):
-        node = out.nodes[i]
-        direction = _splittable(out, node)
+    # pass 1: split over-bound boundary nodes. Nodes are tracked by position:
+    # origin[k] is the position in g.nodes that new node k comes from, and
+    # copy_at[edge, end] is the new position of the split copy taking that end.
+    origin: list[int] = []
+    copy_at: dict[tuple[int, int], int] = {}
+    for i, node in enumerate(g.nodes):
+        direction = _splittable(g, node)
         if direction is None:
-            i += 1
+            origin.append(i)
             continue
-        if direction == "outputs":
-            indices = [k for k, (src, _) in enumerate(out.edges) if src == node.unique_name]
-        else:
-            indices = [k for k, (_, dst) in enumerate(out.edges) if dst == node.unique_name]
-        copies: list[NodeInstance] = []
-        temps: list[str] = []
-        for j, edge_index in enumerate(indices):
-            temp_counter += 1
-            temp_name = f"{node.stage}__split{temp_counter}"
-            temps.append(temp_name)
-            copies.append(replace(node, unique_name=temp_name))
-            src, dst = out.edges[edge_index]
-            if direction == "outputs":
-                out.edges[edge_index] = (temp_name, dst)
-            else:
-                out.edges[edge_index] = (src, temp_name)
-        out.nodes[i : i + 1] = copies
-        temp_of[node.unique_name] = temps
-        split_stages.add(node.stage)
+        incident = _incident(g.edges, node.unique_name, direction)
+        for k in incident:  # one copy per edge of the violating direction
+            copy_at[k, _END[direction]] = len(origin)
+            origin.append(i)
         trace.append(
             {
                 "event": "node_split",
                 "node": node.unique_name,
                 "direction": direction,
-                "copies": len(copies),
+                "copies": len(incident),
             }
         )
-        i += len(copies)
 
-    # renumber every node of a split stage, flow-wide, in node order
-    renames: dict[str, str] = {}
-    if split_stages:
-        finals = node_names([n.stage for n in out.nodes])
-        for node, final in zip(out.nodes, finals):
-            if node.stage in split_stages and node.unique_name != final:
-                renames[node.unique_name] = final
-        for node in out.nodes:
-            if node.unique_name in renames:
-                node.unique_name = renames[node.unique_name]
-        out.edges = [
-            (renames.get(src, src), renames.get(dst, dst)) for src, dst in out.edges
-        ]
-
-    rename_map: dict[str, list[str]] = {}
-    for original, temps in temp_of.items():
-        rename_map[original] = [renames.get(t, t) for t in temps]
-    for node in g.nodes:
-        if node.unique_name in temp_of:
-            continue
-        final = renames.get(node.unique_name)
-        if final is not None:
-            rename_map[node.unique_name] = [final]
+    # name every node of a split stage by the one naming rule, flow-wide
+    stages = [g.nodes[i].stage for i in origin]
+    split = {stages[k] for k in range(1, len(origin)) if origin[k] == origin[k - 1]}
+    names = [g.nodes[i].unique_name for i in origin]
+    if split:
+        for k, name in enumerate(node_names(stages)):
+            if stages[k] in split:
+                names[k] = name
+    nodes = [replace(g.nodes[i], unique_name=name) for i, name in zip(origin, names)]
+    renames: dict[str, list[str]] = {}
+    for i, name in zip(origin, names):
+        renames.setdefault(g.nodes[i].unique_name, []).append(name)
+    # each edge end takes the final name of its split copy, or else of its node
+    position = {g.nodes[i].unique_name: k for k, i in enumerate(origin)}
+    edges = [
+        tuple(names[copy_at.get((k, end), position[n])] for end, n in enumerate(edge))
+        for k, edge in enumerate(g.edges)
+    ]
 
     # pass 2: prune excess edges, newest first (outputs, then inputs)
     for direction in ("outputs", "inputs"):
-        for node in out.nodes:
-            bound = node.outputs if direction == "outputs" else node.inputs
+        for node in nodes:
+            bound = getattr(node, direction)
             if bound.max is None:
                 continue
-            while True:
-                if direction == "outputs":
-                    incident = [k for k, (src, _) in enumerate(out.edges) if src == node.unique_name]
-                else:
-                    incident = [k for k, (_, dst) in enumerate(out.edges) if dst == node.unique_name]
-                if len(incident) <= bound.max:
-                    break
-                dropped = out.edges.pop(incident[-1])
+            for e in reversed(_incident(edges, node.unique_name, direction)[bound.max :]):
+                dropped = edges.pop(e)
                 trace.append(
                     {
                         "event": "edge_pruned",
@@ -429,7 +388,8 @@ def repair_with_renames(
                         "direction": direction,
                     }
                 )
-    return out, rename_map
+    renames = {old: new for old, new in renames.items() if new != [old]}
+    return FlowGraph(nodes=nodes, edges=edges), renames
 
 
 # --- metrics --------------------------------------------------------------------

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from . import InputError, has_keys, read_json
+from . import InputError, has_keys, read_json, run_in_order
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
@@ -212,9 +212,11 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
             prediction = predict_stages(record.utterance, rt)
             spent = usage(prediction.trace)
             result.pred = list(prediction.stages)
-        result.prompt_tokens, result.requests = spent["prompt_tokens"], spent["requests"]
     except PipelineError as exc:
         result.failure = str(exc)
+        # a failed record still paid for the calls made before the failure
+        spent = exc.provenance.get("usage", usage())
+    result.prompt_tokens, result.requests = spent["prompt_tokens"], spent["requests"]
     return result
 
 
@@ -241,11 +243,8 @@ def run_eval(
             raise InputError(f"record {index} has gold stages outside the catalog: {unknown}")
     report = MetricsReport(measures=list(measures))
 
-    if rt.cfg.parallel > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=rt.cfg.parallel) as pool:
-            results = list(pool.map(lambda r: _eval_record(r, rt, measures), dataset))
-    else:
-        results = [_eval_record(r, rt, measures) for r in dataset]
+    calls = [partial(_eval_record, record, rt, measures) for record in dataset]
+    results = run_in_order(calls, rt.cfg.parallel)
 
     prompt_tokens = 0
     requests = 0
@@ -256,11 +255,11 @@ def run_eval(
     pred_triples: list[PropTriple] = []
     gold_triples: list[PropTriple] = []
     for index, (record, result) in enumerate(zip(dataset, results)):
+        prompt_tokens += result.prompt_tokens
+        requests += result.requests
         if result.failure is not None:
             report.failures.append({"record": index, "message": result.failure})
             continue
-        prompt_tokens += result.prompt_tokens
-        requests += result.requests
         if "stages" in measures and result.pred is not None:
             preds.append(result.pred)
             golds.append(record.gold_stages)

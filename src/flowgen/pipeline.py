@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
-from . import InputError, fixture_path, read_json
+from . import InputError, fixture_path, read_json, run_in_order
 from .catalog import Catalog, load_catalog
 from .classify import StageClassifier, load_training_pairs, train
 from .condexpr import ConditionTypeError
@@ -76,7 +76,6 @@ __all__ = [
     "Workflow",
     "PipelineError",
     "build_runtime",
-    "generate",
     "generate_with_runtime",
     "predict_stages",
     "emit",
@@ -268,11 +267,6 @@ def _property_branch_one(
     return node.unique_name, statused, trace, diagnostics
 
 
-def generate(utterance: str, cfg: PipelineConfig | None = None) -> Workflow:
-    """Convenience wrapper: build a runtime for one call."""
-    return generate_with_runtime(utterance, build_runtime(cfg or PipelineConfig()))
-
-
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     cfg = rt.cfg
     prediction = predict_stages(utterance, rt)
@@ -302,17 +296,10 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    if cfg.parallel > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-            edge_future = pool.submit(_edge_branch, utterance, nodes, rt)
-            prop_futures = [pool.submit(_property_branch_one, n, rt) for n in nodes]
-            graph, renames, pre_violations, edge_trace, edge_diags = edge_future.result()
-            prop_results = [f.result() for f in prop_futures]
-    else:
-        graph, renames, pre_violations, edge_trace, edge_diags = _edge_branch(
-            utterance, nodes, rt
-        )
-        prop_results = [_property_branch_one(n, rt) for n in nodes]
+    calls = [partial(_edge_branch, utterance, nodes, rt)]
+    calls += [partial(_property_branch_one, n, rt) for n in nodes]
+    edge_result, *prop_results = run_in_order(calls, cfg.parallel)
+    graph, renames, pre_violations, edge_trace, edge_diags = edge_result
     diagnostics.extend(edge_diags)
 
     statused_by_node: dict[str, list[PropertyAssignment]] = {}
@@ -323,7 +310,6 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         diagnostics.extend(diags)
 
     # carry properties across repair renames (split copies share them)
-    final_names = graph.node_names()
     properties: dict[str, list[PropertyAssignment]] = {}
     rejections: dict[str, list[dict]] = {}
     for original, statused in statused_by_node.items():
@@ -335,8 +321,6 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
             if a.status != ACCEPTED
         ]
         for target in targets:
-            if target not in final_names:
-                continue
             properties[target] = [replace(a) for a in accepted]
             if rejected:
                 rejections[target] = rejected

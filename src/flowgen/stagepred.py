@@ -108,7 +108,6 @@ class CandidateSet:
 @dataclass
 class StagePrediction:
     stages: list[str]  # answer-ordered; duplicates are distinct nodes
-    strategy: str
     trace: list[dict] = field(default_factory=list)  # llm_call records carry the usage
     # estimate for the final stage-selection prompt (0 if no prompt was sent);
     # this is the request the single-prompt baseline is compared against
@@ -223,7 +222,6 @@ def predict_single(
     stages = _verified(answer, set(catalog.stages), trace)
     return StagePrediction(
         stages=stages,
-        strategy="single",
         trace=trace,
         stage_prompt_tokens=prompt.token_estimate,
     )
@@ -366,7 +364,7 @@ def predict_cag(
     candidates = build_candidates(subs, classifier, catalog, utterance, trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
-        return StagePrediction(stages=[], strategy="cag", trace=trace)
+        return StagePrediction(stages=[], trace=trace)
     examples = select_examples(candidates, bank, cap)
     trace.append({"event": "examples_selected", "count": len(examples)})
     prompt = render_stage_prompt(catalog, set(candidates.stages), examples, utterance, family)
@@ -374,7 +372,6 @@ def predict_cag(
     stages = _verified(answer, set(candidates.stages), trace)
     return StagePrediction(
         stages=stages,
-        strategy="cag",
         trace=trace,
         stage_prompt_tokens=prompt.token_estimate,
     )
@@ -429,7 +426,7 @@ def predict_agentic(
             answer = parse_operator_list(payload)
             stages = _verified(answer, set(catalog.stages), trace)
             trace.append({"event": "final", "answer": payload})
-            return StagePrediction(stages=stages, strategy="agentic", trace=trace)
+            return StagePrediction(stages=stages, trace=trace)
         transcript.append(f"CALL classify: {payload}")
         outcome = classifier.classify(payload)
         label = outcome.top if outcome.matched and outcome.top else "no match"
@@ -444,5 +441,5 @@ def predict_agentic(
         if answer:
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})
             stages = _verified(answer, set(catalog.stages), trace)
-            return StagePrediction(stages=stages, strategy="agentic", trace=trace)
+            return StagePrediction(stages=stages, trace=trace)
     raise ProtocolViolation(f"no FINAL answer within {max_steps} steps", transcript)

@@ -41,7 +41,7 @@ from flowgen.edgepred import (
 )
 from flowgen.evaluation import load_dataset, report_json, run_eval
 from flowgen.llm import load_mock_scripts
-from flowgen.pipeline import PipelineConfig, build_runtime, emit, generate
+from flowgen.pipeline import PipelineConfig, build_runtime, emit, generate_with_runtime
 from flowgen.proppred import (
     ACCEPTED,
     REJECTED_DEPENDENCY,
@@ -95,7 +95,7 @@ def test_criterion_1_gold_workflow_reproduction():
         start = time.perf_counter()
         cfg = _demo_config()
 
-        branching = generate(BRANCHING_FLOW, cfg)
+        branching = generate_with_runtime(BRANCHING_FLOW, build_runtime(cfg))
         names = [n.unique_name for n in branching.graph.nodes]
         assert len(names) == 9
         assert sorted(names) == sorted(
@@ -104,7 +104,7 @@ def test_criterion_1_gold_workflow_reproduction():
         assert len(branching.graph.edges) == 8
         assert set(branching.graph.edges) == set(GOLD_BRANCHING_EDGES)
 
-        linear = generate(LINEAR_FLOW, cfg)
+        linear = generate_with_runtime(LINEAR_FLOW, build_runtime(cfg))
         assert [n.stage for n in linear.graph.nodes] == GOLD_LINEAR_SEQUENCE
         chain = [n.unique_name for n in linear.graph.nodes]
         assert linear.graph.edges == list(zip(chain, chain[1:]))
@@ -450,7 +450,7 @@ def test_criterion_8_determinism_across_runs():
 
         docs, dots, reports = [], [], []
         for _ in range(2):
-            workflow = generate(BRANCHING_FLOW, gen_cfg)
+            workflow = generate_with_runtime(BRANCHING_FLOW, build_runtime(gen_cfg))
             docs.append(emit(workflow, "doc"))
             dots.append(emit(workflow, "dot"))
             reports.append(report_json(run_eval(dataset, eval_cfg)))

@@ -21,7 +21,6 @@ from flowgen.classify import (
     Classification,
     RemoteClassifier,
     TrainingPair,
-    classify,
     keyword_scan,
     load_training_pairs,
     tokenize,

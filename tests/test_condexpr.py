@@ -1,9 +1,10 @@
-"""Availability-condition language: parser, printer, and evaluator.
+"""Availability-condition language: parser and evaluator.
 
 The oracle side is test-local: a fully parenthesized renderer (forcing a
-unique parse, independent of printer precedence logic) and a brute-force
-recursive evaluator, checked against the real implementation over the full
-environment table of every generated expression.
+unique parse), a minimal-parenthesis printer whose output must reparse to
+the same tree, and a brute-force recursive evaluator, checked against the
+real implementation over the full environment table of every generated
+expression.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 from flowgen.condexpr import (
     And,
     Comparison,
+    ConditionExpr,
     ConditionSyntaxError,
     ConditionTypeError,
     Defined,
@@ -25,7 +27,6 @@ from flowgen.condexpr import (
     PropertyRef,
     eval_condition,
     parse_condition,
-    to_text,
 )
 
 # --- parsing examples ---------------------------------------------------------
@@ -234,6 +235,53 @@ def render_parenthesized(expr) -> str:
     if isinstance(expr, Or):
         return f"({render_parenthesized(expr.left)} or {render_parenthesized(expr.right)})"
     raise AssertionError(expr)
+
+
+# The round-trip oracle: a printer by binding strength. Children weaker than
+# their parent get parenthesized (comparisons sit between `and` and `not`:
+# `not` binds tightest).
+_PRECEDENCE = {Or: 1, And: 2, Comparison: 3, Not: 4}
+_ATOM_PRECEDENCE = 5
+
+
+def _precedence(expr: ConditionExpr) -> int:
+    return _PRECEDENCE.get(type(expr), _ATOM_PRECEDENCE)
+
+
+def _literal_text(lit: Literal) -> str:
+    if lit.kind == "string":
+        return f'"{lit.value}"'
+    if lit.kind == "boolean":
+        return "true" if lit.value else "false"
+    return str(lit.value)
+
+
+def _render(expr: ConditionExpr, parent_prec: int) -> str:
+    prec = _precedence(expr)
+    if isinstance(expr, Literal):
+        text = _literal_text(expr)
+    elif isinstance(expr, PropertyRef):
+        text = f"'{expr.path}'"
+    elif isinstance(expr, Comparison):
+        text = f"'{expr.ref.path}' {expr.op} {_literal_text(expr.literal)}"
+    elif isinstance(expr, Defined):
+        text = f"defined('{expr.path}')"
+    elif isinstance(expr, Not):
+        text = f"not {_render(expr.operand, prec)}"
+    elif isinstance(expr, And):
+        text = f"{_render(expr.left, prec)} and {_render(expr.right, prec + 1)}"
+    elif isinstance(expr, Or):
+        text = f"{_render(expr.left, prec)} or {_render(expr.right, prec + 1)}"
+    else:
+        raise AssertionError(f"unknown expression node {expr!r}")
+    if prec < parent_prec:
+        return f"({text})"
+    return text
+
+
+def to_text(expr: ConditionExpr) -> str:
+    """Render an expression tree back to source; reparsing yields an equal tree."""
+    return _render(expr, 0)
 
 
 def oracle_eval(expr, env) -> bool:

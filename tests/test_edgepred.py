@@ -7,6 +7,8 @@ or inflate edges — splitting preserves the count, pruning lowers it.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -272,6 +274,33 @@ def test_repair_renumbers_existing_instances_flow_wide():
     assert validate_cardinality(repaired) == []
 
 
+def test_repair_split_names_never_collide_with_real_stage_names():
+    # reader splits in two; the stage reader__split1 beside it keeps its
+    # name and edges, so no stage name is reserved for split copies
+    g = FlowGraph(
+        nodes=[
+            node("reader", inputs=(0, 0), outputs=(1, 1)),
+            node("sink", inputs=(1, 1), outputs=(0, 0)),
+            node("reader__split1", inputs=(0, 2), outputs=(0, 0)),
+            node("src", inputs=(0, 0), outputs=(1, 1)),
+        ],
+        edges=[("reader", "sink"), ("reader", "reader__split1"), ("src", "reader__split1")],
+    )
+    trace: list[dict] = []
+    repaired, renames = repair_with_renames(g, trace)
+    names = [n.unique_name for n in repaired.nodes]
+    assert names == ["reader_1", "reader_2", "sink", "reader__split1", "src"]
+    assert len(set(names)) == len(names)
+    assert repaired.edges == [
+        ("reader_1", "sink"),
+        ("reader_2", "reader__split1"),
+        ("src", "reader__split1"),
+    ]
+    assert renames == {"reader": ["reader_1", "reader_2"]}
+    assert validate_cardinality(repaired) == []
+    assert not [e for e in trace if e["event"] == "edge_pruned"]
+
+
 def test_repair_prunes_newest_edges_when_split_is_ineligible():
     # p has an input link, so it cannot split; excess outputs are pruned newest-first
     g = FlowGraph(
@@ -405,7 +434,7 @@ def test_edge_metrics_disjoint_edges():
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_edge_metrics_self_comparison_is_perfect(g):
-    m = edge_metrics(g, g.copy())
+    m = edge_metrics(g, copy.deepcopy(g))
     assert m.similarity == 1.0 and m.exact
 
 

@@ -18,6 +18,7 @@ from flowgen.evaluation import (
     run_eval,
     stage_accuracy,
 )
+from flowgen.llm import render_prompt
 from flowgen.pipeline import PipelineConfig
 
 
@@ -294,6 +295,23 @@ def test_run_eval_pipeline_tokens_exceed_stage_only_tokens():
     )
     assert with_pipeline.tokens["single"] != stage_only.tokens["single"]
     assert stage_only.tokens["single"] > 0
+
+
+def test_run_eval_counts_the_requests_of_failed_records():
+    # record 1's stage prompt is sent and paid for, but its answer is unparseable
+    rt = make_runtime(
+        eval_catalog(),
+        scripted(("garbled", "!!!"), ("Context:", '"sort, head"')),
+        strategy="single",
+    )
+    dataset = [record(), EvalRecord(utterance="a garbled and much longer request", gold_stages=["head"])]
+    report = run_eval(dataset, rt.cfg, runtime=rt)
+    assert [f["record"] for f in report.failures] == [1]
+    assert report.failures[0]["message"].startswith("stage_prediction: ")
+    sent = [render_prompt(rt.listing, {"utterance": r.utterance}).token_estimate for r in dataset]
+    assert sent[0] != sent[1]
+    # two requests: the mean is over both prompts, not the answered one alone
+    assert report.tokens == {"single": (sent[0] + sent[1]) / 2}
 
 
 # --- rendering -----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from flowgen.pipeline import (
     PipelineError,
     build_runtime,
     emit,
-    generate,
     generate_with_runtime,
     load_workflow_doc,
 )
@@ -108,7 +107,7 @@ def test_build_runtime_remote_classifier(demo_config):
 
 
 def test_linear_walkthrough(demo_config):
-    w = generate(LINEAR_FLOW, demo_config())
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
     assert [n.unique_name for n in w.graph.nodes] == [
         "teradata", "sort", "filter", "decode", "column_generator", "postgresql",
     ]
@@ -143,7 +142,7 @@ def test_linear_walkthrough(demo_config):
 
 
 def test_linear_walkthrough_usage_sums_uniform_llm_call_records(demo_config):
-    w = generate(LINEAR_FLOW, demo_config())
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
     records = [
         entry
         for key in ("stage_trace", "segment_trace", "edge_trace", "property_trace")
@@ -164,7 +163,7 @@ def test_linear_walkthrough_usage_sums_uniform_llm_call_records(demo_config):
 
 
 def test_branching_walkthrough(demo_config):
-    w = generate(BRANCHING_FLOW, demo_config())
+    w = generate_with_runtime(BRANCHING_FLOW, build_runtime(demo_config()))
     assert [n.unique_name for n in w.graph.nodes] == [
         "mysql", "sample", "switch", "fileset_1", "sort", "fileset_2", "join", "sqlserver", "head",
     ]
@@ -175,21 +174,21 @@ def test_branching_walkthrough(demo_config):
 
 
 def test_single_node_flow_owns_whole_utterance(demo_config):
-    w = generate(FULL_NAME_FLOW, demo_config())
+    w = generate_with_runtime(FULL_NAME_FLOW, build_runtime(demo_config()))
     assert [n.unique_name for n in w.graph.nodes] == ["split_subrecord"]
     assert w.graph.edges == []
     assert w.provenance["segments"] == {"split_subrecord": FULL_NAME_FLOW}
 
 
 def test_merge_flow_under_single_strategy(demo_config):
-    w = generate(MERGE_FLOW, demo_config(strategy="single"))
+    w = generate_with_runtime(MERGE_FLOW, build_runtime(demo_config(strategy="single")))
     assert [n.unique_name for n in w.graph.nodes] == ["join_merge", "modify"]
     assert w.graph.edges == [("join_merge", "modify")]
     assert w.provenance["strategy"] == "single"
 
 
 def test_agentic_strategy_on_linear_walkthrough(demo_config):
-    w = generate(LINEAR_FLOW, demo_config(strategy="agentic"))
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config(strategy="agentic")))
     assert [n.unique_name for n in w.graph.nodes] == [
         "sort", "filter", "decode", "column_generator",
     ]
@@ -200,7 +199,7 @@ def test_agentic_strategy_on_linear_walkthrough(demo_config):
 def test_generation_is_deterministic_across_parallelism(demo_config):
     runs = []
     for parallel in (1, 4, 4):
-        w = generate(LINEAR_FLOW, demo_config(parallel=parallel))
+        w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config(parallel=parallel)))
         runs.append(
             (emit(w, "doc"), emit(w, "dot"), json.dumps(w.provenance, sort_keys=True))
         )
@@ -256,7 +255,7 @@ def test_rejected_assignments_surface_in_provenance(demo_config, tmp_path):
     demo_scripts = json.loads(fixture_path("mock_scripts_demo.json").read_text(encoding="utf-8"))
     path = tmp_path / "scripts.json"
     path.write_text(json.dumps(extra + demo_scripts), encoding="utf-8")
-    w = generate(LINEAR_FLOW, demo_config(mock_scripts_path=path))
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config(mock_scripts_path=path)))
     assert [(a.name, a.coerced) for a in w.properties["sort"]] == [("Sort Key", "age")]
     assert w.provenance["rejections"]["sort"] == [
         {
@@ -327,7 +326,7 @@ def test_property_branch_degrades_on_condition_errors_only(demo_config, monkeypa
         return validate
 
     monkeypatch.setattr("flowgen.pipeline.validate", raising(ConditionTypeError("bad operand")))
-    w = generate(LINEAR_FLOW, demo_config())
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
     steps = [(d["step"], d.get("node")) for d in w.provenance["diagnostics"]]
     assert steps == [("properties", n.unique_name) for n in w.graph.nodes]
     assert len(steps) == 6 and all(p == [] for p in w.properties.values())
@@ -335,7 +334,7 @@ def test_property_branch_degrades_on_condition_errors_only(demo_config, monkeypa
     # a programming error is not a degraded result: it escapes
     monkeypatch.setattr("flowgen.pipeline.validate", raising(KeyError("bug")))
     with pytest.raises(KeyError):
-        generate(LINEAR_FLOW, demo_config())
+        generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
 
 
 def test_degradation_is_identical_under_parallelism():
@@ -368,7 +367,7 @@ def test_empty_stage_answer_yields_empty_workflow():
 
 
 def test_emit_doc_is_sorted_canonical_json(demo_config):
-    w = generate(BRANCHING_FLOW, demo_config())
+    w = generate_with_runtime(BRANCHING_FLOW, build_runtime(demo_config()))
     doc = json.loads(emit(w, "doc"))
     names = [n["unique_name"] for n in doc["nodes"]]
     assert names == sorted(names)
@@ -387,7 +386,7 @@ def test_emit_doc_carries_canonical_property_values():
 
 
 def test_emit_dot_matches_graph_export(demo_config):
-    w = generate(FULL_NAME_FLOW, demo_config())
+    w = generate_with_runtime(FULL_NAME_FLOW, build_runtime(demo_config()))
     assert emit(w, "dot") == 'digraph flow {\n  "split_subrecord";\n}\n'
 
 
@@ -399,7 +398,7 @@ def test_emit_unknown_format():
 
 
 def test_workflow_doc_round_trip(tmp_path, demo_config):
-    w = generate(LINEAR_FLOW, demo_config())
+    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
     path = tmp_path / "flow.json"
     path.write_text(emit(w, "doc"), encoding="utf-8")
     loaded = load_workflow_doc(path)

@@ -263,7 +263,7 @@ def test_predict_single_answers_and_counts_tokens(catalog):
     bank = [FewShotExample("first rows", ("head",))]
     provider = scripted(("Context:", '"head, join"'))
     pred = predict_single("u", catalog, stage_listing(catalog, None, bank), provider)
-    assert pred.stages == ["head", "join"] and pred.strategy == "single"
+    assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
     assert pred.stage_prompt_tokens == expected == usage(pred.trace)["prompt_tokens"]
@@ -290,7 +290,7 @@ def test_predict_cag_scopes_context_and_examples(catalog):
         ("Context:", '"head, join"'),
     )
     pred = predict_cag("first rows then combine data", catalog, model, bank, provider)
-    assert pred.stages == ["head", "join"] and pred.strategy == "cag"
+    assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 2  # decompose + one scoped stage prompt
     # the scoped prompt is strictly smaller than the full listing would be
     full = render_stage_prompt(catalog, None, bank, "first rows then combine data")
@@ -357,7 +357,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
         ("Utterance:", "CALL classify: first rows"),
     )
     pred = predict_agentic("u", catalog, model, provider)
-    assert pred.stages == ["head", "join"] and pred.strategy == "agentic"
+    assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 3
     calls = [e for e in pred.trace if e["event"] == "classify_call"]
     assert [(c["text"], c["result"]) for c in calls] == [
