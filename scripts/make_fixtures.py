@@ -29,7 +29,7 @@ from flowgen.stagepred import (
     predict_single,
     render_stage_prompt,
     select_examples,
-    stage_listing,
+    stage_prompts,
 )
 from flowgen.synthdata import DEFAULT_SEED, render_all
 
@@ -76,7 +76,8 @@ def verify(out_dir: Path) -> dict[str, float]:
     provider = load_mock_scripts(out_dir / "mock_scripts_synthetic.json")
     split_examples = load_split_examples(fixture_path("split_examples.json"))
 
-    listing = stage_listing(catalog, None, bank)
+    prompts = stage_prompts(catalog, split_examples)
+    listing = prompts.listing(None, bank)
     singles, scopeds = [], []
     for rec in records:
         utterance, gold = rec["utterance"], rec["gold_stages"]
@@ -84,9 +85,13 @@ def verify(out_dir: Path) -> dict[str, float]:
         missing = set(gold) - set(candidates.stages)
         assert not missing, (utterance, missing)
 
-        full = render_stage_prompt(catalog, None, bank, utterance)
+        full = render_stage_prompt(catalog, None, bank, utterance, prompts=prompts)
         scoped = render_stage_prompt(
-            catalog, set(candidates.stages), select_examples(candidates, bank), utterance
+            catalog,
+            candidates.stages,
+            select_examples(candidates, bank),
+            utterance,
+            prompts=prompts,
         )
         ratio = scoped.token_estimate / full.token_estimate
         assert ratio <= MAX_RATIO, (utterance, ratio)
@@ -95,9 +100,7 @@ def verify(out_dir: Path) -> dict[str, float]:
 
         # the scripts must drive both strategies to the labeled answer
         assert predict_single(utterance, catalog, listing, provider).stages == gold
-        prediction = predict_cag(
-            utterance, catalog, model, bank, provider, split_examples=split_examples
-        )
+        prediction = predict_cag(utterance, catalog, model, bank, provider, prompts=prompts)
         assert prediction.stages == gold, (utterance, prediction.stages)
 
     return {

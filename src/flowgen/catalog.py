@@ -31,6 +31,7 @@ __all__ = [
     "parse_catalog",
     "dump_catalog",
     "validate_catalog",
+    "keyword_parts",
 ]
 
 VALUE_KINDS = ("string", "integer", "decimal", "boolean", "enum")
@@ -115,6 +116,34 @@ class Violation:
         return f"{self.stage}.{self.field}: {self.message}"
 
 
+@dataclass(frozen=True)
+class Keyword:
+    """A whole-word, case-insensitive pattern, with the parts the text must hold for it to match.
+
+    An underscore in the keyword matches an underscore or a space.
+    """
+
+    parts: frozenset[str]  # all but the first, which files it in ``keyword_index``
+    pattern: re.Pattern[str]
+    stages: frozenset[str]
+
+
+# the only non-ASCII code points that ``re.IGNORECASE`` matches to [a-z0-9];
+# str.lower() alone maps U+212A to "k", but not the other three
+_ASCII_FOLDS = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
+_PART_RE = re.compile(r"[a-z0-9]+")
+
+
+def keyword_parts(text: str) -> list[str]:
+    """The ``[a-z0-9]+`` runs of ``text`` after the four ASCII folds and lowercasing.
+
+    A keyword's pattern can match a text only if every part of the keyword
+    is a part of the text: each character that the pattern matches to an
+    ASCII letter or digit folds to it here, and no other character does.
+    """
+    return _PART_RE.findall(text.translate(_ASCII_FOLDS).lower())
+
+
 @dataclass
 class Catalog:
     stages: dict[str, StageDef]
@@ -130,16 +159,19 @@ class Catalog:
         return {k: frozenset(v) for k, v in index.items()}
 
     @cached_property
-    def keyword_patterns(self) -> tuple[tuple[re.Pattern[str], frozenset[str]], ...]:
-        """One whole-word, case-insensitive pattern per ``synonym_index`` keyword.
+    def keyword_index(self) -> dict[str, tuple[Keyword, ...]]:
+        """``synonym_index`` keywords by their first ``keyword_parts`` part.
 
-        An underscore matches an underscore or a space. Compiled at the first
-        keyword scan, so a catalog that is never scanned pays nothing.
+        A keyword with no part is filed under ``""``. Built, and its patterns
+        compiled, at the first keyword scan, so a catalog that is never
+        scanned pays nothing.
         """
-        return tuple(
-            (re.compile(r"\b" + re.escape(k).replace("_", "[_ ]") + r"\b", re.IGNORECASE), stages)
-            for k, stages in self.synonym_index.items()
-        )
+        index: dict[str, list[Keyword]] = {}
+        for k, stages in self.synonym_index.items():
+            first, *rest = keyword_parts(k) or [""]
+            pattern = re.compile(r"\b" + re.escape(k).replace("_", "[_ ]") + r"\b", re.IGNORECASE)
+            index.setdefault(first, []).append(Keyword(frozenset(rest), pattern, stages))
+        return {first: tuple(keywords) for first, keywords in index.items()}
 
 
 # --- parsing ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from . import InputError, read_json
-from .catalog import Catalog
+from .catalog import Catalog, keyword_parts
 from .llm import ProviderError
 
 __all__ = [
@@ -163,11 +163,21 @@ def keyword_scan(catalog: Catalog, text: str) -> set[str]:
     either an underscore or a space, so ``sql_server`` is found in
     "load from SQL Server". Substring hits do not count: "the filtered view"
     does not surface ``filter``.
+
+    Keywords are found through a part index: the text is cut into its
+    ``keyword_parts``, and a keyword's exact pattern runs only when all of
+    the keyword's parts are among them (a keyword with no part always runs).
+    The parts fold the four non-ASCII code points that ``re.IGNORECASE``
+    matches to ASCII: U+0130 and U+0131 to ``i``, U+017F to ``s`` and
+    U+212A (the Kelvin sign) to ``k``. So the index never drops a match.
     """
+    parts = set(keyword_parts(text))
+    index = catalog.keyword_index
     found: set[str] = set()
-    for pattern, stages in catalog.keyword_patterns:
-        if pattern.search(text):
-            found.update(stages)
+    for first in ("", *parts):
+        for keyword in index.get(first, ()):
+            if keyword.parts <= parts and keyword.pattern.search(text):
+                found.update(keyword.stages)
     return found
 
 

@@ -156,15 +156,25 @@ def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplat
     return parse_template(text, preseed=preseed)
 
 
-def bind(template: PromptTemplate, bindings: Mapping[str, str]) -> PromptTemplate:
-    """Fill the slots named in ``bindings``, counting each value once; the rest stay open."""
+def bind(
+    template: PromptTemplate, bindings: Mapping[str, str | RenderedPrompt]
+) -> PromptTemplate:
+    """Fill the slots named in ``bindings``, counting each value once; the rest stay open.
+
+    A ``RenderedPrompt`` value is already counted: its text goes in with its
+    ``token_estimate``.
+    """
     segments: list[tuple[str, str, int]] = []
     for kind, value, tokens in template.segments:
         if kind == "text":
             _add_text(segments, value, tokens)
         elif value in bindings:
-            text = str(bindings[value])
-            _add_text(segments, text, count_tokens(text))
+            part = bindings[value]
+            if isinstance(part, RenderedPrompt):
+                _add_text(segments, part.text, part.token_estimate)
+            else:
+                text = str(part)
+                _add_text(segments, text, count_tokens(text))
         else:
             segments.append((kind, value, tokens))
     return PromptTemplate(segments=tuple(segments))

@@ -62,12 +62,13 @@ from .stagepred import (
     SplitExample,
     StagePrediction,
     StagePredictionError,
+    StagePrompts,
     load_examples,
     load_split_examples,
     predict_agentic,
     predict_cag,
     predict_single,
-    stage_listing,
+    stage_prompts,
 )
 
 __all__ = [
@@ -152,6 +153,8 @@ class Runtime:
     registry: ExternalRegistry | None
     provider: CompletionProvider
     cfg: PipelineConfig
+    # the static text of the stage prompts, counted once
+    prompts: StagePrompts
     # the single strategy's full-catalog stage prompt, all but the utterance
     # bound and counted once; None for the other strategies
     listing: PromptTemplate | None
@@ -175,7 +178,8 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         provider: CompletionProvider = load_mock_scripts(cfg.mock_scripts_path)
     else:
         provider = provider_from_env()
-    listing = stage_listing(catalog, None, bank, cfg.family) if cfg.strategy == "single" else None
+    prompts = stage_prompts(catalog, split_examples, cfg.family)
+    listing = prompts.listing(None, bank) if cfg.strategy == "single" else None
     return Runtime(
         catalog=catalog,
         classifier=classifier,
@@ -184,6 +188,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         registry=registry,
         provider=provider,
         cfg=cfg,
+        prompts=prompts,
         listing=listing,
     )
 
@@ -221,6 +226,7 @@ def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
                 rt.split_examples,
                 cfg.example_cap,
                 trace=trace,
+                prompts=rt.prompts,
             )
         return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
     except (StagePredictionError, ProviderError, OperatorParseError) as exc:
@@ -385,6 +391,8 @@ def load_workflow_doc(path: str | Path) -> Workflow:
 
     Bounds are not part of the document, so the graph carries permissive
     ones; property values are already canonical strings and re-emit as-is.
+    A repeated node name, a self-loop or an edge to a missing node is an
+    ``InputError``: no generate run writes such a graph.
     """
     from .catalog import CardinalityBound
 
@@ -415,5 +423,15 @@ def load_workflow_doc(path: str | Path) -> Workflow:
         edges = [(str(e["from"]), str(e["to"])) for e in raw["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: not a workflow document ({exc})") from exc
+    names: set[str] = set()
+    for node in nodes:
+        if node.unique_name in names:
+            raise InputError(f"{path}: node {node.unique_name!r} appears twice")
+        names.add(node.unique_name)
+    for src, dst in edges:
+        if src == dst:
+            raise InputError(f"{path}: edge {src!r} -> {dst!r} is a self-loop")
+        if src not in names or dst not in names:
+            raise InputError(f"{path}: edge {src!r} -> {dst!r} names a node the document lacks")
     graph = FlowGraph(nodes=nodes, edges=edges)
     return Workflow(graph=graph, properties=properties, provenance={"source": str(path)})

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from . import InputError, fixture_path, read_json
 from .catalog import Catalog
@@ -34,6 +35,7 @@ from .llm import (
     RenderedPrompt,
     bind,
     complete,
+    count_tokens,
     load_template,
     parse_operator_list,
 )
@@ -48,12 +50,13 @@ __all__ = [
     "ProtocolViolation",
     "DEFAULT_EXAMPLE_CAP",
     "DEFAULT_MAX_STEPS",
+    "StagePrompts",
     "load_examples",
     "load_split_examples",
+    "stage_prompts",
     "decompose",
     "build_candidates",
     "select_examples",
-    "stage_listing",
     "predict_single",
     "predict_cag",
     "predict_agentic",
@@ -143,17 +146,6 @@ def load_split_examples(path: str | Path) -> list[SplitExample]:
 # --- prompt assembly ---------------------------------------------------------
 
 
-def _context_block(catalog: Catalog, stages: set[str] | None = None) -> str:
-    names = sorted(catalog.stages if stages is None else stages)
-    return "\n".join(f'"{name}": {catalog.stages[name].description}' for name in names)
-
-
-def _examples_block(examples: list[FewShotExample]) -> str:
-    return "\n\n".join(
-        f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples
-    )
-
-
 def _verified(
     answer: list[str],
     allowed: set[str],
@@ -167,35 +159,97 @@ def _verified(
     return kept
 
 
-def stage_listing(
-    catalog: Catalog,
-    candidates: set[str] | None,
-    examples: list[FewShotExample],
-    family: str = "granite",
-) -> PromptTemplate:
-    """The stage template with its context and examples bound; ``utterance`` stays open.
+def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> RenderedPrompt:
+    """``texts`` joined by a whitespace ``sep``, each counted once per key in ``tokens``.
 
-    The context lists the candidate stages, or the whole catalog when
-    ``candidates`` is None.
+    No alphanumeric run crosses ``sep``, so the counts add exactly.
     """
-    return bind(
-        _STAGE_TEMPLATES[family],
-        {"context": _context_block(catalog, candidates), "examples": _examples_block(examples)},
+    total = 0
+    for key, text in zip(keys, texts):
+        n = tokens.get(key)
+        if n is None:
+            n = tokens[key] = count_tokens(text)
+        total += n
+    return RenderedPrompt(text=sep.join(texts), token_estimate=total)
+
+
+@dataclass
+class StagePrompts:
+    """The static text of the stage prompts, each piece counted once.
+
+    ``stage_prompts`` builds it once per runtime. A stage's context line and
+    an example's few-shot block are counted at their first use and looked up
+    after that, so a render counts only the utterance. Threads that share it
+    can at worst count a piece twice, to the same value.
+    """
+
+    catalog: Catalog
+    stage: PromptTemplate  # the family's stage template, no slot bound
+    decompose: PromptTemplate  # the split examples bound; ``utterance`` open
+    line_tokens: dict[str, int] = field(default_factory=dict)  # by stage name
+    block_tokens: dict[FewShotExample, int] = field(default_factory=dict)
+
+    def listing(
+        self, candidates: Iterable[str] | None, examples: list[FewShotExample]
+    ) -> PromptTemplate:
+        """The stage template with its context and examples bound; ``utterance`` stays open.
+
+        The context lists the candidate stages, or the whole catalog when
+        ``candidates`` is None.
+        """
+        stages = self.catalog.stages
+        names = sorted(stages if candidates is None else candidates)
+        lines = [f'"{name}": {stages[name].description}' for name in names]
+        blocks = [
+            f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples
+        ]
+        return bind(
+            self.stage,
+            {
+                "context": _joined(lines, names, self.line_tokens, "\n"),
+                "examples": _joined(blocks, examples, self.block_tokens, "\n\n"),
+            },
+        )
+
+
+def stage_prompts(
+    catalog: Catalog,
+    split_examples: Iterable[SplitExample] = (),
+    family: str = "granite",
+) -> StagePrompts:
+    """The stage prompts over ``catalog`` for ``family``, with ``split_examples`` bound."""
+    examples_block = "\n\n".join(
+        "Utterance: {}\nSub-utterances:\n{}".format(
+            ex.utterance, "\n".join(f"- {sub}" for sub in ex.subs)
+        )
+        for ex in split_examples
+    )
+    return StagePrompts(
+        catalog=catalog,
+        stage=_STAGE_TEMPLATES[family],
+        decompose=bind(_DECOMPOSE_TEMPLATE, {"examples": examples_block}),
     )
 
 
 def render_stage_prompt(
     catalog: Catalog,
-    candidates: set[str] | None,
+    candidates: Iterable[str] | None,
     examples: list[FewShotExample],
     utterance: str,
     family: str = "granite",
+    prompts: StagePrompts | None = None,
 ) -> RenderedPrompt:
+    """The stage prompt: ``prompts.listing(candidates, examples)`` with the utterance.
+
+    ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``; without
+    it, the static text is counted on this call.
+    """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    listing = stage_listing(catalog, candidates, examples, family)
-    return render_prompt(listing, {"utterance": utterance})
+    if prompts is None:
+        prompts = stage_prompts(catalog, family=family)
+    return render_prompt(prompts.listing(candidates, examples), {"utterance": utterance})
 
 
 # --- single-prompt strategy --------------------------------------------------
@@ -210,8 +264,8 @@ def predict_single(
 ) -> StagePrediction:
     """One prompt over the full catalog and the full example bank.
 
-    ``listing`` is ``stage_listing(catalog, None, bank, family)``, built once
-    and reused for every utterance.
+    ``listing`` is ``stage_prompts(catalog, family=family).listing(None,
+    bank)``, built once and reused for every utterance.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
@@ -233,23 +287,19 @@ def predict_single(
 def decompose(
     utterance: str,
     provider: CompletionProvider,
-    split_examples: list[SplitExample],
+    template: PromptTemplate,
     trace: list[dict] | None = None,
 ) -> list[str]:
-    """Split an utterance into single-stage sub-utterances via one completion."""
+    """Split an utterance into single-stage sub-utterances via one completion.
+
+    ``template`` is the runtime's ``stage_prompts(...).decompose``, with the
+    split examples bound once.
+    """
     trace = [] if trace is None else trace
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    examples_block = "\n\n".join(
-        "Utterance: {}\nSub-utterances:\n{}".format(
-            ex.utterance, "\n".join(f"- {sub}" for sub in ex.subs)
-        )
-        for ex in split_examples
-    )
-    prompt = render_prompt(
-        _DECOMPOSE_TEMPLATE, {"examples": examples_block, "utterance": utterance}
-    )
+    prompt = render_prompt(template, {"utterance": utterance})
     answer = complete(provider, prompt, trace, "decompose")
     subs = [
         line.strip()[2:].strip()
@@ -351,6 +401,7 @@ def predict_cag(
     split_examples: list[SplitExample] | None = None,
     cap: int = DEFAULT_EXAMPLE_CAP,
     trace: list[dict] | None = None,
+    prompts: StagePrompts | None = None,
 ) -> StagePrediction:
     """Classifier-augmented prediction: scoped context, scoped examples.
 
@@ -358,16 +409,21 @@ def predict_cag(
     verified answer stage is guaranteed to have been offered to the model.
     An empty candidate set short-circuits to an empty prediction — there is
     nothing the model could legally answer.
+
+    ``prompts`` is ``stage_prompts(catalog, split_examples, family)``, built
+    once per runtime; without it, that is built on this call.
     """
     trace = [] if trace is None else trace
-    subs = decompose(utterance, provider, split_examples or [], trace)
+    if prompts is None:
+        prompts = stage_prompts(catalog, split_examples or (), family)
+    subs = decompose(utterance, provider, prompts.decompose, trace)
     candidates = build_candidates(subs, classifier, catalog, utterance, trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
         return StagePrediction(stages=[], trace=trace)
     examples = select_examples(candidates, bank, cap)
     trace.append({"event": "examples_selected", "count": len(examples)})
-    prompt = render_stage_prompt(catalog, set(candidates.stages), examples, utterance, family)
+    prompt = render_stage_prompt(catalog, candidates.stages, examples, utterance, family, prompts)
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
     stages = _verified(answer, set(candidates.stages), trace)
     return StagePrediction(

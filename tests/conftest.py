@@ -9,7 +9,7 @@ from flowgen.catalog import Catalog, CardinalityBound, PropertyDef, StageDef, ST
 from flowgen.classify import Classification
 from flowgen.llm import MockProvider, MockScript
 from flowgen.pipeline import PipelineConfig, Runtime
-from flowgen.stagepred import stage_listing
+from flowgen.stagepred import stage_prompts
 
 # canonical walkthrough texts; cleaned of source-PDF line-wrap artifacts
 LINEAR_FLOW = (
@@ -77,6 +77,7 @@ class NeverClassify:
 def make_runtime(catalog: Catalog, provider: MockProvider, **cfg_overrides) -> Runtime:
     """In-memory runtime for tests that need no fixture files."""
     cfg = PipelineConfig(**cfg_overrides)
+    prompts = stage_prompts(catalog, family=cfg.family)
     return Runtime(
         catalog=catalog,
         classifier=NeverClassify(),
@@ -85,7 +86,8 @@ def make_runtime(catalog: Catalog, provider: MockProvider, **cfg_overrides) -> R
         registry=None,
         provider=provider,
         cfg=cfg,
-        listing=stage_listing(catalog, None, [], cfg.family),
+        prompts=prompts,
+        listing=prompts.listing(None, []),
     )
 
 

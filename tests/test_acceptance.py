@@ -55,7 +55,7 @@ from flowgen.proppred import (
     prop_metrics,
     validate,
 )
-from flowgen.stagepred import predict_cag, predict_single, stage_listing
+from flowgen.stagepred import predict_cag, predict_single
 
 
 @contextmanager
@@ -135,7 +135,7 @@ def test_criterion_2_token_reduction():
         )
         records = load_dataset(fixture_path("synthetic_utterances.json"))
         assert len(records) == 20
-        listing = stage_listing(rt.catalog, None, rt.bank)
+        listing = rt.prompts.listing(None, rt.bank)
         for record in records:
             full = predict_single(record.utterance, rt.catalog, listing, rt.provider)
             scoped = predict_cag(

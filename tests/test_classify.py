@@ -2,17 +2,20 @@
 
 The scoring oracle reimplements the documented formula from scratch —
 smoothed idf, unit tf-idf vectors, cosine, per-label max — and must agree
-with the model to the last rounded digit on randomized corpora.
+with the model to the last rounded digit on randomized corpora. The scan
+oracle runs every keyword's pattern on every text, which the indexed scan
+must agree with.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_catalog, make_stage
 from flowgen import InputError, fixture_path
@@ -210,6 +213,88 @@ def test_whole_word_only(scan_catalog):
 
 def test_scan_finds_nothing_in_unrelated_text(scan_catalog):
     assert keyword_scan(scan_catalog, "completely unrelated words") == set()
+
+
+def test_scan_folds_what_ignorecase_matches_to_ascii():
+    catalog = make_catalog(make_stage("kiss"), make_stage("sik"))
+    # Kelvin sign, dotted capital I and long s; then dotless i
+    assert keyword_scan(catalog, "\u212a\u0130\u017fs") == {"kiss"}
+    assert keyword_scan(catalog, "s\u0131k") == {"sik"}
+    # "í" and "ß" are no spellings of i and ss
+    assert keyword_scan(catalog, "k\u00ed\u00df, s\u00edk") == set()
+
+
+def scan_every_pattern(catalog, text: str) -> set[str]:
+    """The scan without its part index: every keyword's pattern, searched in ``text``."""
+    found: set[str] = set()
+    for keyword, stages in catalog.synonym_index.items():
+        pattern = r"\b" + re.escape(keyword).replace("_", "[_ ]") + r"\b"
+        if re.search(pattern, text, re.IGNORECASE):
+            found.update(stages)
+    return found
+
+
+# i, s and k have non-ASCII spellings that re.IGNORECASE matches, so keywords
+# are heavy in them; "é" is a letter it matches to no ASCII one
+_KEYWORD_CHARS = [*"iiisskkab1", "\u0130", "\u0131", "\u017f", "\u212a", "\u00e9"]
+# the spellings of a keyword character that re.IGNORECASE matches, the
+# non-ASCII ones weighted up
+_SPELLINGS = {
+    "i": ["i", "I", "\u0130", "\u0130", "\u0131", "\u0131"],
+    "s": ["s", "S", "\u017f", "\u017f"],
+    "k": ["k", "K", "\u212a", "\u212a"],
+}
+
+keyword_words = st.lists(st.sampled_from(_KEYWORD_CHARS), min_size=1, max_size=5).map("".join)
+keywords = st.builds(
+    lambda words, sep: sep.join(words),
+    st.lists(keyword_words, min_size=1, max_size=3),
+    st.sampled_from([" ", "-", "_"]),
+)
+partless_keywords = st.text(alphabet="\u00e9-_ ", min_size=1, max_size=3)
+
+
+@st.composite
+def scan_cases(draw):
+    synonyms = draw(st.lists(keywords, min_size=1, max_size=6))
+    synonyms.append(draw(partless_keywords))
+    stages = [
+        make_stage(f"st{i}", synonyms=tuple(synonyms[i::3])) for i in range(min(3, len(synonyms)))
+    ]
+    catalog = make_catalog(*stages)
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            keyword = draw(st.sampled_from(list(catalog.synonym_index)))
+            pieces.append(
+                "".join(draw(st.sampled_from(_SPELLINGS.get(c, [c, c.upper()]))) for c in keyword)
+            )
+        else:
+            pieces.append(draw(st.text(alphabet=[*_KEYWORD_CHARS, *"AB9_- "], max_size=6)))
+    seps = st.sampled_from(["", " ", "-", "_", "\u00e9", ", "])
+    text = "".join(piece + draw(seps) for piece in pieces)
+    return catalog, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example((make_catalog(make_stage("kiss"), make_stage("sik")), "say \u212a\u0130\u017fs, s\u0131k!"))
+def test_indexed_scan_agrees_with_every_pattern(case):
+    catalog, text = case
+    assert keyword_scan(catalog, text) == scan_every_pattern(catalog, text)
+
+
+def test_indexed_scan_agrees_with_every_pattern_on_the_synthetic_corpus():
+    from flowgen.catalog import load_catalog
+
+    catalog = load_catalog(fixture_path("synthetic_catalog.json"))
+    records = json.loads(fixture_path("synthetic_utterances.json").read_text(encoding="utf-8"))
+    hits = 0
+    for record in records:
+        found = keyword_scan(catalog, record["utterance"])
+        assert found == scan_every_pattern(catalog, record["utterance"])
+        hits += len(found)
+    assert hits > 0
 
 
 # --- remote contract --------------------------------------------------------------------

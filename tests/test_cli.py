@@ -161,6 +161,13 @@ def test_generate_without_provider_config(capsys, monkeypatch):
 _GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
 
 
+def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
+    return {
+        "nodes": [{"unique_name": n, "stage": "sort", "properties": []} for n in names],
+        "edges": [{"from": src, "to": dst} for src, dst in edges],
+    }
+
+
 @pytest.mark.parametrize(
     "command, flag, content",
     [
@@ -177,6 +184,9 @@ _GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
         ("eval", "--dataset", None),  # a directory
         ("eval", "--dataset", [{**_GOLD_SORT, "gold_stages": ["bogus"]}]),
         ("export", "--workflow", []),
+        ("export", "--workflow", _workflow(["a"], [("a", "ghost")])),
+        ("export", "--workflow", _workflow(["a", "b"], [("a", "b"), ("b", "b")])),
+        ("export", "--workflow", _workflow(["a", "b", "a"], [("a", "b")])),
         ("classify", "--top", -1),  # a count goes in as the flag's value, not a file
         ("generate", "--cap", -1),
     ],
@@ -194,6 +204,9 @@ _GOLD_SORT = {"utterance": "sort the rows", "gold_stages": ["sort"]}
         "dataset-directory",
         "dataset-unknown-gold-stage",
         "workflow-array",
+        "workflow-edge-to-missing-node",
+        "workflow-self-loop",
+        "workflow-repeated-node",
         "classify-negative-top",
         "generate-negative-cap",
     ],

@@ -8,6 +8,7 @@ parsing, or verification shows up as a concrete diff here.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
 )
 from flowgen import InputError, fixture_path
 from flowgen.catalog import STRING, PropertyDef
+from flowgen.classify import keyword_scan
 from flowgen.llm import MockProvider, count_tokens, render_prompt
 from flowgen.pipeline import (
     PipelineConfig,
@@ -66,6 +68,27 @@ def test_build_runtime_loads_demo_assets(demo_config):
     assert len(rt.bank) == 50
     assert rt.registry is not None
     assert isinstance(rt.provider, MockProvider)
+
+
+def test_single_runtime_compiles_no_keyword_pattern(demo_config, monkeypatch):
+    # the keyword index is built at the first keyword scan, which single never runs
+    compiled = []
+    real_compile = re.compile
+
+    def recording_compile(pattern, flags=0):
+        compiled.append(pattern)
+        return real_compile(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", recording_compile)
+    rt = build_runtime(demo_config(strategy="single"))
+    assert "keyword_index" not in vars(rt.catalog)
+    assert not [p for p in compiled if isinstance(p, str) and p.startswith(r"\b")]
+
+    keyword_scan(rt.catalog, "sort the rows")
+    assert "keyword_index" in vars(rt.catalog)
+    assert len([p for p in compiled if isinstance(p, str) and p.startswith(r"\b")]) == len(
+        rt.catalog.synonym_index
+    )
 
 
 @pytest.mark.parametrize("family", ["granite", "llama"])

@@ -15,7 +15,7 @@ from conftest import FULL_NAME_FLOW, make_catalog, make_stage, scripted
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, TrainingPair, train
-from flowgen.llm import usage
+from flowgen.llm import FAMILY_PRESEED, count_tokens, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -23,6 +23,7 @@ from flowgen.stagepred import (
     DecompositionError,
     FewShotExample,
     ProtocolViolation,
+    SplitExample,
     build_candidates,
     decompose,
     load_examples,
@@ -32,7 +33,7 @@ from flowgen.stagepred import (
     predict_single,
     render_stage_prompt,
     select_examples,
-    stage_listing,
+    stage_prompts,
 )
 
 
@@ -152,15 +153,19 @@ def test_frozen_full_listing_prompt(family, frozen, tokens):
 # --- decomposition -----------------------------------------------------------------
 
 
+def decompose_prompt(splits=()):
+    return stage_prompts(make_catalog(), splits).decompose
+
+
 def test_decompose_parses_bullet_lines():
     provider = scripted(("Sub-utterances:", "- first rows\n- combine data\nignored"))
-    subs = decompose("first rows then combine data", provider, [])
+    subs = decompose("first rows then combine data", provider, decompose_prompt())
     assert subs == ["first rows", "combine data"]
 
 
 def test_decompose_skips_blank_bullets_and_indented_noise():
     provider = scripted(("Sub-utterances:", "- \n  - keep me\nplain text\n- also"))
-    subs = decompose("u", provider, [])
+    subs = decompose("u", provider, decompose_prompt())
     assert subs == ["keep me", "also"]
 
 
@@ -169,7 +174,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
     cue = "Utterance: {}\nSub-utterances:\n- {}".format(splits[0].utterance, splits[0].subs[0])
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
-    subs = decompose("u", provider, splits, usage_trace)
+    subs = decompose("u", provider, decompose_prompt(splits), usage_trace)
     assert subs == ["one"]
     spent = usage(usage_trace)
     assert spent["requests"] == 1 and spent["prompt_tokens"] > 0
@@ -179,7 +184,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
 def test_decompose_error_when_no_bullets():
     provider = scripted(("Sub-utterances:", "I cannot answer that."))
     with pytest.raises(DecompositionError):
-        decompose("u", provider, [])
+        decompose("u", provider, decompose_prompt())
 
 
 # --- candidate construction --------------------------------------------------------
@@ -262,7 +267,7 @@ def test_default_limits():
 def test_predict_single_answers_and_counts_tokens(catalog):
     bank = [FewShotExample("first rows", ("head",))]
     provider = scripted(("Context:", '"head, join"'))
-    pred = predict_single("u", catalog, stage_listing(catalog, None, bank), provider)
+    pred = predict_single("u", catalog, stage_prompts(catalog).listing(None, bank), provider)
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
@@ -271,7 +276,7 @@ def test_predict_single_answers_and_counts_tokens(catalog):
 
 def test_predict_single_keeps_duplicates_and_drops_unknown(catalog):
     provider = scripted(("Context:", '"head, head, bogus"'))
-    pred = predict_single("u", catalog, stage_listing(catalog, None, []), provider)
+    pred = predict_single("u", catalog, stage_prompts(catalog).listing(None, []), provider)
     assert pred.stages == ["head", "head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 
@@ -343,6 +348,137 @@ def test_predict_cag_output_is_subset_of_candidates(answer):
     )
     assert set(pred.stages) <= set(cand.stages)
     assert pred.stages == [name for name in answer if name in cand.stages]
+
+# --- cag prompts, counted once per runtime -----------------------------------------
+
+# (prompt_sha256:prompt_tokens) of the decompose and stage-selection calls of
+# each utterance in synthetic_utterances.json, as the cag strategy rendered
+# them before its static prompt text was counted once per runtime
+PINNED_CAG_CALLS = [
+    ("486261555255bf7b:189", "bf1da7dd1f12c39a:297"),
+    ("5f9c2e4bbb20aaea:206", "4ae86c941500ef7c:551"),
+    ("8a1f1003995eab6e:225", "09ef5f0081e1bff1:782"),
+    ("0e4ec4ab4f8a548e:208", "33f36e784e12c409:535"),
+    ("1327cb39c7b985e5:187", "aacf71b63f6766a6:340"),
+    ("f32a6c36a9a8a7cc:206", "954efd98c885d369:511"),
+    ("d839e255933505d2:223", "fca00df3838e7d68:778"),
+    ("96f4c3c32bbdf9a2:206", "04ca9e54ebca78de:510"),
+    ("6a31a57202843008:187", "d947b677adbd8cad:368"),
+    ("9ba7d076531f0672:208", "39ec3ac4da731d23:507"),
+    ("bf3291ffc7871d00:225", "e348302efb3ed8ff:751"),
+    ("c7eb82b04f8a73ec:205", "4f1cb0d520156dee:526"),
+    ("2573cb1ca60c103d:188", "b67a89fae4769510:367"),
+    ("ccea7855562c8b33:210", "b5225195fddd969f:567"),
+    ("997b30b4ee50d8eb:225", "eae2d1733c0f6794:755"),
+    ("2612dca5dd7e5408:213", "7f0938bd6a462eb8:546"),
+    ("679ba66f44819296:190", "2fb592be62c0b66b:348"),
+    ("70b1b0d4422aced8:207", "a7537d05dfef9909:514"),
+    ("f51b2e16d08df9c9:223", "57f6724d71f72e9f:744"),
+    ("00905b696e3910a6:206", "16903b3cbe12ec46:777"),
+]
+
+
+class RecordingProvider:
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return self.inner.complete(prompt, params)
+
+
+def _synthetic_cag_runtime():
+    from flowgen.pipeline import PipelineConfig, build_runtime
+
+    return build_runtime(
+        PipelineConfig(
+            catalog_path=fixture_path("synthetic_catalog.json"),
+            examples_path=fixture_path("synthetic_bank.json"),
+            classifier_path=fixture_path("synthetic_training_pairs.json"),
+            registry_path=None,
+            mock_scripts_path=fixture_path("mock_scripts_synthetic.json"),
+        )
+    )
+
+
+def test_cag_prompts_are_pinned_and_counted_exactly():
+    from flowgen.pipeline import predict_stages
+
+    rt = _synthetic_cag_runtime()
+    rt.provider = recording = RecordingProvider(rt.provider)
+    cfg = rt.cfg
+    records = json.loads(fixture_path("synthetic_utterances.json").read_text(encoding="utf-8"))
+    assert len(records) == len(PINNED_CAG_CALLS)
+    for record, pinned in zip(records, PINNED_CAG_CALLS):
+        utterance = record["utterance"]
+        # the runtime's counted prompts, and the positional call that counts on the spot
+        runs = [
+            predict_stages(utterance, rt),
+            predict_cag(
+                utterance, rt.catalog, rt.classifier, rt.bank, rt.provider,
+                cfg.family, rt.split_examples, cfg.example_cap,
+            ),
+        ]
+        for prediction in runs:
+            calls = [e for e in prediction.trace if e["event"] == "llm_call"]
+            assert [c["purpose"] for c in calls] == ["decompose", "stage_selection"]
+            assert tuple(f"{c['prompt_sha256']}:{c['prompt_tokens']}" for c in calls) == pinned
+            assert prediction.stages == record["gold_stages"]
+    assert len(recording.prompts) == 4 * len(records)
+    for prompt in recording.prompts:
+        assert prompt.token_estimate == count_tokens(prompt.text)
+
+
+# text that starts and ends with a letter, a digit or a punctuation mark, so
+# that every join of the prompt's parts puts such a mark next to a newline
+_ENDS = st.sampled_from([*"aZ09", *".,:;_\"'-!?()/"])
+phrases = st.builds(
+    lambda first, middle, last: first + middle + last,
+    _ENDS,
+    st.text(alphabet=[*"aZ09 .,:_-\n", "\u00e9"], max_size=10),
+    _ENDS,
+)
+
+
+def _expected_stage_prompt(family, lines, blocks, utterance):
+    """The stage prompt by plain substitution into the template file."""
+    raw = fixture_path("templates", f"{family}_stage.txt").read_text(encoding="utf-8")
+    text = raw.removesuffix("\n").replace("{{context}}", "\n".join(lines))
+    text = text.replace("{{examples}}", "\n\n".join(blocks)).replace("{{utterance}}", utterance)
+    return text + (FAMILY_PRESEED[family] or "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_counted_prompt_parts_add_up_exactly(data):
+    family = data.draw(st.sampled_from(["granite", "llama"]))
+    descriptions = data.draw(st.lists(phrases, min_size=1, max_size=5))
+    catalog = make_catalog(*(make_stage(f"s{i}", d) for i, d in enumerate(descriptions)))
+    names = sorted(catalog.stages)
+    operators = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
+    bank = data.draw(st.lists(st.builds(FewShotExample, phrases, operators), max_size=5))
+    splits = data.draw(
+        st.lists(st.builds(SplitExample, phrases, st.lists(phrases, max_size=3).map(tuple)), max_size=3)
+    )
+    utterance = data.draw(phrases)
+    prompts = stage_prompts(catalog, splits, family)
+
+    # the second render finds some pieces counted by the first
+    for _ in range(2):
+        candidates = data.draw(st.none() | st.sets(st.sampled_from(names)))
+        examples = [ex for ex in bank if data.draw(st.booleans())]
+        prompt = render_stage_prompt(catalog, candidates, examples, utterance, family, prompts)
+        shown = names if candidates is None else sorted(candidates)
+        lines = [f'"{n}": {catalog.stages[n].description}' for n in shown]
+        blocks = [f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples]
+        assert prompt.text == _expected_stage_prompt(family, lines, blocks, utterance)
+        assert prompt.token_estimate == count_tokens(prompt.text)
+
+    decomposed = render_prompt(prompts.decompose, {"utterance": utterance})
+    assert decomposed.token_estimate == count_tokens(decomposed.text)
+    for ex in splits:
+        assert f"Utterance: {ex.utterance}\nSub-utterances:\n" in decomposed.text
 
 
 # --- agentic strategy --------------------------------------------------------------
