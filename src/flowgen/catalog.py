@@ -150,12 +150,16 @@ class Catalog:
 
     @cached_property
     def synonym_index(self) -> dict[str, frozenset[str]]:
-        """Lowercase keyword -> stage names it identifies (names plus synonyms)."""
+        """Keyword -> stage names it identifies (names plus synonyms).
+
+        Keywords are folded as ``keyword_parts`` folds a text, then
+        lowercased: ``str.lower()`` alone turns U+0130 into ``i`` and a
+        combining dot, which no text spelled ``İ``, ``i`` or ``I`` matches.
+        """
         index: dict[str, set[str]] = {}
         for stage in self.stages.values():
-            index.setdefault(stage.name.lower(), set()).add(stage.name)
-            for syn in stage.synonyms:
-                index.setdefault(syn.lower(), set()).add(stage.name)
+            for keyword in (stage.name, *stage.synonyms):
+                index.setdefault(keyword.translate(_ASCII_FOLDS).lower(), set()).add(stage.name)
         return {k: frozenset(v) for k, v in index.items()}
 
     @cached_property

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from json import JSONDecodeError
 from pathlib import Path
 from typing import Iterable, Protocol
 
 from . import InputError, read_json
 from .catalog import Catalog, keyword_parts
-from .llm import ProviderError
+from .llm import ProviderError, post_json
 
 __all__ = [
     "TrainingPair",
@@ -188,27 +188,27 @@ class RemoteClassifier:
     """HTTP client for an external classifier with the same contract.
 
     POSTs ``{"text": ...}`` to ``<endpoint>/classify`` and expects
-    ``{"ranked": [[label, score], ...], "matched": bool}``.
+    ``{"ranked": [[label, score], ...], "matched": bool}``; any other reply
+    raises ``ProviderError``.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
 
     def classify(self, text: str) -> Classification:
-        import requests  # local: half of flowgen.cli's import time; only live clients use it
+        doc = post_json(f"{self.endpoint}/classify", {"text": text}, timeout=30.0)
+        ranked = doc.get("ranked") if isinstance(doc, dict) else None
+        if not (_is_ranking(ranked) and isinstance(doc.get("matched"), bool)):
+            raise ProviderError(f"malformed classifier response: {doc!r}")
+        ranked = tuple((label, float(score)) for label, score in ranked)
+        return Classification(ranked=ranked, matched=doc["matched"])
 
-        try:
-            resp = requests.post(
-                f"{self.endpoint}/classify", json={"text": text}, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            doc = resp.json()
-        except (requests.RequestException, JSONDecodeError) as exc:
-            raise ProviderError(f"remote classifier failed: {exc}") from exc
-        try:
-            ranked = tuple((str(l), float(s)) for l, s in doc["ranked"])
-            matched = bool(doc["matched"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed classifier response: {doc!r}") from exc
-        return Classification(ranked=ranked, matched=matched)
+
+def _is_ranking(value: object) -> bool:
+    """A list of ``[label, score]`` pairs: a string, then a finite number (not a boolean)."""
+    return isinstance(value, list) and all(
+        isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+        and type(item[1]) in (int, float)  # bool is an int subclass, so isinstance won't do
+        and abs(item[1]) <= sys.float_info.max  # false for NaN, infinities and huge ints
+        for item in value
+    )

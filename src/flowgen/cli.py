@@ -25,8 +25,9 @@ from . import __version__
 from .catalog import CatalogValidationError, load_catalog
 from .classify import load_training_pairs, train
 from .evaluation import load_dataset, report_json, report_table, run_eval
-from .llm import ProviderError
+from .llm import FAMILY_PRESEED, ProviderError
 from .pipeline import (
+    STRATEGIES,
     PipelineConfig,
     PipelineError,
     build_runtime,
@@ -49,14 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=("single", "agentic", "cag"), default="cag")
+    p.add_argument("--strategy", choices=STRATEGIES, default="cag")
     p.add_argument("--catalog", help="stage catalog JSON path")
     p.add_argument("--examples", help="few-shot example bank JSON path")
     p.add_argument("--split-examples", help="decomposition example JSON path")
     p.add_argument("--classifier", help="classifier training pairs JSON path, or http(s) endpoint")
     p.add_argument("--registry", help="external name registry JSON path")
     p.add_argument("--mock-scripts", help="scripted provider JSON path (offline mode)")
-    p.add_argument("--family", choices=("granite", "llama"), default="granite")
+    p.add_argument("--family", choices=tuple(FAMILY_PRESEED), default="granite")
     p.add_argument("--parallel", type=int, default=1, help="worker threads for edge/property branches")
     p.add_argument("--cap", type=int, default=None, help="max few-shot examples per stage prompt")
 

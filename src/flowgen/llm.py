@@ -7,35 +7,32 @@ end with a preseeded opening quote (so the reply contains no opening quote of
 its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
-Two providers speak the completion contract: a deterministic scripted mock
-for offline runs and tests, and a completions-style HTTP client for real
-endpoints. Every model call of the pipeline goes through ``complete``, which
-appends one ``llm_call`` record to the caller's trace; ``usage`` sums those
-records, so the trace is the only token ledger.
+Two providers speak the completion contract, and each returns only the
+answer text: a deterministic scripted mock for offline runs and tests, and a
+completions-style HTTP client for real endpoints. ``post_json`` is the one
+HTTP transport, shared with the remote classifier. Every model call of the
+pipeline goes through ``complete``, which appends one ``llm_call`` record to
+the caller's trace; ``usage`` sums those records, so the trace is the only
+token ledger.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import string
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import Mapping, Protocol
 
 from . import InputError, read_json
-
-if TYPE_CHECKING:
-    import requests
 
 __all__ = [
     "PromptTemplate",
     "RenderedPrompt",
     "CompletionParams",
-    "CompletionResult",
     "CompletionProvider",
     "TemplateError",
     "ProviderError",
@@ -51,13 +48,15 @@ __all__ = [
     "MockScript",
     "MockProvider",
     "load_mock_scripts",
+    "post_json",
     "HTTPProvider",
     "provider_from_env",
     "complete",
     "usage",
 ]
 
-# operator-list prompts preseed a single opening quote for llama models
+# the model families, each with what its operator-list prompts preseed:
+# a single opening quote for llama models
 FAMILY_PRESEED: dict[str, str | None] = {"granite": None, "llama": '"'}
 
 
@@ -106,15 +105,9 @@ class CompletionParams:
     max_tokens: int = 512
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-
-
 class CompletionProvider(Protocol):
-    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult: ...
+    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> str:
+        """The answer text; what the provider may report about usage is not returned."""
 
 
 def _add_text(segments: list[tuple[str, str, int]], text: str, tokens: int) -> None:
@@ -262,14 +255,10 @@ class MockProvider:
 
     scripts: list[MockScript] = field(default_factory=list)
 
-    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult:
+    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> str:
         for script in self.scripts:
             if script.matches(prompt.text):
-                return CompletionResult(
-                    text=script.response,
-                    prompt_tokens=prompt.token_estimate,
-                    completion_tokens=count_tokens(script.response),
-                )
+                return script.response
         tried = "\n".join(
             f"  {i}: {s.kind} {s.pattern[:80]!r}" for i, s in enumerate(self.scripts)
         )
@@ -292,68 +281,57 @@ def load_mock_scripts(path: str | Path) -> MockProvider:
     return MockProvider(scripts=scripts)
 
 
+def post_json(
+    url: str, payload: dict, timeout: float, headers: Mapping[str, str] | None = None
+) -> object:
+    """POST ``payload`` as JSON and return the decoded reply: the one HTTP transport.
+
+    Transport errors and 5xx replies are tried three times in all, with
+    sleeps of 0.2 s and 0.4 s between; a 4xx reply or a body that is not
+    JSON raises ``ProviderError`` at once.
+    """
+    import requests  # local: half of flowgen.cli's import time; only live clients use it
+
+    last_error: Exception | None = None
+    for attempt in range(3):
+        if attempt:
+            time.sleep(0.2 * attempt)
+        try:
+            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = exc
+            continue
+        if resp.status_code >= 500:
+            last_error = ProviderError(f"server error {resp.status_code}")
+            continue
+        if resp.status_code >= 400:
+            raise ProviderError(f"request to {url} rejected ({resp.status_code}): {resp.text[:200]}")
+        try:
+            return resp.json()
+        except ValueError as exc:  # both json's and requests' decode errors subclass it
+            raise ProviderError(f"non-JSON response from {url}: {resp.text[:200]!r}") from exc
+    raise ProviderError(f"{url} failed after 3 attempts: {last_error}")
+
+
 class HTTPProvider:
     """Completions-style HTTP client: the rendered prompt goes out as ``prompt``.
 
-    Retries transport errors and 5xx responses a bounded number of times;
-    client errors are surfaced immediately.
+    The answer is the reply's ``text``, or else ``choices[0].text``; a
+    ``usage`` the reply reports is not read.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        model: str | None = None,
-        max_retries: int = 2,
-        timeout: float = 60.0,
-    ):
+    def __init__(self, endpoint: str, api_key: str | None = None, model: str | None = None):
         self.endpoint = endpoint
         self.api_key = api_key
         self.model = model
-        self.max_retries = max_retries
-        self.timeout = timeout
 
-    def _payload(self, prompt: RenderedPrompt, params: CompletionParams) -> dict:
-        payload: dict = {
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
-        }
+    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> str:
+        payload: dict = {"temperature": params.temperature, "max_tokens": params.max_tokens}
         if self.model:
             payload["model"] = self.model
         payload["prompt"] = prompt.text
-        return payload
-
-    def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> CompletionResult:
-        import requests  # local: half of flowgen.cli's import time; only live clients use it
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = self._payload(prompt, params)
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-            else:
-                if resp.status_code >= 500:
-                    last_error = ProviderError(f"server error {resp.status_code}")
-                elif resp.status_code >= 400:
-                    raise ProviderError(f"request rejected ({resp.status_code}): {resp.text[:200]}")
-                else:
-                    return self._parse_response(resp, prompt)
-            if attempt < self.max_retries:
-                time.sleep(0.2 * (attempt + 1))
-        raise ProviderError(f"completion failed after {self.max_retries + 1} attempts: {last_error}")
-
-    def _parse_response(self, resp: requests.Response, prompt: RenderedPrompt) -> CompletionResult:
-        try:
-            doc = resp.json()
-        except json.JSONDecodeError as exc:
-            raise ProviderError(f"non-JSON completion response: {resp.text[:200]!r}") from exc
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
+        doc = post_json(self.endpoint, payload, timeout=60.0, headers=headers)
         if not isinstance(doc, dict):
             raise ProviderError(f"completion response is not a JSON object: {doc!r}")
         text = doc.get("text")
@@ -363,15 +341,7 @@ class HTTPProvider:
             text = choice.get("text")
         if not isinstance(text, str):
             raise ProviderError(f"completion response carries no text: {doc!r}")
-        reported = doc.get("usage") or {}
-        try:
-            return CompletionResult(
-                text=text,
-                prompt_tokens=int(reported.get("prompt_tokens", prompt.token_estimate)),
-                completion_tokens=int(reported.get("completion_tokens", count_tokens(text))),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed usage in completion response: {reported!r}") from exc
+        return text
 
 
 def provider_from_env(env: Mapping[str, str] | None = None) -> HTTPProvider:
@@ -399,22 +369,22 @@ def complete(
 ) -> str:
     """Send one rendered prompt; append its ``llm_call`` record; return the answer.
 
-    ``fields`` (such as ``node``) go into the record after ``purpose``. The
-    prompt-token count is the rendered prompt's estimate, not what the
-    provider reports, so usage is comparable across providers.
+    ``fields`` (such as ``node``) go into the record after ``purpose``. Both
+    token counts are flowgen's estimates, of the rendered prompt and of the
+    answer, so usage is counted by one rule on every provider.
     """
-    result = provider.complete(prompt, CompletionParams())
+    answer = provider.complete(prompt, CompletionParams())
     trace.append(
         {
             "event": "llm_call",
             "purpose": purpose,
             **fields,
             "prompt_tokens": prompt.token_estimate,
-            "completion_tokens": result.completion_tokens,
+            "completion_tokens": count_tokens(answer),
             "prompt_sha256": hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16],
         }
     )
-    return result.text
+    return answer
 
 
 def usage(*traces: list[dict]) -> dict[str, int]:

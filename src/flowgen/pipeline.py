@@ -39,6 +39,7 @@ from .edgepred import (
     validate_cardinality,
 )
 from .llm import (
+    FAMILY_PRESEED,
     CompletionProvider,
     OperatorParseError,
     PromptTemplate,
@@ -123,7 +124,7 @@ class PipelineConfig:
 def _check_config(cfg: PipelineConfig) -> None:
     if cfg.strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
-    if cfg.family not in ("granite", "llama"):
+    if cfg.family not in FAMILY_PRESEED:
         raise InputError(f"unknown model family {cfg.family!r}")
     if cfg.parallel < 1:
         raise InputError("parallel width must be at least 1")

@@ -66,10 +66,8 @@ DEFAULT_EXAMPLE_CAP = 40
 DEFAULT_MAX_STEPS = 8
 
 _STAGE_TEMPLATES = {
-    family: load_template(
-        fixture_path("templates", f"{family}_stage.txt"), preseed=FAMILY_PRESEED[family]
-    )
-    for family in ("granite", "llama")
+    family: load_template(fixture_path("templates", f"{family}_stage.txt"), preseed=preseed)
+    for family, preseed in FAMILY_PRESEED.items()
 }
 _DECOMPOSE_TEMPLATE = load_template(fixture_path("templates", "decompose.txt"))
 _AGENT_TEMPLATE = load_template(fixture_path("templates", "agent.txt"))

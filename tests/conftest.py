@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from flowgen import fixture_path
@@ -67,6 +69,17 @@ def scripted(*pairs: tuple[str, str]) -> MockProvider:
     return MockProvider(
         scripts=[MockScript(kind="contains", pattern=p, response=r) for p, r in pairs]
     )
+
+
+class FakeResponse:
+    """Stands in for ``requests.Response``: a status code and a body, decoded on demand."""
+
+    def __init__(self, status_code: int, text: str):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
 
 
 class NeverClassify:

@@ -37,7 +37,7 @@ def test_every_tracer_target_resolves(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["synth-cag", "synth-single", "demo-pipeline"])
+@pytest.mark.parametrize("name", ["synth-cag", "synth-single", "demo-pipeline", "demo-latency"])
 def test_benchmark_workload_outputs_are_correct(monkeypatch, name):
     workloads = import_perfbench(monkeypatch, "workloads")
     workload = workloads.Workload(name, 4242)

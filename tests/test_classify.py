@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_catalog, make_stage
+from conftest import FakeResponse, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.llm import ProviderError
 from flowgen.classify import (
@@ -224,6 +224,13 @@ def test_scan_folds_what_ignorecase_matches_to_ascii():
     assert keyword_scan(catalog, "k\u00ed\u00df, s\u00edk") == set()
 
 
+def test_scan_finds_a_synonym_spelled_with_dotted_capital_i():
+    # str.lower() alone files "İzmir" as "i" + U+0307 + "zmir", which none of these holds
+    catalog = make_catalog(make_stage("city", synonyms=("\u0130zmir",)))
+    for spelling in ("\u0130zmir", "izmir", "IZMIR", "\u0131zmir"):
+        assert keyword_scan(catalog, f"load {spelling} data") == {"city"}
+
+
 def scan_every_pattern(catalog, text: str) -> set[str]:
     """The scan without its part index: every keyword's pattern, searched in ``text``."""
     found: set[str] = set()
@@ -302,6 +309,8 @@ def test_indexed_scan_agrees_with_every_pattern_on_the_synthetic_corpus():
 
 def test_remote_classifier_parses_contract(monkeypatch):
     class FakeResponse:
+        status_code = 200
+
         def raise_for_status(self):
             pass
 
@@ -310,7 +319,7 @@ def test_remote_classifier_parses_contract(monkeypatch):
 
     calls = {}
 
-    def fake_post(url, json=None, timeout=None):
+    def fake_post(url, json=None, headers=None, timeout=None):
         calls["url"], calls["payload"] = url, json
         return FakeResponse()
 
@@ -322,13 +331,22 @@ def test_remote_classifier_parses_contract(monkeypatch):
 
 
 def test_remote_classifier_wraps_malformed_payloads(monkeypatch):
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
+    for body in [
+        {"oops": True},
+        {"ranked": [["sort", 0.1]], "matched": "false"},  # bool("false") is True
+        {"ranked": {"a1": 0}, "matched": 0},  # unpacks as (("a", 1.0),)
+        {"ranked": [["sort", True]], "matched": True},  # a boolean is not a score
+        {"ranked": [["sort", 10**400]], "matched": True},  # float() overflows
+        {"ranked": [["sort", float("nan")]], "matched": True},
+    ]:
+        monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, json.dumps(body)))
+        with pytest.raises(ProviderError, match="malformed"):
+            RemoteClassifier("http://cls.local").classify("x")
 
-        def json(self):
-            return {"oops": True}
 
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
-    with pytest.raises(ProviderError, match="malformed"):
-        RemoteClassifier("http://cls.local").classify("x")
+def test_remote_classifier_retries_server_errors(monkeypatch):
+    replies = [FakeResponse(503, "busy"), FakeResponse(200, '{"ranked": [], "matched": false}')]
+    monkeypatch.setattr("requests.post", lambda *a, **k: replies.pop(0))
+    monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
+    result = RemoteClassifier("http://cls.local").classify("x")
+    assert replies == [] and result == Classification(ranked=(), matched=False)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LINEAR_FLOW
+from conftest import LINEAR_FLOW, FakeResponse
 from flowgen import fixture_path
 from flowgen.cli import main
 
@@ -135,6 +135,25 @@ def test_generate_classifier_failure_prints_envelope(capsys, monkeypatch):
     assert envelope["provenance"]["usage"]["requests"] == 1
     calls = [e for e in envelope["provenance"]["stage_trace"] if e["event"] == "llm_call"]
     assert [c["purpose"] for c in calls] == ["decompose"]
+
+
+def test_generate_malformed_classifier_reply_prints_envelope(capsys, monkeypatch):
+    posted = []
+
+    def post(url, **kwargs):
+        posted.append(url)
+        return FakeResponse(200, '{"ranked": {"a1": 0}, "matched": 0}')
+
+    monkeypatch.setattr("requests.post", post)
+    code, out, err = run(
+        capsys,
+        "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
+        "--classifier", "http://127.0.0.1:9",
+    )
+    assert code == 2 and out == "" and posted == ["http://127.0.0.1:9/classify"]
+    envelope = json.loads(err)
+    assert envelope["error"]["step"] == "stage_prediction"
+    assert "malformed classifier response" in envelope["error"]["message"]
 
 
 def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):

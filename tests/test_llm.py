@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import FakeResponse
 from flowgen import InputError
 from flowgen.llm import (
     CompletionParams,
@@ -20,11 +21,13 @@ from flowgen.llm import (
     RenderedPrompt,
     TemplateError,
     bind,
+    complete,
     count_tokens,
     load_mock_scripts,
     load_template,
     parse_operator_list,
     parse_template,
+    post_json,
     provider_from_env,
     render_prompt,
 )
@@ -207,21 +210,21 @@ def test_first_matching_script_wins():
             MockScript("contains", "alpha beta", "second"),
         ]
     )
-    assert provider.complete(prompt_of("alpha beta"), PARAMS).text == "first"
+    assert provider.complete(prompt_of("alpha beta"), PARAMS) == "first"
 
 
 def test_exact_requires_full_equality():
     provider = MockProvider(scripts=[MockScript("exact", "alpha", "hit")])
-    assert provider.complete(prompt_of("alpha"), PARAMS).text == "hit"
+    assert provider.complete(prompt_of("alpha"), PARAMS) == "hit"
     with pytest.raises(NoScriptMatchError):
         provider.complete(prompt_of("alpha beta"), PARAMS)
 
 
 def test_default_token_accounting_uses_estimates():
     provider = MockProvider(scripts=[MockScript("contains", "x", "two words")])
-    result = provider.complete(prompt_of("x y z"), PARAMS)
-    assert result.prompt_tokens == 3
-    assert result.completion_tokens == 2
+    trace: list[dict] = []
+    assert complete(provider, prompt_of("x y z"), trace, "decompose") == "two words"
+    assert (trace[0]["prompt_tokens"], trace[0]["completion_tokens"]) == (3, 2)
 
 
 def test_no_match_error_lists_the_scripts_tried():
@@ -241,8 +244,8 @@ def test_load_mock_scripts_round_trip(tmp_path):
         )
     )
     provider = load_mock_scripts(path)
-    assert provider.complete(prompt_of("p"), PARAMS).text == "r"
-    assert provider.complete(prompt_of("a q b"), PARAMS).text == "s"
+    assert provider.complete(prompt_of("p"), PARAMS) == "r"
+    assert provider.complete(prompt_of("a q b"), PARAMS) == "s"
 
 
 def test_load_mock_scripts_rejects_bad_shapes(tmp_path):
@@ -289,9 +292,10 @@ def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
 
     monkeypatch.setattr("requests.post", fake_post)
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local", "LLM_API_KEY": "k"})
-    result = provider.complete(prompt_of("ping"), PARAMS)
-    assert result.text == "answer"
-    assert (result.prompt_tokens, result.completion_tokens) == (10, 2)
+    trace: list[dict] = []
+    assert complete(provider, prompt_of("ping"), trace, "decompose") == "answer"
+    # the reported usage is not read: both counts are flowgen's estimates
+    assert (trace[0]["prompt_tokens"], trace[0]["completion_tokens"]) == (1, 1)
     assert seen["payload"]["prompt"] == "ping"
     assert seen["headers"]["Authorization"] == "Bearer k"
 
@@ -303,8 +307,6 @@ def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
         pytest.param({"choices": [5]}, "carries no text", id="body1"),
         pytest.param({"choices": []}, "carries no text", id="body2"),
         pytest.param({"usage": {"prompt_tokens": 3}}, "carries no text", id="body3"),
-        pytest.param({"text": "ok", "usage": {"prompt_tokens": "n/a"}}, "malformed usage", id="body4"),
-        pytest.param({"text": "ok", "usage": ["prompt_tokens"]}, "malformed usage", id="body5"),
         # chat-shaped: requests go out completions-style, so no reply is read from a message
         pytest.param({"choices": [{"message": {"content": "hi"}}]}, "carries no text", id="body6"),
     ],
@@ -361,5 +363,29 @@ def test_http_provider_retries_server_errors(monkeypatch):
     monkeypatch.setattr("requests.post", fake_post)
     monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
     provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
-    assert provider.complete(prompt_of("ping"), PARAMS).text == "ok"
+    assert provider.complete(prompt_of("ping"), PARAMS) == "ok"
     assert calls["n"] == 2
+
+
+def test_post_json_retries_transport_errors_then_gives_up(monkeypatch):
+    import requests
+
+    timeouts, sleeps = [], []
+
+    def down(url, json=None, headers=None, timeout=None):
+        timeouts.append(timeout)
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr("requests.post", down)
+    monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
+    with pytest.raises(ProviderError, match="failed after 3 attempts: connection refused"):
+        post_json("http://llm.local", {}, timeout=5.0)
+    assert timeouts == [5.0] * 3 and sleeps == [0.2, 0.4]
+
+
+def test_post_json_rejects_a_non_json_body_without_retry(monkeypatch):
+    replies = [FakeResponse(200, "<html>bad gateway</html>")]
+    monkeypatch.setattr("requests.post", lambda *a, **k: replies.pop(0))
+    with pytest.raises(ProviderError, match="non-JSON response"):
+        post_json("http://llm.local", {}, timeout=5.0)
+    assert replies == []

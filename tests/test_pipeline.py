@@ -16,6 +16,7 @@ import pytest
 from conftest import (
     BRANCHING_FLOW,
     FULL_NAME_FLOW,
+    FakeResponse,
     LINEAR_FLOW,
     MERGE_FLOW,
     make_catalog,
@@ -26,7 +27,15 @@ from conftest import (
 from flowgen import InputError, fixture_path
 from flowgen.catalog import STRING, PropertyDef
 from flowgen.classify import keyword_scan
-from flowgen.llm import MockProvider, count_tokens, render_prompt
+from flowgen.llm import (
+    CompletionParams,
+    HTTPProvider,
+    MockProvider,
+    RenderedPrompt,
+    count_tokens,
+    load_mock_scripts,
+    render_prompt,
+)
 from flowgen.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -384,6 +393,58 @@ def test_empty_stage_answer_yields_empty_workflow():
     rt = runtime(degradable_catalog(), scripted(("Context:", '""')), strategy="single")
     w = generate_with_runtime(UTTERANCE, rt)
     assert w.graph.nodes == [] and w.graph.edges == [] and w.properties == {}
+
+
+class FaultyEndpoint:
+    """A completion endpoint answering from the demo scripts, except at call ``k``.
+
+    Call ``k`` gets the ``bad`` replies instead, one per attempt it makes.
+    """
+
+    def __init__(self, k: int, bad: list[FakeResponse]):
+        self.scripts = load_mock_scripts(fixture_path("mock_scripts_demo.json"))
+        self.k, self.bad = k, list(bad)
+        self.calls = 0
+
+    def post(self, url, **kwargs) -> FakeResponse:
+        if self.calls == self.k and self.bad:
+            reply = self.bad.pop(0)
+            self.calls += not self.bad
+            return reply
+        self.calls += 1
+        prompt = RenderedPrompt(text=kwargs["json"]["prompt"], token_estimate=0)
+        answer = self.scripts.complete(prompt, CompletionParams())
+        return FakeResponse(200, json.dumps({"text": answer}))
+
+
+# the step that LINEAR_FLOW's k-th call serves at parallel=1; None is stage prediction
+LINEAR_CALL_STEPS = [None, None, "segmentation", "edge_prediction", *["properties"] * 6]
+
+BAD_REPLIES = {
+    "not-json": [FakeResponse(200, "<html>bad gateway</html>")],
+    "array": [FakeResponse(200, "[1, 2]")],
+    "no-choice": [FakeResponse(200, '{"choices": []}')],
+    "rejected": [FakeResponse(400, "bad request")],
+    "server-down": [FakeResponse(500, "boom")] * 3,
+}
+
+
+@pytest.mark.parametrize("fault", BAD_REPLIES)
+@pytest.mark.parametrize("k", range(len(LINEAR_CALL_STEPS)))
+def test_a_bad_http_reply_at_any_call_degrades_or_aborts(demo_config, monkeypatch, k, fault):
+    endpoint = FaultyEndpoint(k, BAD_REPLIES[fault])
+    monkeypatch.setattr("requests.post", endpoint.post)
+    monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
+    rt = build_runtime(demo_config())
+    rt.provider = HTTPProvider("http://llm.local")
+    if LINEAR_CALL_STEPS[k] is None:
+        with pytest.raises(PipelineError) as err:
+            generate_with_runtime(LINEAR_FLOW, rt)
+        assert err.value.step == "stage_prediction"
+    else:
+        w = generate_with_runtime(LINEAR_FLOW, rt)
+        assert [d["step"] for d in w.provenance["diagnostics"]] == [LINEAR_CALL_STEPS[k]]
+        assert endpoint.calls == len(LINEAR_CALL_STEPS)
 
 
 # --- emission ------------------------------------------------------------------------
