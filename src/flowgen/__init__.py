@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -57,6 +56,9 @@ def run_in_order(calls: list[Callable[[], _T]], width: int) -> list[_T]:
     """
     if width < 2 or len(calls) < 2:
         return [call() for call in calls]
+    # local: concurrent.futures loads logging too, and serial runs never use it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=width) as pool:
         futures = [pool.submit(call) for call in calls]
         return [future.result() for future in futures]

@@ -7,15 +7,24 @@ max. It is fully deterministic, trains in microseconds, and memorizes its
 training set (an exact training utterance always comes back with score 1.0),
 which is exactly what the offline harness needs. A remote classifier speaking
 the same contract over HTTP can be swapped in without the pipeline noticing.
+
+Texts are cut into words by ``catalog.keyword_parts``, the word rule the
+keyword scan uses too, so ``İzmir`` is the word ``izmir`` to both. A score
+is summed left to right over the shorter of the two vectors, in that
+vector's token order (the exemplar's when they are as long), then rounded.
+``train`` indexes the exemplars by token position, so ``classify`` adds
+each exemplar's terms in its own order without visiting every exemplar's
+tokens; only the exemplars longer than the query are summed again, in the
+query's order.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -29,7 +38,6 @@ __all__ = [
     "Classification",
     "StageClassifier",
     "DEFAULT_THRESHOLD",
-    "tokenize",
     "train",
     "load_training_pairs",
     "keyword_scan",
@@ -41,8 +49,6 @@ DEFAULT_THRESHOLD = 0.25
 # scores are rounded so that identical vectors compare as exactly 1.0 and
 # floating-point fuzz cannot flip a tie-break
 _SCORE_DIGITS = 12
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -69,36 +75,57 @@ class StageClassifier(Protocol):
 
 @dataclass
 class ClassifierModel:
+    """A trained lexical model, indexed for scoring by ``train``.
+
+    ``at[p]`` maps each token to the ``(exemplar, weight)`` pairs whose
+    vector holds it at position ``p``, its first occurrence in that
+    exemplar. ``labels`` is sorted, and ``label_of`` gives each exemplar's
+    index into it.
+    """
+
     idf: dict[str, float]
     default_idf: float  # weight for query tokens unseen in training
-    exemplars: list[tuple[dict[str, float], str]] = field(default_factory=list)
+    vectors: list[dict[str, float]]  # one unit tf-idf vector per exemplar
+    labels: list[str]
+    label_of: list[int]
+    at: list[dict[str, list[tuple[int, float]]]]
+    longest_first: list[int]  # exemplar indices by vector length, longest first
     threshold: float = DEFAULT_THRESHOLD
 
     def classify(self, text: str) -> Classification:
         """Score ``text`` against every label; deterministic for identical inputs.
 
-        Ties rank lexicographically by label. Empty or fully-unknown text scores
-        0.0 everywhere and cannot match.
+        An exemplar's score is its cosine with the query, summed in the
+        order that the module docstring gives and rounded to 12 digits.
+        Ties rank lexicographically by label. Empty or fully-unknown text
+        scores 0.0 everywhere and cannot match.
         """
-        query = _unit(_vectorize(tokenize(text), self.idf, self.default_idf))
-        best: dict[str, float] = {label: 0.0 for _, label in self.exemplars}
-        for vec, label in self.exemplars:
-            if len(query) < len(vec):
-                small, big = query, vec
-            else:
-                small, big = vec, query
-            score = sum(w * big.get(t, 0.0) for t, w in small.items())
-            score = round(score, _SCORE_DIGITS)
-            if score > best[label]:
-                best[label] = score
-        ranked = tuple(sorted(best.items(), key=lambda kv: (-kv[1], kv[0])))
+        query = _unit(_vectorize(keyword_parts(text), self.idf, self.default_idf))
+        sums = [0.0] * len(self.vectors)
+        # position by position, so each exemplar's terms add in its own order
+        for postings in self.at:
+            for t, q in query.items():
+                for e, w in postings.get(t, ()):
+                    sums[e] += w * q
+        # an exemplar longer than the query sums in the query's order instead
+        for e in self.longest_first:
+            vec = self.vectors[e]
+            if len(vec) <= len(query):
+                break
+            score = 0.0
+            for t, q in query.items():
+                if t in vec:
+                    score += q * vec[t]
+            sums[e] = score
+        rounded = {s: round(s, _SCORE_DIGITS) for s in set(sums)}
+        best = [0.0] * len(self.labels)
+        for s, label in zip(sums, self.label_of):
+            if rounded[s] > best[label]:
+                best[label] = rounded[s]
+        # a stable sort keeps equal scores in label order
+        ranked = tuple(sorted(zip(self.labels, best), key=itemgetter(1), reverse=True))
         matched = bool(ranked) and ranked[0][1] >= self.threshold
         return Classification(ranked=ranked, matched=matched)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase tokens split on non-alphanumerics; numerals survive."""
-    return _TOKEN_RE.findall(text.lower())
 
 
 def _unit(vec: dict[str, float]) -> dict[str, float]:
@@ -132,20 +159,35 @@ def train(
         if pair.label not in known:
             raise InputError(f"unknown label {pair.label!r} for {pair.utterance!r}")
 
-    docs = [tokenize(p.utterance) for p in pairs]
+    docs = [keyword_parts(p.utterance) for p in pairs]
     n_docs = len(docs)
     df = Counter(t for doc in docs for t in set(doc))
     # smoothed idf keeps every weight positive so exact matches score 1.0
     idf = {t: math.log((1 + n_docs) / (1 + n)) + 1.0 for t, n in df.items()}
     default_idf = math.log(1 + n_docs) + 1.0
 
-    model = ClassifierModel(idf=idf, default_idf=default_idf, threshold=threshold)
+    vectors = []
     for pair, doc in zip(pairs, docs):
         vec = _unit(_vectorize(doc, idf, default_idf))
         if not vec:
             raise InputError(f"training utterance has no tokens: {pair.utterance!r}")
-        model.exemplars.append((vec, pair.label))
-    return model
+        vectors.append(vec)
+    at: list[dict[str, list[tuple[int, float]]]] = [{} for _ in range(max(map(len, vectors)))]
+    for e, vec in enumerate(vectors):
+        for postings, (t, w) in zip(at, vec.items()):
+            postings.setdefault(t, []).append((e, w))
+    names = sorted({p.label for p in pairs})
+    index = {label: i for i, label in enumerate(names)}
+    return ClassifierModel(
+        idf=idf,
+        default_idf=default_idf,
+        vectors=vectors,
+        labels=names,
+        label_of=[index[p.label] for p in pairs],
+        at=at,
+        longest_first=sorted(range(len(vectors)), key=lambda e: -len(vectors[e])),
+        threshold=threshold,
+    )
 
 
 def load_training_pairs(path: str | Path) -> list[TrainingPair]:

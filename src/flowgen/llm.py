@@ -18,16 +18,26 @@ token ledger.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import string
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Protocol
 
 from . import InputError, read_json
+
+# the builtin SHA-256, as random.py loads its hash: hashlib would load
+# OpenSSL, which costs 3.5 MB of memory
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "PromptTemplate",
@@ -92,11 +102,33 @@ class PromptTemplate:
 
     segments: tuple[tuple[str, str, int], ...]
 
+    @cached_property
+    def lead(self) -> tuple[int, object]:
+        """The length of the leading text, which every render starts with, and its SHA-256 state.
+
+        Hashed at the first render, so a render hashes only what follows it.
+        """
+        text = ""
+        if self.segments and self.segments[0][0] == "text":
+            text = self.segments[0][1]
+        return len(text), _sha256(text.encode("utf-8"))
+
 
 @dataclass(frozen=True)
 class RenderedPrompt:
+    """A prompt's text, its token estimate and ``sha256``, the first 16 hex digits of its SHA-256.
+
+    ``render_prompt`` supplies the digest; a prompt built without one
+    hashes its text here.
+    """
+
     text: str
     token_estimate: int
+    sha256: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.sha256:
+            object.__setattr__(self, "sha256", _sha256(self.text.encode("utf-8")).hexdigest()[:16])
 
 
 @dataclass(frozen=True)
@@ -150,12 +182,12 @@ def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplat
 
 
 def bind(
-    template: PromptTemplate, bindings: Mapping[str, str | RenderedPrompt]
+    template: PromptTemplate, bindings: Mapping[str, str | tuple[str, int]]
 ) -> PromptTemplate:
     """Fill the slots named in ``bindings``, counting each value once; the rest stay open.
 
-    A ``RenderedPrompt`` value is already counted: its text goes in with its
-    ``token_estimate``.
+    A ``(text, tokens)`` value is already counted: its text goes in with
+    ``tokens``.
     """
     segments: list[tuple[str, str, int]] = []
     for kind, value, tokens in template.segments:
@@ -163,8 +195,8 @@ def bind(
             _add_text(segments, value, tokens)
         elif value in bindings:
             part = bindings[value]
-            if isinstance(part, RenderedPrompt):
-                _add_text(segments, part.text, part.token_estimate)
+            if isinstance(part, tuple):
+                _add_text(segments, *part)
             else:
                 text = str(part)
                 _add_text(segments, text, count_tokens(text))
@@ -174,15 +206,19 @@ def bind(
 
 
 def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> RenderedPrompt:
-    """Substitute every placeholder; unbound placeholders are an error."""
+    """Substitute every placeholder; unbound placeholders are an error.
+
+    The digest continues ``template.lead``'s hash over the rest of the text.
+    """
     bound = bind(template, bindings).segments
     open_slots = [value for kind, value, _ in bound if kind == "slot"]
     if open_slots:
         raise TemplateError(f"unbound placeholder {open_slots[0]!r}")
-    if not bound:
-        return RenderedPrompt(text="", token_estimate=0)
-    ((_, text, tokens),) = bound
-    return RenderedPrompt(text=text, token_estimate=tokens)
+    ((_, text, tokens),) = bound or (("text", "", 0),)
+    lead_length, lead_hash = template.lead
+    digest = lead_hash.copy()
+    digest.update(text[lead_length:].encode("utf-8"))
+    return RenderedPrompt(text=text, token_estimate=tokens, sha256=digest.hexdigest()[:16])
 
 
 # --- token estimation ------------------------------------------------------
@@ -381,7 +417,7 @@ def complete(
             **fields,
             "prompt_tokens": prompt.token_estimate,
             "completion_tokens": count_tokens(answer),
-            "prompt_sha256": hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16],
+            "prompt_sha256": prompt.sha256,
         }
     )
     return answer

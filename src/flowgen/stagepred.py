@@ -157,10 +157,11 @@ def _verified(
     return kept
 
 
-def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> RenderedPrompt:
-    """``texts`` joined by a whitespace ``sep``, each counted once per key in ``tokens``.
+def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, int]:
+    """``texts`` joined by a whitespace ``sep``, and their token total.
 
-    No alphanumeric run crosses ``sep``, so the counts add exactly.
+    Each text is counted once per key in ``tokens``. No alphanumeric run
+    crosses ``sep``, so the counts add exactly.
     """
     total = 0
     for key, text in zip(keys, texts):
@@ -168,7 +169,7 @@ def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> RenderedPro
         if n is None:
             n = tokens[key] = count_tokens(text)
         total += n
-    return RenderedPrompt(text=sep.join(texts), token_estimate=total)
+    return sep.join(texts), total
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 The scoring oracle reimplements the documented formula from scratch —
 smoothed idf, unit tf-idf vectors, cosine, per-label max — and must agree
-with the model to the last rounded digit on randomized corpora. The scan
-oracle runs every keyword's pattern on every text, which the indexed scan
-must agree with.
+with the model to the last rounded digit on randomized corpora. A second
+oracle, ``score_every_exemplar``, is the model's scoring loop from before
+its positional index; the indexed model must equal it bit for bit. The
+scan oracle runs every keyword's pattern on every text, which the indexed
+scan must agree with.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeResponse, make_catalog, make_stage
 from flowgen import InputError, fixture_path
+from flowgen.catalog import keyword_parts as tokenize
 from flowgen.llm import ProviderError
 from flowgen.classify import (
     Classification,
     RemoteClassifier,
     TrainingPair,
+    _unit,
+    _vectorize,
     keyword_scan,
     load_training_pairs,
-    tokenize,
     train,
 )
 
@@ -101,6 +105,13 @@ def test_row_limit_probe_finds_nothing_in_demo_pairs():
     pairs = load_training_pairs(fixture_path("demo_training_pairs.json"))
     model = train(pairs, {p.label for p in pairs})
     assert not model.classify("Row limit should be 50").matched
+
+
+def test_classifier_folds_dotted_capital_i_like_the_keyword_scan():
+    # str.lower() alone tokenizes "İzmir" as "i" + "zmir"
+    model = fit([("load izmir data", "city"), ("sort the rows", "sort")])
+    for spelling in ("\u0130zmir", "IZMIR", "\u0131zmir"):
+        assert model.classify(f"load {spelling} data").ranked[0] == ("city", 1.0)
 
 
 def test_demo_pairs_recall_their_own_labels():
@@ -183,6 +194,86 @@ def test_matched_iff_top_score_reaches_threshold(pairs, query, threshold):
     model = fit(pairs, threshold=threshold)
     result = model.classify(query)
     assert result.matched == (result.ranked[0][1] >= threshold)
+
+
+def score_every_exemplar(model, text: str) -> Classification:
+    """The model's scoring loop from before its index: every exemplar, one at a time.
+
+    Kept as it was, except that its ``sum`` is spelled out as the left-to-right
+    additions that ``sum`` makes before Python 3.12 (3.12 compensates).
+    """
+    query = _unit(_vectorize(tokenize(text), model.idf, model.default_idf))
+    exemplars = [(vec, model.labels[i]) for vec, i in zip(model.vectors, model.label_of)]
+    best: dict[str, float] = {label: 0.0 for _, label in exemplars}
+    for vec, label in exemplars:
+        if len(query) < len(vec):
+            small, big = query, vec
+        else:
+            small, big = vec, query
+        score = 0.0
+        for t, w in small.items():
+            score += w * big.get(t, 0.0)
+        score = round(score, 12)
+        if score > best[label]:
+            best[label] = score
+    ranked = tuple(sorted(best.items(), key=lambda kv: (-kv[1], kv[0])))
+    matched = bool(ranked) and ranked[0][1] >= model.threshold
+    return Classification(ranked=ranked, matched=matched)
+
+
+# few letters, so exemplars repeat tokens and share them with queries; "zz" is
+# never trained
+letters = st.sampled_from("abcdefghijklmnop")
+letter_texts = st.lists(letters, min_size=1, max_size=12).map(" ".join)
+letter_labels = st.sampled_from(["l0", "l1", "l2"])  # fewer labels than exemplars
+letter_queries = st.lists(st.sampled_from([*"abcdefghijklmnop", "zz"]), max_size=14).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(letter_texts, letter_labels), min_size=1, max_size=8),
+    queries=st.lists(letter_queries, min_size=1, max_size=4),
+)
+def test_indexed_scores_equal_every_exemplar_bit_for_bit(pairs, queries):
+    model = fit(pairs)
+    for query in queries:
+        assert model.classify(query) == score_every_exemplar(model, query)
+
+
+# found by search: the last digit of ``l5``'s score depends on summing each
+# exemplar's terms in the order of the shorter vector
+@pytest.mark.parametrize(
+    ("utterances", "query", "score"),
+    [
+        # the query is shorter than l5's exemplar: query order; exemplar order gives ...284
+        (
+            "e o d i e h n j/f i b c k j i o l p o/m h e o p g/k f m e b p k p g d/h g k b p b a/"
+            "d e h i h d j p l o p b",
+            "l o p",
+            0.513951897283,
+        ),
+        # the query is longer: exemplar order; query order gives ...666
+        (
+            "k d a p l m c i h b/o f b e o a/b l n o k c/b l c e i i o f/i a b j l n j e/"
+            "a m o k j b",
+            "h a l j p g c n e e k f o",
+            0.361688983667,
+        ),
+        # as long as it: exemplar order; query order gives ...667
+        (
+            "l p j i p c g g n n/i d o l i k d e o o c e/b m g g e n l e d/f k k d k/"
+            "f i a c c e e g i/m a o o e n g o g g k b",
+            "m e g b o o j c o d",
+            0.783698244668,
+        ),
+    ],
+    ids=["query-shorter", "query-longer", "same-length"],
+)
+def test_each_exemplar_sums_in_the_order_of_the_shorter_vector(utterances, query, score):
+    model = fit([(u, f"l{i}") for i, u in enumerate(utterances.split("/"))])
+    result = model.classify(query)
+    assert dict(result.ranked)["l5"] == score
+    assert result == score_every_exemplar(model, query)
 
 
 # --- keyword scan ----------------------------------------------------------------------

@@ -261,6 +261,21 @@ def test_import_leaves_requests_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_serial_runs_load_neither_openssl_nor_thread_pools():
+    # the prompt digest uses the builtin SHA-256, and only parallel runs start threads
+    probe = (
+        "import sys, flowgen.cli\n"
+        "from flowgen import run_in_order\n"
+        "from flowgen.llm import parse_template, render_prompt\n"
+        "run_in_order([lambda: render_prompt(parse_template('a {{x}}'), {'x': 'b'})] * 2, 1)\n"
+        "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "generate")[0] == 1  # needs --utterance or --stdin
     assert run(capsys)[0] == 1  # needs a subcommand

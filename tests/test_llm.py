@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -151,6 +152,38 @@ def test_bind_then_render_matches_render(case, first):
     rendered = render_prompt(partial, {n: v for n, v in values.items() if n not in first})
     assert rendered == render_prompt(template, values)
     assert rendered.token_estimate == count_tokens(expected)
+
+
+# any value UTF-8 can encode, so most are non-ASCII
+VALUES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def sha256_16(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@given(
+    templates(),
+    st.lists(st.fixed_dictionaries({n: VALUES for n in SLOT_NAMES}), min_size=2, max_size=2),
+    st.sets(st.sampled_from(SLOT_NAMES)),
+)
+@example((parse_template(""), {}, ""), [{"x": "", "y": "", "z": ""}] * 2, set())
+@example((parse_template("{{x}} é"), {}, ""), [{"x": "\u0130", "y": "", "z": ""}] * 2, {"y"})
+def test_prompt_digest_is_the_sha256_of_its_text(case, renders, first):
+    template, _, _ = case
+    # a second render of a template, or of a partial binding of it, reuses its hashed lead
+    for values in renders:
+        partial = bind(template, {name: values[name] for name in first})
+        for rendered in (
+            render_prompt(template, values),
+            render_prompt(partial, {n: v for n, v in values.items() if n not in first}),
+        ):
+            assert rendered.sha256 == sha256_16(rendered.text)
+            trace: list[dict] = []
+            complete(MockProvider([MockScript("contains", "", "ok")]), rendered, trace, "decompose")
+            assert trace[0]["prompt_sha256"] == rendered.sha256
+    # a prompt built by hand hashes its own text
+    assert prompt_of("ping é").sha256 == sha256_16("ping é")
 
 
 def test_bind_leaves_other_slots_open():
