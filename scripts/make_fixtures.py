@@ -67,9 +67,9 @@ def verify(out_dir: Path) -> dict[str, float]:
 
     pairs = load_training_pairs(out_dir / "synthetic_training_pairs.json")
     model = train(pairs, catalog.stages)
-    for pair in pairs:
-        top = model.classify(pair.utterance).top
-        assert top == pair.label, (pair.utterance, top)
+    for utterance, label in pairs:
+        top = model.classify(utterance).top
+        assert top == label, (utterance, top)
 
     records = json.loads((out_dir / "synthetic_utterances.json").read_text("utf-8"))
     assert len(records) == 20, len(records)

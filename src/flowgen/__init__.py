@@ -15,6 +15,17 @@ class InputError(ValueError):
     """A configuration, data or training file that flowgen cannot use."""
 
 
+class Record:
+    """A plain record, equal to a record of its own type whose ``__slots__`` fields are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
+
+
 def fixture_path(*parts: str) -> Path:
     """Absolute path of a bundled fixture file."""
     return Path(__file__).parent.joinpath("fixtures", *parts)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from . import InputError, condexpr
+from . import InputError, Record, condexpr
 
 __all__ = [
     "CardinalityBound",
@@ -54,18 +53,22 @@ class CatalogValidationError(CatalogError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class CardinalityBound:
+class CardinalityBound(Record):
     """Inclusive link-count bounds; ``max=None`` means unbounded."""
 
-    min: int
-    max: int | None
+    __slots__ = ("min", "max")
+
+    def __init__(self, min: int, max: int | None):
+        self.min = min
+        self.max = max
 
 
-@dataclass(frozen=True)
-class ValueType:
-    kind: str
-    variants: tuple[str, ...] = ()  # non-empty iff kind == "enum"
+class ValueType(Record):
+    __slots__ = ("kind", "variants")
+
+    def __init__(self, kind: str, variants: tuple[str, ...] = ()):
+        self.kind = kind
+        self.variants = variants  # non-empty iff kind == "enum"
 
     @classmethod
     def enum_of(cls, variants: tuple[str, ...] | list[str]) -> "ValueType":
@@ -78,24 +81,36 @@ DECIMAL = ValueType("decimal")
 BOOLEAN = ValueType("boolean")
 
 
-@dataclass(frozen=True)
-class PropertyDef:
-    name: str
-    description: str
-    value_type: ValueType
-    default: str | None = None
-    availability: str | None = None  # condexpr source over sibling properties
+class PropertyDef(Record):
+    __slots__ = ("name", "description", "value_type", "default", "availability")
+
+    def __init__(
+        self, name: str, description: str, value_type: ValueType, default: str | None = None,
+        availability: str | None = None,
+    ):
+        self.name = name
+        self.description = description
+        self.value_type = value_type
+        self.default = default
+        self.availability = availability  # condexpr source over sibling properties
 
 
-@dataclass(frozen=True)
-class StageDef:
-    name: str
-    description: str
-    synonyms: tuple[str, ...]
-    is_connector: bool
-    inputs: CardinalityBound
-    outputs: CardinalityBound
-    properties: tuple[PropertyDef, ...]
+class StageDef(Record):
+    __slots__ = (
+        "name", "description", "synonyms", "is_connector", "inputs", "outputs", "properties"
+    )
+
+    def __init__(
+        self, name: str, description: str, synonyms: tuple[str, ...], is_connector: bool,
+        inputs: CardinalityBound, outputs: CardinalityBound, properties: tuple[PropertyDef, ...],
+    ):
+        self.name = name
+        self.description = description
+        self.synonyms = synonyms
+        self.is_connector = is_connector
+        self.inputs = inputs
+        self.outputs = outputs
+        self.properties = properties
 
     def find_property(self, name: str) -> PropertyDef | None:
         """Case-insensitive property lookup returning the declared definition."""
@@ -106,26 +121,30 @@ class StageDef:
         return None
 
 
-@dataclass
 class Violation:
-    stage: str
-    field: str
-    message: str
+    __slots__ = ("stage", "field", "message")
+
+    def __init__(self, stage: str, field: str, message: str):
+        self.stage = stage
+        self.field = field
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.stage}.{self.field}: {self.message}"
 
 
-@dataclass(frozen=True)
 class Keyword:
     """A whole-word, case-insensitive pattern, with the parts the text must hold for it to match.
 
     An underscore in the keyword matches an underscore or a space.
     """
 
-    parts: frozenset[str]  # all but the first, which files it in ``keyword_index``
-    pattern: re.Pattern[str]
-    stages: frozenset[str]
+    __slots__ = ("parts", "pattern", "stages")
+
+    def __init__(self, parts: frozenset[str], pattern: re.Pattern[str], stages: frozenset[str]):
+        self.parts = parts  # all but the first, which files it in ``keyword_index``
+        self.pattern = pattern
+        self.stages = stages
 
 
 # the only non-ASCII code points that ``re.IGNORECASE`` matches to [a-z0-9];
@@ -144,9 +163,10 @@ def keyword_parts(text: str) -> list[str]:
     return _PART_RE.findall(text.translate(_ASCII_FOLDS).lower())
 
 
-@dataclass
 class Catalog:
-    stages: dict[str, StageDef]
+    # no __slots__: the cached properties live in the instance __dict__
+    def __init__(self, stages: dict[str, StageDef]):
+        self.stages = stages
 
     @cached_property
     def synonym_index(self) -> dict[str, frozenset[str]]:

@@ -23,17 +23,15 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from . import InputError, read_json
+from . import InputError, Record, read_json
 from .catalog import Catalog, keyword_parts
 from .llm import ProviderError, post_json
 
 __all__ = [
-    "TrainingPair",
     "ClassifierModel",
     "Classification",
     "StageClassifier",
@@ -51,18 +49,14 @@ DEFAULT_THRESHOLD = 0.25
 _SCORE_DIGITS = 12
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    utterance: str
-    label: str  # must name a catalog stage
-
-
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Ranked (label, score) pairs, best first; ``matched`` applies the threshold."""
 
-    ranked: tuple[tuple[str, float], ...]
-    matched: bool
+    __slots__ = ("ranked", "matched")
+
+    def __init__(self, ranked: tuple[tuple[str, float], ...], matched: bool):
+        self.ranked = ranked
+        self.matched = matched
 
     @property
     def top(self) -> str | None:
@@ -73,7 +67,6 @@ class StageClassifier(Protocol):
     def classify(self, text: str) -> Classification: ...
 
 
-@dataclass
 class ClassifierModel:
     """A trained lexical model, indexed for scoring by ``train``.
 
@@ -83,14 +76,23 @@ class ClassifierModel:
     index into it.
     """
 
-    idf: dict[str, float]
-    default_idf: float  # weight for query tokens unseen in training
-    vectors: list[dict[str, float]]  # one unit tf-idf vector per exemplar
-    labels: list[str]
-    label_of: list[int]
-    at: list[dict[str, list[tuple[int, float]]]]
-    longest_first: list[int]  # exemplar indices by vector length, longest first
-    threshold: float = DEFAULT_THRESHOLD
+    __slots__ = (
+        "idf", "default_idf", "vectors", "labels", "label_of", "at", "longest_first", "threshold"
+    )
+
+    def __init__(
+        self, idf: dict[str, float], default_idf: float, vectors: list[dict[str, float]],
+        labels: list[str], label_of: list[int], at: list[dict[str, list[tuple[int, float]]]],
+        longest_first: list[int], threshold: float = DEFAULT_THRESHOLD,
+    ):
+        self.idf = idf
+        self.default_idf = default_idf  # weight for query tokens unseen in training
+        self.vectors = vectors  # one unit tf-idf vector per exemplar
+        self.labels = labels
+        self.label_of = label_of
+        self.at = at
+        self.longest_first = longest_first  # exemplar indices by vector length, longest first
+        self.threshold = threshold
 
     def classify(self, text: str) -> Classification:
         """Score ``text`` against every label; deterministic for identical inputs.
@@ -141,11 +143,11 @@ def _vectorize(tokens: list[str], idf: dict[str, float], default_idf: float) -> 
 
 
 def train(
-    pairs: Iterable[TrainingPair],
+    pairs: Iterable[tuple[str, str]],
     labels: Iterable[str],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ClassifierModel:
-    """Fit the lexical model.
+    """Fit the lexical model to ``(utterance, label)`` pairs.
 
     ``labels`` is the set of admissible stage names (normally the catalog's);
     a pair with a label outside it is an authoring error. Duplicate pairs are
@@ -155,11 +157,11 @@ def train(
     if not pairs:
         raise InputError("empty training set")
     known = set(labels)
-    for pair in pairs:
-        if pair.label not in known:
-            raise InputError(f"unknown label {pair.label!r} for {pair.utterance!r}")
+    for utterance, label in pairs:
+        if label not in known:
+            raise InputError(f"unknown label {label!r} for {utterance!r}")
 
-    docs = [keyword_parts(p.utterance) for p in pairs]
+    docs = [keyword_parts(utterance) for utterance, _ in pairs]
     n_docs = len(docs)
     df = Counter(t for doc in docs for t in set(doc))
     # smoothed idf keeps every weight positive so exact matches score 1.0
@@ -167,32 +169,33 @@ def train(
     default_idf = math.log(1 + n_docs) + 1.0
 
     vectors = []
-    for pair, doc in zip(pairs, docs):
+    for (utterance, _), doc in zip(pairs, docs):
         vec = _unit(_vectorize(doc, idf, default_idf))
         if not vec:
-            raise InputError(f"training utterance has no tokens: {pair.utterance!r}")
+            raise InputError(f"training utterance has no tokens: {utterance!r}")
         vectors.append(vec)
     at: list[dict[str, list[tuple[int, float]]]] = [{} for _ in range(max(map(len, vectors)))]
     for e, vec in enumerate(vectors):
         for postings, (t, w) in zip(at, vec.items()):
             postings.setdefault(t, []).append((e, w))
-    names = sorted({p.label for p in pairs})
+    names = sorted({label for _, label in pairs})
     index = {label: i for i, label in enumerate(names)}
     return ClassifierModel(
         idf=idf,
         default_idf=default_idf,
         vectors=vectors,
         labels=names,
-        label_of=[index[p.label] for p in pairs],
+        label_of=[index[label] for _, label in pairs],
         at=at,
         longest_first=sorted(range(len(vectors)), key=lambda e: -len(vectors[e])),
         threshold=threshold,
     )
 
 
-def load_training_pairs(path: str | Path) -> list[TrainingPair]:
+def load_training_pairs(path: str | Path) -> list[tuple[str, str]]:
+    """The ``(utterance, label)`` pairs of a training file; each label must name a catalog stage."""
     raw = read_json(path, list, "pair", ("utterance", "label"))
-    return [TrainingPair(str(item["utterance"]), str(item["label"])) for item in raw]
+    return [(str(item["utterance"]), str(item["label"])) for item in raw]
 
 
 # --- keyword scan ----------------------------------------------------------

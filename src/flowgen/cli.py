@@ -18,13 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .catalog import CatalogValidationError, load_catalog
-from .classify import load_training_pairs, train
-from .evaluation import load_dataset, report_json, report_table, run_eval
 from .llm import FAMILY_PRESEED, ProviderError
 from .pipeline import (
     STRATEGIES,
@@ -33,6 +30,7 @@ from .pipeline import (
     build_runtime,
     emit,
     generate_with_runtime,
+    load_classifier,
     load_workflow_doc,
 )
 
@@ -63,25 +61,27 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig(strategy=args.strategy, family=args.family, parallel=args.parallel)
-    if args.cap is not None:
-        cfg = replace(cfg, example_cap=args.cap)
-    if args.catalog:
-        cfg = replace(cfg, catalog_path=Path(args.catalog))
-    if args.examples:
-        cfg = replace(cfg, examples_path=Path(args.examples))
-    if args.split_examples:
-        cfg = replace(cfg, split_examples_path=Path(args.split_examples))
-    if args.registry:
-        cfg = replace(cfg, registry_path=Path(args.registry))
-    if args.mock_scripts:
-        cfg = replace(cfg, mock_scripts_path=Path(args.mock_scripts))
+    """The config that a subcommand's flags give.
+
+    A flag left unset, or one the subcommand lacks, keeps its default. An
+    http(s) ``--classifier`` is an endpoint, anything else a path.
+    """
+    kwargs: dict = {}
+    for name in ("strategy", "family", "parallel"):
+        if name in args:
+            kwargs[name] = getattr(args, name)
+    if getattr(args, "cap", None) is not None:
+        kwargs["example_cap"] = args.cap
+    for flag in ("catalog", "examples", "split_examples", "registry", "mock_scripts"):
+        value = getattr(args, flag, None)
+        if value:
+            kwargs[f"{flag}_path"] = Path(value)
     if args.classifier:
         if args.classifier.startswith(("http://", "https://")):
-            cfg = replace(cfg, classifier_endpoint=args.classifier)
+            kwargs["classifier_endpoint"] = args.classifier
         else:
-            cfg = replace(cfg, classifier_path=Path(args.classifier))
-    return cfg
+            kwargs["classifier_path"] = Path(args.classifier)
+    return PipelineConfig(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="score a text span against the classifier")
     p_cls.add_argument("--text", required=True)
     p_cls.add_argument("--catalog", help="stage catalog JSON path")
-    p_cls.add_argument("--classifier", help="classifier training pairs JSON path")
+    p_cls.add_argument("--classifier", help="classifier training pairs JSON path, or http(s) endpoint")
     p_cls.add_argument("--top", type=int, default=5, help="number of ranked labels to print")
 
     p_cat = sub.add_parser("catalog-validate", help="validate a stage catalog")
@@ -152,6 +152,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    # local: only eval needs the harness, so a one-shot generate does not load it
+    from .evaluation import load_dataset, report_json, report_table, run_eval
+
     cfg = _config_from_args(args)
     dataset = load_dataset(args.dataset)
     measures = tuple(m.strip() for m in args.measure.split(",") if m.strip())
@@ -167,11 +170,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise _UsageError("--top must not be negative")
-    cfg = PipelineConfig()
-    catalog = load_catalog(args.catalog or cfg.catalog_path)
-    pairs = load_training_pairs(args.classifier or cfg.classifier_path)
-    model = train(pairs, labels=frozenset(catalog.stages))
-    result = model.classify(args.text)
+    cfg = _config_from_args(args)
+    result = load_classifier(cfg, load_catalog(cfg.catalog_path)).classify(args.text)
     print(f"matched: {str(result.matched).lower()}")
     for label, score in result.ranked[: args.top]:
         print(f"{score:.4f}  {label}")

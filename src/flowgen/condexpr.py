@@ -22,9 +22,10 @@ authoring bug and should surface loudly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping, Union
+
+from . import Record
 
 __all__ = [
     "Literal",
@@ -66,44 +67,58 @@ class ConditionTypeError(TypeError):
     """Raised when evaluation compares incompatible value types."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    kind: str  # "string" | "integer" | "decimal" | "boolean"
-    value: object
+class Literal(Record):
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: object):
+        self.kind = kind  # "string" | "integer" | "decimal" | "boolean"
+        self.value = value
 
 
-@dataclass(frozen=True)
-class PropertyRef:
-    path: str
+class PropertyRef(Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
 
 
-@dataclass(frozen=True)
-class Comparison:
-    ref: PropertyRef
-    op: str
-    literal: Literal
+class Comparison(Record):
+    __slots__ = ("ref", "op", "literal")
+
+    def __init__(self, ref: PropertyRef, op: str, literal: Literal):
+        self.ref = ref
+        self.op = op
+        self.literal = literal
 
 
-@dataclass(frozen=True)
-class Defined:
-    path: str
+class Defined(Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: str):
+        self.path = path
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "ConditionExpr"
+class Not(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "ConditionExpr"):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class And:
-    left: "ConditionExpr"
-    right: "ConditionExpr"
+class And(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "ConditionExpr", right: "ConditionExpr"):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "ConditionExpr"
-    right: "ConditionExpr"
+class Or(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "ConditionExpr", right: "ConditionExpr"):
+        self.left = left
+        self.right = right
 
 
 ConditionExpr = Union[Literal, PropertyRef, Comparison, Defined, Not, And, Or]
@@ -128,11 +143,8 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"and", "or", "not", "defined", "true", "false"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# a token is (kind, text, pos): its kind, its source text and where it starts
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -152,9 +164,9 @@ def _tokenize(text: str) -> list[_Token]:
                         f"unknown word {word!r}; property paths must be single-quoted", pos
                     )
                 kind = word
-            tokens.append(_Token(kind, m.group(), pos))
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -177,100 +189,93 @@ class _Parser:
         self.i = 0
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def kind(self) -> str:
+        return self.tokens[self.i][0]
 
     def advance(self) -> _Token:
-        tok = self.cur
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 
+    def unexpected(self, expected: tuple[str, ...]) -> ConditionSyntaxError:
+        kind, _, pos = self.tokens[self.i]
+        return ConditionSyntaxError(f"unexpected {kind or 'end of input'}", pos, expected)
+
     def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ConditionSyntaxError(
-                f"unexpected {self.cur.kind or 'end of input'}", self.cur.pos, (kind,)
-            )
+        if self.kind != kind:
+            raise self.unexpected((kind,))
         return self.advance()
 
     def parse(self) -> ConditionExpr:
         expr = self.or_expr()
-        if self.cur.kind != "end":
-            raise ConditionSyntaxError(
-                f"trailing input {self.cur.text!r}", self.cur.pos, ("end of input",)
-            )
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ConditionSyntaxError(f"trailing input {text!r}", pos, ("end of input",))
         return expr
 
     def or_expr(self) -> ConditionExpr:
         left = self.and_expr()
-        while self.cur.kind == "or":
+        while self.kind == "or":
             self.advance()
             left = Or(left, self.and_expr())
         return left
 
     def and_expr(self) -> ConditionExpr:
         left = self.cmp_expr()
-        while self.cur.kind == "and":
+        while self.kind == "and":
             self.advance()
             left = And(left, self.cmp_expr())
         return left
 
     def cmp_expr(self) -> ConditionExpr:
         left = self.unary()
-        if self.cur.kind == "op":
-            op_tok = self.advance()
+        if self.kind == "op":
+            _, op, pos = self.advance()
             if not isinstance(left, PropertyRef):
-                raise ConditionSyntaxError(
-                    "left side of a comparison must be a property path", op_tok.pos
-                )
-            return Comparison(left, op_tok.text, self.literal())
+                raise ConditionSyntaxError("left side of a comparison must be a property path", pos)
+            return Comparison(left, op, self.literal())
         return left
 
     def unary(self) -> ConditionExpr:
-        if self.cur.kind == "not":
+        if self.kind == "not":
             self.advance()
             return Not(self.unary())
         return self.primary()
 
     def primary(self) -> ConditionExpr:
-        tok = self.cur
-        if tok.kind == "defined":
+        kind, text, pos = self.tokens[self.i]
+        if kind == "defined":
             self.advance()
             self.expect("lparen")
-            path_tok = self.expect("path")
+            _, path, path_pos = self.expect("path")
             self.expect("rparen")
-            return Defined(_validate_path(path_tok.text, path_tok.pos))
-        if tok.kind == "path":
+            return Defined(_validate_path(path, path_pos))
+        if kind == "path":
             self.advance()
-            return PropertyRef(_validate_path(tok.text, tok.pos))
-        if tok.kind == "lparen":
+            return PropertyRef(_validate_path(text, pos))
+        if kind == "lparen":
             self.advance()
             expr = self.or_expr()
             self.expect("rparen")
             return expr
-        if tok.kind in ("string", "number", "true", "false"):
+        if kind in ("string", "number", "true", "false"):
             return self.literal()
-        raise ConditionSyntaxError(
-            f"unexpected {tok.kind or 'end of input'}",
-            tok.pos,
-            ("path", "literal", "defined", "not", "("),
-        )
+        raise self.unexpected(("path", "literal", "defined", "not", "("))
 
     def literal(self) -> Literal:
-        tok = self.cur
-        if tok.kind == "string":
+        kind, text, _ = self.tokens[self.i]
+        if kind == "string":
             self.advance()
-            return Literal("string", tok.text[1:-1])
-        if tok.kind == "number":
+            return Literal("string", text[1:-1])
+        if kind == "number":
             self.advance()
-            if "." in tok.text:
-                return Literal("decimal", Decimal(tok.text))
-            return Literal("integer", int(tok.text))
-        if tok.kind in ("true", "false"):
+            if "." in text:
+                return Literal("decimal", Decimal(text))
+            return Literal("integer", int(text))
+        if kind in ("true", "false"):
             self.advance()
-            return Literal("boolean", tok.kind == "true")
-        raise ConditionSyntaxError(
-            f"unexpected {tok.kind or 'end of input'}", tok.pos, ("literal",)
-        )
+            return Literal("boolean", kind == "true")
+        raise self.unexpected(("literal",))
 
 
 def parse_condition(text: str) -> ConditionExpr:

@@ -21,7 +21,6 @@ than leaving a hole visible.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 
 from .catalog import CardinalityBound, Catalog
 from .llm import CompletionProvider, complete, load_template, render_prompt
@@ -63,19 +62,26 @@ class EdgePredictionError(GraphError):
     pass
 
 
-@dataclass
 class NodeInstance:
-    unique_name: str
-    stage: str
-    inputs: CardinalityBound
-    outputs: CardinalityBound
-    sub_utterance: str = ""
+    __slots__ = ("unique_name", "stage", "inputs", "outputs", "sub_utterance")
+
+    def __init__(
+        self, unique_name: str, stage: str, inputs: CardinalityBound, outputs: CardinalityBound,
+        sub_utterance: str = "",
+    ):
+        self.unique_name = unique_name
+        self.stage = stage
+        self.inputs = inputs
+        self.outputs = outputs
+        self.sub_utterance = sub_utterance
 
 
-@dataclass
 class FlowGraph:
-    nodes: list[NodeInstance]
-    edges: list[tuple[str, str]] = field(default_factory=list)  # ordered, no duplicates
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: list[NodeInstance], edges: list[tuple[str, str]] | None = None):
+        self.nodes = nodes
+        self.edges = [] if edges is None else edges  # ordered, no duplicates
 
     def node_names(self) -> set[str]:
         return {n.unique_name for n in self.nodes}
@@ -96,23 +102,27 @@ class FlowGraph:
         return False
 
 
-@dataclass
 class CardinalityViolation:
-    node: str
-    direction: str  # "inputs" | "outputs"
-    kind: str  # "over" | "under"
-    actual: int
-    bound: int  # the violated bound (max for over, min for under)
+    __slots__ = ("node", "direction", "kind", "actual", "bound")
+
+    def __init__(self, node: str, direction: str, kind: str, actual: int, bound: int):
+        self.node = node
+        self.direction = direction  # "inputs" | "outputs"
+        self.kind = kind  # "over" | "under"
+        self.actual = actual
+        self.bound = bound  # the violated bound (max for over, min for under)
 
     def __str__(self) -> str:
         rel = ">" if self.kind == "over" else "<"
         return f"{self.node}: {self.actual} {self.direction} {rel} bound {self.bound}"
 
 
-@dataclass
 class EdgeMetrics:
-    similarity: float  # Dice coefficient over aligned edge sets
-    exact: bool
+    __slots__ = ("similarity", "exact")
+
+    def __init__(self, similarity: float, exact: bool):
+        self.similarity = similarity  # Dice coefficient over aligned edge sets
+        self.exact = exact
 
 
 # --- node construction -------------------------------------------------------
@@ -361,7 +371,10 @@ def repair_with_renames(
         for k, name in enumerate(node_names(stages)):
             if stages[k] in split:
                 names[k] = name
-    nodes = [replace(g.nodes[i], unique_name=name) for i, name in zip(origin, names)]
+    nodes = [
+        NodeInstance(name, n.stage, n.inputs, n.outputs, n.sub_utterance)
+        for n, name in zip((g.nodes[i] for i in origin), names)
+    ]
     renames: dict[str, list[str]] = {}
     for i, name in zip(origin, names):
         renames.setdefault(g.nodes[i].unique_name, []).append(name)

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from . import InputError, has_keys, read_json, run_in_order
+from . import InputError, Record, has_keys, read_json, run_in_order
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
@@ -53,34 +52,50 @@ __all__ = [
 MEASURES = ("stages", "edges", "props")
 
 
-@dataclass
 class EvalRecord:
-    utterance: str
-    gold_stages: list[str]  # ordered; duplicates become _1/_2 instances
-    gold_edges: list[tuple[str, str]] | None = None
-    gold_properties: dict[str, list[tuple[str, str]]] | None = None
+    __slots__ = ("utterance", "gold_stages", "gold_edges", "gold_properties")
+
+    def __init__(
+        self, utterance: str, gold_stages: list[str],
+        gold_edges: list[tuple[str, str]] | None = None,
+        gold_properties: dict[str, list[tuple[str, str]]] | None = None,
+    ):
+        self.utterance = utterance
+        self.gold_stages = gold_stages  # ordered; duplicates become _1/_2 instances
+        self.gold_edges = gold_edges
+        self.gold_properties = gold_properties
 
 
-@dataclass
-class StageAccuracy:
-    total: float
-    one_op: float
-    n_op: float
-    n_records: int = 0
-    n_one_op: int = 0
-    n_n_op: int = 0
+class StageAccuracy(Record):
+    __slots__ = ("total", "one_op", "n_op", "n_records", "n_one_op", "n_n_op")
+
+    def __init__(
+        self, total: float, one_op: float, n_op: float, n_records: int = 0, n_one_op: int = 0,
+        n_n_op: int = 0,
+    ):
+        self.total = total
+        self.one_op = one_op
+        self.n_op = n_op
+        self.n_records = n_records
+        self.n_one_op = n_one_op
+        self.n_n_op = n_n_op
 
 
-@dataclass
 class MetricsReport:
-    measures: list[str]
-    stages: StageAccuracy | None = None
-    edge_similarity: float | None = None
-    edge_exact_rate: float | None = None
-    edge_records: int = 0
-    props: PropMetrics | None = None
-    tokens: dict[str, float] = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = (
+        "measures", "stages", "edge_similarity", "edge_exact_rate", "edge_records", "props",
+        "tokens", "failures",
+    )
+
+    def __init__(self, measures: list[str]):
+        self.measures = measures
+        self.stages: StageAccuracy | None = None
+        self.edge_similarity: float | None = None
+        self.edge_exact_rate: float | None = None
+        self.edge_records = 0
+        self.props: PropMetrics | None = None
+        self.tokens: dict[str, float] = {}
+        self.failures: list[dict] = []
 
 
 def load_dataset(path: str | Path) -> list[EvalRecord]:
@@ -179,19 +194,16 @@ def _gold_triples(record: EvalRecord, catalog: Catalog) -> list[PropTriple]:
     return triples
 
 
-@dataclass
-class _RecordResult:
-    pred: list[str] | None = None
-    edge: tuple[float, bool] | None = None
-    pred_triples: list[PropTriple] = field(default_factory=list)
-    gold_triples: list[PropTriple] = field(default_factory=list)
-    prompt_tokens: int = 0
-    requests: int = 0
-    failure: str | None = None
+def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> tuple:
+    """One record's ``(usage, failure, stages, edge, pred_triples, gold_triples)``.
 
-
-def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> _RecordResult:
-    result = _RecordResult()
+    ``failure`` is the text of a ``PipelineError``, or None; ``edge`` is
+    ``(similarity, exact)`` when the record's edges are measured. A failed
+    record reports its usage and nothing else.
+    """
+    edge = None
+    pred_triples: list[PropTriple] = []
+    gold_triples: list[PropTriple] = []
     needs_pipeline = ("edges" in measures and record.gold_edges is not None) or (
         "props" in measures and record.gold_properties is not None
     )
@@ -199,25 +211,23 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
         if needs_pipeline:
             workflow = generate_with_runtime(record.utterance, rt)
             spent = workflow.provenance["usage"]
-            result.pred = [n.stage for n in workflow.graph.nodes]
+            pred = [n.stage for n in workflow.graph.nodes]
             if "edges" in measures and record.gold_edges is not None:
                 metrics = edge_metrics(workflow.graph, _gold_graph(record, rt.catalog))
-                result.edge = (metrics.similarity, metrics.exact)
+                edge = (metrics.similarity, metrics.exact)
             if "props" in measures and record.gold_properties is not None:
                 for node in sorted(workflow.properties):
                     for a in workflow.properties[node]:
-                        result.pred_triples.append((node, a.name, canonical_value(a.coerced)))
-                result.gold_triples = _gold_triples(record, rt.catalog)
+                        pred_triples.append((node, a.name, canonical_value(a.coerced)))
+                gold_triples = _gold_triples(record, rt.catalog)
         else:
             prediction = predict_stages(record.utterance, rt)
             spent = usage(prediction.trace)
-            result.pred = list(prediction.stages)
+            pred = list(prediction.stages)
     except PipelineError as exc:
-        result.failure = str(exc)
         # a failed record still paid for the calls made before the failure
-        spent = exc.provenance.get("usage", usage())
-    result.prompt_tokens, result.requests = spent["prompt_tokens"], spent["requests"]
-    return result
+        return exc.provenance.get("usage", usage()), str(exc), None, None, [], []
+    return spent, None, pred, edge, pred_triples, gold_triples
 
 
 def run_eval(
@@ -255,19 +265,20 @@ def run_eval(
     pred_triples: list[PropTriple] = []
     gold_triples: list[PropTriple] = []
     for index, (record, result) in enumerate(zip(dataset, results)):
-        prompt_tokens += result.prompt_tokens
-        requests += result.requests
-        if result.failure is not None:
-            report.failures.append({"record": index, "message": result.failure})
+        spent, failure, pred, edge, record_pred_triples, record_gold_triples = result
+        prompt_tokens += spent["prompt_tokens"]
+        requests += spent["requests"]
+        if failure is not None:
+            report.failures.append({"record": index, "message": failure})
             continue
-        if "stages" in measures and result.pred is not None:
-            preds.append(result.pred)
+        if "stages" in measures:
+            preds.append(pred)
             golds.append(record.gold_stages)
-        if result.edge is not None:
-            edge_sims.append(result.edge[0])
-            edge_exacts.append(result.edge[1])
-        pred_triples.extend(result.pred_triples)
-        gold_triples.extend(result.gold_triples)
+        if edge is not None:
+            edge_sims.append(edge[0])
+            edge_exacts.append(edge[1])
+        pred_triples.extend(record_pred_triples)
+        gold_triples.extend(record_gold_triples)
 
     if "stages" in measures:
         report.stages = stage_accuracy(preds, golds)

@@ -22,12 +22,11 @@ import os
 import re
 import string
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from . import InputError, read_json
+from . import InputError, Record, read_json
 
 # the builtin SHA-256, as random.py loads its hash: hashlib would load
 # OpenSSL, which costs 3.5 MB of memory
@@ -91,7 +90,6 @@ class OperatorParseError(ValueError):
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
 
 
-@dataclass(frozen=True)
 class PromptTemplate:
     """Fixed text and placeholder segments, each text counted once when built.
 
@@ -100,7 +98,9 @@ class PromptTemplate:
     only its slot values.
     """
 
-    segments: tuple[tuple[str, str, int], ...]
+    # no __slots__: the cached ``lead`` lives in the instance __dict__
+    def __init__(self, segments: tuple[tuple[str, str, int], ...]):
+        self.segments = segments
 
     @cached_property
     def lead(self) -> tuple[int, object]:
@@ -114,27 +114,27 @@ class PromptTemplate:
         return len(text), _sha256(text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(Record):
     """A prompt's text, its token estimate and ``sha256``, the first 16 hex digits of its SHA-256.
 
     ``render_prompt`` supplies the digest; a prompt built without one
     hashes its text here.
     """
 
-    text: str
-    token_estimate: int
-    sha256: str = ""
+    __slots__ = ("text", "token_estimate", "sha256")
 
-    def __post_init__(self) -> None:
-        if not self.sha256:
-            object.__setattr__(self, "sha256", _sha256(self.text.encode("utf-8")).hexdigest()[:16])
+    def __init__(self, text: str, token_estimate: int, sha256: str = ""):
+        self.text = text
+        self.token_estimate = token_estimate
+        self.sha256 = sha256 or _sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class CompletionParams:
-    temperature: float = 0.0
-    max_tokens: int = 512
+    __slots__ = ("temperature", "max_tokens")
+
+    def __init__(self, temperature: float = 0.0, max_tokens: int = 512):
+        self.temperature = temperature
+        self.max_tokens = max_tokens
 
 
 class CompletionProvider(Protocol):
@@ -269,11 +269,13 @@ def parse_operator_list(text: str) -> list[str]:
 # --- providers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MockScript:
-    kind: str  # "exact" | "contains"
-    pattern: str
-    response: str
+    __slots__ = ("kind", "pattern", "response")
+
+    def __init__(self, kind: str, pattern: str, response: str):
+        self.kind = kind  # "exact" | "contains"
+        self.pattern = pattern
+        self.response = response
 
     def matches(self, prompt_text: str) -> bool:
         if self.kind == "exact":
@@ -281,7 +283,6 @@ class MockScript:
         return self.pattern in prompt_text
 
 
-@dataclass
 class MockProvider:
     """Scripted provider: first matching entry wins, in file order.
 
@@ -289,7 +290,10 @@ class MockProvider:
     pipelines stay deterministic.
     """
 
-    scripts: list[MockScript] = field(default_factory=list)
+    __slots__ = ("scripts",)
+
+    def __init__(self, scripts: list[MockScript] | None = None):
+        self.scripts = [] if scripts is None else scripts
 
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> str:
         for script in self.scripts:

@@ -17,7 +17,6 @@ empty property list for that node) and leaves a diagnostic behind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -60,7 +59,6 @@ from .proppred import (
 from .stagepred import (
     DEFAULT_EXAMPLE_CAP,
     FewShotExample,
-    SplitExample,
     StagePrediction,
     StagePredictionError,
     StagePrompts,
@@ -78,6 +76,7 @@ __all__ = [
     "Workflow",
     "PipelineError",
     "build_runtime",
+    "load_classifier",
     "generate_with_runtime",
     "predict_stages",
     "emit",
@@ -100,25 +99,43 @@ class PipelineError(Exception):
         }
 
 
-@dataclass
 class PipelineConfig:
-    strategy: str = "cag"
-    catalog_path: str | Path = field(default_factory=lambda: fixture_path("demo_catalog.json"))
-    examples_path: str | Path = field(default_factory=lambda: fixture_path("demo_bank.json"))
-    split_examples_path: str | Path = field(
-        default_factory=lambda: fixture_path("split_examples.json")
+    """Where a runtime's inputs come from, and how it runs; paths default to the demo fixtures.
+
+    ``registry_path=None`` means no registry.
+    """
+
+    __slots__ = (
+        "strategy", "catalog_path", "examples_path", "split_examples_path", "classifier_path",
+        "registry_path", "mock_scripts_path", "classifier_endpoint", "family", "parallel",
+        "example_cap",
     )
-    classifier_path: str | Path = field(
-        default_factory=lambda: fixture_path("demo_training_pairs.json")
-    )
-    registry_path: str | Path | None = field(
-        default_factory=lambda: fixture_path("demo_registry.json")
-    )
-    mock_scripts_path: str | Path | None = None
-    classifier_endpoint: str | None = None
-    family: str = "granite"
-    parallel: int = 1
-    example_cap: int = DEFAULT_EXAMPLE_CAP
+
+    def __init__(
+        self,
+        strategy: str = "cag",
+        catalog_path: str | Path = fixture_path("demo_catalog.json"),
+        examples_path: str | Path = fixture_path("demo_bank.json"),
+        split_examples_path: str | Path = fixture_path("split_examples.json"),
+        classifier_path: str | Path = fixture_path("demo_training_pairs.json"),
+        registry_path: str | Path | None = fixture_path("demo_registry.json"),
+        mock_scripts_path: str | Path | None = None,
+        classifier_endpoint: str | None = None,
+        family: str = "granite",
+        parallel: int = 1,
+        example_cap: int = DEFAULT_EXAMPLE_CAP,
+    ):
+        self.strategy = strategy
+        self.catalog_path = catalog_path
+        self.examples_path = examples_path
+        self.split_examples_path = split_examples_path
+        self.classifier_path = classifier_path
+        self.registry_path = registry_path
+        self.mock_scripts_path = mock_scripts_path
+        self.classifier_endpoint = classifier_endpoint
+        self.family = family
+        self.parallel = parallel
+        self.example_cap = example_cap
 
 
 def _check_config(cfg: PipelineConfig) -> None:
@@ -145,33 +162,51 @@ def _check_config(cfg: PipelineConfig) -> None:
         raise InputError("missing input files:\n  " + "\n  ".join(missing))
 
 
-@dataclass
 class Runtime:
-    catalog: Catalog
-    classifier: StageClassifier
-    bank: list[FewShotExample]
-    split_examples: list[SplitExample]
-    registry: ExternalRegistry | None
-    provider: CompletionProvider
-    cfg: PipelineConfig
-    # the static text of the stage prompts, counted once
-    prompts: StagePrompts
-    # the single strategy's full-catalog stage prompt, all but the utterance
-    # bound and counted once; None for the other strategies
-    listing: PromptTemplate | None
+    __slots__ = (
+        "catalog", "classifier", "bank", "split_examples", "registry", "provider", "cfg",
+        "prompts", "listing",
+    )
+
+    def __init__(
+        self, catalog: Catalog, classifier: StageClassifier, bank: list[FewShotExample],
+        split_examples: list[tuple[str, tuple[str, ...]]], registry: ExternalRegistry | None,
+        provider: CompletionProvider, cfg: PipelineConfig, prompts: StagePrompts,
+        listing: PromptTemplate | None,
+    ):
+        self.catalog = catalog
+        self.classifier = classifier
+        self.bank = bank
+        self.split_examples = split_examples
+        self.registry = registry
+        self.provider = provider
+        self.cfg = cfg
+        # the static text of the stage prompts, counted once
+        self.prompts = prompts
+        # the single strategy's full-catalog stage prompt, all but the utterance
+        # bound and counted once; None for the other strategies
+        self.listing = listing
+
+
+def load_classifier(cfg: PipelineConfig, catalog: Catalog) -> StageClassifier:
+    """The configured stage classifier.
+
+    That is the remote one at ``cfg.classifier_endpoint`` if one is set, else
+    the model trained on the pairs at ``cfg.classifier_path`` over
+    ``catalog``'s stages.
+    """
+    if cfg.classifier_endpoint:
+        from .classify import RemoteClassifier
+
+        return RemoteClassifier(cfg.classifier_endpoint)
+    return train(load_training_pairs(cfg.classifier_path), catalog.stages)
 
 
 def build_runtime(cfg: PipelineConfig) -> Runtime:
     """Load every configured artifact once; reusable across generate calls."""
     _check_config(cfg)
     catalog = load_catalog(cfg.catalog_path)
-    if cfg.classifier_endpoint:
-        from .classify import RemoteClassifier
-
-        classifier: StageClassifier = RemoteClassifier(cfg.classifier_endpoint)
-    else:
-        pairs = load_training_pairs(cfg.classifier_path)
-        classifier = train(pairs, catalog.stages)
+    classifier = load_classifier(cfg, catalog)
     bank = load_examples(cfg.examples_path, catalog)
     split_examples = load_split_examples(cfg.split_examples_path)
     registry = load_registry(cfg.registry_path) if cfg.registry_path else None
@@ -194,11 +229,15 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
     )
 
 
-@dataclass
 class Workflow:
-    graph: FlowGraph
-    properties: dict[str, list[PropertyAssignment]]  # accepted assignments per node
-    provenance: dict
+    __slots__ = ("graph", "properties", "provenance")
+
+    def __init__(
+        self, graph: FlowGraph, properties: dict[str, list[PropertyAssignment]], provenance: dict
+    ):
+        self.graph = graph
+        self.properties = properties  # accepted assignments per node
+        self.provenance = provenance
 
 
 # --- generation ----------------------------------------------------------------
@@ -328,7 +367,7 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
             if a.status != ACCEPTED
         ]
         for target in targets:
-            properties[target] = [replace(a) for a in accepted]
+            properties[target] = list(accepted)
             if rejected:
                 rejections[target] = rejected
 
@@ -356,7 +395,8 @@ def _assert_workflow(w: Workflow) -> None:
         raise PipelineError("assembly", f"properties for unknown nodes {sorted(stray)}")
     over = [v for v in validate_cardinality(w.graph) if v.kind == "over"]
     if over:
-        raise PipelineError("assembly", f"over-connections survived repair: {over}")
+        shown = "; ".join(str(v) for v in over)
+        raise PipelineError("assembly", f"over-connections survived repair: {shown}")
 
 
 # --- emission --------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterable
@@ -59,21 +58,28 @@ REGISTRY_KINDS = ("connection", "schema", "table")
 _PROPERTIES_TEMPLATE = load_template(fixture_path("templates", "properties.txt"))
 
 
-@dataclass
 class PropertyAssignment:
-    name: str
-    raw_value: str
-    coerced: object | None = None
-    status: str | None = None  # None until validated; exactly one status after
-    detail: str = ""
+    __slots__ = ("name", "raw_value", "coerced", "status", "detail")
+
+    def __init__(
+        self, name: str, raw_value: str, coerced: object | None = None, status: str | None = None,
+        detail: str = "",
+    ):
+        self.name = name
+        self.raw_value = raw_value
+        self.coerced = coerced
+        self.status = status  # None until validated; exactly one status after
+        self.detail = detail
 
 
-@dataclass
 class ExternalRegistry:
     """Known external names per kind, and which stage properties must use them."""
 
-    kinds: dict[str, frozenset[str]]
-    bindings: dict[str, dict[str, str]]  # stage -> property name -> kind
+    __slots__ = ("kinds", "bindings")
+
+    def __init__(self, kinds: dict[str, frozenset[str]], bindings: dict[str, dict[str, str]]):
+        self.kinds = kinds
+        self.bindings = bindings  # stage -> property name -> kind
 
 
 def load_registry(path: str | Path) -> ExternalRegistry:
@@ -203,22 +209,16 @@ def validate(
     for a in assignments:
         prop = stage.find_property(a.name)
         if prop is None:
-            out.append(
-                replace(a, status=REJECTED_UNKNOWN_NAME, detail=f"{stage.name} has no such property")
-            )
+            detail = f"{stage.name} has no such property"
+            status = REJECTED_UNKNOWN_NAME
+            out.append(PropertyAssignment(a.name, a.raw_value, a.coerced, status, detail))
             continue
         coerced = coerce(a.raw_value, prop.value_type)
         if coerced is None:
-            out.append(
-                replace(
-                    a,
-                    name=prop.name,
-                    status=REJECTED_TYPE,
-                    detail=f"{a.raw_value!r} is not a valid {prop.value_type.kind}",
-                )
-            )
+            detail = f"{a.raw_value!r} is not a valid {prop.value_type.kind}"
+            out.append(PropertyAssignment(prop.name, a.raw_value, a.coerced, REJECTED_TYPE, detail))
             continue
-        out.append(replace(a, name=prop.name, coerced=coerced, status=None))
+        out.append(PropertyAssignment(prop.name, a.raw_value, coerced, None, a.detail))
 
     # dependency environment: assignments that survived steps 1-2 (first
     # occurrence wins on duplicate names)
@@ -226,7 +226,7 @@ def validate(
     for a in out:
         if a.status is None and a.name not in env:
             env[a.name] = a.coerced
-    for i, a in enumerate(out):
+    for a in out:
         if a.status is not None:
             continue
         prop = stage.find_property(a.name)
@@ -234,27 +234,21 @@ def validate(
         if prop.availability is None:
             continue
         if not eval_condition(parse_condition(prop.availability), env):
-            out[i] = replace(
-                a,
-                status=REJECTED_DEPENDENCY,
-                detail=f"availability not met: {prop.availability}",
-            )
+            a.status = REJECTED_DEPENDENCY
+            a.detail = f"availability not met: {prop.availability}"
 
     bindings = registry.bindings.get(stage.name, {}) if registry else {}
-    for i, a in enumerate(out):
+    for a in out:
         if a.status is not None:
             continue
         kind = bindings.get(a.name)
         if kind is not None:
             value = canonical_value(a.coerced)
             if value not in registry.kinds.get(kind, frozenset()):  # type: ignore[union-attr]
-                out[i] = replace(
-                    a,
-                    status=REJECTED_EXTERNAL,
-                    detail=f"{value!r} is not a registered {kind}",
-                )
+                a.status = REJECTED_EXTERNAL
+                a.detail = f"{value!r} is not a registered {kind}"
                 continue
-        out[i] = replace(a, status=ACCEPTED)
+        a.status = ACCEPTED
     return out
 
 
@@ -263,14 +257,19 @@ def validate(
 PropTriple = tuple[str, str, str]  # (node unique_name, property name, canonical value)
 
 
-@dataclass
 class PropMetrics:
-    precision: float
-    recall: float
-    f1: float
-    matches: int = 0
-    predicted: int = 0
-    gold: int = 0
+    __slots__ = ("precision", "recall", "f1", "matches", "predicted", "gold")
+
+    def __init__(
+        self, precision: float, recall: float, f1: float, matches: int = 0, predicted: int = 0,
+        gold: int = 0,
+    ):
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.matches = matches
+        self.predicted = predicted
+        self.gold = gold
 
 
 def prop_metrics(predicted: Iterable[PropTriple], gold: Iterable[PropTriple]) -> PropMetrics:

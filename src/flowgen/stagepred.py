@@ -20,11 +20,10 @@ dropped and trace-recorded, never invented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from . import InputError, fixture_path, read_json
+from . import InputError, Record, fixture_path, read_json
 from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
@@ -42,7 +41,6 @@ from .llm import (
 
 __all__ = [
     "FewShotExample",
-    "SplitExample",
     "CandidateSet",
     "StagePrediction",
     "StagePredictionError",
@@ -87,32 +85,40 @@ class ProtocolViolation(StagePredictionError):
         self.transcript = transcript
 
 
-@dataclass(frozen=True)
-class FewShotExample:
-    utterance: str
-    operators: tuple[str, ...]
+class FewShotExample(Record):
+    """An utterance and its answer; hashable by value, as ``StagePrompts`` counts each once."""
+
+    __slots__ = ("utterance", "operators")
+
+    def __init__(self, utterance: str, operators: tuple[str, ...]):
+        self.utterance = utterance
+        self.operators = operators
+
+    def __hash__(self) -> int:
+        return hash((self.utterance, self.operators))
 
 
-@dataclass(frozen=True)
-class SplitExample:
-    utterance: str
-    subs: tuple[str, ...]
-
-
-@dataclass
 class CandidateSet:
-    stages: frozenset[str]
-    # stage -> which evidence produced it ("classifier" and/or "keyword")
-    provenance: dict[str, frozenset[str]]
+    __slots__ = ("stages", "provenance")
+
+    def __init__(self, stages: frozenset[str], provenance: dict[str, frozenset[str]]):
+        self.stages = stages
+        # stage -> which evidence produced it ("classifier" and/or "keyword")
+        self.provenance = provenance
 
 
-@dataclass
 class StagePrediction:
-    stages: list[str]  # answer-ordered; duplicates are distinct nodes
-    trace: list[dict] = field(default_factory=list)  # llm_call records carry the usage
-    # estimate for the final stage-selection prompt (0 if no prompt was sent);
-    # this is the request the single-prompt baseline is compared against
-    stage_prompt_tokens: int = 0
+    __slots__ = ("stages", "trace", "stage_prompt_tokens")
+
+    def __init__(
+        self, stages: list[str], trace: list[dict] | None = None, stage_prompt_tokens: int = 0
+    ):
+        self.stages = stages  # answer-ordered; duplicates are distinct nodes
+        # llm_call records carry the usage
+        self.trace = [] if trace is None else trace
+        # estimate for the final stage-selection prompt (0 if no prompt was sent);
+        # this is the request the single-prompt baseline is compared against
+        self.stage_prompt_tokens = stage_prompt_tokens
 
 
 # --- fixture loading ---------------------------------------------------------
@@ -132,12 +138,13 @@ def load_examples(path: str | Path, catalog: Catalog | None = None) -> list[FewS
     return out
 
 
-def load_split_examples(path: str | Path) -> list[SplitExample]:
-    out: list[SplitExample] = []
+def load_split_examples(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
+    """The ``(utterance, subs)`` decomposition examples of a file."""
+    out: list[tuple[str, tuple[str, ...]]] = []
     for i, item in enumerate(read_json(path, list, "split example", ("utterance", "subs"))):
         if not isinstance(item["subs"], list):
             raise InputError(f"{path}: split example {i} subs must be an array")
-        out.append(SplitExample(str(item["utterance"]), tuple(str(s) for s in item["subs"])))
+        out.append((str(item["utterance"]), tuple(str(s) for s in item["subs"])))
     return out
 
 
@@ -172,7 +179,6 @@ def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, 
     return sep.join(texts), total
 
 
-@dataclass
 class StagePrompts:
     """The static text of the stage prompts, each piece counted once.
 
@@ -182,11 +188,14 @@ class StagePrompts:
     can at worst count a piece twice, to the same value.
     """
 
-    catalog: Catalog
-    stage: PromptTemplate  # the family's stage template, no slot bound
-    decompose: PromptTemplate  # the split examples bound; ``utterance`` open
-    line_tokens: dict[str, int] = field(default_factory=dict)  # by stage name
-    block_tokens: dict[FewShotExample, int] = field(default_factory=dict)
+    __slots__ = ("catalog", "stage", "decompose", "line_tokens", "block_tokens")
+
+    def __init__(self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate):
+        self.catalog = catalog
+        self.stage = stage  # the family's stage template, no slot bound
+        self.decompose = decompose  # the split examples bound; ``utterance`` open
+        self.line_tokens: dict[str, int] = {}  # by stage name
+        self.block_tokens: dict[FewShotExample, int] = {}
 
     def listing(
         self, candidates: Iterable[str] | None, examples: list[FewShotExample]
@@ -213,15 +222,18 @@ class StagePrompts:
 
 def stage_prompts(
     catalog: Catalog,
-    split_examples: Iterable[SplitExample] = (),
+    split_examples: Iterable[tuple[str, tuple[str, ...]]] = (),
     family: str = "granite",
 ) -> StagePrompts:
-    """The stage prompts over ``catalog`` for ``family``, with ``split_examples`` bound."""
+    """The stage prompts over ``catalog`` for ``family``, with ``split_examples`` bound.
+
+    ``split_examples`` holds ``(utterance, subs)`` pairs, as ``load_split_examples`` reads them.
+    """
     examples_block = "\n\n".join(
         "Utterance: {}\nSub-utterances:\n{}".format(
-            ex.utterance, "\n".join(f"- {sub}" for sub in ex.subs)
+            utterance, "\n".join(f"- {sub}" for sub in subs)
         )
-        for ex in split_examples
+        for utterance, subs in split_examples
     )
     return StagePrompts(
         catalog=catalog,
@@ -397,7 +409,7 @@ def predict_cag(
     bank: list[FewShotExample],
     provider: CompletionProvider,
     family: str = "granite",
-    split_examples: list[SplitExample] | None = None,
+    split_examples: list[tuple[str, tuple[str, ...]]] | None = None,
     cap: int = DEFAULT_EXAMPLE_CAP,
     trace: list[dict] | None = None,
     prompts: StagePrompts | None = None,

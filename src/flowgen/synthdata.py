@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .catalog import (
     BOOLEAN,
@@ -309,11 +308,13 @@ def generate_training_pairs(catalog: Catalog, seed: int = DEFAULT_SEED) -> list[
 # --- labeled utterances and provider scripts ---------------------------------------
 
 
-@dataclass
 class SyntheticUtterance:
-    utterance: str
-    gold_stages: list[str]
-    subs: list[str]
+    __slots__ = ("utterance", "gold_stages", "subs")
+
+    def __init__(self, utterance: str, gold_stages: list[str], subs: list[str]):
+        self.utterance = utterance
+        self.gold_stages = gold_stages
+        self.subs = subs
 
 
 def generate_utterances(

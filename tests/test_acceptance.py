@@ -422,10 +422,10 @@ def test_criterion_7_classifier_recall_and_no_match():
         pairs = load_training_pairs(fixture_path("demo_training_pairs.json"))
         model = train(pairs, catalog.stages)
 
-        for pair in pairs:
-            got = model.classify(pair.utterance)
-            assert got.matched, pair.utterance
-            assert got.top == pair.label, (pair.utterance, got.ranked[:3])
+        for utterance, label in pairs:
+            got = model.classify(utterance)
+            assert got.matched, utterance
+            assert got.top == label, (utterance, got.ranked[:3])
 
         zero_overlap = model.classify("qwxzv plugh xyzzy")
         assert not zero_overlap.matched

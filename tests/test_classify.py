@@ -26,7 +26,6 @@ from flowgen.llm import ProviderError
 from flowgen.classify import (
     Classification,
     RemoteClassifier,
-    TrainingPair,
     _unit,
     _vectorize,
     keyword_scan,
@@ -36,9 +35,8 @@ from flowgen.classify import (
 
 
 def fit(pairs: list[tuple[str, str]], threshold: float = 0.25):
-    training = [TrainingPair(u, label) for u, label in pairs]
     labels = {label for _, label in pairs}
-    return train(training, labels, threshold=threshold)
+    return train(pairs, labels, threshold=threshold)
 
 
 # --- tokenizer ---------------------------------------------------------------------
@@ -94,16 +92,16 @@ def test_per_label_aggregation_takes_the_best_exemplar():
 
 def test_unknown_label_and_empty_training_rejected():
     with pytest.raises(InputError, match="unknown label"):
-        train([TrainingPair("text", "ghost")], {"real"})
+        train([("text", "ghost")], {"real"})
     with pytest.raises(InputError, match="empty training set"):
         train([], {"real"})
     with pytest.raises(InputError, match="no tokens"):
-        train([TrainingPair("...", "real")], {"real"})
+        train([("...", "real")], {"real"})
 
 
 def test_row_limit_probe_finds_nothing_in_demo_pairs():
     pairs = load_training_pairs(fixture_path("demo_training_pairs.json"))
-    model = train(pairs, {p.label for p in pairs})
+    model = train(pairs, {label for _, label in pairs})
     assert not model.classify("Row limit should be 50").matched
 
 
@@ -116,10 +114,10 @@ def test_classifier_folds_dotted_capital_i_like_the_keyword_scan():
 
 def test_demo_pairs_recall_their_own_labels():
     pairs = load_training_pairs(fixture_path("demo_training_pairs.json"))
-    model = train(pairs, {p.label for p in pairs})
-    for pair in pairs:
-        result = model.classify(pair.utterance)
-        assert result.matched and result.top == pair.label, pair.utterance
+    model = train(pairs, {label for _, label in pairs})
+    for utterance, label in pairs:
+        result = model.classify(utterance)
+        assert result.matched and result.top == label, utterance
 
 
 def test_load_training_pairs_rejects_malformed(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -262,18 +263,34 @@ def test_import_leaves_requests_unloaded():
 
 
 def test_serial_runs_load_neither_openssl_nor_thread_pools():
-    # the prompt digest uses the builtin SHA-256, and only parallel runs start threads
+    # the prompt digest uses the builtin SHA-256, only parallel runs start threads,
+    # only eval loads the harness, and no module builds dataclasses, whose
+    # machinery (and the inspect module it loads) took a third of start-up
+    unwanted = {"_hashlib", "concurrent.futures", "dataclasses", "inspect", "flowgen.evaluation"}
     probe = (
         "import sys, flowgen.cli\n"
+        f"unwanted = {sorted(unwanted)!r}\n"
+        "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
         "from flowgen import run_in_order\n"
         "from flowgen.llm import parse_template, render_prompt\n"
         "run_in_order([lambda: render_prompt(parse_template('a {{x}}'), {'x': 'b'})] * 2, 1)\n"
-        "print(sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules)))"
+        "loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
+        "argv = ['generate', '--utterance', sys.argv[1], '--mock-scripts', sys.argv[2]]\n"
+        "code = flowgen.cli.main(argv)\n"
+        "loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
+        "print(code, loaded)"
     )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", probe, LINEAR_FLOW, DEMO_SCRIPTS],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "0 [[], [], []]"
+    importers = [
+        path.name
+        for path in Path(SRC, "flowgen").rglob("*.py")
+        if re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert importers == []
 
 
 def test_usage_errors_exit_one(capsys):
@@ -372,6 +389,22 @@ def test_classify_with_custom_training_pairs(capsys, tmp_path):
     )
     assert code == 0
     assert out.splitlines() == ["matched: true", "1.0000  sort"]
+
+
+def test_classify_with_classifier_endpoint(capsys, monkeypatch):
+    posted = []
+
+    def post(url, **kwargs):
+        posted.append((url, kwargs["json"]))
+        return FakeResponse(200, '{"ranked": [["sort", 0.9], ["head", 0.1]], "matched": true}')
+
+    monkeypatch.setattr("requests.post", post)
+    code, out, err = run(
+        capsys, "classify", "--text", "sort rows", "--classifier", "http://127.0.0.1:9/x", "--top", "1"
+    )
+    assert code == 0 and err == ""
+    assert posted == [("http://127.0.0.1:9/x/classify", {"text": "sort rows"})]
+    assert out.splitlines() == ["matched: true", "0.9000  sort"]
 
 
 # --- catalog-validate ---------------------------------------------------------------

@@ -48,6 +48,7 @@ def test_precedence_or_and_not():
             Not(Defined("c")),
         ),
     )
+    assert expr != And(expr.left, expr.right)  # nodes compare by type as well as fields
 
 
 def test_parens_override_precedence():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -275,6 +274,20 @@ def test_split_copies_inherit_properties():
     assert w.provenance["renames"] == {"reader": ["reader_1", "reader_2"]}
     assert w.provenance["pre_repair_violations"] == ["reader: 2 outputs > bound 1"]
     assert len(w.graph.edges) == 2  # splitting preserved the edge count
+
+
+def test_assembly_error_shows_violations_by_their_text(monkeypatch):
+    def unrepaired(g, trace=None):
+        return g, {}
+
+    monkeypatch.setattr("flowgen.pipeline.repair_with_renames", unrepaired)
+    rt = runtime(split_catalog(), split_provider(), strategy="single")
+    with pytest.raises(PipelineError) as err:
+        generate_with_runtime("read from reader into alpha and beta", rt)
+    assert err.value.envelope()["error"] == {
+        "step": "assembly",
+        "message": "assembly: over-connections survived repair: reader: 2 outputs > bound 1",
+    }
 
 
 def test_rejected_assignments_surface_in_provenance(demo_config, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FULL_NAME_FLOW, make_catalog, make_stage, scripted
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
-from flowgen.classify import Classification, TrainingPair, train
+from flowgen.classify import Classification, train
 from flowgen.llm import FAMILY_PRESEED, count_tokens, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
@@ -23,7 +23,6 @@ from flowgen.stagepred import (
     DecompositionError,
     FewShotExample,
     ProtocolViolation,
-    SplitExample,
     build_candidates,
     decompose,
     load_examples,
@@ -38,8 +37,7 @@ from flowgen.stagepred import (
 
 
 def fit(pairs: list[tuple[str, str]], threshold: float = 0.25):
-    training = [TrainingPair(u, label) for u, label in pairs]
-    return train(training, {label for _, label in pairs}, threshold=threshold)
+    return train(pairs, {label for _, label in pairs}, threshold=threshold)
 
 
 @pytest.fixture()
@@ -95,7 +93,7 @@ def test_load_examples_shape_errors(tmp_path, payload):
 def test_load_split_examples():
     splits = load_split_examples(fixture_path("split_examples.json"))
     assert len(splits) >= 2
-    assert all(len(s.subs) >= 1 for s in splits)
+    assert all(len(subs) >= 1 for _, subs in splits)
 
 
 def test_load_split_examples_shape_errors(tmp_path):
@@ -171,7 +169,8 @@ def test_decompose_skips_blank_bullets_and_indented_noise():
 
 def test_decompose_renders_split_examples_and_counts_usage():
     splits = load_split_examples(fixture_path("split_examples.json"))
-    cue = "Utterance: {}\nSub-utterances:\n- {}".format(splits[0].utterance, splits[0].subs[0])
+    (utterance, subs), *_ = splits
+    cue = f"Utterance: {utterance}\nSub-utterances:\n- {subs[0]}"
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
     subs = decompose("u", provider, decompose_prompt(splits), usage_trace)
@@ -459,7 +458,7 @@ def test_counted_prompt_parts_add_up_exactly(data):
     operators = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
     bank = data.draw(st.lists(st.builds(FewShotExample, phrases, operators), max_size=5))
     splits = data.draw(
-        st.lists(st.builds(SplitExample, phrases, st.lists(phrases, max_size=3).map(tuple)), max_size=3)
+        st.lists(st.tuples(phrases, st.lists(phrases, max_size=3).map(tuple)), max_size=3)
     )
     utterance = data.draw(phrases)
     prompts = stage_prompts(catalog, splits, family)
@@ -477,8 +476,8 @@ def test_counted_prompt_parts_add_up_exactly(data):
 
     decomposed = render_prompt(prompts.decompose, {"utterance": utterance})
     assert decomposed.token_estimate == count_tokens(decomposed.text)
-    for ex in splits:
-        assert f"Utterance: {ex.utterance}\nSub-utterances:\n" in decomposed.text
+    for split_utterance, _ in splits:
+        assert f"Utterance: {split_utterance}\nSub-utterances:\n" in decomposed.text
 
 
 # --- agentic strategy --------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from flowgen import fixture_path
 from flowgen.catalog import parse_catalog, validate_catalog
-from flowgen.classify import TrainingPair, keyword_scan, train
+from flowgen.classify import keyword_scan, train
 from flowgen.synthdata import (
     DEFAULT_SEED,
     connector_names,
@@ -91,11 +91,11 @@ def test_training_pairs_cover_catalog_and_self_classify():
     catalog = generate_catalog(DEFAULT_SEED)
     raw = generate_training_pairs(catalog, DEFAULT_SEED)
     assert {p["label"] for p in raw} == set(catalog.stages)
-    pairs = [TrainingPair(p["utterance"], p["label"]) for p in raw]
+    pairs = [(p["utterance"], p["label"]) for p in raw]
     model = train(pairs, set(catalog.stages))
-    for pair in pairs[::7]:  # sampled; the full sweep runs in the classifier suite
-        result = model.classify(pair.utterance)
-        assert result.matched and result.top == pair.label
+    for utterance, label in pairs[::7]:  # sampled; the full sweep runs in the classifier suite
+        result = model.classify(utterance)
+        assert result.matched and result.top == label
 
 
 def test_utterances_make_gold_stages_keyword_visible():
