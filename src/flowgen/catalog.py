@@ -301,7 +301,7 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
             except condexpr.ConditionSyntaxError as exc:
                 out.append(Violation(stage.name, locus, f"availability does not parse: {exc}"))
             else:
-                for path in _referenced_paths(expr):
+                for path in condexpr.referenced_paths(expr):
                     if path not in declared:
                         out.append(
                             Violation(
@@ -322,20 +322,6 @@ def _name_collisions(names: list[str]) -> list[Violation]:
         if sep and base in known and digits.isascii() and digits.isdigit():
             out.append(Violation(name, "name", f"collides with the node names of stage {base!r}"))
     return out
-
-
-def _referenced_paths(expr: condexpr.ConditionExpr) -> set[str]:
-    if isinstance(expr, condexpr.PropertyRef):
-        return {expr.path}
-    if isinstance(expr, condexpr.Comparison):
-        return {expr.ref.path}
-    if isinstance(expr, condexpr.Defined):
-        return {expr.path}
-    if isinstance(expr, condexpr.Not):
-        return _referenced_paths(expr.operand)
-    if isinstance(expr, (condexpr.And, condexpr.Or)):
-        return _referenced_paths(expr.left) | _referenced_paths(expr.right)
-    return set()
 
 
 def validate_catalog(catalog: Catalog) -> list[Violation]:

@@ -3,19 +3,16 @@
 The built-in model is a deliberately simple lexical nearest neighbour: each
 training utterance becomes a unit-normalized tf-idf vector, a query is scored
 against every exemplar by cosine similarity, and per-stage scores aggregate by
-max. It is fully deterministic, trains in microseconds, and memorizes its
+max. It is fully deterministic, trains in milliseconds, and memorizes its
 training set (an exact training utterance always comes back with score 1.0),
 which is exactly what the offline harness needs. A remote classifier speaking
 the same contract over HTTP can be swapped in without the pipeline noticing.
 
 Texts are cut into words by ``catalog.keyword_parts``, the word rule the
 keyword scan uses too, so ``İzmir`` is the word ``izmir`` to both. A score
-is summed left to right over the shorter of the two vectors, in that
-vector's token order (the exemplar's when they are as long), then rounded.
-``train`` indexes the exemplars by token position, so ``classify`` adds
-each exemplar's terms in its own order without visiting every exemplar's
-tokens; only the exemplars longer than the query are summed again, in the
-query's order.
+is summed in the query's order, then rounded: ``train`` indexes each token's
+exemplars, and ``classify`` adds the query's terms left to right, token by
+token in the order the query first uses them.
 """
 
 from __future__ import annotations
@@ -70,55 +67,38 @@ class StageClassifier(Protocol):
 class ClassifierModel:
     """A trained lexical model, indexed for scoring by ``train``.
 
-    ``at[p]`` maps each token to the ``(exemplar, weight)`` pairs whose
-    vector holds it at position ``p``, its first occurrence in that
-    exemplar. ``labels`` is sorted, and ``label_of`` gives each exemplar's
-    index into it.
+    ``postings`` maps each training token to the ``(exemplar, weight)``
+    pairs of the exemplars whose unit vector holds it. ``labels`` is
+    sorted, and ``label_of`` gives each exemplar's index into it.
     """
 
-    __slots__ = (
-        "idf", "default_idf", "vectors", "labels", "label_of", "at", "longest_first", "threshold"
-    )
+    __slots__ = ("idf", "default_idf", "postings", "labels", "label_of", "threshold")
 
     def __init__(
-        self, idf: dict[str, float], default_idf: float, vectors: list[dict[str, float]],
-        labels: list[str], label_of: list[int], at: list[dict[str, list[tuple[int, float]]]],
-        longest_first: list[int], threshold: float = DEFAULT_THRESHOLD,
+        self, idf: dict[str, float], default_idf: float,
+        postings: dict[str, list[tuple[int, float]]], labels: list[str], label_of: list[int],
+        threshold: float = DEFAULT_THRESHOLD,
     ):
         self.idf = idf
         self.default_idf = default_idf  # weight for query tokens unseen in training
-        self.vectors = vectors  # one unit tf-idf vector per exemplar
+        self.postings = postings
         self.labels = labels
         self.label_of = label_of
-        self.at = at
-        self.longest_first = longest_first  # exemplar indices by vector length, longest first
         self.threshold = threshold
 
     def classify(self, text: str) -> Classification:
         """Score ``text`` against every label; deterministic for identical inputs.
 
         An exemplar's score is its cosine with the query, summed in the
-        order that the module docstring gives and rounded to 12 digits.
-        Ties rank lexicographically by label. Empty or fully-unknown text
-        scores 0.0 everywhere and cannot match.
+        query's order and rounded to 12 digits. Ties rank lexicographically
+        by label. Empty or fully-unknown text scores 0.0 everywhere and
+        cannot match.
         """
         query = _unit(_vectorize(keyword_parts(text), self.idf, self.default_idf))
-        sums = [0.0] * len(self.vectors)
-        # position by position, so each exemplar's terms add in its own order
-        for postings in self.at:
-            for t, q in query.items():
-                for e, w in postings.get(t, ()):
-                    sums[e] += w * q
-        # an exemplar longer than the query sums in the query's order instead
-        for e in self.longest_first:
-            vec = self.vectors[e]
-            if len(vec) <= len(query):
-                break
-            score = 0.0
-            for t, q in query.items():
-                if t in vec:
-                    score += q * vec[t]
-            sums[e] = score
+        sums = [0.0] * len(self.label_of)
+        for t, q in query.items():
+            for e, w in self.postings.get(t, ()):
+                sums[e] += q * w
         rounded = {s: round(s, _SCORE_DIGITS) for s in set(sums)}
         best = [0.0] * len(self.labels)
         for s, label in zip(sums, self.label_of):
@@ -131,7 +111,11 @@ class ClassifierModel:
 
 
 def _unit(vec: dict[str, float]) -> dict[str, float]:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
+    # left to right: sum() of floats is compensated from Python 3.12 on
+    squares = 0.0
+    for w in vec.values():
+        squares += w * w
+    norm = math.sqrt(squares)
     if norm == 0.0:
         return {}
     return {t: w / norm for t, w in vec.items()}
@@ -168,26 +152,21 @@ def train(
     idf = {t: math.log((1 + n_docs) / (1 + n)) + 1.0 for t, n in df.items()}
     default_idf = math.log(1 + n_docs) + 1.0
 
-    vectors = []
-    for (utterance, _), doc in zip(pairs, docs):
+    postings: dict[str, list[tuple[int, float]]] = {}
+    for e, ((utterance, _), doc) in enumerate(zip(pairs, docs)):
         vec = _unit(_vectorize(doc, idf, default_idf))
         if not vec:
             raise InputError(f"training utterance has no tokens: {utterance!r}")
-        vectors.append(vec)
-    at: list[dict[str, list[tuple[int, float]]]] = [{} for _ in range(max(map(len, vectors)))]
-    for e, vec in enumerate(vectors):
-        for postings, (t, w) in zip(at, vec.items()):
+        for t, w in vec.items():
             postings.setdefault(t, []).append((e, w))
     names = sorted({label for _, label in pairs})
     index = {label: i for i, label in enumerate(names)}
     return ClassifierModel(
         idf=idf,
         default_idf=default_idf,
-        vectors=vectors,
+        postings=postings,
         labels=names,
         label_of=[index[label] for _, label in pairs],
-        at=at,
-        longest_first=sorted(range(len(vectors)), key=lambda e: -len(vectors[e])),
         threshold=threshold,
     )
 

@@ -40,6 +40,7 @@ __all__ = [
     "ConditionTypeError",
     "parse_condition",
     "eval_condition",
+    "referenced_paths",
 ]
 
 EnvValue = Union[str, int, Decimal, bool]
@@ -372,3 +373,15 @@ def eval_condition(expr: ConditionExpr, env: Mapping[str, EnvValue]) -> bool:
         return left or right
     raise AssertionError(f"unknown expression node {expr!r}")
 
+
+def referenced_paths(expr: ConditionExpr) -> set[str]:
+    """The property paths that a parsed condition reads."""
+    if isinstance(expr, (PropertyRef, Defined)):
+        return {expr.path}
+    if isinstance(expr, Comparison):
+        return {expr.ref.path}
+    if isinstance(expr, Not):
+        return referenced_paths(expr.operand)
+    if isinstance(expr, (And, Or)):
+        return referenced_paths(expr.left) | referenced_paths(expr.right)
+    return set()

@@ -283,7 +283,11 @@ def run_eval(
     if "stages" in measures:
         report.stages = stage_accuracy(preds, golds)
     if "edges" in measures and edge_sims:
-        report.edge_similarity = sum(edge_sims) / len(edge_sims)
+        # left to right: sum() of floats is compensated from Python 3.12 on
+        similarity = 0.0
+        for sim in edge_sims:
+            similarity += sim
+        report.edge_similarity = similarity / len(edge_sims)
         report.edge_exact_rate = sum(edge_exacts) / len(edge_exacts)
         report.edge_records = len(edge_sims)
     if "props" in measures:

@@ -151,8 +151,9 @@ def _check_config(cfg: PipelineConfig) -> None:
         "catalog": cfg.catalog_path,
         "examples": cfg.examples_path,
         "split-examples": cfg.split_examples_path,
-        "classifier": cfg.classifier_path,
     }
+    if not cfg.classifier_endpoint:
+        paths["classifier"] = cfg.classifier_path
     if cfg.registry_path is not None:
         paths["registry"] = cfg.registry_path
     if cfg.mock_scripts_path is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -263,6 +264,19 @@ def test_run_eval_edges_measure():
     assert report.edge_exact_rate == pytest.approx(0.5)
     assert report.edge_records == 2
     assert report.stages.total == 100.0
+
+
+def test_run_eval_report_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # sum() of floats is compensated from Python 3.12 on; math.fsum stands in for it
+    rt = eval_runtime()
+    gold = [("sort", "head"), ("head", "sort"), ("sort", "sort"), ("head", "head")]
+    # Dice 2/3, 2/4 and 2/5: added left to right they make ...221, compensated ...223
+    dataset = [record(gold_edges=gold[:n]) for n in (2, 3, 4)]
+    expected = report_json(run_eval(dataset, rt.cfg, measures=("edges",), runtime=rt))
+    monkeypatch.setattr("flowgen.evaluation.sum", math.fsum, raising=False)
+    report = run_eval(dataset, rt.cfg, measures=("edges",), runtime=rt)
+    assert report.edge_similarity == 0.5222222222222221
+    assert report_json(report) == expected
 
 
 def test_run_eval_props_measure_canonicalizes_gold():

@@ -127,10 +127,14 @@ def test_build_runtime_without_mock_scripts_needs_endpoint(demo_config, monkeypa
         build_runtime(demo_config(mock_scripts_path=None))
 
 
-def test_build_runtime_remote_classifier(demo_config):
+def test_build_runtime_remote_classifier(demo_config, tmp_path):
     from flowgen.classify import RemoteClassifier
 
-    rt = build_runtime(demo_config(classifier_endpoint="http://localhost:9/classify"))
+    # with an endpoint the training pairs are never read, so they need not exist
+    cfg = demo_config(
+        classifier_endpoint="http://localhost:9/classify", classifier_path=tmp_path / "missing.json"
+    )
+    rt = build_runtime(cfg)
     assert isinstance(rt.classifier, RemoteClassifier)
 
 
