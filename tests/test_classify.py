@@ -175,12 +175,20 @@ letter_labels = st.sampled_from(["l0", "l1", "l2"])  # fewer labels than exempla
 letter_queries = st.lists(st.sampled_from([*"abcdefghijklmnop", "zz"]), max_size=14).map(" ".join)
 
 
+@given(
+    pairs=st.lists(st.tuples(utterances, labels), min_size=1, max_size=8),
+    query=utterances,
+)
+def test_scores_match_brute_force_oracle(pairs, query):
+    assert fit(pairs).classify(query) == oracle(pairs, query)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     pairs=st.lists(st.tuples(letter_texts, letter_labels), min_size=1, max_size=8),
     queries=st.lists(letter_queries, min_size=1, max_size=4),
 )
-def test_scores_match_brute_force_oracle(pairs, queries):
+def test_indexed_scores_equal_every_exemplar_bit_for_bit(pairs, queries):
     model = fit(pairs)
     for query in queries:
         assert model.classify(query) == oracle(pairs, query)
