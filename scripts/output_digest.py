@@ -15,7 +15,8 @@ Two sections, each digested on its own:
   every label's score, best first, and ``matched``.
 
 Equal digests on two interpreters or two checkouts mean byte-identical
-outputs. It needs only the standard library and ``flowgen``.
+outputs; ``tests/test_output_digest.py`` pins both. It needs only the
+standard library and ``flowgen``.
 """
 
 from __future__ import annotations
@@ -75,13 +76,21 @@ def classify_outputs() -> Iterator[str]:
             yield f"{query}\t{result.matched}\t{result.ranked!r}\n"
 
 
-def main() -> None:
+def digests() -> dict[str, tuple[str, int]]:
+    """Each section's SHA-256 hex digest and its length in characters."""
+    out = {}
     for section, texts in (("demo", demo_outputs()), ("classify", classify_outputs())):
         digest, chars = hashlib.sha256(), 0
         for text in texts:
             digest.update(text.encode("utf-8"))
             chars += len(text)
-        print(f"{section:9s} {digest.hexdigest()}  {chars} chars")
+        out[section] = (digest.hexdigest(), chars)
+    return out
+
+
+def main() -> None:
+    for section, (digest, chars) in digests().items():
+        print(f"{section:9s} {digest}  {chars} chars")
 
 
 if __name__ == "__main__":

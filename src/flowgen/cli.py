@@ -171,7 +171,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise _UsageError("--top must not be negative")
     cfg = _config_from_args(args)
-    result = load_classifier(cfg, load_catalog(cfg.catalog_path)).classify(args.text)
+    # an endpoint classifies without the catalog, so it is not loaded for one
+    catalog = None if cfg.classifier_endpoint else load_catalog(cfg.catalog_path)
+    result = load_classifier(cfg, catalog).classify(args.text)
     print(f"matched: {str(result.matched).lower()}")
     for label, score in result.ranked[: args.top]:
         print(f"{score:.4f}  {label}")

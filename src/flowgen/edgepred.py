@@ -21,11 +21,13 @@ than leaving a hole visible.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Mapping
 
 from .catalog import CardinalityBound, Catalog
-from .llm import CompletionProvider, complete, load_template, render_prompt
+from .llm import CompletionProvider, complete, counted, load_template, render_prompt
 
-from . import fixture_path
+# counts go through the module attribute, which perfbench/tracer.py wraps
+from . import fixture_path, llm
 
 __all__ = [
     "NodeInstance",
@@ -172,11 +174,12 @@ def _normalize_ws(text: str) -> str:
 
 
 def segment_for_nodes(
-    utterance: str,
+    utterance: str | tuple[str, int],
     nodes: list[NodeInstance],
     catalog: Catalog,
     provider: CompletionProvider,
     trace: list[dict] | None = None,
+    node_tokens: dict[str, int] | None = None,
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -184,15 +187,30 @@ def segment_for_nodes(
     Spans must actually occur in the utterance (modulo whitespace runs) —
     paraphrased spans are an error, not a warning, because properties are
     predicted from them.
+
+    An utterance given as ``(text, tokens)`` is not counted again.
+    ``node_tokens`` holds the count of each stage's description line by
+    stage name; it is filled at a stage's first use, so a runtime that keeps
+    it (``StagePrompts.node_tokens``) counts each line once.
     """
     if not nodes:
         raise SegmentationError("cannot segment for an empty node list")
+    text = utterance if isinstance(utterance, str) else utterance[0]
     if len(nodes) == 1:
-        return {nodes[0].unique_name: utterance}
-    node_lines = "\n".join(
-        f"{n.unique_name} ({n.stage}): {catalog.stages[n.stage].description}" for n in nodes
+        return {nodes[0].unique_name: text}
+    node_tokens = {} if node_tokens is None else node_tokens
+    lines, tokens = [], 0
+    for n in nodes:
+        # the line after the node's name starts with a space, so the counts add
+        line = f" ({n.stage}): {catalog.stages[n.stage].description}"
+        line_tokens = node_tokens.get(n.stage)
+        if line_tokens is None:
+            line_tokens = node_tokens[n.stage] = llm.count_tokens(line)
+        lines.append(n.unique_name + line)
+        tokens += llm.count_tokens(n.unique_name) + line_tokens
+    prompt = render_prompt(
+        _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
-    prompt = render_prompt(_SEGMENT_TEMPLATE, {"nodes": node_lines, "utterance": utterance})
     answer = complete(provider, prompt, [] if trace is None else trace, "segmentation")
     known = {n.unique_name for n in nodes}
     segments: dict[str, str] = {}
@@ -204,7 +222,7 @@ def segment_for_nodes(
         name, span = name.strip(), span.strip()
         if name in known:
             segments[name] = span
-    normalized_utterance = _normalize_ws(utterance)
+    normalized_utterance = _normalize_ws(text)
     for node in nodes:
         span = segments.get(node.unique_name, "")
         if not span:
@@ -225,9 +243,10 @@ def _bound_text(bound: CardinalityBound) -> str:
 
 def predict_edges(
     nodes: list[NodeInstance],
-    utterance: str,
+    utterance: str | tuple[str, int],
     provider: CompletionProvider,
     trace: list[dict] | None = None,
+    spans: Mapping[str, tuple[str, int]] | None = None,
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -236,17 +255,29 @@ def predict_edges(
     duplicates are dropped with a trace entry, and an edge that would create
     a cycle is dropped in response order, so the result is always a DAG over
     exactly the given nodes.
+
+    ``spans`` maps a node's name to its sub-utterance as ``(text, tokens)``,
+    already counted; a node it lacks has its ``sub_utterance`` counted here.
+    An utterance given as ``(text, tokens)`` is not counted again.
     """
     trace = [] if trace is None else trace
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
-    node_lines = "\n".join(
-        f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
-        f"outputs {_bound_text(n.outputs)}): {n.sub_utterance}"
-        for n in nodes
+    spans = {} if spans is None else spans
+    lines, tokens = [], 0
+    for n in nodes:
+        # the head ends with a space, so the counts add
+        head = (
+            f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
+            f"outputs {_bound_text(n.outputs)}): "
+        )
+        span, span_tokens = spans.get(n.unique_name) or counted(n.sub_utterance)
+        lines.append(head + span)
+        tokens += llm.count_tokens(head) + span_tokens
+    prompt = render_prompt(
+        _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
-    prompt = render_prompt(_EDGES_TEMPLATE, {"nodes": node_lines, "utterance": utterance})
     answer = complete(provider, prompt, trace, "edge_prediction")
     known = graph.node_names()
     parsed: list[tuple[str, str]] = []

@@ -7,6 +7,17 @@ end with a preseeded opening quote (so the reply contains no opening quote of
 its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
+A prompt's token estimate and SHA-256 are built from parts, each counted
+and hashed once where it is made. A template's fixed text is counted when
+it is loaded, and its leading text hashed at its first render. Pieces that
+are fixed for a runtime (the stage prompts' context lines and examples,
+each stage's segmentation line, each stage's properties template with its
+name and property list bound) are counted once per runtime; the
+``stagepred.StagePrompts`` of a runtime keeps them. Text that is fixed for
+one run, the utterance and each sub-utterance, is counted once per
+``generate_with_runtime`` call and handed on as ``(text, tokens)``, which
+``bind`` and ``render_prompt`` take without counting again.
+
 Two providers speak the completion contract, and each returns only the
 answer text: a deterministic scripted mock for offline runs and tests, and a
 completions-style HTTP client for real endpoints. ``post_json`` is the one
@@ -53,6 +64,7 @@ __all__ = [
     "bind",
     "render_prompt",
     "count_tokens",
+    "counted",
     "parse_operator_list",
     "MockScript",
     "MockProvider",
@@ -205,10 +217,14 @@ def bind(
     return PromptTemplate(segments=tuple(segments))
 
 
-def render_prompt(template: PromptTemplate, bindings: Mapping[str, str]) -> RenderedPrompt:
+def render_prompt(
+    template: PromptTemplate, bindings: Mapping[str, str | tuple[str, int]]
+) -> RenderedPrompt:
     """Substitute every placeholder; unbound placeholders are an error.
 
-    The digest continues ``template.lead``'s hash over the rest of the text.
+    Values are taken as ``bind`` takes them, so a ``(text, tokens)`` value is
+    not counted again. The digest continues ``template.lead``'s hash over the
+    rest of the text.
     """
     bound = bind(template, bindings).segments
     open_slots = [value for kind, value, _ in bound if kind == "slot"]
@@ -237,6 +253,14 @@ def count_tokens(text: str) -> int:
     underscores it removes are added back.
     """
     return len(_RUN_RE.findall(text)) + len(_SPACE_OR_WORD_RE.sub("", text)) + text.count("_")
+
+
+def counted(text: str | tuple[str, int]) -> tuple[str, int]:
+    """``text`` with its token estimate, for a caller that binds it more than once.
+
+    A ``(text, tokens)`` pair is already counted and comes back as it is.
+    """
+    return text if isinstance(text, tuple) else (text, count_tokens(text))
 
 
 # --- operator-list answers ---------------------------------------------------

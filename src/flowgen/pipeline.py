@@ -43,6 +43,7 @@ from .llm import (
     OperatorParseError,
     PromptTemplate,
     ProviderError,
+    counted,
     load_mock_scripts,
     provider_from_env,
     usage,
@@ -189,12 +190,12 @@ class Runtime:
         self.listing = listing
 
 
-def load_classifier(cfg: PipelineConfig, catalog: Catalog) -> StageClassifier:
+def load_classifier(cfg: PipelineConfig, catalog: Catalog | None) -> StageClassifier:
     """The configured stage classifier.
 
     That is the remote one at ``cfg.classifier_endpoint`` if one is set, else
     the model trained on the pairs at ``cfg.classifier_path`` over
-    ``catalog``'s stages.
+    ``catalog``'s stages. Only the trained model reads ``catalog``.
     """
     if cfg.classifier_endpoint:
         from .classify import RemoteClassifier
@@ -244,10 +245,11 @@ class Workflow:
 # --- generation ----------------------------------------------------------------
 
 
-def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
+def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePrediction:
     """Predict the utterance's stage multiset with the configured strategy.
 
-    Any failure raises ``PipelineError("stage_prediction")``. Its provenance
+    An utterance given as ``(text, tokens)`` is not counted again. Any
+    failure raises ``PipelineError("stage_prediction")``. Its provenance
     keeps the ``stage_trace`` and ``usage`` of the calls made before the
     failure, since those were paid for.
     """
@@ -272,7 +274,7 @@ def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
         return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
     except (StagePredictionError, ProviderError, OperatorParseError) as exc:
         provenance = {
-            "utterance": utterance,
+            "utterance": utterance if isinstance(utterance, str) else utterance[0],
             "strategy": cfg.strategy,
             "stage_trace": trace,
             "usage": usage(trace),
@@ -281,14 +283,15 @@ def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
 
 
 def _edge_branch(
-    utterance: str,
+    utterance: tuple[str, int],
     nodes: list[NodeInstance],
+    spans: dict[str, tuple[str, int]],
     rt: Runtime,
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     try:
-        graph = predict_edges(nodes, utterance, rt.provider, trace=trace)
+        graph = predict_edges(nodes, utterance, rt.provider, trace=trace, spans=spans)
     except (EdgePredictionError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
@@ -298,13 +301,13 @@ def _edge_branch(
 
 
 def _property_branch_one(
-    node: NodeInstance, rt: Runtime
+    node: NodeInstance, span: tuple[str, int], rt: Runtime
 ) -> tuple[str, list[PropertyAssignment], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     stage = rt.catalog.stages[node.stage]
     try:
-        raw = predict_properties(node, stage, rt.provider, trace)
+        raw = predict_properties(node, stage, rt.provider, trace, rt.prompts.properties, span)
         statused = validate(raw, stage, rt.registry)
     except (ProviderError, ConditionTypeError) as exc:  # degrade per node, keep the flow
         diagnostics.append(
@@ -315,8 +318,14 @@ def _property_branch_one(
 
 
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
+    """Run every step on ``utterance``.
+
+    The utterance is counted once, and each distinct sub-utterance once
+    after segmentation; every prompt of the run reuses those counts.
+    """
     cfg = rt.cfg
-    prediction = predict_stages(utterance, rt)
+    whole = counted(utterance)
+    prediction = predict_stages(whole, rt)
     provenance: dict = {
         "utterance": utterance,
         "strategy": cfg.strategy,
@@ -333,18 +342,25 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
 
     seg_trace: list[dict] = []
     try:
-        segments = segment_for_nodes(utterance, nodes, rt.catalog, rt.provider, seg_trace)
+        segments = segment_for_nodes(
+            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.node_tokens
+        )
     except (SegmentationError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
         diagnostics.append({"step": "segmentation", "message": str(exc)})
         segments = {n.unique_name: utterance for n in nodes}
+    known = {utterance: whole}  # each distinct text of this run, counted
+    spans: dict[str, tuple[str, int]] = {}
     for node in nodes:
-        node.sub_utterance = segments[node.unique_name]
+        sub = node.sub_utterance = segments[node.unique_name]
+        if sub not in known:
+            known[sub] = counted(sub)
+        spans[node.unique_name] = known[sub]
     provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    calls = [partial(_edge_branch, utterance, nodes, rt)]
-    calls += [partial(_property_branch_one, n, rt) for n in nodes]
+    calls = [partial(_edge_branch, whole, nodes, spans, rt)]
+    calls += [partial(_property_branch_one, n, spans[n.unique_name], rt) for n in nodes]
     edge_result, *prop_results = run_in_order(calls, cfg.parallel)
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result
     diagnostics.extend(edge_diags)
@@ -375,26 +391,28 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     provenance["edge_trace"] = edge_trace
     provenance["property_trace"] = prop_trace
     provenance["pre_repair_violations"] = [str(v) for v in pre_violations]
-    provenance["under_connections"] = [
-        str(v) for v in validate_cardinality(graph) if v.kind == "under"
-    ]
+    violations = validate_cardinality(graph)
+    provenance["under_connections"] = [str(v) for v in violations if v.kind == "under"]
     provenance["renames"] = {k: v for k, v in sorted(renames.items())}
     provenance["rejections"] = {k: rejections[k] for k in sorted(rejections)}
     provenance["usage"] = usage(prediction.trace, seg_trace, edge_trace, prop_trace)
     provenance["diagnostics"] = diagnostics
 
     workflow = Workflow(graph=graph, properties=properties, provenance=provenance)
-    _assert_workflow(workflow)
+    _assert_workflow(workflow, violations)
     return workflow
 
 
-def _assert_workflow(w: Workflow) -> None:
-    """Internal consistency: repaired graph, property keys subset of nodes."""
+def _assert_workflow(w: Workflow, violations: list[CardinalityViolation]) -> None:
+    """Internal consistency: repaired graph, property keys subset of nodes.
+
+    ``violations`` is ``validate_cardinality(w.graph)``.
+    """
     names = w.graph.node_names()
     stray = set(w.properties) - names
     if stray:
         raise PipelineError("assembly", f"properties for unknown nodes {sorted(stray)}")
-    over = [v for v in validate_cardinality(w.graph) if v.kind == "over"]
+    over = [v for v in violations if v.kind == "over"]
     if over:
         shown = "; ".join(str(v) for v in over)
         raise PipelineError("assembly", f"over-connections survived repair: {shown}")

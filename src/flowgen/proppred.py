@@ -1,8 +1,12 @@
 """Per-node property prediction and validation.
 
-The model proposes ``name = value`` lines from a node's sub-utterance; every
-assignment then runs a four-step gauntlet, each rejection tagged with the
-step that fired:
+The model proposes ``name = value`` lines from a node's sub-utterance. Its
+prompt is the properties template with the stage's name and property list
+bound and counted once per stage and runtime, so the template's SHA-256
+state covers all the text before the sub-utterance. The sub-utterance comes
+counted once per run, so a call counts and hashes only that and the
+prompt's last line. Every assignment then runs a four-step gauntlet, each
+rejection tagged with the step that fired:
 
 1. the name must exist in the stage's schema (``rejected_unknown_name``),
 2. the raw value must coerce to the declared type (``rejected_type``),
@@ -28,7 +32,7 @@ from . import InputError, fixture_path, read_json
 from .catalog import PropertyDef, StageDef, ValueType
 from .condexpr import eval_condition, parse_condition
 from .edgepred import NodeInstance
-from .llm import CompletionProvider, complete, load_template, render_prompt
+from .llm import CompletionProvider, PromptTemplate, bind, complete, load_template, render_prompt
 
 __all__ = [
     "ACCEPTED",
@@ -116,17 +120,26 @@ def predict_properties(
     stage: StageDef,
     provider: CompletionProvider,
     trace: list[dict] | None = None,
+    templates: dict[str, PromptTemplate] | None = None,
+    span: tuple[str, int] | None = None,
 ) -> list[PropertyAssignment]:
-    """Ask the model for ``name = value`` lines; zero parseable lines is fine."""
-    prop_lines = "\n".join(f"{p.name}: {p.description}" for p in stage.properties)
-    prompt = render_prompt(
-        _PROPERTIES_TEMPLATE,
-        {
-            "stage": stage.name,
-            "properties": prop_lines,
-            "sub_utterance": node.sub_utterance,
-        },
-    )
+    """Ask the model for ``name = value`` lines; zero parseable lines is fine.
+
+    ``templates`` holds each stage's properties template by stage name, with
+    only ``sub_utterance`` open; it is filled at a stage's first use, so a
+    runtime that keeps it (``StagePrompts.properties``) counts each property
+    list once and hashes the text before the sub-utterance once. ``span`` is
+    the node's sub-utterance as ``(text, tokens)``, already counted; without
+    it, ``node.sub_utterance`` is counted here.
+    """
+    templates = {} if templates is None else templates
+    template = templates.get(stage.name)
+    if template is None:
+        prop_lines = "\n".join(f"{p.name}: {p.description}" for p in stage.properties)
+        template = templates[stage.name] = bind(
+            _PROPERTIES_TEMPLATE, {"stage": stage.name, "properties": prop_lines}
+        )
+    prompt = render_prompt(template, {"sub_utterance": span or node.sub_utterance})
     answer = complete(
         provider, prompt, [] if trace is None else trace, "properties", node=node.unique_name
     )

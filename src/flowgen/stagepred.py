@@ -35,6 +35,7 @@ from .llm import (
     bind,
     complete,
     count_tokens,
+    counted,
     load_template,
     parse_operator_list,
 )
@@ -180,15 +181,27 @@ def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, 
 
 
 class StagePrompts:
-    """The static text of the stage prompts, each piece counted once.
+    """The static prompt text of a runtime, each piece counted once.
 
-    ``stage_prompts`` builds it once per runtime. A stage's context line and
-    an example's few-shot block are counted at their first use and looked up
-    after that, so a render counts only the utterance. Threads that share it
-    can at worst count a piece twice, to the same value.
+    ``stage_prompts`` builds it once per runtime. Its pieces are filled at
+    their first use and looked up after that:
+
+    * for the stage prompt, each stage's context line and each example's
+      few-shot block (``listing``);
+    * for the segmentation prompt, each stage's description line
+      (``node_tokens``, which ``edgepred.segment_for_nodes`` fills);
+    * for the properties prompt, each stage's template with its name and
+      property list bound (``properties``, which
+      ``proppred.predict_properties`` fills), so its digest state covers all
+      the text before the sub-utterance.
+
+    So a render counts only what the run adds. Threads that share it can at
+    worst build a piece twice, to the same value.
     """
 
-    __slots__ = ("catalog", "stage", "decompose", "line_tokens", "block_tokens")
+    __slots__ = (
+        "catalog", "stage", "decompose", "line_tokens", "block_tokens", "node_tokens", "properties",
+    )
 
     def __init__(self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate):
         self.catalog = catalog
@@ -196,6 +209,8 @@ class StagePrompts:
         self.decompose = decompose  # the split examples bound; ``utterance`` open
         self.line_tokens: dict[str, int] = {}  # by stage name
         self.block_tokens: dict[FewShotExample, int] = {}
+        self.node_tokens: dict[str, int] = {}  # by stage name
+        self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
     def listing(
         self, candidates: Iterable[str] | None, examples: list[FewShotExample]
@@ -246,14 +261,15 @@ def render_stage_prompt(
     catalog: Catalog,
     candidates: Iterable[str] | None,
     examples: list[FewShotExample],
-    utterance: str,
+    utterance: str | tuple[str, int],
     family: str = "granite",
     prompts: StagePrompts | None = None,
 ) -> RenderedPrompt:
     """The stage prompt: ``prompts.listing(candidates, examples)`` with the utterance.
 
     ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``; without
-    it, the static text is counted on this call.
+    it, the static text is counted on this call. An utterance given as
+    ``(text, tokens)`` is not counted again.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
@@ -267,7 +283,7 @@ def render_stage_prompt(
 
 
 def predict_single(
-    utterance: str,
+    utterance: str | tuple[str, int],
     catalog: Catalog,
     listing: PromptTemplate,
     provider: CompletionProvider,
@@ -276,7 +292,8 @@ def predict_single(
     """One prompt over the full catalog and the full example bank.
 
     ``listing`` is ``stage_prompts(catalog, family=family).listing(None,
-    bank)``, built once and reused for every utterance.
+    bank)``, built once and reused for every utterance. An utterance given
+    as ``(text, tokens)`` is not counted again.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
@@ -296,7 +313,7 @@ def predict_single(
 
 
 def decompose(
-    utterance: str,
+    utterance: str | tuple[str, int],
     provider: CompletionProvider,
     template: PromptTemplate,
     trace: list[dict] | None = None,
@@ -304,7 +321,8 @@ def decompose(
     """Split an utterance into single-stage sub-utterances via one completion.
 
     ``template`` is the runtime's ``stage_prompts(...).decompose``, with the
-    split examples bound once.
+    split examples bound once. An utterance given as ``(text, tokens)`` is
+    not counted again.
     """
     trace = [] if trace is None else trace
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
@@ -403,7 +421,7 @@ def select_examples(
 
 
 def predict_cag(
-    utterance: str,
+    utterance: str | tuple[str, int],
     catalog: Catalog,
     classifier: StageClassifier,
     bank: list[FewShotExample],
@@ -422,13 +440,15 @@ def predict_cag(
     nothing the model could legally answer.
 
     ``prompts`` is ``stage_prompts(catalog, split_examples, family)``, built
-    once per runtime; without it, that is built on this call.
+    once per runtime; without it, that is built on this call. The utterance
+    is counted once, for both prompts, unless it comes as ``(text, tokens)``.
     """
     trace = [] if trace is None else trace
     if prompts is None:
         prompts = stage_prompts(catalog, split_examples or (), family)
+    utterance = counted(utterance)
     subs = decompose(utterance, provider, prompts.decompose, trace)
-    candidates = build_candidates(subs, classifier, catalog, utterance, trace)
+    candidates = build_candidates(subs, classifier, catalog, utterance[0], trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
         return StagePrediction(stages=[], trace=trace)
@@ -459,7 +479,7 @@ def _scan_agent_reply(text: str) -> tuple[str, str] | None:
 
 
 def predict_agentic(
-    utterance: str,
+    utterance: str | tuple[str, int],
     catalog: Catalog,
     classifier: StageClassifier,
     provider: CompletionProvider,
@@ -468,7 +488,8 @@ def predict_agentic(
 ) -> StagePrediction:
     """ReAct-style loop: the model drives the classifier one call per turn.
 
-    Each turn re-renders the base prompt plus the transcript so far. The
+    Each turn re-renders the base prompt plus the transcript so far; the
+    utterance is counted once, unless it comes as ``(text, tokens)``. The
     loop ends at FINAL or after ``max_steps`` completions; at the cap, a
     reply that still tries to act (or does not parse as an operator list) is
     a protocol violation carrying the transcript.
@@ -477,6 +498,7 @@ def predict_agentic(
     from .llm import render_prompt
 
     trace = [] if trace is None else trace
+    utterance = counted(utterance)
     transcript: list[str] = []
     last_reply = ""
     for _step in range(max_steps):

@@ -71,6 +71,18 @@ def scripted(*pairs: tuple[str, str]) -> MockProvider:
     )
 
 
+class RecordingProvider:
+    """Keeps every prompt sent through it, then asks ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return self.inner.complete(prompt, params)
+
+
 class FakeResponse:
     """Stands in for ``requests.Response``: a status code and a body, decoded on demand."""
 

@@ -407,6 +407,26 @@ def test_classify_with_classifier_endpoint(capsys, monkeypatch):
     assert out.splitlines() == ["matched: true", "0.9000  sort"]
 
 
+def test_classify_with_classifier_endpoint_reads_no_catalog(capsys, monkeypatch):
+    from flowgen.classify import Classification, RemoteClassifier
+
+    asked = []
+
+    def classify(self, text):
+        asked.append((self.endpoint, text))
+        return Classification(ranked=(("sort", 0.75),), matched=True)
+
+    monkeypatch.setattr(RemoteClassifier, "classify", classify)
+    code, out, err = run(
+        capsys,
+        "classify", "--text", "x", "--classifier", "http://127.0.0.1:9",
+        "--catalog", "/nonexistent/catalog.json",
+    )
+    assert (code, err) == (0, "")
+    assert asked == [("http://127.0.0.1:9", "x")]
+    assert out.splitlines() == ["matched: true", "0.7500  sort"]
+
+
 # --- catalog-validate ---------------------------------------------------------------
 
 

@@ -7,8 +7,12 @@ parsing, or verification shows up as a concrete diff here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +22,13 @@ from conftest import (
     FakeResponse,
     LINEAR_FLOW,
     MERGE_FLOW,
+    RecordingProvider,
     make_catalog,
     make_runtime as runtime,
     make_stage,
     scripted,
 )
-from flowgen import InputError, fixture_path
+from flowgen import InputError, fixture_path, llm
 from flowgen.catalog import STRING, PropertyDef
 from flowgen.classify import keyword_scan
 from flowgen.llm import (
@@ -239,6 +244,82 @@ def test_generation_is_deterministic_across_parallelism(demo_config):
             (emit(w, "doc"), emit(w, "dot"), json.dumps(w.provenance, sort_keys=True))
         )
     assert runs[0] == runs[1] == runs[2]
+
+
+# --- prompt assembly -------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# every demo flow by name; "repair" is answered by the benchmark's own scripts
+DEMO_FLOWS = json.loads((PERFBENCH / "reference" / "flows.json").read_text(encoding="utf-8"))
+REPAIR_SCRIPTS = PERFBENCH / "mock_scripts_repair.json"
+
+
+def llm_calls(provenance: dict) -> list[dict]:
+    traces = ("stage_trace", "segment_trace", "edge_trace", "property_trace")
+    return [e for t in traces for e in provenance.get(t, []) if e["event"] == "llm_call"]
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize(
+    "strategy, purposes",
+    [
+        ("cag", {"decompose", "stage_selection"}),
+        ("single", {"stage_selection"}),
+        ("agentic", {"agent_step"}),
+    ],
+)
+def test_every_prompt_is_counted_and_hashed_as_from_scratch(
+    demo_config, strategy, purposes, parallel
+):
+    # one runtime for every flow, so later runs reuse the pieces that earlier ones built
+    rt = build_runtime(demo_config(strategy=strategy, parallel=parallel))
+    scripts = load_mock_scripts(REPAIR_SCRIPTS).scripts + rt.provider.scripts
+    rt.provider = recording = RecordingProvider(MockProvider(scripts))
+    sent = set()
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # property branches race to build each stage's template
+    try:
+        for utterance in DEMO_FLOWS.values():
+            try:
+                w = generate_with_runtime(utterance, rt)
+            except PipelineError:  # a pair the scripts do not answer
+                continue
+            sent |= {c["purpose"] for c in llm_calls(w.provenance)}
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert sent == purposes | {"segmentation", "edge_prediction", "properties"}
+    assert recording.prompts
+    for prompt in recording.prompts:
+        assert prompt.token_estimate == count_tokens(prompt.text)
+        assert prompt.sha256 == hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monkeypatch):
+    rt = build_runtime(demo_config())
+    texts: list[str] = []
+
+    def spy(text):
+        texts.append(text)
+        return count_tokens(text)
+
+    monkeypatch.setattr(llm, "count_tokens", spy)
+    runs = []
+    for _ in range(2):
+        texts.clear()
+        w = generate_with_runtime(LINEAR_FLOW, rt)
+        runs.append(list(texts))
+    first, second = runs
+    stages = [rt.catalog.stages[n.stage] for n in w.graph.nodes]
+    prop_lists = {"\n".join(f"{p.name}: {p.description}" for p in s.properties) for s in stages}
+    prop_lists.discard("")
+    node_lines = {f" ({s.name}): {s.description}" for s in stages}
+    assert prop_lists and prop_lists <= set(first) and node_lines <= set(first)
+    assert not prop_lists & set(second)
+    assert not node_lines & set(second)
+    # the utterance and each sub-utterance, counted exactly once
+    spans = {LINEAR_FLOW, *w.provenance["segments"].values()}
+    assert len(spans) > 2
+    assert Counter(t for t in second if t in spans) == Counter(spans)
 
 
 # --- repair interaction ---------------------------------------------------------------

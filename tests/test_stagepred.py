@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FULL_NAME_FLOW, make_catalog, make_stage, scripted
+from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage, scripted
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
@@ -375,16 +375,6 @@ PINNED_CAG_CALLS = [
     ("f51b2e16d08df9c9:223", "57f6724d71f72e9f:744"),
     ("00905b696e3910a6:206", "16903b3cbe12ec46:777"),
 ]
-
-
-class RecordingProvider:
-    def __init__(self, inner):
-        self.inner = inner
-        self.prompts = []
-
-    def complete(self, prompt, params):
-        self.prompts.append(prompt)
-        return self.inner.complete(prompt, params)
 
 
 def _synthetic_cag_runtime():
