@@ -169,6 +169,14 @@ def build_nodes(stages: list[str], catalog: Catalog) -> list[NodeInstance]:
 # --- segmentation --------------------------------------------------------------
 
 
+def _count_once(tokens: dict[str, int], key: str, text: str) -> int:
+    """The count of ``text``, kept in ``tokens`` under ``key`` at its first use."""
+    n = tokens.get(key)
+    if n is None:
+        n = tokens[key] = llm.count_tokens(text)
+    return n
+
+
 def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
@@ -180,6 +188,7 @@ def segment_for_nodes(
     provider: CompletionProvider,
     trace: list[dict] | None = None,
     node_tokens: dict[str, int] | None = None,
+    name_tokens: dict[str, int] | None = None,
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -191,7 +200,9 @@ def segment_for_nodes(
     An utterance given as ``(text, tokens)`` is not counted again.
     ``node_tokens`` holds the count of each stage's description line by
     stage name; it is filled at a stage's first use, so a runtime that keeps
-    it (``StagePrompts.node_tokens``) counts each line once.
+    it (``StagePrompts.node_tokens``) counts each line once. ``name_tokens``
+    likewise holds the count of each node name, by name, so a run that hands
+    the same dict to ``predict_edges`` counts each name once.
     """
     if not nodes:
         raise SegmentationError("cannot segment for an empty node list")
@@ -199,15 +210,14 @@ def segment_for_nodes(
     if len(nodes) == 1:
         return {nodes[0].unique_name: text}
     node_tokens = {} if node_tokens is None else node_tokens
+    name_tokens = {} if name_tokens is None else name_tokens
     lines, tokens = [], 0
     for n in nodes:
         # the line after the node's name starts with a space, so the counts add
         line = f" ({n.stage}): {catalog.stages[n.stage].description}"
-        line_tokens = node_tokens.get(n.stage)
-        if line_tokens is None:
-            line_tokens = node_tokens[n.stage] = llm.count_tokens(line)
         lines.append(n.unique_name + line)
-        tokens += llm.count_tokens(n.unique_name) + line_tokens
+        tokens += _count_once(name_tokens, n.unique_name, n.unique_name)
+        tokens += _count_once(node_tokens, n.stage, line)
     prompt = render_prompt(
         _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
@@ -247,6 +257,8 @@ def predict_edges(
     provider: CompletionProvider,
     trace: list[dict] | None = None,
     spans: Mapping[str, tuple[str, int]] | None = None,
+    head_tokens: dict[str, int] | None = None,
+    name_tokens: dict[str, int] | None = None,
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -259,22 +271,27 @@ def predict_edges(
     ``spans`` maps a node's name to its sub-utterance as ``(text, tokens)``,
     already counted; a node it lacks has its ``sub_utterance`` counted here.
     An utterance given as ``(text, tokens)`` is not counted again.
+    Each node's line starts with its name and the stage part of its head,
+    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. ``head_tokens`` keeps
+    the count of each stage part by its text, so a runtime that keeps it
+    (``StagePrompts.head_tokens``) counts each once; ``name_tokens`` keeps
+    each name's count, as in ``segment_for_nodes``.
     """
     trace = [] if trace is None else trace
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
     spans = {} if spans is None else spans
+    head_tokens = {} if head_tokens is None else head_tokens
+    name_tokens = {} if name_tokens is None else name_tokens
     lines, tokens = [], 0
     for n in nodes:
-        # the head ends with a space, so the counts add
-        head = (
-            f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
-            f"outputs {_bound_text(n.outputs)}): "
-        )
+        # the stage part starts and ends with a space, so the counts add
+        head = f" ({n.stage}, inputs {_bound_text(n.inputs)}, outputs {_bound_text(n.outputs)}): "
         span, span_tokens = spans.get(n.unique_name) or counted(n.sub_utterance)
-        lines.append(head + span)
-        tokens += llm.count_tokens(head) + span_tokens
+        lines.append(n.unique_name + head + span)
+        tokens += _count_once(name_tokens, n.unique_name, n.unique_name)
+        tokens += _count_once(head_tokens, head, head) + span_tokens
     prompt = render_prompt(
         _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
@@ -473,12 +490,17 @@ def edge_metrics(pred: FlowGraph, gold: FlowGraph) -> EdgeMetrics:
 # --- export ----------------------------------------------------------------------
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT identifier, its ``\\`` and ``"`` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: FlowGraph) -> str:
     """GraphViz text with lexicographic node and edge ordering."""
     lines = ["digraph flow {"]
     for name in sorted(n.unique_name for n in g.nodes):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_id(name)};")
     for src, dst in sorted(g.edges):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,8 +16,8 @@ empty property list for that node) and leaves a diagnostic behind.
 
 from __future__ import annotations
 
-import json
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import InputError, fixture_path, read_json, run_in_order
@@ -286,12 +286,16 @@ def _edge_branch(
     utterance: tuple[str, int],
     nodes: list[NodeInstance],
     spans: dict[str, tuple[str, int]],
+    name_tokens: dict[str, int],
     rt: Runtime,
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     try:
-        graph = predict_edges(nodes, utterance, rt.provider, trace=trace, spans=spans)
+        graph = predict_edges(
+            nodes, utterance, rt.provider, trace=trace, spans=spans,
+            head_tokens=rt.prompts.head_tokens, name_tokens=name_tokens,
+        )
     except (EdgePredictionError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
@@ -320,8 +324,9 @@ def _property_branch_one(
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     """Run every step on ``utterance``.
 
-    The utterance is counted once, and each distinct sub-utterance once
-    after segmentation; every prompt of the run reuses those counts.
+    The utterance is counted once, each node name once, and each distinct
+    sub-utterance once after segmentation; every prompt of the run reuses
+    those counts.
     """
     cfg = rt.cfg
     whole = counted(utterance)
@@ -341,9 +346,10 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         return Workflow(graph=FlowGraph(nodes=[]), properties={}, provenance=provenance)
 
     seg_trace: list[dict] = []
+    name_tokens: dict[str, int] = {}  # each node name's count, shared by segmentation and edges
     try:
         segments = segment_for_nodes(
-            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.node_tokens
+            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.node_tokens, name_tokens
         )
     except (SegmentationError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
@@ -359,7 +365,7 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    calls = [partial(_edge_branch, whole, nodes, spans, rt)]
+    calls = [partial(_edge_branch, whole, nodes, spans, name_tokens, rt)]
     calls += [partial(_property_branch_one, n, spans[n.unique_name], rt) for n in nodes]
     edge_result, *prop_results = run_in_order(calls, cfg.parallel)
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result
@@ -422,28 +428,40 @@ def _assert_workflow(w: Workflow, violations: list[CardinalityViolation]) -> Non
 
 
 def emit(workflow: Workflow, format: str = "doc") -> str:
-    """Serialize a workflow: canonical JSON document or GraphViz text."""
+    """Serialize a workflow: canonical JSON document or GraphViz text.
+
+    The document is written directly, byte for byte what
+    ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` writes for the
+    same nodes, properties and edges: ``json`` runs its pure-Python encoder
+    whenever it indents, so only its string escaper is used here.
+    """
     if format == "dot":
         return to_dot(workflow.graph)
     if format != "doc":
         raise ValueError(f"unknown format {format!r}")
-    nodes = sorted(workflow.graph.nodes, key=lambda n: n.unique_name)
-    doc = {
-        "nodes": [
-            {
-                "unique_name": n.unique_name,
-                "stage": n.stage,
-                "sub_utterance": n.sub_utterance,
-                "properties": [
-                    {"name": a.name, "value": canonical_value(a.coerced)}
-                    for a in workflow.properties.get(n.unique_name, [])
-                ],
-            }
-            for n in nodes
-        ],
-        "edges": [{"from": src, "to": dst} for src, dst in sorted(workflow.graph.edges)],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    q = encode_basestring
+    nodes = []
+    for n in sorted(workflow.graph.nodes, key=lambda n: n.unique_name):
+        properties = [
+            f'\n        {{\n          "name": {q(a.name)},\n'
+            f'          "value": {q(canonical_value(a.coerced))}\n        }}'
+            for a in workflow.properties.get(n.unique_name, ())
+        ]
+        nodes.append(
+            f'\n    {{\n      "unique_name": {q(n.unique_name)},\n      "stage": {q(n.stage)},\n'
+            f'      "sub_utterance": {q(n.sub_utterance)},\n'
+            f'      "properties": {_array(properties, "      ")}\n    }}'
+        )
+    edges = [
+        f'\n    {{\n      "from": {q(src)},\n      "to": {q(dst)}\n    }}'
+        for src, dst in sorted(workflow.graph.edges)
+    ]
+    return f'{{\n  "nodes": {_array(nodes, "  ")},\n  "edges": {_array(edges, "  ")}\n}}\n'
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded ``items``, each led by its newline and indent, closed at ``indent``."""
+    return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def load_workflow_doc(path: str | Path) -> Workflow:

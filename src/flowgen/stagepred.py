@@ -34,11 +34,13 @@ from .llm import (
     RenderedPrompt,
     bind,
     complete,
-    count_tokens,
     counted,
     load_template,
     parse_operator_list,
 )
+
+# counts go through the module attribute, so a wrapper of llm.count_tokens sees them
+from . import llm
 
 __all__ = [
     "FewShotExample",
@@ -175,7 +177,7 @@ def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, 
     for key, text in zip(keys, texts):
         n = tokens.get(key)
         if n is None:
-            n = tokens[key] = count_tokens(text)
+            n = tokens[key] = llm.count_tokens(text)
         total += n
     return sep.join(texts), total
 
@@ -190,6 +192,8 @@ class StagePrompts:
       few-shot block (``listing``);
     * for the segmentation prompt, each stage's description line
       (``node_tokens``, which ``edgepred.segment_for_nodes`` fills);
+    * for the edge prompt, the stage part of each node's head, by its text
+      (``head_tokens``, which ``edgepred.predict_edges`` fills);
     * for the properties prompt, each stage's template with its name and
       property list bound (``properties``, which
       ``proppred.predict_properties`` fills), so its digest state covers all
@@ -200,7 +204,8 @@ class StagePrompts:
     """
 
     __slots__ = (
-        "catalog", "stage", "decompose", "line_tokens", "block_tokens", "node_tokens", "properties",
+        "catalog", "stage", "decompose", "line_tokens", "block_tokens", "node_tokens", "head_tokens",
+        "properties",
     )
 
     def __init__(self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate):
@@ -210,6 +215,7 @@ class StagePrompts:
         self.line_tokens: dict[str, int] = {}  # by stage name
         self.block_tokens: dict[FewShotExample, int] = {}
         self.node_tokens: dict[str, int] = {}  # by stage name
+        self.head_tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
     def listing(

@@ -444,3 +444,14 @@ def test_edge_metrics_self_comparison_is_perfect(g):
 def test_to_dot_orders_lexicographically():
     g = FlowGraph(nodes=[node("b"), node("a")], edges=[("b", "a")])
     assert to_dot(g) == 'digraph flow {\n  "a";\n  "b";\n  "b" -> "a";\n}\n'
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    g = FlowGraph(nodes=[node('say "hi"'), node("c:\\tmp\\")], edges=[("c:\\tmp\\", 'say "hi"')])
+    assert to_dot(g).splitlines() == [
+        "digraph flow {",
+        r'  "c:\\tmp\\";',
+        r'  "say \"hi\"";',
+        r'  "c:\\tmp\\" -> "say \"hi\"";',
+        "}",
+    ]

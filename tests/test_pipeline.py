@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
     BRANCHING_FLOW,
@@ -29,8 +30,9 @@ from conftest import (
     scripted,
 )
 from flowgen import InputError, fixture_path, llm
-from flowgen.catalog import STRING, PropertyDef
+from flowgen.catalog import STRING, CardinalityBound, PropertyDef
 from flowgen.classify import keyword_scan
+from flowgen.edgepred import FlowGraph, NodeInstance
 from flowgen.llm import (
     CompletionParams,
     HTTPProvider,
@@ -43,11 +45,13 @@ from flowgen.llm import (
 from flowgen.pipeline import (
     PipelineConfig,
     PipelineError,
+    Workflow,
     build_runtime,
     emit,
     generate_with_runtime,
     load_workflow_doc,
 )
+from flowgen.proppred import ACCEPTED, PropertyAssignment, canonical_value
 from flowgen.stagepred import render_stage_prompt
 
 
@@ -313,13 +317,23 @@ def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monke
     prop_lists = {"\n".join(f"{p.name}: {p.description}" for p in s.properties) for s in stages}
     prop_lists.discard("")
     node_lines = {f" ({s.name}): {s.description}" for s in stages}
-    assert prop_lists and prop_lists <= set(first) and node_lines <= set(first)
-    assert not prop_lists & set(second)
-    assert not node_lines & set(second)
-    # the utterance and each sub-utterance, counted exactly once
+
+    def bound(b):
+        return f"{b.min}..{'*' if b.max is None else b.max}"
+
+    heads = {f" ({s.name}, inputs {bound(s.inputs)}, outputs {bound(s.outputs)}): " for s in stages}
+    (candidates,) = [e["stages"] for e in w.provenance["stage_trace"] if e["event"] == "candidates"]
+    context_lines = {f'"{name}": {rt.catalog.stages[name].description}' for name in candidates}
+    for pieces in (prop_lists, node_lines, heads, context_lines):
+        assert pieces and pieces <= set(first)
+        assert not pieces & set(second)
+    # the utterance and each sub-utterance counted exactly once, each node name at most once
     spans = {LINEAR_FLOW, *w.provenance["segments"].values()}
     assert len(spans) > 2
     assert Counter(t for t in second if t in spans) == Counter(spans)
+    names = w.graph.node_names()
+    assert len(names) > 2
+    assert max(Counter(t for t in second if t in names).values()) == 1
 
 
 # --- repair interaction ---------------------------------------------------------------
@@ -589,6 +603,69 @@ def test_workflow_doc_round_trip(tmp_path, demo_config):
     # re-emission is byte-identical: canonical values survive the round trip
     assert emit(loaded, "doc") == emit(w, "doc")
     assert emit(loaded, "dot") == emit(w, "dot")
+
+
+def old_doc(w: Workflow) -> dict:
+    """The document as a dict, which ``emit`` once passed to ``json.dumps``; the oracle."""
+    nodes = sorted(w.graph.nodes, key=lambda n: n.unique_name)
+    return {
+        "nodes": [
+            {
+                "unique_name": n.unique_name,
+                "stage": n.stage,
+                "sub_utterance": n.sub_utterance,
+                "properties": [
+                    {"name": a.name, "value": canonical_value(a.coerced)}
+                    for a in w.properties.get(n.unique_name, [])
+                ],
+            }
+            for n in nodes
+        ],
+        "edges": [{"from": src, "to": dst} for src, dst in sorted(w.graph.edges)],
+    }
+
+
+# any code point, surrogates included, with the ones JSON escapes or special-cases drawn often
+TEXTS = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\u2029\ud800\udfff\U0001f600é'),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=6,
+)
+COERCED = st.one_of(st.booleans(), st.integers(), st.decimals(), TEXTS)
+
+
+@st.composite
+def workflows(draw) -> Workflow:
+    names = draw(st.lists(TEXTS, max_size=5, unique=True))
+    anybound = CardinalityBound(0, None)
+    nodes = [NodeInstance(name, draw(TEXTS), anybound, anybound, draw(TEXTS)) for name in names]
+    properties = {
+        name: [
+            PropertyAssignment(prop, "", coerced, ACCEPTED)
+            for prop, coerced in draw(st.lists(st.tuples(TEXTS, COERCED), max_size=3))
+        ]
+        for name in names
+        if draw(st.booleans())
+    }
+    pairs = [(a, b) for a in names for b in names if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Workflow(FlowGraph(nodes, edges), properties, {})
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(workflows())
+def test_emit_doc_is_byte_identical_to_json_dumps(tmp_path, w):
+    doc = emit(w, "doc")
+    assert doc == json.dumps(old_doc(w), indent=2, ensure_ascii=False) + "\n"
+    try:
+        data = doc.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate code point has no UTF-8 form, so no file holds it
+        return
+    path = tmp_path / "flow.json"
+    path.write_bytes(data)
+    assert emit(load_workflow_doc(path), "doc") == doc
 
 
 def test_load_workflow_doc_rejects_other_json(tmp_path):
