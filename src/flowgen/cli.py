@@ -137,6 +137,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     utterance = args.utterance if args.utterance is not None else sys.stdin.read().strip()
     if not utterance.strip():
         raise _UsageError("empty utterance")
+    try:  # bytes that are not UTF-8 arrive surrogate-escaped, and no output could hold them
+        utterance.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _UsageError(f"the utterance is not UTF-8 text ({exc})") from exc
     cfg = _config_from_args(args)
     runtime = build_runtime(cfg)
     workflow = generate_with_runtime(utterance, runtime)

@@ -23,11 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
+from . import fixture_path
 from .catalog import CardinalityBound, Catalog
-from .llm import CompletionProvider, complete, counted, load_template, render_prompt
-
-# counts go through the module attribute, which perfbench/tracer.py wraps
-from . import fixture_path, llm
+from .llm import CompletionProvider, complete, count_once, load_template, render_prompt
 
 __all__ = [
     "NodeInstance",
@@ -169,26 +167,18 @@ def build_nodes(stages: list[str], catalog: Catalog) -> list[NodeInstance]:
 # --- segmentation --------------------------------------------------------------
 
 
-def _count_once(tokens: dict[str, int], key: str, text: str) -> int:
-    """The count of ``text``, kept in ``tokens`` under ``key`` at its first use."""
-    n = tokens.get(key)
-    if n is None:
-        n = tokens[key] = llm.count_tokens(text)
-    return n
-
-
 def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
 def segment_for_nodes(
-    utterance: str | tuple[str, int],
+    utterance: tuple[str, int],
     nodes: list[NodeInstance],
     catalog: Catalog,
     provider: CompletionProvider,
-    trace: list[dict] | None = None,
-    node_tokens: dict[str, int] | None = None,
-    name_tokens: dict[str, int] | None = None,
+    trace: list[dict],
+    node_tokens: dict[str, int],
+    name_tokens: dict[str, int],
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -197,31 +187,26 @@ def segment_for_nodes(
     paraphrased spans are an error, not a warning, because properties are
     predicted from them.
 
-    An utterance given as ``(text, tokens)`` is not counted again.
-    ``node_tokens`` holds the count of each stage's description line by
-    stage name; it is filled at a stage's first use, so a runtime that keeps
-    it (``StagePrompts.node_tokens``) counts each line once. ``name_tokens``
-    likewise holds the count of each node name, by name, so a run that hands
-    the same dict to ``predict_edges`` counts each name once.
+    ``node_tokens`` is the runtime's count of each stage's description line,
+    by stage name (``StagePrompts.node_tokens``); ``name_tokens`` is the
+    run's count of each node name, by name, shared with ``predict_edges``.
     """
     if not nodes:
         raise SegmentationError("cannot segment for an empty node list")
-    text = utterance if isinstance(utterance, str) else utterance[0]
+    text = utterance[0]
     if len(nodes) == 1:
         return {nodes[0].unique_name: text}
-    node_tokens = {} if node_tokens is None else node_tokens
-    name_tokens = {} if name_tokens is None else name_tokens
     lines, tokens = [], 0
     for n in nodes:
         # the line after the node's name starts with a space, so the counts add
         line = f" ({n.stage}): {catalog.stages[n.stage].description}"
         lines.append(n.unique_name + line)
-        tokens += _count_once(name_tokens, n.unique_name, n.unique_name)
-        tokens += _count_once(node_tokens, n.stage, line)
+        tokens += count_once(name_tokens, n.unique_name, n.unique_name)
+        tokens += count_once(node_tokens, n.stage, line)
     prompt = render_prompt(
         _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
-    answer = complete(provider, prompt, [] if trace is None else trace, "segmentation")
+    answer = complete(provider, prompt, trace, "segmentation")
     known = {n.unique_name for n in nodes}
     segments: dict[str, str] = {}
     for line in answer.splitlines():
@@ -253,12 +238,12 @@ def _bound_text(bound: CardinalityBound) -> str:
 
 def predict_edges(
     nodes: list[NodeInstance],
-    utterance: str | tuple[str, int],
+    utterance: tuple[str, int],
     provider: CompletionProvider,
-    trace: list[dict] | None = None,
-    spans: Mapping[str, tuple[str, int]] | None = None,
-    head_tokens: dict[str, int] | None = None,
-    name_tokens: dict[str, int] | None = None,
+    trace: list[dict],
+    spans: Mapping[str, tuple[str, int]],
+    head_tokens: dict[str, int],
+    name_tokens: dict[str, int],
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -268,30 +253,24 @@ def predict_edges(
     a cycle is dropped in response order, so the result is always a DAG over
     exactly the given nodes.
 
-    ``spans`` maps a node's name to its sub-utterance as ``(text, tokens)``,
-    already counted; a node it lacks has its ``sub_utterance`` counted here.
-    An utterance given as ``(text, tokens)`` is not counted again.
-    Each node's line starts with its name and the stage part of its head,
-    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. ``head_tokens`` keeps
-    the count of each stage part by its text, so a runtime that keeps it
-    (``StagePrompts.head_tokens``) counts each once; ``name_tokens`` keeps
-    each name's count, as in ``segment_for_nodes``.
+    ``spans`` maps each node's name to its sub-utterance. Each node's line
+    starts with its name and the stage part of its head,
+    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. ``head_tokens`` is
+    the runtime's count of each stage part, by its text
+    (``StagePrompts.head_tokens``); ``name_tokens`` is the run's count of
+    each node name, as in ``segment_for_nodes``.
     """
-    trace = [] if trace is None else trace
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
-    spans = {} if spans is None else spans
-    head_tokens = {} if head_tokens is None else head_tokens
-    name_tokens = {} if name_tokens is None else name_tokens
     lines, tokens = [], 0
     for n in nodes:
         # the stage part starts and ends with a space, so the counts add
         head = f" ({n.stage}, inputs {_bound_text(n.inputs)}, outputs {_bound_text(n.outputs)}): "
-        span, span_tokens = spans.get(n.unique_name) or counted(n.sub_utterance)
+        span, span_tokens = spans[n.unique_name]
         lines.append(n.unique_name + head + span)
-        tokens += _count_once(name_tokens, n.unique_name, n.unique_name)
-        tokens += _count_once(head_tokens, head, head) + span_tokens
+        tokens += count_once(name_tokens, n.unique_name, n.unique_name)
+        tokens += count_once(head_tokens, head, head) + span_tokens
     prompt = render_prompt(
         _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
     )
@@ -379,7 +358,7 @@ def _suffix_index(unique_name: str, stage: str) -> int:
 
 
 def repair_with_renames(
-    g: FlowGraph, trace: list[dict] | None = None
+    g: FlowGraph, trace: list[dict]
 ) -> tuple[FlowGraph, dict[str, list[str]]]:
     """Repair over-connections; also report how node names were remapped.
 
@@ -387,7 +366,6 @@ def repair_with_renames(
     its copies (identity entries are omitted), so callers can carry
     per-node data — property assignments, sub-utterances — across a split.
     """
-    trace = [] if trace is None else trace
     # pass 1: split over-bound boundary nodes. Nodes are tracked by position:
     # origin[k] is the position in g.nodes that new node k comes from, and
     # copy_at[edge, end] is the new position of the split copy taking that end.

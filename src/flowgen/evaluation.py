@@ -13,8 +13,11 @@ the configured strategy per record and aggregates:
 * tokens — mean prompt-token estimate per completion request, from the
   rendered prompts, not provider-reported usage.
 
-Per-record failures land in a ``failures`` section and the run continues;
-failed records are excluded from the metric denominators.
+Per-record failures land in a ``failures`` section and the run continues.
+A failed record counts as a miss on every measure: a wrong stage answer,
+edge similarity 0.0 and not exact, and every gold triple unmatched. So an
+eval whose records all fail scores zero, not a perfect score over no
+records.
 """
 
 from __future__ import annotations
@@ -83,12 +86,13 @@ class StageAccuracy(Record):
 
 class MetricsReport:
     __slots__ = (
-        "measures", "stages", "edge_similarity", "edge_exact_rate", "edge_records", "props",
-        "tokens", "failures",
+        "measures", "records", "stages", "edge_similarity", "edge_exact_rate", "edge_records",
+        "props", "tokens", "failures",
     )
 
-    def __init__(self, measures: list[str]):
+    def __init__(self, measures: list[str], records: int):
         self.measures = measures
+        self.records = records
         self.stages: StageAccuracy | None = None
         self.edge_similarity: float | None = None
         self.edge_exact_rate: float | None = None
@@ -139,17 +143,18 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
 
 
 def stage_accuracy(
-    predictions: list[list[str]], golds: list[list[str]]
+    predictions: list[list[str] | None], golds: list[list[str]]
 ) -> StageAccuracy:
     """Exact multiset match rate, in percent, bucketed by gold size.
 
-    A bucket with no records is vacuously 100.0.
+    A None prediction, from a failed record, is a miss. A bucket with no
+    records is vacuously 100.0.
     """
     if len(predictions) != len(golds):
         raise ValueError("predictions and golds differ in length")
     buckets = {"total": [0, 0], "one_op": [0, 0], "n_op": [0, 0]}
     for pred, gold in zip(predictions, golds):
-        correct = Counter(pred) == Counter(gold)
+        correct = pred is not None and Counter(pred) == Counter(gold)
         keys = ["total", "one_op" if len(gold) == 1 else "n_op"]
         for key in keys:
             buckets[key][1] += 1
@@ -198,35 +203,35 @@ def _eval_record(record: EvalRecord, rt: Runtime, measures: tuple[str, ...]) -> 
     """One record's ``(usage, failure, stages, edge, pred_triples, gold_triples)``.
 
     ``failure`` is the text of a ``PipelineError``, or None; ``edge`` is
-    ``(similarity, exact)`` when the record's edges are measured. A failed
-    record reports its usage and nothing else.
+    ``(similarity, exact)`` when the record's edges are measured, and
+    ``gold_triples`` is empty unless its properties are. A failed record
+    predicts no stages (None), no edge and no triple.
     """
+    measure_edges = "edges" in measures and record.gold_edges is not None
+    measure_props = "props" in measures and record.gold_properties is not None
+    gold_triples = _gold_triples(record, rt.catalog) if measure_props else []
     edge = None
     pred_triples: list[PropTriple] = []
-    gold_triples: list[PropTriple] = []
-    needs_pipeline = ("edges" in measures and record.gold_edges is not None) or (
-        "props" in measures and record.gold_properties is not None
-    )
     try:
-        if needs_pipeline:
+        if measure_edges or measure_props:
             workflow = generate_with_runtime(record.utterance, rt)
             spent = workflow.provenance["usage"]
             pred = [n.stage for n in workflow.graph.nodes]
-            if "edges" in measures and record.gold_edges is not None:
+            if measure_edges:
                 metrics = edge_metrics(workflow.graph, _gold_graph(record, rt.catalog))
                 edge = (metrics.similarity, metrics.exact)
-            if "props" in measures and record.gold_properties is not None:
+            if measure_props:
                 for node in sorted(workflow.properties):
                     for a in workflow.properties[node]:
                         pred_triples.append((node, a.name, canonical_value(a.coerced)))
-                gold_triples = _gold_triples(record, rt.catalog)
         else:
             prediction = predict_stages(record.utterance, rt)
             spent = usage(prediction.trace)
             pred = list(prediction.stages)
     except PipelineError as exc:
         # a failed record still paid for the calls made before the failure
-        return exc.provenance.get("usage", usage()), str(exc), None, None, [], []
+        edge = (0.0, False) if measure_edges else None
+        return exc.provenance.get("usage", usage()), str(exc), None, edge, [], gold_triples
     return spent, None, pred, edge, pred_triples, gold_triples
 
 
@@ -251,17 +256,18 @@ def run_eval(
         unknown = sorted(set(record.gold_stages) - rt.catalog.stages.keys())
         if unknown:
             raise InputError(f"record {index} has gold stages outside the catalog: {unknown}")
-    report = MetricsReport(measures=list(measures))
+    report = MetricsReport(measures=list(measures), records=len(dataset))
 
     calls = [partial(_eval_record, record, rt, measures) for record in dataset]
     results = run_in_order(calls, rt.cfg.parallel)
 
     prompt_tokens = 0
     requests = 0
-    preds: list[list[str]] = []
+    preds: list[list[str] | None] = []
     golds: list[list[str]] = []
     edge_sims: list[float] = []
     edge_exacts: list[bool] = []
+    prop_records = 0
     pred_triples: list[PropTriple] = []
     gold_triples: list[PropTriple] = []
     for index, (record, result) in enumerate(zip(dataset, results)):
@@ -270,13 +276,13 @@ def run_eval(
         requests += spent["requests"]
         if failure is not None:
             report.failures.append({"record": index, "message": failure})
-            continue
         if "stages" in measures:
             preds.append(pred)
             golds.append(record.gold_stages)
         if edge is not None:
             edge_sims.append(edge[0])
             edge_exacts.append(edge[1])
+        prop_records += record.gold_properties is not None
         pred_triples.extend(record_pred_triples)
         gold_triples.extend(record_gold_triples)
 
@@ -290,7 +296,7 @@ def run_eval(
         report.edge_similarity = similarity / len(edge_sims)
         report.edge_exact_rate = sum(edge_exacts) / len(edge_exacts)
         report.edge_records = len(edge_sims)
-    if "props" in measures:
+    if "props" in measures and prop_records:
         report.props = prop_metrics(pred_triples, gold_triples)
     if requests:
         report.tokens = {rt.cfg.strategy: prompt_tokens / requests}
@@ -346,8 +352,7 @@ def report_table(report: MetricsReport) -> str:
         lines.append(f"{'':24} {p.precision:>8.4f} {p.recall:>8.4f} {p.f1:>8.4f}")
     for strategy, mean in sorted(report.tokens.items()):
         lines.append(f"{'mean prompt tokens':24} {strategy}: {mean:.1f}")
-    if report.failures:
-        lines.append(f"failures: {len(report.failures)}")
-        for failure in report.failures:
-            lines.append(f"  record {failure['record']}: {failure['message']}")
+    lines.append(f"records: {report.records}, failures: {len(report.failures)}")
+    for failure in report.failures:
+        lines.append(f"  record {failure['record']}: {failure['message']}")
     return "\n".join(lines) + "\n"

@@ -13,10 +13,15 @@ it is loaded, and its leading text hashed at its first render. Pieces that
 are fixed for a runtime (the stage prompts' context lines and examples,
 each stage's segmentation line, each stage's properties template with its
 name and property list bound) are counted once per runtime; the
-``stagepred.StagePrompts`` of a runtime keeps them. Text that is fixed for
-one run, the utterance and each sub-utterance, is counted once per
-``generate_with_runtime`` call and handed on as ``(text, tokens)``, which
-``bind`` and ``render_prompt`` take without counting again.
+``stagepred.StagePrompts`` of a runtime keeps them, and ``count_once``
+fills its count caches. Text that is fixed for one run, the utterance and
+each sub-utterance, is counted once per ``generate_with_runtime`` call and
+handed on as counted text, a ``(text, tokens)`` pair: every step function
+takes its text that way, and ``bind`` and ``render_prompt`` put a pair in
+without counting it again. Only ``predict_stages``, ``bind``,
+``render_prompt`` and ``counted`` also take a plain string, and
+``stagepred.predict_cag`` and ``stagepred.render_stage_prompt``, which can
+run outside a runtime.
 
 Two providers speak the completion contract, and each returns only the
 answer text: a deterministic scripted mock for offline runs and tests, and a
@@ -65,6 +70,7 @@ __all__ = [
     "render_prompt",
     "count_tokens",
     "counted",
+    "count_once",
     "parse_operator_list",
     "MockScript",
     "MockProvider",
@@ -222,9 +228,8 @@ def render_prompt(
 ) -> RenderedPrompt:
     """Substitute every placeholder; unbound placeholders are an error.
 
-    Values are taken as ``bind`` takes them, so a ``(text, tokens)`` value is
-    not counted again. The digest continues ``template.lead``'s hash over the
-    rest of the text.
+    Values are taken as ``bind`` takes them. The digest continues
+    ``template.lead``'s hash over the rest of the text.
     """
     bound = bind(template, bindings).segments
     open_slots = [value for kind, value, _ in bound if kind == "slot"]
@@ -261,6 +266,14 @@ def counted(text: str | tuple[str, int]) -> tuple[str, int]:
     A ``(text, tokens)`` pair is already counted and comes back as it is.
     """
     return text if isinstance(text, tuple) else (text, count_tokens(text))
+
+
+def count_once(tokens: dict, key: object, text: str) -> int:
+    """The count of ``text``, kept in ``tokens`` under ``key`` at its first use."""
+    n = tokens.get(key)
+    if n is None:
+        n = tokens[key] = count_tokens(text)
+    return n
 
 
 # --- operator-list answers ---------------------------------------------------

@@ -248,19 +248,19 @@ class Workflow:
 def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePrediction:
     """Predict the utterance's stage multiset with the configured strategy.
 
-    An utterance given as ``(text, tokens)`` is not counted again. Any
-    failure raises ``PipelineError("stage_prediction")``. Its provenance
+    Any failure raises ``PipelineError("stage_prediction")``. Its provenance
     keeps the ``stage_trace`` and ``usage`` of the calls made before the
     failure, since those were paid for.
     """
     cfg = rt.cfg
+    whole = counted(utterance)
     trace: list[dict] = []
     try:
         if cfg.strategy == "single":
-            return predict_single(utterance, rt.catalog, rt.listing, rt.provider, trace=trace)
+            return predict_single(whole, rt.catalog, rt.listing, rt.provider, trace=trace)
         if cfg.strategy == "cag":
             return predict_cag(
-                utterance,
+                whole,
                 rt.catalog,
                 rt.classifier,
                 rt.bank,
@@ -271,10 +271,10 @@ def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePredic
                 trace=trace,
                 prompts=rt.prompts,
             )
-        return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
+        return predict_agentic(whole, rt.catalog, rt.classifier, rt.provider, trace=trace)
     except (StagePredictionError, ProviderError, OperatorParseError) as exc:
         provenance = {
-            "utterance": utterance if isinstance(utterance, str) else utterance[0],
+            "utterance": whole[0],
             "strategy": cfg.strategy,
             "stage_trace": trace,
             "usage": usage(trace),

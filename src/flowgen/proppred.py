@@ -119,30 +119,24 @@ def predict_properties(
     node: NodeInstance,
     stage: StageDef,
     provider: CompletionProvider,
-    trace: list[dict] | None = None,
-    templates: dict[str, PromptTemplate] | None = None,
-    span: tuple[str, int] | None = None,
+    trace: list[dict],
+    templates: dict[str, PromptTemplate],
+    span: tuple[str, int],
 ) -> list[PropertyAssignment]:
-    """Ask the model for ``name = value`` lines; zero parseable lines is fine.
+    """Ask the model for ``name = value`` lines about ``span``, the node's sub-utterance.
 
-    ``templates`` holds each stage's properties template by stage name, with
-    only ``sub_utterance`` open; it is filled at a stage's first use, so a
-    runtime that keeps it (``StagePrompts.properties``) counts each property
-    list once and hashes the text before the sub-utterance once. ``span`` is
-    the node's sub-utterance as ``(text, tokens)``, already counted; without
-    it, ``node.sub_utterance`` is counted here.
+    Zero parseable lines is fine. ``templates`` is the runtime's properties
+    template of each stage, by stage name, with only ``sub_utterance`` open
+    (``StagePrompts.properties``); it is filled at a stage's first use.
     """
-    templates = {} if templates is None else templates
     template = templates.get(stage.name)
     if template is None:
         prop_lines = "\n".join(f"{p.name}: {p.description}" for p in stage.properties)
         template = templates[stage.name] = bind(
             _PROPERTIES_TEMPLATE, {"stage": stage.name, "properties": prop_lines}
         )
-    prompt = render_prompt(template, {"sub_utterance": span or node.sub_utterance})
-    answer = complete(
-        provider, prompt, [] if trace is None else trace, "properties", node=node.unique_name
-    )
+    prompt = render_prompt(template, {"sub_utterance": span})
+    answer = complete(provider, prompt, trace, "properties", node=node.unique_name)
     out: list[PropertyAssignment] = []
     for line in answer.splitlines():
         if "=" not in line:

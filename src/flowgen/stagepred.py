@@ -34,13 +34,11 @@ from .llm import (
     RenderedPrompt,
     bind,
     complete,
+    count_once,
     counted,
     load_template,
     parse_operator_list,
 )
-
-# counts go through the module attribute, so a wrapper of llm.count_tokens sees them
-from . import llm
 
 __all__ = [
     "FewShotExample",
@@ -113,12 +111,9 @@ class CandidateSet:
 class StagePrediction:
     __slots__ = ("stages", "trace", "stage_prompt_tokens")
 
-    def __init__(
-        self, stages: list[str], trace: list[dict] | None = None, stage_prompt_tokens: int = 0
-    ):
+    def __init__(self, stages: list[str], trace: list[dict], stage_prompt_tokens: int = 0):
         self.stages = stages  # answer-ordered; duplicates are distinct nodes
-        # llm_call records carry the usage
-        self.trace = [] if trace is None else trace
+        self.trace = trace  # llm_call records carry the usage
         # estimate for the final stage-selection prompt (0 if no prompt was sent);
         # this is the request the single-prompt baseline is compared against
         self.stage_prompt_tokens = stage_prompt_tokens
@@ -175,10 +170,7 @@ def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, 
     """
     total = 0
     for key, text in zip(keys, texts):
-        n = tokens.get(key)
-        if n is None:
-            n = tokens[key] = llm.count_tokens(text)
-        total += n
+        total += count_once(tokens, key, text)
     return sep.join(texts), total
 
 
@@ -273,9 +265,8 @@ def render_stage_prompt(
 ) -> RenderedPrompt:
     """The stage prompt: ``prompts.listing(candidates, examples)`` with the utterance.
 
-    ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``; without
-    it, the static text is counted on this call. An utterance given as
-    ``(text, tokens)`` is not counted again.
+    ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``, or None
+    outside a runtime.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
@@ -289,22 +280,20 @@ def render_stage_prompt(
 
 
 def predict_single(
-    utterance: str | tuple[str, int],
+    utterance: tuple[str, int],
     catalog: Catalog,
     listing: PromptTemplate,
     provider: CompletionProvider,
-    trace: list[dict] | None = None,
+    trace: list[dict],
 ) -> StagePrediction:
     """One prompt over the full catalog and the full example bank.
 
     ``listing`` is ``stage_prompts(catalog, family=family).listing(None,
-    bank)``, built once and reused for every utterance. An utterance given
-    as ``(text, tokens)`` is not counted again.
+    bank)``, built once and reused for every utterance.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    trace = [] if trace is None else trace
     prompt = render_prompt(listing, {"utterance": utterance})
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
     stages = _verified(answer, set(catalog.stages), trace)
@@ -319,18 +308,16 @@ def predict_single(
 
 
 def decompose(
-    utterance: str | tuple[str, int],
+    utterance: tuple[str, int],
     provider: CompletionProvider,
     template: PromptTemplate,
-    trace: list[dict] | None = None,
+    trace: list[dict],
 ) -> list[str]:
     """Split an utterance into single-stage sub-utterances via one completion.
 
     ``template`` is the runtime's ``stage_prompts(...).decompose``, with the
-    split examples bound once. An utterance given as ``(text, tokens)`` is
-    not counted again.
+    split examples bound once.
     """
-    trace = [] if trace is None else trace
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
@@ -352,7 +339,7 @@ def build_candidates(
     classifier: StageClassifier,
     catalog: Catalog,
     full_utterance: str,
-    trace: list[dict] | None = None,
+    trace: list[dict],
 ) -> CandidateSet:
     """Candidate stages: classifier hits on each sub plus keyword hits on the whole.
 
@@ -363,7 +350,6 @@ def build_candidates(
     # local: perfbench/tracer.py wraps flowgen.classify.keyword_scan; hoisting it empties that span
     from .classify import keyword_scan
 
-    trace = [] if trace is None else trace
     provenance: dict[str, set[str]] = {}
     for sub in subs:
         result: Classification = classifier.classify(sub)
@@ -446,8 +432,8 @@ def predict_cag(
     nothing the model could legally answer.
 
     ``prompts`` is ``stage_prompts(catalog, split_examples, family)``, built
-    once per runtime; without it, that is built on this call. The utterance
-    is counted once, for both prompts, unless it comes as ``(text, tokens)``.
+    once per runtime, or None outside a runtime. The utterance is counted
+    once, for both prompts.
     """
     trace = [] if trace is None else trace
     if prompts is None:
@@ -485,29 +471,25 @@ def _scan_agent_reply(text: str) -> tuple[str, str] | None:
 
 
 def predict_agentic(
-    utterance: str | tuple[str, int],
+    utterance: tuple[str, int],
     catalog: Catalog,
     classifier: StageClassifier,
     provider: CompletionProvider,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    trace: list[dict] | None = None,
+    trace: list[dict],
 ) -> StagePrediction:
     """ReAct-style loop: the model drives the classifier one call per turn.
 
-    Each turn re-renders the base prompt plus the transcript so far; the
-    utterance is counted once, unless it comes as ``(text, tokens)``. The
-    loop ends at FINAL or after ``max_steps`` completions; at the cap, a
-    reply that still tries to act (or does not parse as an operator list) is
-    a protocol violation carrying the transcript.
+    Each turn re-renders the base prompt plus the transcript so far. The
+    loop ends at FINAL or after ``DEFAULT_MAX_STEPS`` completions; at the
+    cap, a reply that still tries to act (or does not parse as an operator
+    list) is a protocol violation carrying the transcript.
     """
     # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
     from .llm import render_prompt
 
-    trace = [] if trace is None else trace
-    utterance = counted(utterance)
     transcript: list[str] = []
     last_reply = ""
-    for _step in range(max_steps):
+    for _step in range(DEFAULT_MAX_STEPS):
         prompt = render_prompt(
             _AGENT_TEMPLATE, {"utterance": utterance, "transcript": "\n".join(transcript)}
         )
@@ -537,4 +519,4 @@ def predict_agentic(
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})
             stages = _verified(answer, set(catalog.stages), trace)
             return StagePrediction(stages=stages, trace=trace)
-    raise ProtocolViolation(f"no FINAL answer within {max_steps} steps", transcript)
+    raise ProtocolViolation(f"no FINAL answer within {DEFAULT_MAX_STEPS} steps", transcript)

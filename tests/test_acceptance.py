@@ -40,7 +40,7 @@ from flowgen.edgepred import (
     validate_cardinality,
 )
 from flowgen.evaluation import load_dataset, report_json, run_eval
-from flowgen.llm import load_mock_scripts
+from flowgen.llm import counted, load_mock_scripts
 from flowgen.pipeline import PipelineConfig, build_runtime, emit, generate_with_runtime
 from flowgen.proppred import (
     ACCEPTED,
@@ -137,7 +137,7 @@ def test_criterion_2_token_reduction():
         assert len(records) == 20
         listing = rt.prompts.listing(None, rt.bank)
         for record in records:
-            full = predict_single(record.utterance, rt.catalog, listing, rt.provider)
+            full = predict_single(counted(record.utterance), rt.catalog, listing, rt.provider, [])
             scoped = predict_cag(
                 record.utterance,
                 rt.catalog,
@@ -194,7 +194,7 @@ def test_criterion_3_repair_soundness():
             assert len(repaired.edges) == len(g.edges) - pruned
             assert len(repaired.edges) <= len(g.edges)
 
-            again, again_renames = repair_with_renames(repaired)
+            again, again_renames = repair_with_renames(repaired, [])
             assert again_renames == {}
             assert again.edges == repaired.edges
             assert [(n.unique_name, n.stage) for n in again.nodes] == [

@@ -15,6 +15,7 @@ import pytest
 from conftest import LINEAR_FLOW, FakeResponse
 from flowgen import fixture_path
 from flowgen.cli import main
+from flowgen.llm import MockProvider
 
 DEMO_SCRIPTS = str(fixture_path("mock_scripts_demo.json"))
 EVAL_GOLD = str(fixture_path("mock_scripts_eval_gold.json"))
@@ -92,6 +93,31 @@ def test_generate_empty_utterance_is_usage_error(capsys):
     code, _, err = run(capsys, "generate", "--utterance", "   ", "--mock-scripts", DEMO_SCRIPTS)
     assert code == 1
     assert "error: empty utterance" in err
+
+
+@pytest.mark.parametrize("source", ["stdin", "utterance"])
+def test_generate_rejects_an_utterance_that_is_not_utf8_before_any_call(
+    capsys, monkeypatch, source
+):
+    calls = []
+    complete = MockProvider.complete
+
+    def spy(self, prompt, params):
+        calls.append(prompt)
+        return complete(self, prompt, params)
+
+    monkeypatch.setattr(MockProvider, "complete", spy)
+    # what Python makes of the byte 0xff read from a non-UTF-8 stdin or argv
+    text = "Use Tail \udcff"
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        argv = ("--stdin",)
+    else:
+        argv = ("--utterance", text)
+    code, out, err = run(capsys, "generate", *argv, "--mock-scripts", DEMO_SCRIPTS)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert calls == []
 
 
 def test_generate_missing_config_file(capsys):

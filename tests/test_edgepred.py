@@ -30,7 +30,7 @@ from flowgen.edgepred import (
     to_dot,
     validate_cardinality,
 )
-from flowgen.llm import usage
+from flowgen.llm import counted, usage
 
 
 def node(
@@ -45,6 +45,11 @@ def node(
         inputs=CardinalityBound(*inputs),
         outputs=CardinalityBound(*outputs),
     )
+
+
+def spans_of(nodes: list[NodeInstance]) -> dict[str, tuple[str, int]]:
+    """Each node's sub-utterance, counted, as the pipeline hands them to ``predict_edges``."""
+    return {n.unique_name: counted(n.sub_utterance) for n in nodes}
 
 
 # --- node construction ---------------------------------------------------------
@@ -85,7 +90,7 @@ def test_segment_single_node_owns_utterance_without_a_call():
     catalog = make_catalog(make_stage("head"))
     (n,) = build_nodes(["head"], catalog)
     # an unscripted provider would raise if consulted
-    assert segment_for_nodes("take five rows", [n], catalog, scripted()) == {
+    assert segment_for_nodes(counted("take five rows"), [n], catalog, scripted(), [], {}, {}) == {
         "head": "take five rows"
     }
 
@@ -97,7 +102,7 @@ def test_segment_assigns_each_node_a_verbatim_span():
     provider = scripted(
         ("Assignments:", "sort: sort by age\nhead: take the first rows\nghost: noise\njunk line")
     )
-    segments = segment_for_nodes(utterance, nodes, catalog, provider, trace := [])
+    segments = segment_for_nodes(counted(utterance), nodes, catalog, provider, trace := [], {}, {})
     assert segments == {"sort": "sort by age", "head": "take the first rows"}
     assert usage(trace)["requests"] == 1
     assert trace[0]["purpose"] == "segmentation"
@@ -110,14 +115,16 @@ def test_segment_prompt_lists_nodes_with_descriptions():
     nodes = build_nodes(["sort", "head"], catalog)
     cue = "Nodes:\nsort (sort): Order rows.\nhead (head): Select leading rows."
     provider = scripted((cue, "sort: a then\nhead: b"))
-    assert segment_for_nodes("a then b", nodes, catalog, provider)["head"] == "b"
+    assert segment_for_nodes(counted("a then b"), nodes, catalog, provider, [], {}, {})["head"] == "b"
 
 
 def test_segment_accepts_spans_modulo_whitespace_runs():
     catalog = make_catalog(make_stage("head"), make_stage("sort"))
     nodes = build_nodes(["sort", "head"], catalog)
     provider = scripted(("Assignments:", "sort: sort  the rows\nhead: first two"))
-    segments = segment_for_nodes("sort the  rows, first two", nodes, catalog, provider)
+    segments = segment_for_nodes(
+        counted("sort the  rows, first two"), nodes, catalog, provider, [], {}, {}
+    )
     assert segments["sort"] == "sort  the rows"
 
 
@@ -126,7 +133,7 @@ def test_segment_missing_node_is_an_error():
     nodes = build_nodes(["sort", "head"], catalog)
     provider = scripted(("Assignments:", "sort: whole text"))
     with pytest.raises(SegmentationError, match="no sub-utterance assigned to node 'head'"):
-        segment_for_nodes("whole text", nodes, catalog, provider)
+        segment_for_nodes(counted("whole text"), nodes, catalog, provider, [], {}, {})
 
 
 def test_segment_paraphrased_span_is_an_error():
@@ -134,12 +141,14 @@ def test_segment_paraphrased_span_is_an_error():
     nodes = build_nodes(["sort", "head"], catalog)
     provider = scripted(("Assignments:", "sort: order them\nhead: keep a few"))
     with pytest.raises(SegmentationError, match="does not occur in the utterance"):
-        segment_for_nodes("sort rows then head", nodes, catalog, provider)
+        segment_for_nodes(counted("sort rows then head"), nodes, catalog, provider, [], {}, {})
 
 
 def test_segment_empty_node_list_is_an_error():
     with pytest.raises(SegmentationError):
-        segment_for_nodes("text", [], make_catalog(make_stage("head")), scripted())
+        segment_for_nodes(
+            counted("text"), [], make_catalog(make_stage("head")), scripted(), [], {}, {}
+        )
 
 
 # --- edge prediction --------------------------------------------------------------
@@ -148,14 +157,15 @@ def test_segment_empty_node_list_is_an_error():
 def test_predict_edges_skips_call_for_small_flows():
     for stages in ([], ["head"]):
         catalog = make_catalog(make_stage("head"))
-        g = predict_edges(build_nodes(stages, catalog), "u", scripted())
+        nodes = build_nodes(stages, catalog)
+        g = predict_edges(nodes, counted("u"), scripted(), [], spans_of(nodes), {}, {})
         assert g.edges == []
 
 
 def test_predict_edges_parses_arrow_lines():
     nodes = [node("a"), node("b"), node("c")]
     provider = scripted(("Edges:", "noise\na -> b\n  b   ->   c  "))
-    g = predict_edges(nodes, "u", provider)
+    g = predict_edges(nodes, counted("u"), provider, [], spans_of(nodes), {}, {})
     assert g.edges == [("a", "b"), ("b", "c")]
 
 
@@ -167,14 +177,15 @@ def test_predict_edges_prompt_includes_bounds_and_spans():
     nodes[0].sub_utterance = "merge them"
     cue = "join (join, inputs 2..2, outputs 1..1): merge them\nswitch (switch, inputs 1..1, outputs 1..*):"
     provider = scripted((cue, "switch -> join"))
-    assert predict_edges(nodes, "u", provider).edges == [("switch", "join")]
+    g = predict_edges(nodes, counted("u"), provider, [], spans_of(nodes), {}, {})
+    assert g.edges == [("switch", "join")]
 
 
 def test_predict_edges_drops_unknown_duplicate_and_cycle_edges():
     nodes = [node("a"), node("b")]
     provider = scripted(("Edges:", "a -> b\na -> ghost\na -> b\nb -> a\na -> a"))
     trace: list[dict] = []
-    g = predict_edges(nodes, "u", provider, trace=trace)
+    g = predict_edges(nodes, counted("u"), provider, trace, spans_of(nodes), {}, {})
     assert g.edges == [("a", "b")]
     reasons = [(e["edge"], e["reason"]) for e in trace if e["event"] == "edge_dropped"]
     assert reasons == [
@@ -187,14 +198,15 @@ def test_predict_edges_drops_unknown_duplicate_and_cycle_edges():
 
 def test_predict_edges_requires_at_least_one_parseable_line():
     provider = scripted(("Edges:", "there are no edges here"))
+    nodes = [node("a"), node("b")]
     with pytest.raises(EdgePredictionError):
-        predict_edges([node("a"), node("b")], "u", provider)
+        predict_edges(nodes, counted("u"), provider, [], spans_of(nodes), {}, {})
 
 
 def test_predicted_graph_is_always_acyclic():
     nodes = [node(f"n{i}") for i in range(4)]
     lines = "\n".join(f"n{i} -> n{j}" for i in range(4) for j in range(4))
-    g = predict_edges(nodes, "u", scripted(("Edges:", lines)))
+    g = predict_edges(nodes, counted("u"), scripted(("Edges:", lines)), [], spans_of(nodes), {}, {})
     order = {name: i for i, name in enumerate(sorted(g.node_names()))}
     assert all(order[s] < order[d] for s, d in g.edges)
 
@@ -255,7 +267,7 @@ def test_repair_splits_fan_in_sink():
     srcs = [node(s, inputs=(0, 0), outputs=(1, 1)) for s in ("a", "b")]
     sink = node("writer", inputs=(1, 1), outputs=(0, 0))
     g = FlowGraph(nodes=[*srcs, sink], edges=[("a", "writer"), ("b", "writer")])
-    repaired, _ = repair_with_renames(g)
+    repaired, _ = repair_with_renames(g, [])
     assert [n.unique_name for n in repaired.nodes] == ["a", "b", "writer_1", "writer_2"]
     assert repaired.edges == [("a", "writer_1"), ("b", "writer_2")]
     assert validate_cardinality(repaired) == []
@@ -267,7 +279,7 @@ def test_repair_renumbers_existing_instances_flow_wide():
     fs1 = node("fs_1", stage="fs", inputs=(1, 1), outputs=(0, 0))
     fs2 = node("fs_2", stage="fs", inputs=(1, 1), outputs=(0, 0))
     g = FlowGraph(nodes=[*srcs, fs1, fs2], edges=[("a", "fs_1"), ("b", "fs_1"), ("c", "fs_2")])
-    repaired, renames = repair_with_renames(g)
+    repaired, renames = repair_with_renames(g, [])
     assert [n.unique_name for n in repaired.nodes] == ["a", "b", "c", "fs_1", "fs_2", "fs_3"]
     assert repaired.edges == [("a", "fs_1"), ("b", "fs_2"), ("c", "fs_3")]
     assert renames == {"fs_1": ["fs_1", "fs_2"], "fs_2": ["fs_3"]}
@@ -325,7 +337,7 @@ def test_repair_never_fixes_under_connections():
         nodes=[node("a", inputs=(0, 0), outputs=(1, 1)), node("join", inputs=(2, 2), outputs=(0, 0))],
         edges=[("a", "join")],
     )
-    repaired, _ = repair_with_renames(g)
+    repaired, _ = repair_with_renames(g, [])
     assert repaired.edges == g.edges
     assert [v.kind for v in validate_cardinality(repaired)] == ["under"]
 
@@ -335,7 +347,7 @@ def test_repair_leaves_valid_graphs_alone():
         nodes=[node("a", inputs=(0, 0), outputs=(1, 1)), node("b", inputs=(1, 1), outputs=(0, 0))],
         edges=[("a", "b")],
     )
-    repaired, renames = repair_with_renames(g)
+    repaired, renames = repair_with_renames(g, [])
     assert [n.unique_name for n in repaired.nodes] == ["a", "b"]
     assert renames == {}
     assert repaired.edges == [("a", "b")]

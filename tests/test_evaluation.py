@@ -19,7 +19,7 @@ from flowgen.evaluation import (
     run_eval,
     stage_accuracy,
 )
-from flowgen.llm import render_prompt
+from flowgen.llm import ProviderError, render_prompt
 from flowgen.pipeline import PipelineConfig
 
 
@@ -212,8 +212,23 @@ def test_run_eval_records_failures_and_continues(eval_config):
     report = run_eval(dataset, eval_config())
     assert [f["record"] for f in report.failures] == [3]
     assert "no mock script" in report.failures[0]["message"]
-    # the failed record is excluded from the denominator, not counted wrong
-    assert report.stages.n_records == 20 and report.stages.total == 100.0
+    # the failed record counts as a miss: 20 of 21 right
+    assert report.stages.n_records == 21 and report.stages.total == 100.0 * 20 / 21
+
+
+def test_run_eval_all_records_failing_scores_zero(eval_config):
+    # the eval scripts answer only the single strategy, so every cag record fails
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    cfg = eval_config(strategy="cag", mock_scripts_path=fixture_path("mock_scripts_eval.json"))
+    report = run_eval(dataset, cfg, measures=("stages", "edges", "props"))
+    assert len(report.failures) == 20
+    assert report.stages.n_records == 20
+    assert (report.stages.total, report.stages.one_op, report.stages.n_op) == (0.0, 0.0, 0.0)
+    # the dataset has no gold edges or properties, so neither is scored
+    assert report.edge_similarity is None and report.props is None
+    table = report_table(report)
+    assert "records: 20, failures: 20" in table
+    assert "100.0" not in table and "1.0000" not in table
 
 
 # --- run_eval with graph and property measures ---------------------------------------
@@ -298,6 +313,38 @@ def test_run_eval_props_half_recall():
     ]
     report = run_eval(dataset, rt.cfg, measures=("props",), runtime=rt)
     assert report.props.precision == 1.0
+    assert report.props.recall == pytest.approx(2 / 3)
+
+
+class FailingOn:
+    """Raises ``ProviderError`` on a prompt that contains ``text``."""
+
+    def __init__(self, inner, text: str):
+        self.inner = inner
+        self.text = text
+
+    def complete(self, prompt, params):
+        if self.text in prompt.text:
+            raise ProviderError("endpoint down")
+        return self.inner.complete(prompt, params)
+
+
+def test_run_eval_failed_record_misses_its_edges_and_properties():
+    rt = eval_runtime()
+    rt.provider = FailingOn(rt.provider, "fail here")
+    gold_edges = [("sort", "head")]
+    dataset = [
+        record(gold_edges=gold_edges, gold_properties={"sort": [("Sort Key", "age"), ("Limit", "50")]}),
+        EvalRecord(
+            utterance="sort rows then fail here", gold_stages=["sort", "head"],
+            gold_edges=gold_edges, gold_properties={"sort": [("Limit", "7")]},
+        ),
+    ]
+    report = run_eval(dataset, rt.cfg, measures=("stages", "edges", "props"), runtime=rt)
+    assert [f["record"] for f in report.failures] == [1]
+    assert report.stages.total == 50.0
+    assert (report.edge_similarity, report.edge_exact_rate, report.edge_records) == (0.5, 0.5, 2)
+    assert (report.props.matches, report.props.predicted, report.props.gold) == (2, 2, 3)
     assert report.props.recall == pytest.approx(2 / 3)
 
 

@@ -8,6 +8,7 @@ parsing, or verification shows up as a concrete diff here.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from conftest import (
 from flowgen import InputError, fixture_path, llm
 from flowgen.catalog import STRING, CardinalityBound, PropertyDef
 from flowgen.classify import keyword_scan
+from flowgen import edgepred, proppred, stagepred
 from flowgen.edgepred import FlowGraph, NodeInstance
 from flowgen.llm import (
     CompletionParams,
@@ -336,6 +338,21 @@ def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monke
     assert max(Counter(t for t in second if t in names).values()) == 1
 
 
+def test_steps_take_their_trace_caches_and_counted_text_without_defaults():
+    # the pipeline hands every step its trace, its count caches and its text
+    # as (text, tokens); no default stands in for one of them
+    steps = [
+        stagepred.predict_single, stagepred.decompose, stagepred.build_candidates,
+        stagepred.predict_agentic, edgepred.segment_for_nodes, edgepred.predict_edges,
+        edgepred.repair_with_renames, proppred.predict_properties,
+    ]
+    for step in steps:
+        parameters = inspect.signature(step).parameters.values()
+        assert [p.name for p in parameters if p.default is not p.empty] == [], step.__name__
+    trace = inspect.signature(stagepred.StagePrediction).parameters["trace"]
+    assert trace.default is trace.empty
+
+
 # --- repair interaction ---------------------------------------------------------------
 
 
@@ -376,7 +393,7 @@ def test_split_copies_inherit_properties():
 
 
 def test_assembly_error_shows_violations_by_their_text(monkeypatch):
-    def unrepaired(g, trace=None):
+    def unrepaired(g, trace):
         return g, {}
 
     monkeypatch.setattr("flowgen.pipeline.repair_with_renames", unrepaired)

@@ -28,7 +28,7 @@ from flowgen.proppred import (
     prop_metrics,
     validate,
 )
-from flowgen.llm import usage
+from flowgen.llm import counted, usage
 
 WRITE_MODE = ValueType.enum_of(("append", "replace", "upsert"))
 
@@ -79,7 +79,7 @@ def test_predict_properties_parses_assignment_lines():
     provider = scripted(
         ("Properties set:", "Row Limit = 50\nnoise without equals\n = headless\nWrite Mode = replace")
     )
-    out = predict_properties(prop_node(), connector_stage(), provider)
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
     assert [(a.name, a.raw_value) for a in out] == [
         ("Row Limit", "50"),
         ("Write Mode", "replace"),
@@ -89,7 +89,8 @@ def test_predict_properties_parses_assignment_lines():
 
 def test_predict_properties_none_answer_yields_no_assignments():
     provider = scripted(("Properties set:", "none"))
-    assert predict_properties(prop_node(), connector_stage(), provider) == []
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
+    assert out == []
 
 
 def test_predict_properties_prompt_carries_schema_and_span():
@@ -98,7 +99,8 @@ def test_predict_properties_prompt_carries_schema_and_span():
     )
     provider = scripted((cue, "Row Limit = 5"))
     trace: list[dict] = []
-    out = predict_properties(prop_node("limit to 5 rows"), connector_stage(), provider, trace)
+    span = counted("limit to 5 rows")
+    out = predict_properties(prop_node(span[0]), connector_stage(), provider, trace, {}, span)
     assert out[0].name == "Row Limit"
     assert usage(trace)["requests"] == 1
     assert trace[0]["purpose"] == "properties" and trace[0]["node"] == "warehouse"
@@ -107,7 +109,8 @@ def test_predict_properties_prompt_carries_schema_and_span():
 def test_predict_properties_prompt_lists_each_property():
     cue = "Connection Name: Registered connection to use.\nRow Limit: Max rows to read."
     provider = scripted((cue, "none"))
-    assert predict_properties(prop_node(), connector_stage(), provider) == []
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
+    assert out == []
 
 
 # --- coercion -------------------------------------------------------------------

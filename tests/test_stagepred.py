@@ -15,7 +15,7 @@ from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
-from flowgen.llm import FAMILY_PRESEED, count_tokens, render_prompt, usage
+from flowgen.llm import FAMILY_PRESEED, count_tokens, counted, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -157,13 +157,13 @@ def decompose_prompt(splits=()):
 
 def test_decompose_parses_bullet_lines():
     provider = scripted(("Sub-utterances:", "- first rows\n- combine data\nignored"))
-    subs = decompose("first rows then combine data", provider, decompose_prompt())
+    subs = decompose(counted("first rows then combine data"), provider, decompose_prompt(), [])
     assert subs == ["first rows", "combine data"]
 
 
 def test_decompose_skips_blank_bullets_and_indented_noise():
     provider = scripted(("Sub-utterances:", "- \n  - keep me\nplain text\n- also"))
-    subs = decompose("u", provider, decompose_prompt())
+    subs = decompose(counted("u"), provider, decompose_prompt(), [])
     assert subs == ["keep me", "also"]
 
 
@@ -173,7 +173,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
     cue = f"Utterance: {utterance}\nSub-utterances:\n- {subs[0]}"
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
-    subs = decompose("u", provider, decompose_prompt(splits), usage_trace)
+    subs = decompose(counted("u"), provider, decompose_prompt(splits), usage_trace)
     assert subs == ["one"]
     spent = usage(usage_trace)
     assert spent["requests"] == 1 and spent["prompt_tokens"] > 0
@@ -183,7 +183,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
 def test_decompose_error_when_no_bullets():
     provider = scripted(("Sub-utterances:", "I cannot answer that."))
     with pytest.raises(DecompositionError):
-        decompose("u", provider, decompose_prompt())
+        decompose(counted("u"), provider, decompose_prompt(), [])
 
 
 # --- candidate construction --------------------------------------------------------
@@ -201,7 +201,7 @@ def test_build_candidates_unions_classifier_and_keyword_evidence(catalog):
 
 def test_build_candidates_marks_both_sources(catalog):
     model = fit([("first rows head", "head")])
-    cand = build_candidates(["first rows head"], model, catalog, "use head now")
+    cand = build_candidates(["first rows head"], model, catalog, "use head now", [])
     assert cand.provenance["head"] == {"classifier", "keyword"}
 
 
@@ -210,13 +210,13 @@ def test_build_candidates_ignores_labels_outside_catalog(catalog):
         def classify(self, text):
             return Classification(ranked=(("not_a_stage", 0.99),), matched=True)
 
-    cand = build_candidates(["x"], Stray(), catalog, "nothing here")
+    cand = build_candidates(["x"], Stray(), catalog, "nothing here", [])
     assert cand.stages == frozenset()
 
 
 def test_build_candidates_ignores_below_threshold(catalog):
     model = fit([("alpha beta gamma", "head")], threshold=0.9)
-    cand = build_candidates(["alpha zzz yyy"], model, catalog, "no names")
+    cand = build_candidates(["alpha zzz yyy"], model, catalog, "no names", [])
     assert cand.stages == frozenset()
 
 
@@ -266,7 +266,8 @@ def test_default_limits():
 def test_predict_single_answers_and_counts_tokens(catalog):
     bank = [FewShotExample("first rows", ("head",))]
     provider = scripted(("Context:", '"head, join"'))
-    pred = predict_single("u", catalog, stage_prompts(catalog).listing(None, bank), provider)
+    listing = stage_prompts(catalog).listing(None, bank)
+    pred = predict_single(counted("u"), catalog, listing, provider, [])
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
@@ -275,7 +276,8 @@ def test_predict_single_answers_and_counts_tokens(catalog):
 
 def test_predict_single_keeps_duplicates_and_drops_unknown(catalog):
     provider = scripted(("Context:", '"head, head, bogus"'))
-    pred = predict_single("u", catalog, stage_prompts(catalog).listing(None, []), provider)
+    listing = stage_prompts(catalog).listing(None, [])
+    pred = predict_single(counted("u"), catalog, listing, provider, [])
     assert pred.stages == ["head", "head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 
@@ -344,6 +346,7 @@ def test_predict_cag_output_is_subset_of_candidates(answer):
         model,
         catalog,
         "first rows then combine data",
+        [],
     )
     assert set(pred.stages) <= set(cand.stages)
     assert pred.stages == [name for name in answer if name in cand.stages]
@@ -481,7 +484,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
         ("CALL classify: first rows\nRESULT: head", "CALL classify: zzz"),
         ("Utterance:", "CALL classify: first rows"),
     )
-    pred = predict_agentic("u", catalog, model, provider)
+    pred = predict_agentic(counted("u"), catalog, model, provider, [])
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 3
     calls = [e for e in pred.trace if e["event"] == "classify_call"]
@@ -495,7 +498,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
 def test_predict_agentic_final_verified_against_catalog(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", 'FINAL: "head, bogus"'))
-    pred = predict_agentic("u", catalog, model, provider)
+    pred = predict_agentic(counted("u"), catalog, model, provider, [])
     assert pred.stages == ["head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 
@@ -506,7 +509,7 @@ def test_predict_agentic_appends_free_form_replies(catalog):
         ("let me think", 'FINAL: "head"'),
         ("Utterance:", "let me think"),
     )
-    pred = predict_agentic("u", catalog, model, provider)
+    pred = predict_agentic(counted("u"), catalog, model, provider, [])
     assert pred.stages == ["head"] and usage(pred.trace)["requests"] == 2
 
 
@@ -514,9 +517,9 @@ def test_predict_agentic_protocol_violation_at_step_cap(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", "CALL classify: loop"))
     with pytest.raises(ProtocolViolation) as err:
-        predict_agentic("u", catalog, model, provider, max_steps=3)
+        predict_agentic(counted("u"), catalog, model, provider, [])
     # one CALL line and one RESULT line per step
-    assert len(err.value.transcript) == 6
+    assert len(err.value.transcript) == 2 * DEFAULT_MAX_STEPS == 16
     assert err.value.transcript[0] == "CALL classify: loop"
     assert err.value.transcript[1] == "RESULT: no match"
 
@@ -524,7 +527,7 @@ def test_predict_agentic_protocol_violation_at_step_cap(catalog):
 def test_predict_agentic_best_effort_answer_at_cap(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", '"head, join"'))  # neither CALL nor FINAL
-    pred = predict_agentic("u", catalog, model, provider, max_steps=2)
+    pred = predict_agentic(counted("u"), catalog, model, provider, [])
     assert pred.stages == ["head", "join"]
-    assert usage(pred.trace)["requests"] == 2
+    assert usage(pred.trace)["requests"] == DEFAULT_MAX_STEPS == 8
     assert any(e["event"] == "best_effort_final" for e in pred.trace)
