@@ -145,10 +145,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     runtime = build_runtime(cfg)
     workflow = generate_with_runtime(utterance, runtime)
     doc = emit(workflow, "doc")
-    if args.trace:
-        body = json.loads(doc)
-        body["provenance"] = workflow.provenance
-        doc = json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+    if args.trace:  # the provenance goes in as the document's last key, one level in
+        provenance = json.dumps(workflow.provenance, indent=2, ensure_ascii=False)
+        doc = doc[: -len("\n}\n")] + ',\n  "provenance": ' + provenance.replace("\n", "\n  ") + "\n}\n"
     _write_out(doc, args.out)
     if args.dot:
         Path(args.dot).write_text(emit(workflow, "dot"), encoding="utf-8")

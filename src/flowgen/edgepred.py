@@ -8,14 +8,16 @@ verified: unknown endpoints are dropped, duplicate edges collapse, and any
 edge that would close a cycle is dropped in response order, so the graph is
 a DAG by construction.
 
-Cardinality repair is total and idempotent. Pass 1 splits boundary nodes
-that exceed a bound on one side while having no links on the other (a source
-connector feeding three branches becomes three single-output copies); pass 2
-prunes excess edges, newest first. Split copies are tracked by position and
-named once, with every node of their stage, by ``node_names``; no
-intermediate names exist, so no stage name is reserved. Under-connection is
-reported, never repaired — inventing links the user didn't describe is worse
-than leaving a hole visible.
+Cardinality checks count each node's in- and out-degree once per graph.
+Repair is total and idempotent; it returns a graph with no node over a
+maximum untouched. Otherwise pass 1 splits boundary nodes that exceed a
+bound on one side while having no links on the other (a source connector
+feeding three branches becomes three single-output copies); pass 2 prunes
+excess edges, newest first. Split copies are tracked by position and named
+once, with every node of their stage, by ``node_names``; no intermediate
+names exist, so no stage name is reserved. Under-connection is reported,
+never repaired — inventing links the user didn't describe is worse than
+leaving a hole visible.
 """
 
 from __future__ import annotations
@@ -314,13 +316,29 @@ def _incident(edges: list[tuple[str, str]], name: str, direction: str) -> list[i
     return [k for k, edge in enumerate(edges) if edge[end] == name]
 
 
+def _degrees(edges: list[tuple[str, str]]) -> dict[str, dict[str, int]]:
+    """Each node's edge count in each direction, by name, in one pass over ``edges``."""
+    inputs, outputs = {}, {}
+    for src, dst in edges:
+        outputs[src] = outputs.get(src, 0) + 1
+        inputs[dst] = inputs.get(dst, 0) + 1
+    return {"inputs": inputs, "outputs": outputs}
+
+
+def _over(node: NodeInstance, direction: str, degrees: dict[str, dict[str, int]]) -> bool:
+    """Whether ``node`` has more edges in ``direction`` than its maximum allows."""
+    bound = getattr(node, direction)
+    return bound.max is not None and degrees[direction].get(node.unique_name, 0) > bound.max
+
+
 def validate_cardinality(g: FlowGraph) -> list[CardinalityViolation]:
     """All cardinality violations, in node order; pure."""
     out: list[CardinalityViolation] = []
+    degrees = _degrees(g.edges)
     for node in g.nodes:
         for direction in ("inputs", "outputs"):
             bound = getattr(node, direction)
-            actual = len(_incident(g.edges, node.unique_name, direction))
+            actual = degrees[direction].get(node.unique_name, 0)
             if bound.max is not None and actual > bound.max:
                 out.append(CardinalityViolation(node.unique_name, direction, "over", actual, bound.max))
             if actual < bound.min:
@@ -328,7 +346,7 @@ def validate_cardinality(g: FlowGraph) -> list[CardinalityViolation]:
     return out
 
 
-def _splittable(g: FlowGraph, node: NodeInstance) -> str | None:
+def _splittable(node: NodeInstance, degrees: dict[str, dict[str, int]]) -> str | None:
     """Direction to split along, or None.
 
     A node qualifies when one side is over its bound while the other side has
@@ -338,11 +356,10 @@ def _splittable(g: FlowGraph, node: NodeInstance) -> str | None:
     for direction, other in (("inputs", "outputs"), ("outputs", "inputs")):
         bound = getattr(node, direction)
         if (
-            bound.max is not None
+            _over(node, direction, degrees)
             and bound.min <= 1 <= bound.max
             and getattr(node, other).min == 0
-            and len(_incident(g.edges, node.unique_name, direction)) > bound.max
-            and not _incident(g.edges, node.unique_name, other)
+            and not degrees[other].get(node.unique_name)
         ):
             return direction
     return None
@@ -365,14 +382,18 @@ def repair_with_renames(
     The rename map sends each original unique name to the final name(s) of
     its copies (identity entries are omitted), so callers can carry
     per-node data — property assignments, sub-utterances — across a split.
+    A graph with no node over a maximum comes back as it is.
     """
+    degrees = _degrees(g.edges)
+    if not any(_over(node, d, degrees) for node in g.nodes for d in _END):
+        return g, {}
     # pass 1: split over-bound boundary nodes. Nodes are tracked by position:
     # origin[k] is the position in g.nodes that new node k comes from, and
     # copy_at[edge, end] is the new position of the split copy taking that end.
     origin: list[int] = []
     copy_at: dict[tuple[int, int], int] = {}
     for i, node in enumerate(g.nodes):
-        direction = _splittable(g, node)
+        direction = _splittable(node, degrees)
         if direction is None:
             origin.append(i)
             continue
@@ -411,13 +432,15 @@ def repair_with_renames(
         for k, edge in enumerate(g.edges)
     ]
 
-    # pass 2: prune excess edges, newest first (outputs, then inputs)
+    # pass 2: prune excess edges, newest first (outputs, then inputs). Pruning
+    # only lowers counts, so a count gone stale passes a node with nothing to prune
+    degrees = _degrees(edges)
     for direction in ("outputs", "inputs"):
         for node in nodes:
-            bound = getattr(node, direction)
-            if bound.max is None:
+            if not _over(node, direction, degrees):
                 continue
-            for e in reversed(_incident(edges, node.unique_name, direction)[bound.max :]):
+            excess = _incident(edges, node.unique_name, direction)[getattr(node, direction).max :]
+            for e in reversed(excess):
                 dropped = edges.pop(e)
                 trace.append(
                     {

@@ -9,7 +9,8 @@ the configured strategy per record and aggregates:
   multi-stage records,
 * edge similarity — mean Dice over aligned edges plus an exact-graph rate,
 * property precision/recall/F1 — micro-averaged over pooled
-  (node, property, value) triples,
+  (node, property, value) triples, each keyed by its record, so one
+  record's prediction never matches another record's gold,
 * tokens — mean prompt-token estimate per completion request, from the
   rendered prompts, not provider-reported usage.
 
@@ -268,8 +269,8 @@ def run_eval(
     edge_sims: list[float] = []
     edge_exacts: list[bool] = []
     prop_records = 0
-    pred_triples: list[PropTriple] = []
-    gold_triples: list[PropTriple] = []
+    pred_triples: list[tuple[int, PropTriple]] = []
+    gold_triples: list[tuple[int, PropTriple]] = []
     for index, (record, result) in enumerate(zip(dataset, results)):
         spent, failure, pred, edge, record_pred_triples, record_gold_triples = result
         prompt_tokens += spent["prompt_tokens"]
@@ -283,8 +284,8 @@ def run_eval(
             edge_sims.append(edge[0])
             edge_exacts.append(edge[1])
         prop_records += record.gold_properties is not None
-        pred_triples.extend(record_pred_triples)
-        gold_triples.extend(record_gold_triples)
+        pred_triples.extend((index, t) for t in record_pred_triples)
+        gold_triples.extend((index, t) for t in record_gold_triples)
 
     if "stages" in measures:
         report.stages = stage_accuracy(preds, golds)

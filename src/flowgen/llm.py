@@ -7,21 +7,22 @@ end with a preseeded opening quote (so the reply contains no opening quote of
 its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
-A prompt's token estimate and SHA-256 are built from parts, each counted
-and hashed once where it is made. A template's fixed text is counted when
-it is loaded, and its leading text hashed at its first render. Pieces that
-are fixed for a runtime (the stage prompts' context lines and examples,
-each stage's segmentation line, each stage's properties template with its
-name and property list bound) are counted once per runtime; the
-``stagepred.StagePrompts`` of a runtime keeps them, and ``count_once``
-fills its count caches. Text that is fixed for one run, the utterance and
-each sub-utterance, is counted once per ``generate_with_runtime`` call and
-handed on as counted text, a ``(text, tokens)`` pair: every step function
-takes its text that way, and ``bind`` and ``render_prompt`` put a pair in
-without counting it again. Only ``predict_stages``, ``bind``,
-``render_prompt`` and ``counted`` also take a plain string, and
-``stagepred.predict_cag`` and ``stagepred.render_stage_prompt``, which can
-run outside a runtime.
+A token estimate is one regex pass (``count_tokens``). A prompt's estimate
+and SHA-256 are built from parts, each counted and hashed once where it is
+made, and ``render_prompt`` joins them in one walk over the template. A
+template's fixed text is counted when it is loaded, and its leading text
+hashed at its first render. Pieces that are fixed for a runtime (the stage
+prompts' context lines and examples, each stage's segmentation line, each
+stage's properties template with its name and property list bound) are
+counted once per runtime; the ``stagepred.StagePrompts`` of a runtime keeps
+them, and ``count_once`` fills its count caches. Text that is fixed for one
+run, the utterance and each sub-utterance, is counted once per
+``generate_with_runtime`` call and handed on as counted text, a ``(text,
+tokens)`` pair: every step function takes its text that way, and ``bind``
+and ``render_prompt`` put a pair in without counting it again. Only
+``predict_stages``, ``bind``, ``render_prompt`` and ``counted`` also take a
+plain string, and ``stagepred.predict_cag`` and
+``stagepred.render_stage_prompt``, which can run outside a runtime.
 
 Two providers speak the completion contract, and each returns only the
 answer text: a deterministic scripted mock for offline runs and tests, and a
@@ -228,14 +229,20 @@ def render_prompt(
 ) -> RenderedPrompt:
     """Substitute every placeholder; unbound placeholders are an error.
 
-    Values are taken as ``bind`` takes them. The digest continues
-    ``template.lead``'s hash over the rest of the text.
+    Values are taken and joined as ``bind`` does, in one walk over the
+    segments. The digest continues ``template.lead``'s hash over the rest.
     """
-    bound = bind(template, bindings).segments
-    open_slots = [value for kind, value, _ in bound if kind == "slot"]
-    if open_slots:
-        raise TemplateError(f"unbound placeholder {open_slots[0]!r}")
-    ((_, text, tokens),) = bound or (("text", "", 0),)
+    parts, tokens = [], 0
+    for kind, value, n in template.segments:
+        if kind == "slot":
+            if value not in bindings:
+                raise TemplateError(f"unbound placeholder {value!r}")
+            value, n = counted(bindings[value])
+            if not value:
+                continue
+        tokens += n - (bool(parts) and parts[-1][-1] in _ALNUM and value[0] in _ALNUM)
+        parts.append(value)
+    text = "".join(parts)
     lead_length, lead_hash = template.lead
     digest = lead_hash.copy()
     digest.update(text[lead_length:].encode("utf-8"))
@@ -245,7 +252,7 @@ def render_prompt(
 # --- token estimation ------------------------------------------------------
 
 _RUN_RE = re.compile(r"[A-Za-z0-9]+")
-_SPACE_OR_WORD_RE = re.compile(r"[\s\w]+")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^\s\w]|_")
 _ALNUM = frozenset(string.ascii_letters + string.digits)
 
 
@@ -254,10 +261,9 @@ def count_tokens(text: str) -> int:
 
     A punctuation mark is a character that is neither whitespace nor
     alphanumeric, ``_`` included; a non-ASCII letter or digit is neither a
-    run nor a mark. ``\\w`` matches the alphanumerics and ``_``, so the
-    underscores it removes are added back.
+    run nor a mark. One ``findall`` finds both; ``_`` is a word character.
     """
-    return len(_RUN_RE.findall(text)) + len(_SPACE_OR_WORD_RE.sub("", text)) + text.count("_")
+    return len(_TOKEN_RE.findall(text))
 
 
 def counted(text: str | tuple[str, int]) -> tuple[str, int]:

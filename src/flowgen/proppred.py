@@ -26,7 +26,7 @@ import re
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from . import InputError, fixture_path, read_json
 from .catalog import PropertyDef, StageDef, ValueType
@@ -279,8 +279,8 @@ class PropMetrics:
         self.gold = gold
 
 
-def prop_metrics(predicted: Iterable[PropTriple], gold: Iterable[PropTriple]) -> PropMetrics:
-    """Set-match on (node, property, value) triples.
+def prop_metrics(predicted: Iterable[Hashable], gold: Iterable[Hashable]) -> PropMetrics:
+    """Set-match on (node, property, value) triples, or on any keys, such as a triple with its record.
 
     Empty-versus-empty counts as perfect; empty-versus-nonempty as zero.
     F1 is the harmonic mean, zero when both components are zero.

@@ -1,0 +1,91 @@
+"""The summarizing step of ``scripts/ab.py``, on synthetic runs."""
+
+from __future__ import annotations
+
+import importlib
+import statistics
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+END_TO_END = [
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.2},
+    {"name": "throughput_ups", "better": "higher", "bound": 0.2},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+    {"name": "ok_share", "better": "higher", "bound": 0.01},
+]
+
+
+@pytest.fixture()
+def ab(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module("ab")
+
+
+def runs_of(workload: str, parent: dict[str, list[float]], change: dict[str, list[float]]) -> list[dict]:
+    """One run per side and pair, in the order ``ab.py`` makes them, from per-metric value lists."""
+    runs = []
+    for k in range(len(parent["latency_p50_ms"])):
+        sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in sides:
+            values = parent if side == "parent" else change
+            runs.append({
+                "workload": workload, "pair": k + 1, "side": side, "correct": True,
+                "metrics": {name: series[k] for name, series in values.items()},
+                "utterances": int(values["throughput_ups"][k] * 20),
+            })
+    return runs
+
+
+def test_summary_gives_spreads_wins_and_verdicts(ab):
+    parent = {
+        "latency_p50_ms": [0.47, 0.48, 0.46, 0.47, 0.49, 0.47, 0.48, 0.46, 0.47, 0.48],
+        # throughput spreads wider than its bound on the parent
+        "throughput_ups": [1000, 2000, 1500, 1000, 2000, 1500, 1000, 2000, 1500, 1800],
+        "peak_rss_mb": [20.0] * 10,
+        "ok_share": [1.0] * 10,
+    }
+    change = {
+        # nine wins, one loss
+        "latency_p50_ms": [0.41, 0.42, 0.40, 0.41, 0.50, 0.41, 0.42, 0.40, 0.41, 0.42],
+        "throughput_ups": [1100, 1900, 1500, 1000, 2100, 1400, 1000, 2000, 1600, 1800],
+        "peak_rss_mb": [21.5] * 10,  # +7.5%, over the 5% bound
+        "ok_share": [1.0] * 10,
+    }
+    summary = ab.summarize(runs_of("demo-pipeline", parent, change), END_TO_END)
+    table = summary["demo-pipeline"]
+    assert list(table) == [m["name"] for m in END_TO_END]
+
+    p50 = table["latency_p50_ms"]
+    q1, _, q3 = statistics.quantiles(parent["latency_p50_ms"], n=4)
+    assert p50["parent"] == {"median": 0.47, "q1": q1, "q3": q3}
+    assert p50["change"]["median"] == 0.41
+    assert (p50["wins"], p50["pairs"], p50["verdict"]) == (9, 10, "better")
+    assert p50["change_vs_parent"] == pytest.approx(0.41 / 0.47 - 1)
+
+    assert table["throughput_ups"]["wins"] == 3  # ties count for neither side
+    assert table["throughput_ups"]["verdict"] == "unresolved"
+    rss = table["peak_rss_mb"]
+    assert (rss["wins"], rss["verdict"]) == (0, "worse")
+    assert rss["utterances"] == {"parent": 30000, "change": 31000}
+    assert table["ok_share"]["verdict"] == "within bound"
+
+
+def test_eight_wins_in_ten_claim_no_gain(ab):
+    parent = {"latency_p50_ms": [1.0] * 10, "throughput_ups": [100.0] * 10,
+              "peak_rss_mb": [20.0] * 10, "ok_share": [1.0] * 10}
+    change = dict(parent, latency_p50_ms=[0.8] * 8 + [1.1, 1.1])
+    table = ab.summarize(runs_of("synth-cag", parent, change), END_TO_END)["synth-cag"]
+    assert table["latency_p50_ms"]["wins"] == 8
+    assert table["latency_p50_ms"]["verdict"] == "within bound"
+
+
+def test_a_single_pair_has_its_value_as_every_quartile(ab):
+    one = {"latency_p50_ms": [0.5], "throughput_ups": [10.0], "peak_rss_mb": [20.0], "ok_share": [1.0]}
+    table = ab.summarize(runs_of("demo-latency", one, one), END_TO_END)["demo-latency"]
+    assert table["latency_p50_ms"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert (table["latency_p50_ms"]["wins"], table["latency_p50_ms"]["verdict"]) == (0, "within bound")

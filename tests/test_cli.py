@@ -16,6 +16,14 @@ from conftest import LINEAR_FLOW, FakeResponse
 from flowgen import fixture_path
 from flowgen.cli import main
 from flowgen.llm import MockProvider
+from flowgen.pipeline import (
+    STRATEGIES,
+    PipelineConfig,
+    PipelineError,
+    build_runtime,
+    emit,
+    generate_with_runtime,
+)
 
 DEMO_SCRIPTS = str(fixture_path("mock_scripts_demo.json"))
 EVAL_GOLD = str(fixture_path("mock_scripts_eval_gold.json"))
@@ -87,6 +95,38 @@ def test_generate_is_deterministic_across_parallelism(capsys):
         )
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+DEMO_FLOWS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "flows.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def traced_doc_by_reparse(workflow) -> str:
+    """The ``--trace`` output as written by re-encoding the whole parsed document: the oracle."""
+    body = json.loads(emit(workflow, "doc"))
+    body["provenance"] = workflow.provenance
+    return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_generate_trace_splices_provenance_as_a_reparse_would_write_it(capsys, strategy):
+    rt = build_runtime(PipelineConfig(strategy=strategy, mock_scripts_path=DEMO_SCRIPTS))
+    answered = 0
+    for utterance in DEMO_FLOWS.values():
+        try:
+            expected = traced_doc_by_reparse(generate_with_runtime(utterance, rt))
+        except PipelineError:  # a pair the demo scripts do not answer
+            continue
+        code, out, _ = run(
+            capsys, "generate", "--utterance", utterance, "--mock-scripts", DEMO_SCRIPTS,
+            "--strategy", strategy, "--trace",
+        )
+        assert code == 0 and out == expected
+        answered += 1
+    assert answered >= 1
 
 
 def test_generate_empty_utterance_is_usage_error(capsys):

@@ -24,6 +24,7 @@ from flowgen.edgepred import (
     SegmentationError,
     build_nodes,
     edge_metrics,
+    node_names,
     predict_edges,
     repair_with_renames,
     segment_for_nodes,
@@ -347,23 +348,41 @@ def test_repair_leaves_valid_graphs_alone():
         nodes=[node("a", inputs=(0, 0), outputs=(1, 1)), node("b", inputs=(1, 1), outputs=(0, 0))],
         edges=[("a", "b")],
     )
-    repaired, renames = repair_with_renames(g, [])
+    trace: list[dict] = []
+    repaired, renames = repair_with_renames(g, trace)
+    assert repaired is g  # nothing over a bound: the graph comes back as it is
     assert [n.unique_name for n in repaired.nodes] == ["a", "b"]
     assert renames == {}
     assert repaired.edges == [("a", "b")]
+    assert trace == []
+
+
+# bounds a split can satisfy (min <= 1 <= max on one side, min 0 on the other)
+SPLITTABLE_BOUNDS = [(0, 0), (0, 1), (1, 1), (0, None)]
+
+
+def bounds(draw) -> tuple[int, int | None]:
+    if draw(st.integers(0, 3)):  # three times in four
+        return draw(st.sampled_from(SPLITTABLE_BOUNDS))
+    lo = draw(st.integers(0, 2))
+    return lo, draw(st.one_of(st.none(), st.integers(lo, lo + 2)))
 
 
 @st.composite
 def graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+    """Graphs whose stages may repeat (named as ``build_nodes`` names them), with splittable bounds."""
+    stages = draw(st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5"]), min_size=1, max_size=6))
+    # nodes of one stage share its bounds, as the catalog gives them
+    stage_bounds = {stage: (bounds(draw), bounds(draw)) for stage in sorted(set(stages))}
     nodes = []
-    for i in range(n):
-        lo_in = draw(st.integers(0, 2))
-        hi_in = draw(st.one_of(st.none(), st.integers(lo_in, lo_in + 2)))
-        lo_out = draw(st.integers(0, 2))
-        hi_out = draw(st.one_of(st.none(), st.integers(lo_out, lo_out + 2)))
-        nodes.append(node(f"s{i}", inputs=(lo_in, hi_in), outputs=(lo_out, hi_out)))
-    pairs = [(f"s{i}", f"s{j}") for i in range(n) for j in range(n) if i != j]
+    for i, (stage, name) in enumerate(zip(stages, node_names(stages))):
+        inputs, outputs = stage_bounds[stage]
+        nodes.append(node(name, stage, inputs=inputs, outputs=outputs))
+        nodes[-1].sub_utterance = f"span {i}"
+    names = [n.unique_name for n in nodes]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    if draw(st.booleans()):  # else a DAG, as predict_edges leaves one, with more nodes to split
+        pairs += [(b, a) for a, b in pairs]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
     return FlowGraph(nodes=nodes, edges=edges)
 
@@ -381,6 +400,128 @@ def test_repair_is_total_and_idempotent(g):
     assert [n.unique_name for n in again.nodes] == [n.unique_name for n in repaired.nodes]
     assert again.edges == repaired.edges
     assert not [e for e in trace2 if e["event"] in ("node_split", "edge_pruned")]
+
+
+# the edge-scanning implementation of validation and repair, before degrees were
+# counted once per graph: the reference for the two below
+
+
+def _incident(edges: list[tuple[str, str]], name: str, direction: str) -> list[int]:
+    end = {"inputs": 1, "outputs": 0}[direction]
+    return [k for k, edge in enumerate(edges) if edge[end] == name]
+
+
+def reference_validate_cardinality(g: FlowGraph) -> list[CardinalityViolation]:
+    out: list[CardinalityViolation] = []
+    for n in g.nodes:
+        for direction in ("inputs", "outputs"):
+            bound = getattr(n, direction)
+            actual = len(_incident(g.edges, n.unique_name, direction))
+            if bound.max is not None and actual > bound.max:
+                out.append(CardinalityViolation(n.unique_name, direction, "over", actual, bound.max))
+            if actual < bound.min:
+                out.append(CardinalityViolation(n.unique_name, direction, "under", actual, bound.min))
+    return out
+
+
+def _reference_splittable(g: FlowGraph, n: NodeInstance) -> str | None:
+    for direction, other in (("inputs", "outputs"), ("outputs", "inputs")):
+        bound = getattr(n, direction)
+        if (
+            bound.max is not None
+            and bound.min <= 1 <= bound.max
+            and getattr(n, other).min == 0
+            and len(_incident(g.edges, n.unique_name, direction)) > bound.max
+            and not _incident(g.edges, n.unique_name, other)
+        ):
+            return direction
+    return None
+
+
+def reference_repair_with_renames(
+    g: FlowGraph, trace: list[dict]
+) -> tuple[FlowGraph, dict[str, list[str]]]:
+    end_of = {"inputs": 1, "outputs": 0}
+    origin: list[int] = []
+    copy_at: dict[tuple[int, int], int] = {}
+    for i, n in enumerate(g.nodes):
+        direction = _reference_splittable(g, n)
+        if direction is None:
+            origin.append(i)
+            continue
+        incident = _incident(g.edges, n.unique_name, direction)
+        for k in incident:
+            copy_at[k, end_of[direction]] = len(origin)
+            origin.append(i)
+        trace.append(
+            {"event": "node_split", "node": n.unique_name, "direction": direction, "copies": len(incident)}
+        )
+    stages = [g.nodes[i].stage for i in origin]
+    split = {stages[k] for k in range(1, len(origin)) if origin[k] == origin[k - 1]}
+    names = [g.nodes[i].unique_name for i in origin]
+    if split:
+        for k, name in enumerate(node_names(stages)):
+            if stages[k] in split:
+                names[k] = name
+    nodes = [
+        NodeInstance(name, n.stage, n.inputs, n.outputs, n.sub_utterance)
+        for n, name in zip((g.nodes[i] for i in origin), names)
+    ]
+    renames: dict[str, list[str]] = {}
+    for i, name in zip(origin, names):
+        renames.setdefault(g.nodes[i].unique_name, []).append(name)
+    position = {g.nodes[i].unique_name: k for k, i in enumerate(origin)}
+    edges = [
+        tuple(names[copy_at.get((k, end), position[n])] for end, n in enumerate(edge))
+        for k, edge in enumerate(g.edges)
+    ]
+    for direction in ("outputs", "inputs"):
+        for n in nodes:
+            bound = getattr(n, direction)
+            if bound.max is None:
+                continue
+            for e in reversed(_incident(edges, n.unique_name, direction)[bound.max :]):
+                dropped = edges.pop(e)
+                trace.append(
+                    {
+                        "event": "edge_pruned",
+                        "edge": f"{dropped[0]} -> {dropped[1]}",
+                        "node": n.unique_name,
+                        "direction": direction,
+                    }
+                )
+    renames = {old: new for old, new in renames.items() if new != [old]}
+    return FlowGraph(nodes=nodes, edges=edges), renames
+
+
+def violation_fields(violations: list[CardinalityViolation]) -> list[tuple]:
+    return [(str(v), v.node, v.direction, v.kind, v.actual, v.bound) for v in violations]
+
+
+def node_fields(g: FlowGraph) -> list[tuple]:
+    return [(n.unique_name, n.stage, n.inputs, n.outputs, n.sub_utterance) for n in g.nodes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_validation_and_repair_match_the_edge_scanning_reference(g):
+    before = (node_fields(g), list(g.edges))
+    assert violation_fields(validate_cardinality(g)) == violation_fields(reference_validate_cardinality(g))
+    trace: list[dict] = []
+    repaired, renames = repair_with_renames(g, trace)
+    expected_trace: list[dict] = []
+    expected, expected_renames = reference_repair_with_renames(g, expected_trace)
+    assert node_fields(repaired) == node_fields(expected)
+    assert repaired.edges == expected.edges
+    assert renames == expected_renames
+    assert trace == expected_trace
+    assert violation_fields(validate_cardinality(repaired)) == violation_fields(
+        reference_validate_cardinality(expected)
+    )
+    # only a graph with a node over a maximum is rebuilt, and the input is never changed
+    over = any(v.kind == "over" for v in reference_validate_cardinality(g))
+    assert (repaired is g) == (not over)
+    assert (node_fields(g), g.edges) == before
 
 
 # --- metrics ------------------------------------------------------------------------

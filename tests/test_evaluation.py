@@ -348,6 +348,24 @@ def test_run_eval_failed_record_misses_its_edges_and_properties():
     assert report.props.recall == pytest.approx(2 / 3)
 
 
+def test_run_eval_never_matches_one_records_prediction_to_anothers_gold():
+    # record 0 predicts Sort Key = age and Limit = 50 but has only the first as gold;
+    # record 1 fails, with Limit = 50 as its gold: pooled without the record, both matched
+    rt = eval_runtime()
+    rt.provider = FailingOn(rt.provider, "fail here")
+    dataset = [
+        record(gold_properties={"sort": [("Sort Key", "age")]}),
+        EvalRecord(
+            utterance="sort rows then fail here", gold_stages=["sort", "head"],
+            gold_properties={"sort": [("Limit", "50")]},
+        ),
+    ]
+    report = run_eval(dataset, rt.cfg, measures=("props",), runtime=rt)
+    assert [f["record"] for f in report.failures] == [1]
+    assert (report.props.matches, report.props.predicted, report.props.gold) == (1, 2, 2)
+    assert (report.props.precision, report.props.recall) == (0.5, 0.5)
+
+
 def test_run_eval_pipeline_tokens_exceed_stage_only_tokens():
     rt = eval_runtime()
     stage_only = run_eval([record()], rt.cfg, runtime=rt)

@@ -24,6 +24,7 @@ from flowgen.llm import (
     bind,
     complete,
     count_tokens,
+    counted,
     load_mock_scripts,
     load_template,
     parse_operator_list,
@@ -143,6 +144,14 @@ def test_render_estimate_matches_count_of_rendered_text(case):
     rendered = render_prompt(template, values)
     assert rendered.text == expected
     assert rendered.token_estimate == count_tokens(expected)
+
+
+@given(templates())
+def test_render_takes_a_counted_value_as_its_string(case):
+    template, values, _ = case
+    assert render_prompt(template, {n: counted(v) for n, v in values.items()}) == render_prompt(
+        template, values
+    )
 
 
 @given(templates(), st.sets(st.sampled_from(SLOT_NAMES)))
