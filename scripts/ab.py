@@ -7,7 +7,7 @@
 Each revision (``CHANGE`` defaults to ``HEAD``) is exported with ``git
 archive`` into a temporary directory, and each run is that export's
 ``perfbench/run.py --trace 0`` in its own process. Per workload, pair ``k``
-runs both sides on seed ``--seed + k``: the parent first on odd pairs, the
+runs both sides on seed ``1 + k``: the parent first on odd pairs, the
 change first on even ones, so a drift in the machine's speed favours
 neither side.
 
@@ -24,6 +24,10 @@ for neither side), and a verdict against the metric's bound in the parent's
 * ``unresolved``: neither, and the parent's quartile distance is wider than
   the bound;
 * ``within bound``: otherwise.
+
+Beside both commit ids, the file keeps the tree ids of ``src``, ``scripts``
+and ``perfbench`` at each, so a later commit with the same trees can be
+matched to the runs.
 
 ``peak_rss_mb`` grows with the number of utterances a run timed, so each
 side's median count of timed utterances is printed and kept beside it.
@@ -44,16 +48,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# what a run executes; their tree ids identify a side even after its commit is rewritten
+TREES = ("src", "scripts", "perfbench")
 # run.py's line at the end of its timed loop
 _TIMED_RE = re.compile(r"^# (\d+) utterances in \d+ passes: .* machine speed ([0-9.]+) of reference")
 
 
+def rev_parse(rev: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", rev], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def export(rev: str, dest: Path) -> str:
     """Write the files of ``rev`` under ``dest``; return its full commit id."""
-    commit = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
+    commit = rev_parse(f"{rev}^{{commit}}")
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", commit], capture_output=True, check=True
     ).stdout
@@ -156,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", nargs="?", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=1, help="pair k runs on seed SEED + k")
     parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
@@ -171,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         runs: list[dict] = []
         for workload in workloads:
             for pair in range(1, args.pairs + 1):
-                seed = args.seed + pair
+                seed = 1 + pair
                 for side in SIDES if pair % 2 else SIDES[::-1]:
                     run = run_side(checkouts[side], workload, seed, args.seconds)
                     runs.append({"workload": workload, "pair": pair, "side": side, "seed": seed, **run})
@@ -182,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     print_summary(summary)
     doc = {
         "commits": commits,
+        "trees": {side: {d: rev_parse(f"{commits[side]}:{d}") for d in TREES} for side in SIDES},
         "pairs": args.pairs,
         "seconds": args.seconds,
         "command": benchmark["command"] + ["--trace", "0"],

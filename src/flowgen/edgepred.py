@@ -8,16 +8,15 @@ verified: unknown endpoints are dropped, duplicate edges collapse, and any
 edge that would close a cycle is dropped in response order, so the graph is
 a DAG by construction.
 
-Cardinality checks count each node's in- and out-degree once per graph.
-Repair is total and idempotent; it returns a graph with no node over a
-maximum untouched. Otherwise pass 1 splits boundary nodes that exceed a
-bound on one side while having no links on the other (a source connector
-feeding three branches becomes three single-output copies); pass 2 prunes
-excess edges, newest first. Split copies are tracked by position and named
-once, with every node of their stage, by ``node_names``; no intermediate
-names exist, so no stage name is reserved. Under-connection is reported,
-never repaired — inventing links the user didn't describe is worse than
-leaving a hole visible.
+Cardinality checks count degrees once per graph. Repair is total and
+idempotent, and leaves a graph with no node over a maximum untouched. Pass 1
+splits boundary nodes that exceed a bound on one side while having no links
+on the other (a source connector feeding three branches becomes three
+single-output copies); pass 2 prunes excess edges, newest first. Split
+copies are tracked by position and named once, with every node of their
+stage, by ``node_names``; no intermediate names exist, so no stage name is
+reserved. Under-connection is reported, never repaired — inventing links
+the user didn't describe is worse than leaving a hole visible.
 """
 
 from __future__ import annotations
@@ -432,15 +431,13 @@ def repair_with_renames(
         for k, edge in enumerate(g.edges)
     ]
 
-    # pass 2: prune excess edges, newest first (outputs, then inputs). Pruning
-    # only lowers counts, so a count gone stale passes a node with nothing to prune
+    # pass 2: prune excess edges, newest first (outputs, then inputs); a stale count only overcounts
     degrees = _degrees(edges)
     for direction in ("outputs", "inputs"):
         for node in nodes:
             if not _over(node, direction, degrees):
                 continue
-            excess = _incident(edges, node.unique_name, direction)[getattr(node, direction).max :]
-            for e in reversed(excess):
+            for e in reversed(_incident(edges, node.unique_name, direction)[getattr(node, direction).max :]):
                 dropped = edges.pop(e)
                 trace.append(
                     {

@@ -7,19 +7,18 @@ end with a preseeded opening quote (so the reply contains no opening quote of
 its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
-A token estimate is one regex pass (``count_tokens``). A prompt's estimate
-and SHA-256 are built from parts, each counted and hashed once where it is
-made, and ``render_prompt`` joins them in one walk over the template. A
-template's fixed text is counted when it is loaded, and its leading text
-hashed at its first render. Pieces that are fixed for a runtime (the stage
-prompts' context lines and examples, each stage's segmentation line, each
-stage's properties template with its name and property list bound) are
-counted once per runtime; the ``stagepred.StagePrompts`` of a runtime keeps
-them, and ``count_once`` fills its count caches. Text that is fixed for one
-run, the utterance and each sub-utterance, is counted once per
-``generate_with_runtime`` call and handed on as counted text, a ``(text,
-tokens)`` pair: every step function takes its text that way, and ``bind``
-and ``render_prompt`` put a pair in without counting it again. Only
+A token estimate is one regex pass (``count_tokens``). A prompt's estimate and
+SHA-256 are built from parts, each counted and hashed once where it is made;
+``render_prompt`` joins them in one walk over the template. A template's fixed
+text is counted when it is loaded, and its leading text hashed at its first
+render. Pieces fixed for a runtime (the stage prompts' context lines and
+examples, each stage's segmentation line, each stage's properties template
+with its name and property list bound) are counted once per runtime; the
+runtime's ``stagepred.StagePrompts`` keeps them, and ``count_once`` fills its
+count caches. Text fixed for one run, the utterance and each sub-utterance, is
+counted once per ``generate_with_runtime`` call and handed on as counted text,
+a ``(text, tokens)`` pair: every step function takes its text that way, and
+``bind`` and ``render_prompt`` put a pair in without counting it again. Only
 ``predict_stages``, ``bind``, ``render_prompt`` and ``counted`` also take a
 plain string, and ``stagepred.predict_cag`` and
 ``stagepred.render_stage_prompt``, which can run outside a runtime.
@@ -161,6 +160,11 @@ class CompletionProvider(Protocol):
         """The answer text; what the provider may report about usage is not returned."""
 
 
+def _merges(before: str, text: str) -> bool:
+    """The join rule of ``_add_text``, which ``render_prompt`` applies too."""
+    return before[-1] in _ALNUM and text[0] in _ALNUM
+
+
 def _add_text(segments: list[tuple[str, str, int]], text: str, tokens: int) -> None:
     """Append counted text, merging it into a text segment that ends the list.
 
@@ -173,7 +177,7 @@ def _add_text(segments: list[tuple[str, str, int]], text: str, tokens: int) -> N
         return
     if segments and segments[-1][0] == "text":
         _, before, before_tokens = segments.pop()
-        tokens += before_tokens - (before[-1] in _ALNUM and text[0] in _ALNUM)
+        tokens += before_tokens - _merges(before, text)
         text = before + text
     segments.append(("text", text, tokens))
 
@@ -240,7 +244,7 @@ def render_prompt(
             value, n = counted(bindings[value])
             if not value:
                 continue
-        tokens += n - (bool(parts) and parts[-1][-1] in _ALNUM and value[0] in _ALNUM)
+        tokens += n - (bool(parts) and _merges(parts[-1], value))
         parts.append(value)
     text = "".join(parts)
     lead_length, lead_hash = template.lead
