@@ -9,7 +9,8 @@ archive`` into a temporary directory, and each run is that export's
 ``perfbench/run.py --trace 0`` in its own process. Per workload, pair ``k``
 runs both sides on seed ``1 + k``: the parent first on odd pairs, the
 change first on even ones, so a drift in the machine's speed favours
-neither side.
+neither side. After a workload's pairs, each side runs once more traced
+(``--trace 1``, seed 1, the same ``--seconds``), for the per-layer metrics.
 
 The file holds every run, and per workload and end-to-end metric: each
 side's median and quartiles (``statistics.quantiles(values, n=4)``, as
@@ -24,6 +25,10 @@ for neither side), and a verdict against the metric's bound in the parent's
 * ``unresolved``: neither, and the parent's quartile distance is wider than
   the bound;
 * ``within bound``: otherwise.
+
+Under ``layers``, per workload and per-layer metric, the file keeps both
+traced values and the change's value relative to the parent's (None when
+the parent's is 0).
 
 Beside both commit ids, the file keeps the tree ids of ``src``, ``scripts``
 and ``perfbench`` at each, so a later commit with the same trees can be
@@ -74,11 +79,11 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``run.py`` in ``checkout``: its metric values, timed utterances and speed."""
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``run.py`` in ``checkout``: its metric values, timed utterances and speed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=900,
     )
     if done.returncode != 0:
@@ -147,6 +152,29 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     return summary
 
 
+def summarize_layers(traced: list[dict]) -> dict[str, dict]:
+    """Per workload and per-layer metric: each side's traced value and the relative change.
+
+    ``traced`` holds one traced run per side and workload (``workload``,
+    ``side``, ``metrics``). A metric that only one side reports is left out.
+    """
+    values: dict[str, dict[str, dict]] = {}
+    for r in traced:
+        values.setdefault(r["workload"], {})[r["side"]] = r["metrics"]
+    layers: dict[str, dict] = {}
+    for workload, sides in values.items():
+        parent, change = sides["parent"], sides["change"]
+        layers[workload] = {
+            name: {
+                "parent": p, "change": change[name],
+                "change_vs_parent": _relative(change[name] - p, p) if p else None,
+            }
+            for name, p in parent.items()
+            if name in change
+        }
+    return layers
+
+
 def print_summary(summary: dict[str, dict]) -> None:
     for workload, table in summary.items():
         print(f"{workload}:")
@@ -177,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         benchmark = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
         runs: list[dict] = []
+        traced: list[dict] = []
         for workload in workloads:
             for pair in range(1, args.pairs + 1):
                 seed = 1 + pair
@@ -185,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append({"workload": workload, "pair": pair, "side": side, "seed": seed, **run})
                     print(f"# {workload} pair {pair} {side}: p50 "
                           f"{run['metrics']['latency_p50_ms']:.4f} ms", file=sys.stderr)
+            for side in SIDES:
+                run = run_side(checkouts[side], workload, 1, args.seconds, trace=1)
+                traced.append({"workload": workload, "side": side, "seed": 1, **run})
+                print(f"# {workload} traced {side}", file=sys.stderr)
 
     summary = summarize(runs, benchmark["end_to_end"])
     print_summary(summary)
@@ -194,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "command": benchmark["command"] + ["--trace", "0"],
-        "incorrect_runs": sum(not r["correct"] for r in runs),
+        "incorrect_runs": sum(not r["correct"] for r in runs + traced),
         "summary": summary,
+        "layers": summarize_layers(traced),
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

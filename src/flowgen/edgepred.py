@@ -381,8 +381,13 @@ def repair_with_renames(
     The rename map sends each original unique name to the final name(s) of
     its copies (identity entries are omitted), so callers can carry
     per-node data — property assignments, sub-utterances — across a split.
-    A graph with no node over a maximum comes back as it is.
+    A graph with no node over a maximum comes back as it is. An edge with an
+    endpoint that is not a node raises ``ValueError``, naming the first such edge.
     """
+    names = {n.unique_name for n in g.nodes}
+    for edge in g.edges:
+        if not names.issuperset(edge):
+            raise ValueError(f"edge {edge[0]} -> {edge[1]} has an endpoint that is not a node")
     degrees = _degrees(g.edges)
     if not any(_over(node, d, degrees) for node in g.nodes for d in _END):
         return g, {}

@@ -28,8 +28,8 @@ answer text: a deterministic scripted mock for offline runs and tests, and a
 completions-style HTTP client for real endpoints. ``post_json`` is the one
 HTTP transport, shared with the remote classifier. Every model call of the
 pipeline goes through ``complete``, which appends one ``llm_call`` record to
-the caller's trace; ``usage`` sums those records, so the trace is the only
-token ledger.
+the caller's trace, also for a call that raises; ``usage`` sums those
+records, so the trace is the only token ledger.
 """
 
 from __future__ import annotations
@@ -458,20 +458,35 @@ def complete(
 
     ``fields`` (such as ``node``) go into the record after ``purpose``. Both
     token counts are flowgen's estimates, of the rendered prompt and of the
-    answer, so usage is counted by one rule on every provider.
+    answer, so usage is counted by one rule on every provider. When the
+    provider raises, the record is appended with ``completion_tokens`` 0,
+    ``outcome: "error"`` and ``error``, the exception's type name, and the
+    exception propagates: the prompt was sent, so its tokens count.
     """
-    answer = provider.complete(prompt, CompletionParams())
+    try:
+        answer = provider.complete(prompt, CompletionParams())
+    except Exception as exc:
+        _record(trace, purpose, fields, prompt, 0, outcome="error", error=type(exc).__name__)
+        raise
+    _record(trace, purpose, fields, prompt, count_tokens(answer))
+    return answer
+
+
+def _record(
+    trace: list[dict], purpose: str, fields: dict, prompt: RenderedPrompt, completion_tokens: int,
+    **failure: str,
+) -> None:
     trace.append(
         {
             "event": "llm_call",
             "purpose": purpose,
             **fields,
             "prompt_tokens": prompt.token_estimate,
-            "completion_tokens": count_tokens(answer),
+            "completion_tokens": completion_tokens,
             "prompt_sha256": prompt.sha256,
+            **failure,
         }
     )
-    return answer
 
 
 def usage(*traces: list[dict]) -> dict[str, int]:

@@ -359,7 +359,7 @@ def build_candidates(
                 "event": "classified",
                 "sub_utterance": sub,
                 "top": top,
-                "score": result.ranked[0][1] if result.ranked else 0.0,
+                "score": result.score,
                 "matched": result.matched,
             }
         )
@@ -386,7 +386,7 @@ def select_examples(
     lexicographic order, examples in bank order) keeps per-candidate coverage;
     the selection is emitted in bank order either way.
     """
-    matching = [ex for ex in bank if candidates.stages.intersection(ex.operators)]
+    matching = [ex for ex in bank if not candidates.stages.isdisjoint(ex.operators)]
     if len(matching) <= cap:
         return matching
     chosen: set[int] = set()

@@ -89,3 +89,27 @@ def test_a_single_pair_has_its_value_as_every_quartile(ab):
     table = ab.summarize(runs_of("demo-latency", one, one), END_TO_END)["demo-latency"]
     assert table["latency_p50_ms"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert (table["latency_p50_ms"]["wins"], table["latency_p50_ms"]["verdict"]) == (0, "within bound")
+
+
+def test_layer_summary_gives_both_traced_values_and_the_change(ab):
+    traced = [
+        {"workload": "synth-cag", "side": "change", "correct": True,
+         "metrics": {"classify.classify.ms": 0.1, "llm.prompt_tokens.agent_step": 0.0, "new.ms": 1.0}},
+        {"workload": "synth-cag", "side": "parent", "correct": True,
+         "metrics": {"classify.classify.ms": 0.2, "llm.prompt_tokens.agent_step": 0.0, "old.ms": 1.0}},
+        {"workload": "demo-pipeline", "side": "parent", "correct": True,
+         "metrics": {"classify.classify.ms": 0.05}},
+        {"workload": "demo-pipeline", "side": "change", "correct": True,
+         "metrics": {"classify.classify.ms": 0.06}},
+    ]
+    layers = ab.summarize_layers(traced)
+    assert list(layers) == ["synth-cag", "demo-pipeline"]
+    cag = layers["synth-cag"]
+    # a metric that only one side reports is left out
+    assert list(cag) == ["classify.classify.ms", "llm.prompt_tokens.agent_step"]
+    assert cag["classify.classify.ms"] == {"parent": 0.2, "change": 0.1, "change_vs_parent": -0.5}
+    # no relative change from a parent value of 0
+    assert cag["llm.prompt_tokens.agent_step"] == {"parent": 0.0, "change": 0.0, "change_vs_parent": None}
+    row = layers["demo-pipeline"]["classify.classify.ms"]
+    assert (row["parent"], row["change"]) == (0.05, 0.06)
+    assert row["change_vs_parent"] == pytest.approx(0.2)

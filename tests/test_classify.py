@@ -258,6 +258,76 @@ def test_scores_do_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert dict(model.classify(query).ranked)["emberly_archive"] == 0.546471710211
 
 
+# each text is trained under one to three labels, so equal scores are common
+tied_labels = st.lists(st.sampled_from(["l0", "l1", "l2", "l3", "l4"]), min_size=1, max_size=3)
+tied_pairs = st.lists(st.tuples(letter_texts, tied_labels), min_size=1, max_size=6).map(
+    lambda groups: [(text, label) for text, names in groups for label in names]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=tied_pairs, queries=st.lists(letter_queries, min_size=1, max_size=4))
+def test_head_read_before_the_ranking_is_the_oracles_head(pairs, queries):
+    model = fit(pairs)
+    for query in queries:
+        expected = oracle(pairs, query)
+        result = model.classify(query)
+        # the head first: nothing has built the ranking yet
+        assert (result.top, result.score, result.matched) == (*expected.ranked[0], expected.matched)
+        assert result.ranked == expected.ranked
+        assert result.ranked[0] == (result.top, result.score)
+        assert result == expected
+
+
+def test_a_tie_made_by_rounding_goes_to_the_first_label():
+    # zz's raw maximum (0.37796447300922725) exceeds aa's (0.3779644730092272),
+    # but both round to 0.377964473009, so the tie goes to aa
+    pairs = [("e a f a c", "zz"), ("a e f b b", "aa"), ("b c g b d d", "aa")]
+    result = fit(pairs).classify("f")
+    assert (result.top, result.score, result.matched) == ("aa", 0.377964473009, True)
+    assert result.ranked == (("aa", 0.377964473009), ("zz", 0.377964473009))
+    assert result == oracle(pairs, "f")
+
+
+def test_an_explicit_ranking_gives_its_first_pair_as_the_head():
+    result = Classification(ranked=(("sort", 0.75), ("head", 0.5)), matched=True)
+    assert (result.top, result.score) == ("sort", 0.75)
+    empty = Classification(ranked=(), matched=False)
+    assert (empty.top, empty.score) == (None, 0.0)
+
+
+def test_recall_on_the_synthetic_corpus_is_pinned():
+    """Each gold sub-utterance of 1000 synthetic utterances, classified by the bundled model.
+
+    Pinned so that a change to the classifier shows as a change of accuracy.
+    The keyword scan finds every gold stage in its utterance; the classifier
+    matches the gold label a quarter of the time, yet always ranks it in its top 5.
+    """
+    from flowgen.catalog import load_catalog
+    from flowgen.synthdata import generate_utterances
+
+    catalog = load_catalog(fixture_path("synthetic_catalog.json"))
+    model = train(load_training_pairs(fixture_path("synthetic_training_pairs.json")), catalog.stages)
+    pairs, scanned = [], 0
+    for k in range(50):
+        for record in generate_utterances(catalog, seed=f"4242:{k}", count=20):
+            hits = keyword_scan(catalog, record.utterance)
+            scanned += sum(gold in hits for gold in record.gold_stages)
+            pairs += zip(record.subs, record.gold_stages)
+    outcomes = Counter()
+    within = Counter()
+    for sub, gold in pairs:
+        result = model.classify(sub)
+        outcomes["below" if not result.matched else "right" if result.top == gold else "wrong"] += 1
+        labels = [label for label, _ in result.ranked]
+        for n in (1, 3, 5):
+            within[n] += gold in labels[:n]
+    assert len(pairs) == 2000
+    assert outcomes == {"right": 511, "wrong": 41, "below": 1448}
+    assert within == {1: 1694, 3: 1974, 5: 2000}
+    assert scanned == 2000
+
+
 # --- keyword scan ----------------------------------------------------------------------
 
 

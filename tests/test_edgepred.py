@@ -357,6 +357,16 @@ def test_repair_leaves_valid_graphs_alone():
     assert trace == []
 
 
+@pytest.mark.parametrize("edges", [[("a", "zz")], [("a", "zz"), ("a", "yy")]], ids=["within", "over"])
+def test_repair_rejects_an_edge_to_a_missing_node(edges):
+    # the second graph puts a over its output maximum, the first does not
+    g = FlowGraph(nodes=[node("a", inputs=(0, 0), outputs=(0, 1))], edges=edges)
+    trace: list[dict] = []
+    with pytest.raises(ValueError, match="^edge a -> zz has an endpoint that is not a node$"):
+        repair_with_renames(g, trace)
+    assert trace == []
+
+
 # bounds a split can satisfy (min <= 1 <= max on one side, min 0 on the other)
 SPLITTABLE_BOUNDS = [(0, 0), (0, 1), (1, 1), (0, None)]
 

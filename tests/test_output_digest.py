@@ -15,7 +15,7 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-DEMO_DIGEST = "9ba82950d11cb7abc4a7143cdbb812be10bf5b9029e39edc5e9115892f691a6e"
+DEMO_DIGEST = "7ba3533d71d0454c46b6e20e1dd162319d980ad5fbb2809d004ab8865f7c00de"
 CLASSIFY_DIGEST = "47c36efadc318a4c9b75eee67a3880aedc6d82ac2545762361bbdb2f83d49c08"
 
 

@@ -518,6 +518,49 @@ def test_stage_prediction_failure_aborts_with_envelope():
     assert envelope["provenance"]["utterance"] == UTTERANCE
 
 
+class FailingOn:
+    """Answers from ``inner``, but raises ``ProviderError`` on a prompt containing ``cue``."""
+
+    def __init__(self, inner, cue: str):
+        self.inner, self.cue = inner, cue
+
+    def complete(self, prompt, params):
+        if self.cue in prompt.text:
+            raise llm.ProviderError("endpoint down")
+        return self.inner.complete(prompt, params)
+
+
+def test_a_failed_segmentation_call_leaves_its_record():
+    provider = FailingOn(provider_without(), BASE_SCRIPTS["segment"][0])
+    w = generate_with_runtime(UTTERANCE, runtime(degradable_catalog(), provider, strategy="single"))
+    assert [d["step"] for d in w.provenance["diagnostics"]] == ["segmentation"]
+    (record,) = w.provenance["segment_trace"]
+    assert record["event"] == "llm_call" and record["purpose"] == "segmentation"
+    assert record["prompt_tokens"] > 0
+    assert (record["completion_tokens"], record["outcome"], record["error"]) == (0, "error", "ProviderError")
+    calls = llm_calls(w.provenance)
+    assert [c for c in calls if "outcome" in c] == [record]  # successful records gain no key
+    assert w.provenance["usage"] == {
+        "prompt_tokens": sum(c["prompt_tokens"] for c in calls),
+        "completion_tokens": sum(c["completion_tokens"] for c in calls),
+        "requests": len(calls),
+    }
+
+
+def test_a_failed_stage_prompt_leaves_its_record_in_the_envelope():
+    provider = FailingOn(provider_without(), BASE_SCRIPTS["stage"][0])
+    with pytest.raises(PipelineError) as err:
+        generate_with_runtime(UTTERANCE, runtime(degradable_catalog(), provider, strategy="single"))
+    provenance = err.value.envelope()["provenance"]
+    (record,) = provenance["stage_trace"]
+    assert record["purpose"] == "stage_selection"
+    assert (record["outcome"], record["error"]) == ("error", "ProviderError")
+    assert provenance["usage"] == {
+        "prompt_tokens": record["prompt_tokens"], "completion_tokens": 0, "requests": 1,
+    }
+    assert record["prompt_tokens"] > 0
+
+
 def test_empty_stage_answer_yields_empty_workflow():
     rt = runtime(degradable_catalog(), scripted(("Context:", '""')), strategy="single")
     w = generate_with_runtime(UTTERANCE, rt)
