@@ -136,8 +136,8 @@ class ClassifierModel:
         # round is monotone, so the top score is the rounded maximum; the top
         # label is the first whose maximum rounds to it, which only a maximum
         # within 1e-12 of the largest can (the margin is doubled for float error)
-        top = max(best)
-        score, near = round(top, _SCORE_DIGITS), top - 2 * 10.0**-_SCORE_DIGITS
+        peak = max(best)
+        score, near = round(peak, _SCORE_DIGITS), peak - 2 * 10.0**-_SCORE_DIGITS
         head = next(i for i, b in enumerate(best) if b >= near and round(b, _SCORE_DIGITS) == score)
         return Classification._of_maxima(self.labels, best, head, score, score >= self.threshold)
 

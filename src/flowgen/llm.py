@@ -463,30 +463,23 @@ def complete(
     ``outcome: "error"`` and ``error``, the exception's type name, and the
     exception propagates: the prompt was sent, so its tokens count.
     """
+    record = {
+        "event": "llm_call",
+        "purpose": purpose,
+        **fields,
+        "prompt_tokens": prompt.token_estimate,
+        "completion_tokens": 0,
+        "prompt_sha256": prompt.sha256,
+    }
     try:
         answer = provider.complete(prompt, CompletionParams())
     except Exception as exc:
-        _record(trace, purpose, fields, prompt, 0, outcome="error", error=type(exc).__name__)
+        record.update(outcome="error", error=type(exc).__name__)
+        trace.append(record)
         raise
-    _record(trace, purpose, fields, prompt, count_tokens(answer))
+    record["completion_tokens"] = count_tokens(answer)
+    trace.append(record)
     return answer
-
-
-def _record(
-    trace: list[dict], purpose: str, fields: dict, prompt: RenderedPrompt, completion_tokens: int,
-    **failure: str,
-) -> None:
-    trace.append(
-        {
-            "event": "llm_call",
-            "purpose": purpose,
-            **fields,
-            "prompt_tokens": prompt.token_estimate,
-            "completion_tokens": completion_tokens,
-            "prompt_sha256": prompt.sha256,
-            **failure,
-        }
-    )
 
 
 def usage(*traces: list[dict]) -> dict[str, int]:
