@@ -384,11 +384,11 @@ def repair_with_renames(
     A graph with no node over a maximum comes back as it is. An edge with an
     endpoint that is not a node raises ``ValueError``, naming the first such edge.
     """
-    names = {n.unique_name for n in g.nodes}
-    for edge in g.edges:
-        if not names.issuperset(edge):
-            raise ValueError(f"edge {edge[0]} -> {edge[1]} has an endpoint that is not a node")
     degrees = _degrees(g.edges)
+    names = {n.unique_name for n in g.nodes}
+    if not (names.issuperset(degrees["outputs"]) and names.issuperset(degrees["inputs"])):
+        src, dst = next(edge for edge in g.edges if not names.issuperset(edge))
+        raise ValueError(f"edge {src} -> {dst} has an endpoint that is not a node")
     if not any(_over(node, d, degrees) for node in g.nodes for d in _END):
         return g, {}
     # pass 1: split over-bound boundary nodes. Nodes are tracked by position:

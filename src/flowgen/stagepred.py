@@ -386,7 +386,7 @@ def select_examples(
     lexicographic order, examples in bank order) keeps per-candidate coverage;
     the selection is emitted in bank order either way.
     """
-    matching = [ex for ex in bank if not candidates.stages.isdisjoint(ex.operators)]
+    matching = [ex for ex in bank if candidates.stages.intersection(ex.operators)]
     if len(matching) <= cap:
         return matching
     chosen: set[int] = set()

@@ -357,13 +357,20 @@ def test_repair_leaves_valid_graphs_alone():
     assert trace == []
 
 
-@pytest.mark.parametrize("edges", [[("a", "zz")], [("a", "zz"), ("a", "yy")]], ids=["within", "over"])
-def test_repair_rejects_an_edge_to_a_missing_node(edges):
-    # the second graph puts a over its output maximum, the first does not
-    g = FlowGraph(nodes=[node("a", inputs=(0, 0), outputs=(0, 1))], edges=edges)
+@pytest.mark.parametrize(
+    ("edges", "first"),
+    [
+        ([("a", "zz")], "a -> zz"),
+        ([("a", "zz"), ("a", "yy")], "a -> zz"),  # a over its output maximum
+        ([("a", "a2"), ("zz", "a2"), ("yy", "a2")], "zz -> a2"),  # a2 over its input maximum
+    ],
+    ids=["within", "over-outputs", "over-inputs"],
+)
+def test_repair_rejects_an_edge_to_a_missing_node(edges, first):
+    nodes = [node("a", inputs=(0, 0), outputs=(0, 1)), node("a2", inputs=(0, 1), outputs=(0, 0))]
     trace: list[dict] = []
-    with pytest.raises(ValueError, match="^edge a -> zz has an endpoint that is not a node$"):
-        repair_with_renames(g, trace)
+    with pytest.raises(ValueError, match=f"^edge {first} has an endpoint that is not a node$"):
+        repair_with_renames(FlowGraph(nodes=nodes, edges=edges), trace)
     assert trace == []
 
 
