@@ -9,8 +9,9 @@ archive`` into a temporary directory, and each run is that export's
 ``perfbench/run.py --trace 0`` in its own process. Per workload, pair ``k``
 runs both sides on seed ``1 + k``: the parent first on odd pairs, the
 change first on even ones, so a drift in the machine's speed favours
-neither side. After a workload's pairs, each side runs once more traced
-(``--trace 1``, seed 1, the same ``--seconds``), for the per-layer metrics.
+neither side. After a workload's pairs, each side runs three more times
+traced (``--trace 1``, the same ``--seconds``), for the per-layer metrics:
+on seeds 1, 2 and 3, in the pairs' alternating side order.
 
 The file holds every run, and per workload and end-to-end metric: each
 side's median and quartiles (``statistics.quantiles(values, n=4)``, as
@@ -26,9 +27,12 @@ for neither side), and a verdict against the metric's bound in the parent's
   the bound;
 * ``within bound``: otherwise.
 
-Under ``layers``, per workload and per-layer metric, the file keeps both
-traced values and the change's value relative to the parent's (None when
-the parent's is 0).
+Under ``layers``, per workload and per-layer metric, the file keeps each
+side's traced values under ``runs``, their medians as ``parent`` and
+``change``, and the change's median relative to the parent's (None when the
+parent's is 0). A layer of a few microseconds moves by tens of percent
+between two traced runs of the same code, so one run per side cannot tell
+a change from noise; the median of three is not moved by one outlier.
 
 Beside both commit ids, the file keeps the tree ids of ``src``, ``scripts``
 and ``perfbench`` at each, so a later commit with the same trees can be
@@ -55,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # what a run executes; their tree ids identify a side even after its commit is rewritten
 TREES = ("src", "scripts", "perfbench")
+TRACED_SEEDS = (1, 2, 3)
 # run.py's line at the end of its timed loop
 _TIMED_RE = re.compile(r"^# (\d+) utterances in \d+ passes: .* machine speed ([0-9.]+) of reference")
 
@@ -153,25 +158,28 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
 
 
 def summarize_layers(traced: list[dict]) -> dict[str, dict]:
-    """Per workload and per-layer metric: each side's traced value and the relative change.
+    """Per workload and per-layer metric: each side's traced values, their medians and the change.
 
-    ``traced`` holds one traced run per side and workload (``workload``,
-    ``side``, ``metrics``). A metric that only one side reports is left out.
+    ``traced`` holds the traced runs of each side and workload
+    (``workload``, ``side``, ``metrics``). A metric that some run does not
+    report is left out.
     """
-    values: dict[str, dict[str, dict]] = {}
+    values: dict[str, dict[str, list[dict]]] = {}
     for r in traced:
-        values.setdefault(r["workload"], {})[r["side"]] = r["metrics"]
+        values.setdefault(r["workload"], {}).setdefault(r["side"], []).append(r["metrics"])
     layers: dict[str, dict] = {}
     for workload, sides in values.items():
-        parent, change = sides["parent"], sides["change"]
-        layers[workload] = {
-            name: {
-                "parent": p, "change": change[name],
-                "change_vs_parent": _relative(change[name] - p, p) if p else None,
+        table: dict[str, dict] = {}
+        for name in sides["parent"][0]:
+            runs = {side: [m.get(name) for m in sides[side]] for side in SIDES}
+            if None in runs["parent"] + runs["change"]:
+                continue
+            p, c = (statistics.median(runs[side]) for side in SIDES)
+            table[name] = {
+                "parent": p, "change": c, "change_vs_parent": _relative(c - p, p) if p else None,
+                "runs": runs,
             }
-            for name, p in parent.items()
-            if name in change
-        }
+        layers[workload] = table
     return layers
 
 
@@ -214,10 +222,11 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append({"workload": workload, "pair": pair, "side": side, "seed": seed, **run})
                     print(f"# {workload} pair {pair} {side}: p50 "
                           f"{run['metrics']['latency_p50_ms']:.4f} ms", file=sys.stderr)
-            for side in SIDES:
-                run = run_side(checkouts[side], workload, 1, args.seconds, trace=1)
-                traced.append({"workload": workload, "side": side, "seed": 1, **run})
-                print(f"# {workload} traced {side}", file=sys.stderr)
+            for seed in TRACED_SEEDS:
+                for side in SIDES if seed % 2 else SIDES[::-1]:
+                    run = run_side(checkouts[side], workload, seed, args.seconds, trace=1)
+                    traced.append({"workload": workload, "side": side, "seed": seed, **run})
+                    print(f"# {workload} traced {side} seed {seed}", file=sys.stderr)
 
     summary = summarize(runs, benchmark["end_to_end"])
     print_summary(summary)

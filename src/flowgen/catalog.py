@@ -313,24 +313,30 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
     return out
 
 
-def _name_collisions(names: list[str]) -> list[Violation]:
-    """Stages named ``<other>_<digits>``: a numbered node of ``other`` would share that name."""
-    known = set(names)
+def _violations(stages: list[StageDef]) -> list[Violation]:
+    """Every violation of ``stages``, in stage order, then the name collisions.
+
+    A repeated stage name is a violation; a catalog's dict cannot hold one.
+    Stages named ``<other>_<digits>`` collide: a numbered node of ``other``
+    would share that name.
+    """
     out: list[Violation] = []
-    for name in names:
+    seen: set[str] = set()
+    for stage in stages:
+        if stage.name in seen:
+            out.append(Violation(stage.name, "name", "duplicate stage name"))
+        seen.add(stage.name)
+        out.extend(_stage_violations(stage))
+    for name in [stage.name for stage in stages]:
         base, sep, digits = name.rpartition("_")
-        if sep and base in known and digits.isascii() and digits.isdigit():
+        if sep and base in seen and digits.isascii() and digits.isdigit():
             out.append(Violation(name, "name", f"collides with the node names of stage {base!r}"))
     return out
 
 
 def validate_catalog(catalog: Catalog) -> list[Violation]:
     """Check semantic invariants; returns all violations, mutating nothing."""
-    out: list[Violation] = []
-    for stage in catalog.stages.values():
-        out.extend(_stage_violations(stage))
-    out.extend(_name_collisions(list(catalog.stages)))
-    return out
+    return _violations(list(catalog.stages.values()))
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -345,15 +351,7 @@ def parse_catalog(text: str) -> Catalog:
     if not isinstance(raw_stages, list):
         raise CatalogParseError("expected list", "stages")
     stages = [_parse_stage(raw, f"stages[{i}]") for i, raw in enumerate(raw_stages)]
-
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    for stage in stages:
-        if stage.name in seen:
-            violations.append(Violation(stage.name, "name", "duplicate stage name"))
-        seen.add(stage.name)
-        violations.extend(_stage_violations(stage))
-    violations.extend(_name_collisions([s.name for s in stages]))
+    violations = _violations(stages)
     if violations:
         raise CatalogValidationError(violations)
     return Catalog({s.name: s for s in stages})

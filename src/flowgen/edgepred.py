@@ -178,8 +178,8 @@ def segment_for_nodes(
     catalog: Catalog,
     provider: CompletionProvider,
     trace: list[dict],
-    node_tokens: dict[str, int],
-    name_tokens: dict[str, int],
+    tokens: dict[str, int],
+    counts: dict[str, int],
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -188,24 +188,24 @@ def segment_for_nodes(
     paraphrased spans are an error, not a warning, because properties are
     predicted from them.
 
-    ``node_tokens`` is the runtime's count of each stage's description line,
-    by stage name (``StagePrompts.node_tokens``); ``name_tokens`` is the
-    run's count of each node name, by name, shared with ``predict_edges``.
+    Each node's line is its name and its stage's description line. A
+    description line is counted in ``tokens``, the runtime's cache
+    (``StagePrompts.tokens``), and a node name in ``counts``, the run's
+    cache, shared with ``predict_edges``.
     """
     if not nodes:
         raise SegmentationError("cannot segment for an empty node list")
     text = utterance[0]
     if len(nodes) == 1:
         return {nodes[0].unique_name: text}
-    lines, tokens = [], 0
+    lines, total = [], 0
     for n in nodes:
         # the line after the node's name starts with a space, so the counts add
         line = f" ({n.stage}): {catalog.stages[n.stage].description}"
         lines.append(n.unique_name + line)
-        tokens += count_once(name_tokens, n.unique_name, n.unique_name)
-        tokens += count_once(node_tokens, n.stage, line)
+        total += count_once(counts, n.unique_name) + count_once(tokens, line)
     prompt = render_prompt(
-        _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
+        _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), total), "utterance": utterance}
     )
     answer = complete(provider, prompt, trace, "segmentation")
     known = {n.unique_name for n in nodes}
@@ -243,8 +243,8 @@ def predict_edges(
     provider: CompletionProvider,
     trace: list[dict],
     spans: Mapping[str, tuple[str, int]],
-    head_tokens: dict[str, int],
-    name_tokens: dict[str, int],
+    tokens: dict[str, int],
+    counts: dict[str, int],
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -256,24 +256,23 @@ def predict_edges(
 
     ``spans`` maps each node's name to its sub-utterance. Each node's line
     starts with its name and the stage part of its head,
-    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. ``head_tokens`` is
-    the runtime's count of each stage part, by its text
-    (``StagePrompts.head_tokens``); ``name_tokens`` is the run's count of
-    each node name, as in ``segment_for_nodes``.
+    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. A stage part is
+    counted in ``tokens``, the runtime's cache (``StagePrompts.tokens``),
+    and a node name in ``counts``, the run's cache, as in
+    ``segment_for_nodes``.
     """
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
-    lines, tokens = [], 0
+    lines, total = [], 0
     for n in nodes:
         # the stage part starts and ends with a space, so the counts add
         head = f" ({n.stage}, inputs {_bound_text(n.inputs)}, outputs {_bound_text(n.outputs)}): "
         span, span_tokens = spans[n.unique_name]
         lines.append(n.unique_name + head + span)
-        tokens += count_once(name_tokens, n.unique_name, n.unique_name)
-        tokens += count_once(head_tokens, head, head) + span_tokens
+        total += count_once(counts, n.unique_name) + count_once(tokens, head) + span_tokens
     prompt = render_prompt(
-        _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), tokens), "utterance": utterance}
+        _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), total), "utterance": utterance}
     )
     answer = complete(provider, prompt, trace, "edge_prediction")
     known = graph.node_names()

@@ -11,14 +11,15 @@ A token estimate is one regex pass (``count_tokens``). A prompt's estimate and
 SHA-256 are built from parts, each counted and hashed once where it is made;
 ``render_prompt`` joins them in one walk over the template. A template's fixed
 text is counted when it is loaded, and its leading text hashed at its first
-render. Pieces fixed for a runtime (the stage prompts' context lines and
-examples, each stage's segmentation line, each stage's properties template
-with its name and property list bound) are counted once per runtime; the
-runtime's ``stagepred.StagePrompts`` keeps them, and ``count_once`` fills its
-count caches. Text fixed for one run, the utterance and each sub-utterance, is
-counted once per ``generate_with_runtime`` call and handed on as counted text,
-a ``(text, tokens)`` pair: every step function takes its text that way, and
-``bind`` and ``render_prompt`` put a pair in without counting it again. Only
+render. ``count_once`` fills two caches, each keyed by the text it counts.
+Pieces made from the catalog or the bank (context lines, example blocks,
+segmentation lines, edge heads) are counted once per runtime, in
+``stagepred.StagePrompts.tokens``, beside each stage's bound properties
+template. The utterance, each sub-utterance and each node name are counted
+once per ``generate_with_runtime`` call, in that run's cache, so no user
+text outlives its run. Counted text travels as a ``(text, tokens)`` pair:
+every step function takes its text that way, and ``bind`` and
+``render_prompt`` put a pair in without counting it again. Only
 ``predict_stages``, ``bind``, ``render_prompt`` and ``counted`` also take a
 plain string, and ``stagepred.predict_cag`` and
 ``stagepred.render_stage_prompt``, which can run outside a runtime.
@@ -278,11 +279,11 @@ def counted(text: str | tuple[str, int]) -> tuple[str, int]:
     return text if isinstance(text, tuple) else (text, count_tokens(text))
 
 
-def count_once(tokens: dict, key: object, text: str) -> int:
-    """The count of ``text``, kept in ``tokens`` under ``key`` at its first use."""
-    n = tokens.get(key)
+def count_once(tokens: dict[str, int], text: str) -> int:
+    """The count of ``text``, kept in ``tokens`` at its first use."""
+    n = tokens.get(text)
     if n is None:
-        n = tokens[key] = count_tokens(text)
+        n = tokens[text] = count_tokens(text)
     return n
 
 

@@ -43,6 +43,7 @@ from .llm import (
     OperatorParseError,
     PromptTemplate,
     ProviderError,
+    count_once,
     counted,
     load_mock_scripts,
     provider_from_env,
@@ -260,16 +261,8 @@ def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePredic
             return predict_single(whole, rt.catalog, rt.listing, rt.provider, trace=trace)
         if cfg.strategy == "cag":
             return predict_cag(
-                whole,
-                rt.catalog,
-                rt.classifier,
-                rt.bank,
-                rt.provider,
-                cfg.family,
-                rt.split_examples,
-                cfg.example_cap,
-                trace=trace,
-                prompts=rt.prompts,
+                whole, rt.catalog, rt.classifier, rt.bank, rt.provider,
+                cap=cfg.example_cap, trace=trace, prompts=rt.prompts,
             )
         return predict_agentic(whole, rt.catalog, rt.classifier, rt.provider, trace=trace)
     except (StagePredictionError, ProviderError, OperatorParseError) as exc:
@@ -286,7 +279,7 @@ def _edge_branch(
     utterance: tuple[str, int],
     nodes: list[NodeInstance],
     spans: dict[str, tuple[str, int]],
-    name_tokens: dict[str, int],
+    counts: dict[str, int],
     rt: Runtime,
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
@@ -294,7 +287,7 @@ def _edge_branch(
     try:
         graph = predict_edges(
             nodes, utterance, rt.provider, trace=trace, spans=spans,
-            head_tokens=rt.prompts.head_tokens, name_tokens=name_tokens,
+            tokens=rt.prompts.tokens, counts=counts,
         )
     except (EdgePredictionError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
@@ -324,8 +317,8 @@ def _property_branch_one(
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     """Run every step on ``utterance``.
 
-    The utterance is counted once, each node name once, and each distinct
-    sub-utterance once after segmentation; every prompt of the run reuses
+    The utterance, each distinct sub-utterance and each node name are
+    counted once, in the run's own cache; every prompt of the run reuses
     those counts.
     """
     cfg = rt.cfg
@@ -346,26 +339,23 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         return Workflow(graph=FlowGraph(nodes=[]), properties={}, provenance=provenance)
 
     seg_trace: list[dict] = []
-    name_tokens: dict[str, int] = {}  # each node name's count, shared by segmentation and edges
+    counts = {utterance: whole[1]}  # by text: the utterance, sub-utterances and node names
     try:
         segments = segment_for_nodes(
-            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.node_tokens, name_tokens
+            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.tokens, counts
         )
     except (SegmentationError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
         diagnostics.append({"step": "segmentation", "message": str(exc)})
         segments = {n.unique_name: utterance for n in nodes}
-    known = {utterance: whole}  # each distinct text of this run, counted
     spans: dict[str, tuple[str, int]] = {}
     for node in nodes:
         sub = node.sub_utterance = segments[node.unique_name]
-        if sub not in known:
-            known[sub] = counted(sub)
-        spans[node.unique_name] = known[sub]
+        spans[node.unique_name] = (sub, count_once(counts, sub))
     provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    calls = [partial(_edge_branch, whole, nodes, spans, name_tokens, rt)]
+    calls = [partial(_edge_branch, whole, nodes, spans, counts, rt)]
     calls += [partial(_property_branch_one, n, spans[n.unique_name], rt) for n in nodes]
     edge_result, *prop_results = run_in_order(calls, cfg.parallel)
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result

@@ -178,7 +178,12 @@ def coerce(raw: str, value_type: ValueType) -> object | None:
         return _strip_quotes(raw)
     s = raw.strip()
     if value_type.kind == "integer":
-        return int(s) if _INT_RE.fullmatch(s) else None
+        if not _INT_RE.fullmatch(s):
+            return None
+        try:
+            return int(s)
+        except ValueError:  # more digits than ``int`` converts (``sys.get_int_max_str_digits``)
+            return None
     if value_type.kind == "decimal":
         return Decimal(s) if _DECIMAL_RE.fullmatch(s) else None
     if value_type.kind == "boolean":

@@ -87,16 +87,13 @@ class ProtocolViolation(StagePredictionError):
 
 
 class FewShotExample(Record):
-    """An utterance and its answer; hashable by value, as ``StagePrompts`` counts each once."""
+    """An utterance and its answer."""
 
     __slots__ = ("utterance", "operators")
 
     def __init__(self, utterance: str, operators: tuple[str, ...]):
         self.utterance = utterance
         self.operators = operators
-
-    def __hash__(self) -> int:
-        return hash((self.utterance, self.operators))
 
 
 class CandidateSet:
@@ -162,15 +159,15 @@ def _verified(
     return kept
 
 
-def _joined(texts: list[str], keys: list, tokens: dict, sep: str) -> tuple[str, int]:
+def _joined(texts: list[str], tokens: dict[str, int], sep: str) -> tuple[str, int]:
     """``texts`` joined by a whitespace ``sep``, and their token total.
 
-    Each text is counted once per key in ``tokens``. No alphanumeric run
-    crosses ``sep``, so the counts add exactly.
+    Each text is counted once in ``tokens``. No alphanumeric run crosses
+    ``sep``, so the counts add exactly.
     """
     total = 0
-    for key, text in zip(keys, texts):
-        total += count_once(tokens, key, text)
+    for text in texts:
+        total += count_once(tokens, text)
     return sep.join(texts), total
 
 
@@ -180,34 +177,27 @@ class StagePrompts:
     ``stage_prompts`` builds it once per runtime. Its pieces are filled at
     their first use and looked up after that:
 
-    * for the stage prompt, each stage's context line and each example's
-      few-shot block (``listing``);
-    * for the segmentation prompt, each stage's description line
-      (``node_tokens``, which ``edgepred.segment_for_nodes`` fills);
-    * for the edge prompt, the stage part of each node's head, by its text
-      (``head_tokens``, which ``edgepred.predict_edges`` fills);
-    * for the properties prompt, each stage's template with its name and
-      property list bound (``properties``, which
-      ``proppred.predict_properties`` fills), so its digest state covers all
-      the text before the sub-utterance.
+    * ``tokens``, the count of each piece made from the catalog or the bank,
+      by its text: each stage's context line and each example's few-shot
+      block for the stage prompt (``listing``), each stage's description
+      line for the segmentation prompt (``edgepred.segment_for_nodes``), and
+      the stage part of each node's head for the edge prompt
+      (``edgepred.predict_edges``). No user text goes in it;
+    * ``properties``, each stage's properties template with its name and
+      property list bound (``proppred.predict_properties`` fills it), so its
+      digest state covers all the text before the sub-utterance.
 
     So a render counts only what the run adds. Threads that share it can at
     worst build a piece twice, to the same value.
     """
 
-    __slots__ = (
-        "catalog", "stage", "decompose", "line_tokens", "block_tokens", "node_tokens", "head_tokens",
-        "properties",
-    )
+    __slots__ = ("catalog", "stage", "decompose", "tokens", "properties")
 
     def __init__(self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate):
         self.catalog = catalog
         self.stage = stage  # the family's stage template, no slot bound
         self.decompose = decompose  # the split examples bound; ``utterance`` open
-        self.line_tokens: dict[str, int] = {}  # by stage name
-        self.block_tokens: dict[FewShotExample, int] = {}
-        self.node_tokens: dict[str, int] = {}  # by stage name
-        self.head_tokens: dict[str, int] = {}  # by text
+        self.tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
     def listing(
@@ -227,8 +217,8 @@ class StagePrompts:
         return bind(
             self.stage,
             {
-                "context": _joined(lines, names, self.line_tokens, "\n"),
-                "examples": _joined(blocks, examples, self.block_tokens, "\n\n"),
+                "context": _joined(lines, self.tokens, "\n"),
+                "examples": _joined(blocks, self.tokens, "\n\n"),
             },
         )
 

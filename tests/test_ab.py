@@ -93,10 +93,19 @@ def test_a_single_pair_has_its_value_as_every_quartile(ab):
 
 def test_layer_summary_gives_both_traced_values_and_the_change(ab):
     traced = [
-        {"workload": "synth-cag", "side": "change", "correct": True,
-         "metrics": {"classify.classify.ms": 0.1, "llm.prompt_tokens.agent_step": 0.0, "new.ms": 1.0}},
         {"workload": "synth-cag", "side": "parent", "correct": True,
          "metrics": {"classify.classify.ms": 0.2, "llm.prompt_tokens.agent_step": 0.0, "old.ms": 1.0}},
+        {"workload": "synth-cag", "side": "change", "correct": True,
+         "metrics": {"classify.classify.ms": 0.1, "llm.prompt_tokens.agent_step": 0.0, "new.ms": 1.0}},
+        {"workload": "synth-cag", "side": "change", "correct": True,
+         "metrics": {"classify.classify.ms": 0.09, "llm.prompt_tokens.agent_step": 0.0, "new.ms": 1.0}},
+        {"workload": "synth-cag", "side": "parent", "correct": True,
+         "metrics": {"classify.classify.ms": 0.21, "llm.prompt_tokens.agent_step": 0.0, "old.ms": 1.0}},
+        {"workload": "synth-cag", "side": "parent", "correct": True,
+         "metrics": {"classify.classify.ms": 0.19, "llm.prompt_tokens.agent_step": 0.0, "old.ms": 1.0}},
+        # an outlier: a mean of the change's runs would read as a slowdown
+        {"workload": "synth-cag", "side": "change", "correct": True,
+         "metrics": {"classify.classify.ms": 0.9, "llm.prompt_tokens.agent_step": 0.0, "new.ms": 1.0}},
         {"workload": "demo-pipeline", "side": "parent", "correct": True,
          "metrics": {"classify.classify.ms": 0.05}},
         {"workload": "demo-pipeline", "side": "change", "correct": True,
@@ -107,9 +116,16 @@ def test_layer_summary_gives_both_traced_values_and_the_change(ab):
     cag = layers["synth-cag"]
     # a metric that only one side reports is left out
     assert list(cag) == ["classify.classify.ms", "llm.prompt_tokens.agent_step"]
-    assert cag["classify.classify.ms"] == {"parent": 0.2, "change": 0.1, "change_vs_parent": -0.5}
+    # each side's median stands for it
+    assert cag["classify.classify.ms"] == {
+        "parent": 0.2, "change": 0.1, "change_vs_parent": -0.5,
+        "runs": {"parent": [0.2, 0.21, 0.19], "change": [0.1, 0.09, 0.9]},
+    }
     # no relative change from a parent value of 0
-    assert cag["llm.prompt_tokens.agent_step"] == {"parent": 0.0, "change": 0.0, "change_vs_parent": None}
+    assert cag["llm.prompt_tokens.agent_step"] == {
+        "parent": 0.0, "change": 0.0, "change_vs_parent": None,
+        "runs": {"parent": [0.0] * 3, "change": [0.0] * 3},
+    }
     row = layers["demo-pipeline"]["classify.classify.ms"]
     assert (row["parent"], row["change"]) == (0.05, 0.06)
     assert row["change_vs_parent"] == pytest.approx(0.2)

@@ -190,6 +190,9 @@ def test_validate_catalog_is_pure_and_reports_all():
     assert any("description" in m for m in messages)
     assert "Mixed.name: stage name is not lowercase" in messages
     assert "b_2.name: collides with the node names of stage 'b'" in messages
+    with pytest.raises(CatalogValidationError) as err:
+        parse_catalog(dump_catalog(bad))
+    assert [str(v) for v in err.value.violations] == messages
 
 
 # --- lookup and synonym index -------------------------------------------------------

@@ -376,13 +376,17 @@ def test_run_eval_pipeline_tokens_exceed_stage_only_tokens():
     assert stage_only.tokens["single"] > 0
 
 
-def test_run_eval_counts_the_requests_of_failed_records():
+@pytest.mark.parametrize("failure", ["unparseable", "provider_error"])
+def test_run_eval_counts_the_requests_of_failed_records(failure):
     # record 1's stage prompt is sent and paid for, but its answer is unparseable
+    # or the provider raises on it
     rt = make_runtime(
         eval_catalog(),
         scripted(("garbled", "!!!"), ("Context:", '"sort, head"')),
         strategy="single",
     )
+    if failure == "provider_error":
+        rt.provider = FailingOn(rt.provider, "garbled")
     dataset = [record(), EvalRecord(utterance="a garbled and much longer request", gold_stages=["head"])]
     report = run_eval(dataset, rt.cfg, runtime=rt)
     assert [f["record"] for f in report.failures] == [1]

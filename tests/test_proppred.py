@@ -135,7 +135,8 @@ def test_coerce_string(raw, expected):
 
 @pytest.mark.parametrize(
     "raw, expected",
-    [("42", 42), ("+7", 7), ("-3", -3), (" 10 ", 10), ("3.5", None), ("x", None), ("4 2", None), ("", None)],
+    [("42", 42), ("+7", 7), ("-3", -3), (" 10 ", 10), ("3.5", None), ("x", None), ("4 2", None), ("", None),
+     pytest.param("9" * 5000, None, id="more-digits-than-int-reads")],
 )
 def test_coerce_integer(raw, expected):
     assert coerce(raw, INTEGER) == expected
