@@ -70,10 +70,6 @@ class ValueType(Record):
         self.kind = kind
         self.variants = variants  # non-empty iff kind == "enum"
 
-    @classmethod
-    def enum_of(cls, variants: tuple[str, ...] | list[str]) -> "ValueType":
-        return cls("enum", tuple(variants))
-
 
 STRING = ValueType("string")
 INTEGER = ValueType("integer")
@@ -232,7 +228,7 @@ def _parse_value_type(raw: object, locus: str) -> ValueType:
         return ValueType(raw)
     if isinstance(raw, dict) and set(raw) == {"enum"} and isinstance(raw["enum"], list):
         variants = tuple(_expect(v, str, f"{locus}.enum") for v in raw["enum"])
-        return ValueType.enum_of(variants)  # type: ignore[arg-type]
+        return ValueType("enum", variants)  # type: ignore[arg-type]
     raise CatalogParseError('expected a type name or {"enum": [...]}', locus)
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import CatalogValidationError, load_catalog
+from .edgepred import to_dot
 from .llm import FAMILY_PRESEED, ProviderError
 from .pipeline import (
     STRATEGIES,
@@ -144,13 +145,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     runtime = build_runtime(cfg)
     workflow = generate_with_runtime(utterance, runtime)
-    doc = emit(workflow, "doc")
+    doc = emit(workflow)
     if args.trace:  # the provenance goes in as the document's last key, one level in
         provenance = json.dumps(workflow.provenance, indent=2, ensure_ascii=False)
         doc = doc[: -len("\n}\n")] + ',\n  "provenance": ' + provenance.replace("\n", "\n  ") + "\n}\n"
     _write_out(doc, args.out)
     if args.dot:
-        Path(args.dot).write_text(emit(workflow, "dot"), encoding="utf-8")
+        Path(args.dot).write_text(to_dot(workflow.graph), encoding="utf-8")
     return 0
 
 
@@ -196,7 +197,7 @@ def _cmd_catalog_validate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     workflow = load_workflow_doc(args.workflow)
-    _write_out(emit(workflow, args.format), args.out)
+    _write_out(to_dot(workflow.graph) if args.format == "dot" else emit(workflow), args.out)
     return 0
 
 

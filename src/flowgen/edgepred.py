@@ -26,7 +26,7 @@ from typing import Mapping
 
 from . import fixture_path
 from .catalog import CardinalityBound, Catalog
-from .llm import CompletionProvider, complete, count_once, load_template, render_prompt
+from .llm import CompletionProvider, answer_pairs, complete, count_once, load_template, render_prompt
 
 __all__ = [
     "NodeInstance",
@@ -209,15 +209,7 @@ def segment_for_nodes(
     )
     answer = complete(provider, prompt, trace, "segmentation")
     known = {n.unique_name for n in nodes}
-    segments: dict[str, str] = {}
-    for line in answer.splitlines():
-        line = line.strip()
-        if not line or ":" not in line:
-            continue
-        name, _, span = line.partition(":")
-        name, span = name.strip(), span.strip()
-        if name in known:
-            segments[name] = span
+    segments = {name: span for name, span in answer_pairs(answer, ":") if name in known}
     normalized_utterance = _normalize_ws(text)
     for node in nodes:
         span = segments.get(node.unique_name, "")
@@ -276,12 +268,7 @@ def predict_edges(
     )
     answer = complete(provider, prompt, trace, "edge_prediction")
     known = graph.node_names()
-    parsed: list[tuple[str, str]] = []
-    for line in answer.splitlines():
-        if "->" not in line:
-            continue
-        src, _, dst = line.partition("->")
-        parsed.append((src.strip(), dst.strip()))
+    parsed = answer_pairs(answer, "->")
     if not parsed:
         raise EdgePredictionError(f"no parseable edges in response {answer!r}")
     seen: set[tuple[str, str]] = set()

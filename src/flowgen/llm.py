@@ -73,6 +73,7 @@ __all__ = [
     "counted",
     "count_once",
     "parse_operator_list",
+    "answer_pairs",
     "MockScript",
     "MockProvider",
     "load_mock_scripts",
@@ -134,18 +135,14 @@ class PromptTemplate:
 
 
 class RenderedPrompt(Record):
-    """A prompt's text, its token estimate and ``sha256``, the first 16 hex digits of its SHA-256.
-
-    ``render_prompt`` supplies the digest; a prompt built without one
-    hashes its text here.
-    """
+    """A prompt's text, its token estimate and ``sha256``, the first 16 hex digits of its SHA-256."""
 
     __slots__ = ("text", "token_estimate", "sha256")
 
-    def __init__(self, text: str, token_estimate: int, sha256: str = ""):
+    def __init__(self, text: str, token_estimate: int, sha256: str):
         self.text = text
         self.token_estimate = token_estimate
-        self.sha256 = sha256 or _sha256(text.encode("utf-8")).hexdigest()[:16]
+        self.sha256 = sha256
 
 
 class CompletionParams:
@@ -287,7 +284,7 @@ def count_once(tokens: dict[str, int], text: str) -> int:
     return n
 
 
-# --- operator-list answers ---------------------------------------------------
+# --- answers ---------------------------------------------------------------------
 
 
 def parse_operator_list(text: str) -> list[str]:
@@ -312,6 +309,16 @@ def parse_operator_list(text: str) -> list[str]:
         raise OperatorParseError(f"no alphanumeric content in operator answer {text!r}")
     names = [piece.strip().lower() for piece in s.split(",")]
     return [name for name in names if name]
+
+
+def answer_pairs(answer: str, sep: str) -> list[tuple[str, str]]:
+    """Each line of ``answer`` that holds ``sep``, split at its first ``sep``, both sides stripped."""
+    pairs = []
+    for line in answer.splitlines():
+        left, found, right = line.partition(sep)
+        if found:
+            pairs.append((left.strip(), right.strip()))
+    return pairs
 
 
 # --- providers ---------------------------------------------------------------

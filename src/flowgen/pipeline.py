@@ -34,7 +34,6 @@ from .edgepred import (
     predict_edges,
     repair_with_renames,
     segment_for_nodes,
-    to_dot,
     validate_cardinality,
 )
 from .llm import (
@@ -417,18 +416,14 @@ def _assert_workflow(w: Workflow, violations: list[CardinalityViolation]) -> Non
 # --- emission --------------------------------------------------------------------
 
 
-def emit(workflow: Workflow, format: str = "doc") -> str:
-    """Serialize a workflow: canonical JSON document or GraphViz text.
+def emit(workflow: Workflow) -> str:
+    """Serialize a workflow as its canonical JSON document.
 
     The document is written directly, byte for byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` writes for the
     same nodes, properties and edges: ``json`` runs its pure-Python encoder
     whenever it indents, so only its string escaper is used here.
     """
-    if format == "dot":
-        return to_dot(workflow.graph)
-    if format != "doc":
-        raise ValueError(f"unknown format {format!r}")
     q = encode_basestring
     nodes = []
     for n in sorted(workflow.graph.nodes, key=lambda n: n.unique_name):

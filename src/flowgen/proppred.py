@@ -29,10 +29,12 @@ from pathlib import Path
 from typing import Hashable, Iterable
 
 from . import InputError, fixture_path, read_json
-from .catalog import PropertyDef, StageDef, ValueType
+from .catalog import StageDef, ValueType
 from .condexpr import eval_condition, parse_condition
 from .edgepred import NodeInstance
-from .llm import CompletionProvider, PromptTemplate, bind, complete, load_template, render_prompt
+from .llm import (
+    CompletionProvider, PromptTemplate, answer_pairs, bind, complete, load_template, render_prompt
+)
 
 __all__ = [
     "ACCEPTED",
@@ -137,15 +139,8 @@ def predict_properties(
         )
     prompt = render_prompt(template, {"sub_utterance": span})
     answer = complete(provider, prompt, trace, "properties", node=node.unique_name)
-    out: list[PropertyAssignment] = []
-    for line in answer.splitlines():
-        if "=" not in line:
-            continue
-        name, _, value = line.partition("=")
-        name, value = name.strip(), value.strip()
-        if name:
-            out.append(PropertyAssignment(name=name, raw_value=value))
-    return out
+    pairs = answer_pairs(answer, "=")
+    return [PropertyAssignment(name=name, raw_value=value) for name, value in pairs if name]
 
 
 # --- coercion -------------------------------------------------------------------

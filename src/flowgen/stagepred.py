@@ -21,9 +21,11 @@ dropped and trace-recorded, never invented.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
-from . import InputError, Record, fixture_path, read_json
+# render_prompt and keyword_scan are called through their modules: perfbench/tracer.py
+# replaces the module attribute, and a call through the module reaches the replacement
+from . import InputError, Record, classify, fixture_path, llm, read_json
 from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
@@ -119,16 +121,15 @@ class StagePrediction:
 # --- fixture loading ---------------------------------------------------------
 
 
-def load_examples(path: str | Path, catalog: Catalog | None = None) -> list[FewShotExample]:
+def load_examples(path: str | Path, catalog: Catalog) -> list[FewShotExample]:
     out: list[FewShotExample] = []
     for i, item in enumerate(read_json(path, list, "example", ("utterance", "operators"))):
         if not isinstance(item["operators"], list):
             raise InputError(f"{path}: example {i} operators must be an array")
         ops = tuple(str(op) for op in item["operators"])
-        if catalog is not None:
-            for op in ops:
-                if op not in catalog.stages:
-                    raise InputError(f"{path}: example {i} references unknown stage {op!r}")
+        for op in ops:
+            if op not in catalog.stages:
+                raise InputError(f"{path}: example {i} references unknown stage {op!r}")
         out.append(FewShotExample(str(item["utterance"]), ops))
     return out
 
@@ -148,7 +149,7 @@ def load_split_examples(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
 
 def _verified(
     answer: list[str],
-    allowed: set[str],
+    allowed: Container[str],
     trace: list[dict],
 ) -> list[str]:
     kept, dropped = [], []
@@ -258,12 +259,9 @@ def render_stage_prompt(
     ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``, or None
     outside a runtime.
     """
-    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
-    from .llm import render_prompt
-
     if prompts is None:
         prompts = stage_prompts(catalog, family=family)
-    return render_prompt(prompts.listing(candidates, examples), {"utterance": utterance})
+    return llm.render_prompt(prompts.listing(candidates, examples), {"utterance": utterance})
 
 
 # --- single-prompt strategy --------------------------------------------------
@@ -281,12 +279,9 @@ def predict_single(
     ``listing`` is ``stage_prompts(catalog, family=family).listing(None,
     bank)``, built once and reused for every utterance.
     """
-    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
-    from .llm import render_prompt
-
-    prompt = render_prompt(listing, {"utterance": utterance})
+    prompt = llm.render_prompt(listing, {"utterance": utterance})
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
-    stages = _verified(answer, set(catalog.stages), trace)
+    stages = _verified(answer, catalog.stages, trace)
     return StagePrediction(
         stages=stages,
         trace=trace,
@@ -308,10 +303,7 @@ def decompose(
     ``template`` is the runtime's ``stage_prompts(...).decompose``, with the
     split examples bound once.
     """
-    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
-    from .llm import render_prompt
-
-    prompt = render_prompt(template, {"utterance": utterance})
+    prompt = llm.render_prompt(template, {"utterance": utterance})
     answer = complete(provider, prompt, trace, "decompose")
     subs = [
         line.strip()[2:].strip()
@@ -337,9 +329,6 @@ def build_candidates(
     stray label cannot smuggle it into the prompt. Adding synonyms or
     training data can only grow the set.
     """
-    # local: perfbench/tracer.py wraps flowgen.classify.keyword_scan; hoisting it empties that span
-    from .classify import keyword_scan
-
     provenance: dict[str, set[str]] = {}
     for sub in subs:
         result: Classification = classifier.classify(sub)
@@ -355,7 +344,7 @@ def build_candidates(
         )
         if result.matched and top is not None and top in catalog.stages:
             provenance.setdefault(top, set()).add("classifier")
-    for name in keyword_scan(catalog, full_utterance):
+    for name in classify.keyword_scan(catalog, full_utterance):
         provenance.setdefault(name, set()).add("keyword")
     candidates = CandidateSet(
         stages=frozenset(provenance),
@@ -438,7 +427,7 @@ def predict_cag(
     trace.append({"event": "examples_selected", "count": len(examples)})
     prompt = render_stage_prompt(catalog, candidates.stages, examples, utterance, family, prompts)
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
-    stages = _verified(answer, set(candidates.stages), trace)
+    stages = _verified(answer, candidates.stages, trace)
     return StagePrediction(
         stages=stages,
         trace=trace,
@@ -474,13 +463,10 @@ def predict_agentic(
     cap, a reply that still tries to act (or does not parse as an operator
     list) is a protocol violation carrying the transcript.
     """
-    # local: perfbench/tracer.py wraps flowgen.llm.render_prompt; hoisting it empties that span
-    from .llm import render_prompt
-
     transcript: list[str] = []
     last_reply = ""
     for _step in range(DEFAULT_MAX_STEPS):
-        prompt = render_prompt(
+        prompt = llm.render_prompt(
             _AGENT_TEMPLATE, {"utterance": utterance, "transcript": "\n".join(transcript)}
         )
         last_reply = complete(provider, prompt, trace, "agent_step")
@@ -491,7 +477,7 @@ def predict_agentic(
         kind, payload = action
         if kind == "final":
             answer = parse_operator_list(payload)
-            stages = _verified(answer, set(catalog.stages), trace)
+            stages = _verified(answer, catalog.stages, trace)
             trace.append({"event": "final", "answer": payload})
             return StagePrediction(stages=stages, trace=trace)
         transcript.append(f"CALL classify: {payload}")
@@ -507,6 +493,6 @@ def predict_agentic(
             answer = None
         if answer:
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})
-            stages = _verified(answer, set(catalog.stages), trace)
+            stages = _verified(answer, catalog.stages, trace)
             return StagePrediction(stages=stages, trace=trace)
     raise ProtocolViolation(f"no FINAL answer within {DEFAULT_MAX_STEPS} steps", transcript)

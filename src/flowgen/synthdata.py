@@ -108,7 +108,7 @@ _TRANSFORM_PROPS = (
     PropertyDef(
         "Null Handling",
         "What to do with records whose key value is missing.",
-        ValueType.enum_of(_NULL_MODES),
+        ValueType("enum", _NULL_MODES),
         default="keep",
     ),
 )
@@ -147,7 +147,7 @@ def _connector(name: str, rng: random.Random) -> StageDef:
         PropertyDef(
             "Write Mode",
             "How delivered records combine with existing ones.",
-            ValueType.enum_of(_WRITE_MODES),
+            ValueType("enum", _WRITE_MODES),
             default="append",
         ),
         PropertyDef(

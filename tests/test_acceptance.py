@@ -37,6 +37,7 @@ from flowgen.edgepred import (
     build_nodes,
     edge_metrics,
     repair_with_renames,
+    to_dot,
     validate_cardinality,
 )
 from flowgen.evaluation import load_dataset, report_json, run_eval
@@ -451,8 +452,8 @@ def test_criterion_8_determinism_across_runs():
         docs, dots, reports = [], [], []
         for _ in range(2):
             workflow = generate_with_runtime(BRANCHING_FLOW, build_runtime(gen_cfg))
-            docs.append(emit(workflow, "doc"))
-            dots.append(emit(workflow, "dot"))
+            docs.append(emit(workflow))
+            dots.append(to_dot(workflow.graph))
             reports.append(report_json(run_eval(dataset, eval_cfg)))
 
         assert docs[0] == docs[1]

@@ -230,7 +230,7 @@ def property_defs(draw):
     kind = draw(st.sampled_from(["string", "integer", "decimal", "boolean", "enum"]))
     if kind == "enum":
         variants = draw(st.lists(names, min_size=1, max_size=3, unique=True))
-        value_type = ValueType.enum_of(tuple(variants))
+        value_type = ValueType("enum", tuple(variants))
         default = draw(st.one_of(st.none(), st.sampled_from(variants)))
     else:
         value_type = ValueType(kind)

@@ -106,7 +106,7 @@ DEMO_FLOWS = json.loads(
 
 def traced_doc_by_reparse(workflow) -> str:
     """The ``--trace`` output as written by re-encoding the whole parsed document: the oracle."""
-    body = json.loads(emit(workflow, "doc"))
+    body = json.loads(emit(workflow))
     body["provenance"] = workflow.provenance
     return json.dumps(body, indent=2, ensure_ascii=False) + "\n"
 

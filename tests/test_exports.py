@@ -1,9 +1,11 @@
-"""Every name in a ``flowgen`` module's ``__all__`` resolves."""
+"""Every name in a ``flowgen`` module's ``__all__`` resolves; no module imports a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,48 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted([*(ROOT / "src" / "flowgen").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never uses.
+
+    A name is used if it appears as a ``Name`` node anywhere in the module,
+    the base of an attribute such as ``llm.render_prompt`` included, or if
+    the module's ``__all__`` lists it. ``__future__`` imports are exempt.
+    """
+    tree = ast.parse(source)
+    imported: list[str] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_sources_are_discovered():
+    names = {path.name for path in SOURCES}
+    assert {"stagepred.py", "pipeline.py", "output_digest.py", "ab.py"} <= names
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("from a import b, c\nimport d.e\nc()\n") == ["b", "d"]
+    assert unused_imports("from . import llm\nllm.render_prompt()\n") == []
+    assert unused_imports('from a import b\n__all__ = ["b"]\n') == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -7,7 +7,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeResponse
 from flowgen import InputError
@@ -21,6 +21,7 @@ from flowgen.llm import (
     ProviderError,
     RenderedPrompt,
     TemplateError,
+    answer_pairs,
     bind,
     complete,
     count_tokens,
@@ -191,8 +192,6 @@ def test_prompt_digest_is_the_sha256_of_its_text(case, renders, first):
             trace: list[dict] = []
             complete(MockProvider([MockScript("contains", "", "ok")]), rendered, trace, "decompose")
             assert trace[0]["prompt_sha256"] == rendered.sha256
-    # a prompt built by hand hashes its own text
-    assert prompt_of("ping é").sha256 == sha256_16("ping é")
 
 
 def test_bind_leaves_other_slots_open():
@@ -238,11 +237,76 @@ def test_operator_list_rejects_nonalnum_garbage():
         parse_operator_list("!!!")
 
 
+# --- line answers ------------------------------------------------------------------
+
+
+def old_segments(answer: str, known: set[str]) -> dict[str, str]:
+    """The segmentation answer loop ``answer_pairs`` replaced; the oracle."""
+    segments: dict[str, str] = {}
+    for line in answer.splitlines():
+        line = line.strip()
+        if not line or ":" not in line:
+            continue
+        name, _, span = line.partition(":")
+        name, span = name.strip(), span.strip()
+        if name in known:
+            segments[name] = span
+    return segments
+
+
+def old_edges(answer: str) -> list[tuple[str, str]]:
+    """The edge answer loop ``answer_pairs`` replaced; the oracle."""
+    parsed: list[tuple[str, str]] = []
+    for line in answer.splitlines():
+        if "->" not in line:
+            continue
+        src, _, dst = line.partition("->")
+        parsed.append((src.strip(), dst.strip()))
+    return parsed
+
+
+def old_properties(answer: str) -> list[tuple[str, str]]:
+    """The property answer loop ``answer_pairs`` replaced, as ``(name, value)``; the oracle."""
+    out: list[tuple[str, str]] = []
+    for line in answer.splitlines():
+        if "=" not in line:
+            continue
+        name, _, value = line.partition("=")
+        name, value = name.strip(), value.strip()
+        if name:
+            out.append((name, value))
+    return out
+
+
+# every line boundary of str.splitlines, \n included
+LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+answers = st.lists(
+    st.sampled_from([":", "-", ">", "=", "->", "a", "b", "c", " ", "\t", *LINE_BREAKS])
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(answers, st.sets(st.sampled_from(["a", "b", "a b", "", "c"])))
+@example("a: x\na: y\r\nb :\x85c", {"a", "b"})
+def test_answer_pairs_reads_as_the_loops_it_replaced(answer, known):
+    pairs = answer_pairs(answer, ":")
+    assert {name: span for name, span in pairs if name in known} == old_segments(answer, known)
+    assert answer_pairs(answer, "->") == old_edges(answer)
+    assert [(n, v) for n, v in answer_pairs(answer, "=") if n] == old_properties(answer)
+
+
+def test_answer_pairs_splits_at_the_first_separator():
+    assert answer_pairs("a -> b -> c", "->") == [("a", "b -> c")]
+    assert answer_pairs("Mode = x = y", "=") == [("Mode", "x = y")]
+
+
 # --- mock provider ---------------------------------------------------------------------
 
 
 def prompt_of(text: str) -> RenderedPrompt:
-    return RenderedPrompt(text=text, token_estimate=count_tokens(text))
+    return RenderedPrompt(text=text, token_estimate=count_tokens(text), sha256=sha256_16(text))
 
 
 def test_first_matching_script_wins():

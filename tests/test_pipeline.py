@@ -34,7 +34,7 @@ from flowgen import InputError, fixture_path, llm
 from flowgen.catalog import STRING, CardinalityBound, PropertyDef
 from flowgen.classify import keyword_scan
 from flowgen import edgepred, proppred, stagepred
-from flowgen.edgepred import FlowGraph, NodeInstance
+from flowgen.edgepred import FlowGraph, NodeInstance, to_dot
 from flowgen.llm import (
     CompletionParams,
     HTTPProvider,
@@ -247,7 +247,7 @@ def test_generation_is_deterministic_across_parallelism(demo_config):
     for parallel in (1, 4, 4):
         w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config(parallel=parallel)))
         runs.append(
-            (emit(w, "doc"), emit(w, "dot"), json.dumps(w.provenance, sort_keys=True))
+            (emit(w), to_dot(w.graph), json.dumps(w.provenance, sort_keys=True))
         )
     assert runs[0] == runs[1] == runs[2]
 
@@ -584,7 +584,7 @@ class FaultyEndpoint:
             self.calls += not self.bad
             return reply
         self.calls += 1
-        prompt = RenderedPrompt(text=kwargs["json"]["prompt"], token_estimate=0)
+        prompt = RenderedPrompt(text=kwargs["json"]["prompt"], token_estimate=0, sha256="")
         answer = self.scripts.complete(prompt, CompletionParams())
         return FakeResponse(200, json.dumps({"text": answer}))
 
@@ -624,12 +624,12 @@ def test_a_bad_http_reply_at_any_call_degrades_or_aborts(demo_config, monkeypatc
 
 def test_emit_doc_is_sorted_canonical_json(demo_config):
     w = generate_with_runtime(BRANCHING_FLOW, build_runtime(demo_config()))
-    doc = json.loads(emit(w, "doc"))
+    doc = json.loads(emit(w))
     names = [n["unique_name"] for n in doc["nodes"]]
     assert names == sorted(names)
     edges = [(e["from"], e["to"]) for e in doc["edges"]]
     assert edges == sorted(edges)
-    assert emit(w, "doc").endswith("\n")
+    assert emit(w).endswith("\n")
 
 
 def test_emit_doc_carries_canonical_property_values():
@@ -643,26 +643,19 @@ def test_emit_doc_carries_canonical_property_values():
 
 def test_emit_dot_matches_graph_export(demo_config):
     w = generate_with_runtime(FULL_NAME_FLOW, build_runtime(demo_config()))
-    assert emit(w, "dot") == 'digraph flow {\n  "split_subrecord";\n}\n'
-
-
-def test_emit_unknown_format():
-    rt = runtime(degradable_catalog(), provider_without(), strategy="single")
-    w = generate_with_runtime(UTTERANCE, rt)
-    with pytest.raises(ValueError, match="unknown format 'yaml'"):
-        emit(w, "yaml")
+    assert to_dot(w.graph) == 'digraph flow {\n  "split_subrecord";\n}\n'
 
 
 def test_workflow_doc_round_trip(tmp_path, demo_config):
     w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
     path = tmp_path / "flow.json"
-    path.write_text(emit(w, "doc"), encoding="utf-8")
+    path.write_text(emit(w), encoding="utf-8")
     loaded = load_workflow_doc(path)
     assert loaded.graph.node_names() == w.graph.node_names()
     assert sorted(loaded.graph.edges) == sorted(w.graph.edges)
     # re-emission is byte-identical: canonical values survive the round trip
-    assert emit(loaded, "doc") == emit(w, "doc")
-    assert emit(loaded, "dot") == emit(w, "dot")
+    assert emit(loaded) == emit(w)
+    assert to_dot(loaded.graph) == to_dot(w.graph)
 
 
 def old_doc(w: Workflow) -> dict:
@@ -717,7 +710,7 @@ def workflows(draw) -> Workflow:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(workflows())
 def test_emit_doc_is_byte_identical_to_json_dumps(tmp_path, w):
-    doc = emit(w, "doc")
+    doc = emit(w)
     assert doc == json.dumps(old_doc(w), indent=2, ensure_ascii=False) + "\n"
     try:
         data = doc.encode("utf-8")
@@ -725,7 +718,7 @@ def test_emit_doc_is_byte_identical_to_json_dumps(tmp_path, w):
         return
     path = tmp_path / "flow.json"
     path.write_bytes(data)
-    assert emit(load_workflow_doc(path), "doc") == doc
+    assert emit(load_workflow_doc(path)) == doc
 
 
 def test_load_workflow_doc_rejects_other_json(tmp_path):

@@ -30,7 +30,7 @@ from flowgen.proppred import (
 )
 from flowgen.llm import counted, usage
 
-WRITE_MODE = ValueType.enum_of(("append", "replace", "upsert"))
+WRITE_MODE = ValueType("enum", ("append", "replace", "upsert"))
 
 
 def connector_stage():
@@ -171,7 +171,7 @@ def test_coerce_boolean(raw, expected):
 
 
 def test_coerce_enum_canonicalizes_to_declared_casing():
-    vt = ValueType.enum_of(("Explicit", "Schema file"))
+    vt = ValueType("enum", ("Explicit", "Schema file"))
     assert coerce("explicit", vt) == "Explicit"
     assert coerce("SCHEMA FILE", vt) == "Schema file"
     assert coerce("implicit", vt) is None
@@ -275,7 +275,7 @@ def chain_stage():
     return make_stage(
         "chained",
         properties=(
-            PropertyDef("A", "switch", ValueType.enum_of(("on", "off"))),
+            PropertyDef("A", "switch", ValueType("enum", ("on", "off"))),
             PropertyDef("B", "depends on A", STRING, availability="'A' = \"on\""),
             PropertyDef("C", "depends on B", STRING, availability="'B' = \"set\""),
         ),

@@ -68,7 +68,8 @@ def test_demo_bank_loads_and_validates_against_demo_catalog():
 def test_load_examples_rejects_unknown_stage_only_when_catalog_given(tmp_path, catalog):
     p = tmp_path / "bank.json"
     p.write_text(json.dumps([{"utterance": "u", "operators": ["head", "bogus"]}]))
-    assert load_examples(p)[0].operators == ("head", "bogus")
+    knows_both = make_catalog(*catalog.stages.values(), make_stage("bogus"))
+    assert load_examples(p, knows_both)[0].operators == ("head", "bogus")
     with pytest.raises(InputError, match="unknown stage 'bogus'"):
         load_examples(p, catalog)
 
@@ -83,11 +84,11 @@ def test_load_examples_rejects_unknown_stage_only_when_catalog_given(tmp_path, c
         [{"utterance": "u", "operators": "sort"}],
     ],
 )
-def test_load_examples_shape_errors(tmp_path, payload):
+def test_load_examples_shape_errors(tmp_path, payload, catalog):
     p = tmp_path / "bank.json"
     p.write_text(json.dumps(payload))
     with pytest.raises(InputError):
-        load_examples(p)
+        load_examples(p, catalog)
 
 
 def test_load_split_examples():
