@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 
@@ -270,6 +271,11 @@ def _parse_stage(raw: object, locus: str) -> StageDef:
     )
 
 
+# a value of each declared kind, of the type ``proppred.coerce`` gives it: type errors depend
+# only on types and evaluation is strict, so one evaluation finds all that ``validate`` could hit
+_SAMPLE_VALUES = {"string": "", "integer": 0, "decimal": Decimal(0), "boolean": False, "enum": ""}
+
+
 def _stage_violations(stage: StageDef) -> list[Violation]:
     out: list[Violation] = []
     if stage.name != stage.name.lower():
@@ -283,7 +289,8 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
     if not stage.description:
         out.append(Violation(stage.name, "description", "description is empty"))
     seen: set[str] = set()
-    declared = {p.name for p in stage.properties}
+    declared = {p.name: p.value_type for p in stage.properties}
+    sample = {name: _SAMPLE_VALUES[vt.kind] for name, vt in declared.items()}
     for prop in stage.properties:
         locus = f"properties[{prop.name}]"
         if prop.name in seen:
@@ -291,21 +298,26 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
         seen.add(prop.name)
         if prop.value_type.kind == "enum" and not prop.value_type.variants:
             out.append(Violation(stage.name, locus, "enum type with no variants"))
-        if prop.availability is not None:
-            try:
-                expr = condexpr.parse_condition(prop.availability)
-            except condexpr.ConditionSyntaxError as exc:
-                out.append(Violation(stage.name, locus, f"availability does not parse: {exc}"))
-            else:
-                for path in condexpr.referenced_paths(expr):
-                    if path not in declared:
-                        out.append(
-                            Violation(
-                                stage.name,
-                                locus,
-                                f"availability references unknown property {path!r}",
-                            )
-                        )
+        if prop.availability is None:
+            continue
+        try:
+            expr = condexpr.parse_condition(prop.availability)
+        except condexpr.ConditionSyntaxError as exc:
+            out.append(Violation(stage.name, locus, f"availability does not parse: {exc}"))
+            continue
+        messages = []
+        for path, literal in condexpr.references(expr):
+            vt = declared.get(path)
+            if vt is None:
+                messages.append(f"availability references unknown property {path!r}")
+            elif vt.kind == "enum" and literal is not None and literal.kind == "string":
+                if literal.value not in vt.variants:
+                    messages.append(f"availability compares {path!r} with {literal.value!r}, not a variant")
+        try:
+            condexpr.eval_condition(expr, sample)
+        except condexpr.ConditionTypeError as exc:
+            messages.append(f"availability does not type-check: {exc}")
+        out.extend(Violation(stage.name, locus, m) for m in dict.fromkeys(messages))
     return out
 
 

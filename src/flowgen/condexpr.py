@@ -16,7 +16,9 @@ Evaluation is against a property environment (path -> value). A comparison
 against an absent property is false; ``defined`` is the only way to observe
 presence directly. Comparing a value against a literal of an incompatible
 type is an error, not false — a condition that can never hold is a catalog
-authoring bug and should surface loudly.
+authoring bug. The error depends only on the value's type, the literal's
+kind and the operator, so catalog loading finds each one by evaluating the
+condition once against a value of each declared type.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "ConditionTypeError",
     "parse_condition",
     "eval_condition",
-    "referenced_paths",
+    "references",
 ]
 
 EnvValue = Union[str, int, Decimal, bool]
@@ -374,14 +376,14 @@ def eval_condition(expr: ConditionExpr, env: Mapping[str, EnvValue]) -> bool:
     raise AssertionError(f"unknown expression node {expr!r}")
 
 
-def referenced_paths(expr: ConditionExpr) -> set[str]:
-    """The property paths that a parsed condition reads."""
+def references(expr: ConditionExpr) -> list[tuple[str, Literal | None]]:
+    """Each path a parsed condition reads, left to right, with the literal it is compared against."""
     if isinstance(expr, (PropertyRef, Defined)):
-        return {expr.path}
+        return [(expr.path, None)]
     if isinstance(expr, Comparison):
-        return {expr.ref.path}
+        return [(expr.ref.path, expr.literal)]
     if isinstance(expr, Not):
-        return referenced_paths(expr.operand)
+        return references(expr.operand)
     if isinstance(expr, (And, Or)):
-        return referenced_paths(expr.left) | referenced_paths(expr.right)
-    return set()
+        return references(expr.left) + references(expr.right)
+    return []

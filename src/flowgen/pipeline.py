@@ -21,9 +21,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import InputError, fixture_path, read_json, run_in_order
-from .catalog import Catalog, load_catalog
-from .classify import StageClassifier, load_training_pairs, train
-from .condexpr import ConditionTypeError
+from .catalog import CardinalityBound, Catalog, load_catalog
+from .classify import RemoteClassifier, StageClassifier, load_training_pairs, train
 from .edgepred import (
     CardinalityViolation,
     EdgePredictionError,
@@ -198,8 +197,6 @@ def load_classifier(cfg: PipelineConfig, catalog: Catalog | None) -> StageClassi
     ``catalog``'s stages. Only the trained model reads ``catalog``.
     """
     if cfg.classifier_endpoint:
-        from .classify import RemoteClassifier
-
         return RemoteClassifier(cfg.classifier_endpoint)
     return train(load_training_pairs(cfg.classifier_path), catalog.stages)
 
@@ -305,7 +302,7 @@ def _property_branch_one(
     try:
         raw = predict_properties(node, stage, rt.provider, trace, rt.prompts.properties, span)
         statused = validate(raw, stage, rt.registry)
-    except (ProviderError, ConditionTypeError) as exc:  # degrade per node, keep the flow
+    except ProviderError as exc:  # degrade per node; a loaded catalog's conditions type-check
         diagnostics.append(
             {"step": "properties", "node": node.unique_name, "message": str(exc)}
         )
@@ -457,8 +454,6 @@ def load_workflow_doc(path: str | Path) -> Workflow:
     A repeated node name, a self-loop or an edge to a missing node is an
     ``InputError``: no generate run writes such a graph.
     """
-    from .catalog import CardinalityBound
-
     raw = read_json(path, dict, "a workflow document", ("nodes", "edges"))
     anybound = CardinalityBound(0, None)
     try:

@@ -22,6 +22,8 @@ from flowgen.catalog import (
     parse_catalog,
     validate_catalog,
 )
+from flowgen.condexpr import COMPARISON_OPS
+from flowgen.proppred import ACCEPTED, REJECTED_DEPENDENCY, PropertyAssignment, validate
 
 
 def doc_with(stage_overrides: dict) -> str:
@@ -158,6 +160,88 @@ def test_availability_must_parse_and_reference_siblings():
     with pytest.raises(CatalogValidationError) as err:
         parse_catalog(doc_with({"properties": [dangling]}))
     assert any("unknown property" in str(v) for v in err.value.violations)
+
+
+def test_availability_must_type_check_and_name_enum_variants():
+    mode = {"name": "Mode", "description": "d", "type": {"enum": ["Explicit", "Schema File"]}}
+    flag = {"name": "Flag", "description": "d", "type": "boolean"}
+
+    def violations(availability: str) -> list[str]:
+        gated = {"name": "Col", "description": "d", "type": "string", "availability": availability}
+        with pytest.raises(CatalogValidationError) as err:
+            parse_catalog(doc_with({"properties": [mode, flag, gated]}))
+        return [str(v) for v in err.value.violations]
+
+    # a misspelt variant never equals a coerced value; each message is given once
+    assert violations('''defined('Flag') or 'Mode' = "Schema file" or 'Mode' = "Schema file"''') == [
+        "head.properties[Col]: availability compares 'Mode' with 'Schema file', not a variant"
+    ]
+    # strict: the right side is checked though ``defined`` holds on the left
+    assert violations('''defined('Flag') or 'Flag' = "yes"''') == [
+        "head.properties[Col]: availability does not type-check: "
+        "comparing string literal against boolean value of 'Flag'"
+    ]
+    assert violations("'Flag' < true") == [
+        "head.properties[Col]: availability does not type-check: "
+        "ordering comparison '<' on boolean 'Flag'"
+    ]
+    assert violations("'Mode'") == [
+        "head.properties[Col]: availability does not type-check: "
+        "bare reference to non-boolean property 'Mode'"
+    ]
+
+
+# one type of each kind, with a raw value that ``proppred.coerce`` accepts for it
+TYPED = {
+    "string": ("string", "s"),
+    "integer": ("integer", "7"),
+    "decimal": ("decimal", "0.5"),
+    "boolean": ("boolean", "yes"),
+    "enum": ({"enum": ["Explicit", "Schema File"]}, "schema file"),
+}
+CONDITION_LITERALS = ('"Schema File"', '"x"', "0", "2.5", "true", "false")
+
+
+def conditions(paths: list[str]):
+    leaves = st.one_of(
+        st.builds(
+            "'{}' {} {}".format,
+            st.sampled_from(paths),
+            st.sampled_from(COMPARISON_OPS),
+            st.sampled_from(CONDITION_LITERALS),
+        ),
+        st.sampled_from(paths).map("defined('{}')".format),
+        st.sampled_from(paths).map("'{}'".format),
+        st.sampled_from(CONDITION_LITERALS),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map("not ({})".format),
+            st.builds("({}) {} ({})".format, inner, st.sampled_from(["and", "or"]), inner),
+        ),
+        max_leaves=4,
+    )
+
+
+@given(st.data())
+def test_a_catalog_that_loads_raises_no_condition_type_error_in_validate(data):
+    """Either the catalog fails to load, or no set of typed answers makes a condition raise."""
+    kinds = data.draw(st.lists(st.sampled_from(sorted(TYPED)), min_size=1, max_size=4))
+    names = [f"P{i}" for i in range(len(kinds))]
+    props = [{"name": n, "description": "d", "type": TYPED[k][0]} for n, k in zip(names, kinds)]
+    availability = data.draw(conditions(names), label="availability")
+    gated = {"name": "Gated", "description": "d", "type": "string", "availability": availability}
+    try:
+        catalog = parse_catalog(doc_with({"properties": [*props, gated]}))
+    except CatalogValidationError:
+        return
+    for mask in range(2 ** len(kinds)):  # every subset of the typed assignments
+        chosen = [i for i in range(len(kinds)) if mask >> i & 1]
+        assignments = [PropertyAssignment(names[i], TYPED[kinds[i]][1]) for i in chosen]
+        statused = validate([*assignments, PropertyAssignment("Gated", "g")], catalog.stages["head"])
+        assert [a.status for a in statused[:-1]] == [ACCEPTED] * len(chosen)
+        assert statused[-1].status in (ACCEPTED, REJECTED_DEPENDENCY)
 
 
 def test_stage_name_colliding_with_node_names_rejected():

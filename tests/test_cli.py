@@ -527,6 +527,21 @@ def test_catalog_validate_reports_violations(capsys, tmp_path):
     assert "broken: inputs:" in err
 
 
+def test_catalog_validate_rejects_a_condition_that_does_not_type_check(capsys, tmp_path):
+    doc = json.loads(fixture_path("demo_catalog.json").read_text(encoding="utf-8"))
+    stage = next(s for s in doc["stages"] if s["name"] == "column_generator")
+    prop = next(p for p in stage["properties"] if p["name"] == "Options/Schema File")
+    prop["availability"] = "'Options/Combine Operators' = \"yes\""  # a boolean property
+    probe = tmp_path / "catalog.json"
+    probe.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "catalog-validate", "--catalog", str(probe))
+    assert (code, out) == (1, "")
+    assert err == (
+        "column_generator: properties[Options/Schema File]: availability does not type-check: "
+        "comparing string literal against boolean value of 'Options/Combine Operators'\n"
+    )
+
+
 def test_catalog_validate_parse_error(capsys, tmp_path):
     bad = tmp_path / "catalog.json"
     bad.write_text(json.dumps({"stages": [{"name": "x"}]}))

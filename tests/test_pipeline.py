@@ -33,6 +33,7 @@ from conftest import (
 from flowgen import InputError, fixture_path, llm
 from flowgen.catalog import STRING, CardinalityBound, PropertyDef
 from flowgen.classify import keyword_scan
+from flowgen.condexpr import ConditionTypeError
 from flowgen import edgepred, proppred, stagepred
 from flowgen.edgepred import FlowGraph, NodeInstance, to_dot
 from flowgen.llm import (
@@ -477,25 +478,18 @@ def test_property_failure_degrades_per_node():
     assert sorted(steps) == [("properties", "head"), ("properties", "sort")]
 
 
-def test_property_branch_degrades_on_condition_errors_only(demo_config, monkeypatch):
-    from flowgen.condexpr import ConditionTypeError
-
+def test_property_branch_lets_condition_type_errors_escape(demo_config, monkeypatch):
     def raising(exc):
         def validate(*args, **kwargs):
             raise exc
 
         return validate
 
-    monkeypatch.setattr("flowgen.pipeline.validate", raising(ConditionTypeError("bad operand")))
-    w = generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
-    steps = [(d["step"], d.get("node")) for d in w.provenance["diagnostics"]]
-    assert steps == [("properties", n.unique_name) for n in w.graph.nodes]
-    assert len(steps) == 6 and all(p == [] for p in w.properties.values())
-
-    # a programming error is not a degraded result: it escapes
-    monkeypatch.setattr("flowgen.pipeline.validate", raising(KeyError("bug")))
-    with pytest.raises(KeyError):
-        generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
+    # a loaded catalog's conditions type-check, so a ConditionTypeError is a bug: it escapes
+    for exc in (ConditionTypeError("bad operand"), KeyError("bug")):
+        monkeypatch.setattr("flowgen.pipeline.validate", raising(exc))
+        with pytest.raises(type(exc)):
+            generate_with_runtime(LINEAR_FLOW, build_runtime(demo_config()))
 
 
 def test_degradation_is_identical_under_parallelism():
