@@ -39,7 +39,9 @@ and ``perfbench`` at each, so a later commit with the same trees can be
 matched to the runs.
 
 ``peak_rss_mb`` grows with the number of utterances a run timed, so each
-side's median count of timed utterances is printed and kept beside it.
+side's median count of timed utterances is printed and kept beside it, with
+``at_equal_utterances``: the change in mean ``peak_rss_mb`` (in MB) once the
+pooled within-side slope on the utterance count is taken out.
 """
 
 from __future__ import annotations
@@ -115,6 +117,30 @@ def _relative(delta: float, base: float) -> float:
     return delta / base if base else (0.0 if delta == 0 else float("inf"))
 
 
+def at_equal_utterances(values: dict[str, list[float]], counts: dict[str, list[int | None]]) -> float | None:
+    """The change in a metric's mean, less what the change in mean timed utterances explains.
+
+    That is the side coefficient of an OLS fit of the metric on utterances
+    and side: the difference of the side means, minus the pooled
+    within-side slope times the difference of the mean utterance counts.
+    None when a count is missing or no side's counts vary, so the slope is
+    unknown.
+    """
+    if any(n is None for side in SIDES for n in counts[side]):
+        return None
+    mean = {side: (statistics.fmean(values[side]), statistics.fmean(counts[side])) for side in SIDES}
+    cross = squares = 0.0
+    for side in SIDES:
+        mv, mu = mean[side]
+        for v, u in zip(values[side], counts[side]):
+            cross += (u - mu) * (v - mv)
+            squares += (u - mu) ** 2
+    if squares == 0:
+        return None
+    (pv, pu), (cv, cu) = mean["parent"], mean["change"]
+    return (cv - pv) - cross / squares * (cu - pu)
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
     """Per workload and metric, both sides' spreads, the change's wins and the verdict.
 
@@ -153,6 +179,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
                 table[name]["utterances"] = {
                     side: statistics.median(p[side]["utterances"] or 0 for p in pairs) for side in SIDES
                 }
+                counts = {side: [p[side]["utterances"] for p in pairs] for side in SIDES}
+                table[name]["at_equal_utterances"] = at_equal_utterances(values, counts)
         summary[workload] = table
     return summary
 
@@ -191,7 +219,10 @@ def print_summary(summary: dict[str, dict]) -> None:
                     f"  {row['change_vs_parent']:+8.2%}  won {row['wins']}/{row['pairs']}  {row['verdict']}")
             if "utterances" in row:
                 u = row["utterances"]
-                line += f"  (timed utterances {u['parent']:.0f} -> {u['change']:.0f})"
+                line += f"  (timed utterances {u['parent']:.0f} -> {u['change']:.0f}"
+                if row["at_equal_utterances"] is not None:
+                    line += f"; at equal utterances {row['at_equal_utterances']:+.3f} MB"
+                line += ")"
             print(line)
 
 

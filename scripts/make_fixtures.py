@@ -76,7 +76,7 @@ def verify(out_dir: Path) -> dict[str, float]:
     provider = load_mock_scripts(out_dir / "mock_scripts_synthetic.json")
     split_examples = load_split_examples(fixture_path("split_examples.json"))
 
-    prompts = stage_prompts(catalog, split_examples)
+    prompts = stage_prompts(catalog, split_examples, bank=bank)
     listing = prompts.listing(None, bank)
     singles, scopeds = [], []
     for rec in records:
@@ -89,7 +89,7 @@ def verify(out_dir: Path) -> dict[str, float]:
         scoped = render_stage_prompt(
             catalog,
             candidates.stages,
-            select_examples(candidates, bank),
+            select_examples(candidates, bank, prompts.positions),
             utterance,
             prompts=prompts,
         )

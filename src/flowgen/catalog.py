@@ -288,14 +288,20 @@ def _stage_violations(stage: StageDef) -> list[Violation]:
             out.append(Violation(stage.name, label, f"min {bound.min} exceeds max {bound.max}"))
     if not stage.description:
         out.append(Violation(stage.name, "description", "description is empty"))
-    seen: set[str] = set()
+    # ``find_property`` matches names case-insensitively and takes the first
+    seen: dict[str, str] = {}
     declared = {p.name: p.value_type for p in stage.properties}
     sample = {name: _SAMPLE_VALUES[vt.kind] for name, vt in declared.items()}
     for prop in stage.properties:
         locus = f"properties[{prop.name}]"
-        if prop.name in seen:
+        first = seen.get(prop.name.lower())
+        if first is None:
+            seen[prop.name.lower()] = prop.name
+        elif first == prop.name:
             out.append(Violation(stage.name, locus, "duplicate property name"))
-        seen.add(prop.name)
+        else:
+            message = f"duplicate property name: {first!r} and {prop.name!r} differ only in case"
+            out.append(Violation(stage.name, locus, message))
         if prop.value_type.kind == "enum" and not prop.value_type.variants:
             out.append(Violation(stage.name, locus, "enum type with no variants"))
         if prop.availability is None:

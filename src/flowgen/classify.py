@@ -14,8 +14,10 @@ is summed in the query's order, then rounded: ``train`` indexes each token's
 exemplars, and ``classify`` adds the query's terms left to right, token by
 token in the order the query first uses them.
 
-``classify`` computes only what the pipeline reads, the top label, its
-score and ``matched``; the full ranking is built at its first read.
+``train`` orders the exemplars by label, so ``classify`` finds what the
+pipeline reads, the top label, its score and ``matched``, from the exemplar
+sums alone. Each label's maximum is taken, and the full ranking built, only
+at the ranking's first read.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ class Classification:
 
     ``top`` and ``score`` are the first pair's label and score (None and 0.0
     when nothing is ranked). A trained model fills in ``top``, ``score`` and
-    ``matched`` at once and keeps each label's raw maximum score. The first
-    read of ``ranked`` rounds those maxima and sorts every label, which takes
-    about 1.3 times as long as the head on the synthetic corpus's 142
-    labels; later reads return the same tuple.
+    ``matched`` at once and keeps each exemplar's raw score. The first read
+    of ``ranked`` takes each label's maximum, rounds it and sorts every
+    label; later reads return the same tuple.
     """
 
-    __slots__ = ("top", "score", "matched", "_ranked", "_labels", "_best")
+    __slots__ = ("top", "score", "matched", "_ranked", "_labels", "_label_of", "_sums")
 
     def __init__(self, ranked: tuple[tuple[str, float], ...], matched: bool):
         self.top, self.score = ranked[0] if ranked else (None, 0.0)
@@ -68,20 +69,25 @@ class Classification:
         self._ranked = ranked
 
     @classmethod
-    def _of_maxima(
-        cls, labels: list[str], best: list[float], head: int, score: float, matched: bool
+    def _of_sums(
+        cls, labels: list[str], label_of: list[int], sums: list[float],
+        head: int, score: float, matched: bool,
     ) -> Classification:
-        """``labels[head]`` first, with ``score``; ``ranked`` comes from the raw maxima ``best``."""
+        """``labels[head]`` first, with ``score``; ``ranked`` comes from the raw exemplar ``sums``."""
         result = cls.__new__(cls)
         result.top, result.score, result.matched = labels[head], score, matched
-        result._ranked, result._labels, result._best = None, labels, best
+        result._ranked, result._labels, result._label_of, result._sums = None, labels, label_of, sums
         return result
 
     @property
     def ranked(self) -> tuple[tuple[str, float], ...]:
         if self._ranked is None:
-            rounded = {b: round(b, _SCORE_DIGITS) for b in set(self._best)}
-            scores = map(rounded.get, self._best)
+            best = [0.0] * len(self._labels)
+            for s, label in zip(self._sums, self._label_of):
+                if s > best[label]:
+                    best[label] = s
+            rounded = {b: round(b, _SCORE_DIGITS) for b in set(best)}
+            scores = map(rounded.get, best)
             # a stable sort keeps equal scores in label order
             self._ranked = tuple(sorted(zip(self._labels, scores), key=itemgetter(1), reverse=True))
         return self._ranked
@@ -98,8 +104,10 @@ class ClassifierModel:
     """A trained lexical model, indexed for scoring by ``train``.
 
     ``postings`` maps each training token to the ``(exemplar, weight)``
-    pairs of the exemplars whose unit vector holds it. ``labels`` is
-    sorted, and ``label_of`` gives each exemplar's index into it.
+    pairs of the exemplars whose unit vector holds it. ``labels`` is sorted,
+    and ``label_of`` gives each exemplar's index into it. Exemplars are
+    ordered by label, each label's in the training file's order, so
+    ``label_of`` never decreases.
     """
 
     __slots__ = ("idf", "default_idf", "postings", "labels", "label_of", "threshold")
@@ -120,26 +128,29 @@ class ClassifierModel:
         """Score ``text`` against every label; deterministic for identical inputs.
 
         An exemplar's score is its cosine with the query, summed in the
-        query's order and rounded to 12 digits. Ties rank lexicographically
-        by label. Empty or fully-unknown text scores 0.0 everywhere and
-        cannot match. Only the head is computed here.
+        query's order and rounded to 12 digits; a label scores its best
+        exemplar's. Ties rank lexicographically by label. Empty or
+        fully-unknown text scores 0.0 everywhere and cannot match. Only the
+        head is computed here, from the exemplar sums alone.
         """
         query = _unit(_vectorize(keyword_parts(text), self.idf, self.default_idf))
         sums = [0.0] * len(self.label_of)
         for t, q in query.items():
             for e, w in self.postings.get(t, ()):
                 sums[e] += q * w
-        best = [0.0] * len(self.labels)
-        for s, label in zip(sums, self.label_of):
-            if s > best[label]:
-                best[label] = s
-        # round is monotone, so the top score is the rounded maximum; the top
-        # label is the first whose maximum rounds to it, which only a maximum
-        # within 1e-12 of the largest can (the margin is doubled for float error)
-        peak = max(best)
+        # round is monotone, so the top score is the rounded peak. Exemplars are
+        # in label order, so the top label is the first exemplar's whose sum
+        # rounds to it, which only a sum within 1e-12 of the peak can (the
+        # margin is doubled for float error); the scan runs only when one of
+        # them comes before the peak's first exemplar
+        peak = max(sums)
+        j = sums.index(peak)
         score, near = round(peak, _SCORE_DIGITS), peak - 2 * 10.0**-_SCORE_DIGITS
-        head = next(i for i, b in enumerate(best) if b >= near and round(b, _SCORE_DIGITS) == score)
-        return Classification._of_maxima(self.labels, best, head, score, score >= self.threshold)
+        if j and max(sums[:j]) >= near:
+            j = next(i for i, s in enumerate(sums) if s >= near and round(s, _SCORE_DIGITS) == score)
+        return Classification._of_sums(
+            self.labels, self.label_of, sums, self.label_of[j], score, score >= self.threshold
+        )
 
 
 def _unit(vec: dict[str, float]) -> dict[str, float]:
@@ -167,7 +178,8 @@ def train(
 
     ``labels`` is the set of admissible stage names (normally the catalog's);
     a pair with a label outside it is an authoring error. Duplicate pairs are
-    harmless — per-label max aggregation makes them no-ops.
+    harmless — per-label max aggregation makes them no-ops. The order of the
+    pairs changes no score and no ranking.
     """
     pairs = list(pairs)
     if not pairs:
@@ -176,6 +188,8 @@ def train(
     for utterance, label in pairs:
         if label not in known:
             raise InputError(f"unknown label {label!r} for {utterance!r}")
+    # a stable sort puts each label's exemplars together, in the file's order
+    pairs.sort(key=itemgetter(1))
 
     docs = [keyword_parts(utterance) for utterance, _ in pairs]
     n_docs = len(docs)

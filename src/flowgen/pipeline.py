@@ -213,7 +213,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
         provider: CompletionProvider = load_mock_scripts(cfg.mock_scripts_path)
     else:
         provider = provider_from_env()
-    prompts = stage_prompts(catalog, split_examples, cfg.family)
+    prompts = stage_prompts(catalog, split_examples, cfg.family, bank)
     listing = prompts.listing(None, bank) if cfg.strategy == "single" else None
     return Runtime(
         catalog=catalog,

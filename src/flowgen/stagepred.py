@@ -21,7 +21,7 @@ dropped and trace-recorded, never invented.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 # render_prompt and keyword_scan are called through their modules: perfbench/tracer.py
 # replaces the module attribute, and a call through the module reaches the replacement
@@ -57,6 +57,7 @@ __all__ = [
     "stage_prompts",
     "decompose",
     "build_candidates",
+    "example_positions",
     "select_examples",
     "predict_single",
     "predict_cag",
@@ -190,14 +191,22 @@ class StagePrompts:
 
     So a render counts only what the run adds. Threads that share it can at
     worst build a piece twice, to the same value.
+
+    It also holds the few-shot ``bank`` and its ``example_positions``, which
+    ``select_examples`` reads.
     """
 
-    __slots__ = ("catalog", "stage", "decompose", "tokens", "properties")
+    __slots__ = ("catalog", "stage", "decompose", "bank", "positions", "tokens", "properties")
 
-    def __init__(self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate):
+    def __init__(
+        self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate,
+        bank: Sequence[FewShotExample],
+    ):
         self.catalog = catalog
         self.stage = stage  # the family's stage template, no slot bound
         self.decompose = decompose  # the split examples bound; ``utterance`` open
+        self.bank = bank
+        self.positions = example_positions(bank)
         self.tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
@@ -228,8 +237,9 @@ def stage_prompts(
     catalog: Catalog,
     split_examples: Iterable[tuple[str, tuple[str, ...]]] = (),
     family: str = "granite",
+    bank: Sequence[FewShotExample] = (),
 ) -> StagePrompts:
-    """The stage prompts over ``catalog`` for ``family``, with ``split_examples`` bound.
+    """The stage prompts over ``catalog`` and ``bank`` for ``family``, with ``split_examples`` bound.
 
     ``split_examples`` holds ``(utterance, subs)`` pairs, as ``load_split_examples`` reads them.
     """
@@ -243,6 +253,7 @@ def stage_prompts(
         catalog=catalog,
         stage=_STAGE_TEMPLATES[family],
         decompose=bind(_DECOMPOSE_TEMPLATE, {"examples": examples_block}),
+        bank=bank,
     )
 
 
@@ -354,41 +365,50 @@ def build_candidates(
     return candidates
 
 
+def example_positions(bank: Sequence[FewShotExample]) -> dict[str, tuple[int, ...]]:
+    """Each stage's positions in ``bank``, ascending; a stage no example names has none."""
+    positions: dict[str, list[int]] = {}
+    for i, ex in enumerate(bank):
+        for stage in set(ex.operators):
+            positions.setdefault(stage, []).append(i)
+    return {stage: tuple(found) for stage, found in positions.items()}
+
+
 def select_examples(
     candidates: CandidateSet,
-    bank: list[FewShotExample],
+    bank: Sequence[FewShotExample],
+    positions: dict[str, tuple[int, ...]],
     cap: int = DEFAULT_EXAMPLE_CAP,
 ) -> list[FewShotExample]:
     """Few-shot examples that mention at least one candidate stage.
 
-    If more than ``cap`` match, a round-robin over candidate stages (stages in
-    lexicographic order, examples in bank order) keeps per-candidate coverage;
-    the selection is emitted in bank order either way.
+    ``positions`` is ``example_positions(bank)``: the matches are read from
+    it, not found by testing every example. If more than ``cap`` match, a
+    round-robin over candidate stages (stages in lexicographic order,
+    examples in bank order) keeps per-candidate coverage; the selection is
+    emitted in bank order either way.
     """
-    matching = [ex for ex in bank if candidates.stages.intersection(ex.operators)]
+    per_stage = [positions[stage] for stage in sorted(candidates.stages) if stage in positions]
+    matching = sorted(set().union(*per_stage))
     if len(matching) <= cap:
-        return matching
+        return [bank[i] for i in matching]
     chosen: set[int] = set()
-    per_stage: dict[str, list[int]] = {
-        stage: [i for i, ex in enumerate(matching) if stage in ex.operators]
-        for stage in sorted(candidates.stages)
-    }
-    cursors = {stage: 0 for stage in per_stage}
+    cursors = [0] * len(per_stage)
     while len(chosen) < cap:
         progressed = False
-        for stage, indices in per_stage.items():
+        for k, indices in enumerate(per_stage):
             if len(chosen) >= cap:
                 break
-            cursor = cursors[stage]
+            cursor = cursors[k]
             while cursor < len(indices) and indices[cursor] in chosen:
                 cursor += 1
             if cursor < len(indices):
                 chosen.add(indices[cursor])
-                cursors[stage] = cursor + 1
+                cursors[k] = cursor + 1
                 progressed = True
         if not progressed:
             break
-    return [matching[i] for i in sorted(chosen)]
+    return [bank[i] for i in sorted(chosen)]
 
 
 def predict_cag(
@@ -410,20 +430,20 @@ def predict_cag(
     An empty candidate set short-circuits to an empty prediction — there is
     nothing the model could legally answer.
 
-    ``prompts`` is ``stage_prompts(catalog, split_examples, family)``, built
-    once per runtime, or None outside a runtime. The utterance is counted
-    once, for both prompts.
+    ``prompts`` is ``stage_prompts(catalog, split_examples, family, bank)``,
+    built once per runtime, or None outside a runtime; the examples come
+    from its bank. The utterance is counted once, for both prompts.
     """
     trace = [] if trace is None else trace
     if prompts is None:
-        prompts = stage_prompts(catalog, split_examples or (), family)
+        prompts = stage_prompts(catalog, split_examples or (), family, bank)
     utterance = counted(utterance)
     subs = decompose(utterance, provider, prompts.decompose, trace)
     candidates = build_candidates(subs, classifier, catalog, utterance[0], trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
         return StagePrediction(stages=[], trace=trace)
-    examples = select_examples(candidates, bank, cap)
+    examples = select_examples(candidates, prompts.bank, prompts.positions, cap)
     trace.append({"event": "examples_selected", "count": len(examples)})
     prompt = render_stage_prompt(catalog, candidates.stages, examples, utterance, family, prompts)
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))

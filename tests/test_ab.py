@@ -75,6 +75,26 @@ def test_summary_gives_spreads_wins_and_verdicts(ab):
     assert table["ok_share"]["verdict"] == "within bound"
 
 
+def test_rss_at_equal_utterances_takes_out_the_utterance_slope(ab):
+    # RSS = 19 + 1e-4 * utterances, plus 0.2 on the change side; the change times more
+    parent = {"throughput_ups": [1700.0, 1750.0, 1800.0, 1720.0, 1790.0, 1760.0]}
+    change = {"throughput_ups": [2100.0, 2180.0, 2150.0, 2230.0, 2120.0, 2200.0]}
+    for side, extra in ((parent, 0.0), (change, 0.2)):
+        side["peak_rss_mb"] = [19 + 1e-4 * (t * 20) + extra for t in side["throughput_ups"]]
+        side["latency_p50_ms"] = [1.0] * 6
+        side["ok_share"] = [1.0] * 6
+    rss = ab.summarize(runs_of("synth-cag", parent, change), END_TO_END)["synth-cag"]["peak_rss_mb"]
+    assert rss["at_equal_utterances"] == pytest.approx(0.2, abs=1e-9)
+    # the medians also differ by the extra utterances: 0.2 + 1e-4 * 8200
+    assert rss["change"]["median"] - rss["parent"]["median"] == pytest.approx(1.02)
+
+
+def test_rss_at_equal_utterances_is_unknown_without_spread(ab):
+    one = {"latency_p50_ms": [0.5], "throughput_ups": [10.0], "peak_rss_mb": [20.0], "ok_share": [1.0]}
+    table = ab.summarize(runs_of("demo-latency", one, one), END_TO_END)["demo-latency"]
+    assert table["peak_rss_mb"]["at_equal_utterances"] is None
+
+
 def test_eight_wins_in_ten_claim_no_gain(ab):
     parent = {"latency_p50_ms": [1.0] * 10, "throughput_ups": [100.0] * 10,
               "peak_rss_mb": [20.0] * 10, "ok_share": [1.0] * 10}

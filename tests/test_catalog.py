@@ -133,6 +133,17 @@ def test_duplicate_property_names_rejected():
     assert any("duplicate property name" in str(v) for v in err.value.violations)
 
 
+def test_property_names_that_differ_only_in_case_are_duplicates():
+    # find_property matches case-insensitively, so "mode" could never be assigned
+    upper = {"name": "Mode", "description": "d", "type": "string"}
+    lower = {"name": "mode", "description": "d", "type": "integer"}
+    with pytest.raises(CatalogValidationError) as err:
+        parse_catalog(doc_with({"properties": [upper, lower]}))
+    assert [str(v) for v in err.value.violations] == [
+        "head.properties[mode]: duplicate property name: 'Mode' and 'mode' differ only in case"
+    ]
+
+
 def test_enum_without_variants_rejected():
     prop = {"name": "Mode", "description": "d", "type": {"enum": []}}
     with pytest.raises(CatalogValidationError) as err:

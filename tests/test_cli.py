@@ -542,6 +542,20 @@ def test_catalog_validate_rejects_a_condition_that_does_not_type_check(capsys, t
     )
 
 
+def test_catalog_validate_rejects_property_names_that_differ_only_in_case(capsys, tmp_path):
+    doc = json.loads(fixture_path("demo_catalog.json").read_text(encoding="utf-8"))
+    stage = next(s for s in doc["stages"] if s["name"] == "sort")
+    stage["properties"].append({"name": "SORT KEY", "description": "d", "type": "integer"})
+    probe = tmp_path / "catalog.json"
+    probe.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "catalog-validate", "--catalog", str(probe))
+    assert (code, out) == (1, "")
+    assert err == (
+        "sort: properties[SORT KEY]: duplicate property name: 'Sort Key' and 'SORT KEY' "
+        "differ only in case\n"
+    )
+
+
 def test_catalog_validate_parse_error(capsys, tmp_path):
     bad = tmp_path / "catalog.json"
     bad.write_text(json.dumps({"stages": [{"name": "x"}]}))

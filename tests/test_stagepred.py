@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage, scripted
 from flowgen import InputError, fixture_path
@@ -25,6 +25,7 @@ from flowgen.stagepred import (
     ProtocolViolation,
     build_candidates,
     decompose,
+    example_positions,
     load_examples,
     load_split_examples,
     predict_agentic,
@@ -234,8 +235,9 @@ def test_select_examples_filters_to_candidate_mentions():
         FewShotExample("b", ("switch",)),
         FewShotExample("c", ("join", "head")),
     ]
-    assert select_examples(_cands("head"), bank) == [bank[0], bank[2]]
-    assert select_examples(_cands("sql_server"), bank) == []
+    positions = example_positions(bank)
+    assert select_examples(_cands("head"), bank, positions) == [bank[0], bank[2]]
+    assert select_examples(_cands("sql_server"), bank, positions) == []
 
 
 def test_select_examples_round_robin_over_cap():
@@ -243,17 +245,81 @@ def test_select_examples_round_robin_over_cap():
     B = [FewShotExample(f"b{i}", ("beta",)) for i in range(2)]
     bank = [A[0], A[1], A[2], B[0], A[3], B[1]]
     # round 1 picks a0 and b0, round 2 picks a1; output restores bank order
-    assert select_examples(_cands("alpha", "beta"), bank, cap=3) == [A[0], A[1], B[0]]
+    chosen = select_examples(_cands("alpha", "beta"), bank, example_positions(bank), cap=3)
+    assert chosen == [A[0], A[1], B[0]]
 
 
 def test_select_examples_cap_covers_every_candidate():
     bank = [FewShotExample(f"a{i}", ("alpha",)) for i in range(30)]
     bank += [FewShotExample("b", ("beta",))]
-    chosen = select_examples(_cands("alpha", "beta"), bank, cap=5)
+    chosen = select_examples(_cands("alpha", "beta"), bank, example_positions(bank), cap=5)
     assert len(chosen) == 5
     assert any("beta" in ex.operators for ex in chosen)
     names = [ex.utterance for ex in chosen]
     assert names == sorted(names, key=lambda u: [ex.utterance for ex in bank].index(u))
+
+
+def scan_every_example(candidates, bank, cap):
+    """``select_examples`` without its index: every example tested against the candidates."""
+    matching = [ex for ex in bank if candidates.stages.intersection(ex.operators)]
+    if len(matching) <= cap:
+        return matching
+    chosen: set[int] = set()
+    per_stage = {
+        stage: [i for i, ex in enumerate(matching) if stage in ex.operators]
+        for stage in sorted(candidates.stages)
+    }
+    cursors = {stage: 0 for stage in per_stage}
+    while len(chosen) < cap:
+        progressed = False
+        for stage, indices in per_stage.items():
+            if len(chosen) >= cap:
+                break
+            cursor = cursors[stage]
+            while cursor < len(indices) and indices[cursor] in chosen:
+                cursor += 1
+            if cursor < len(indices):
+                chosen.add(indices[cursor])
+                cursors[stage] = cursor + 1
+                progressed = True
+        if not progressed:
+            break
+    return [matching[i] for i in sorted(chosen)]
+
+
+# "s5" and "s6" are in no example; an example may name a stage twice
+bank_stages = st.sampled_from(["s0", "s1", "s2", "s3", "s4"])
+candidate_stages = st.sets(st.sampled_from(["s0", "s1", "s2", "s3", "s4", "s5", "s6"]), max_size=5)
+banks = st.lists(st.lists(bank_stages, min_size=1, max_size=4), max_size=30).map(
+    lambda answers: [FewShotExample(f"u{i}", tuple(ops)) for i, ops in enumerate(answers)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bank=banks, stages=candidate_stages, offset=st.integers(-6, 2))
+@example(
+    bank=[FewShotExample(f"u{i}", ops) for i, ops in enumerate(
+        [("s0", "s0"), ("s1",), ("s0", "s1"), ("s2",), ("s0",), ("s1", "s0"), ("s2",)]
+    )],
+    stages={"s0", "s1", "s2", "s5"},
+    offset=-2,
+)
+def test_select_examples_from_the_index_equals_the_bank_scan(bank, stages, offset):
+    candidates = _cands(*stages)
+    matches = len(scan_every_example(candidates, bank, len(bank)))
+    # the cap is below, at or above the number of matches
+    cap = max(0, matches + offset)
+    chosen = select_examples(candidates, bank, example_positions(bank), cap)
+    assert chosen == scan_every_example(candidates, bank, cap)
+
+
+def test_example_positions_list_each_stage_once_per_example():
+    bank = [
+        FewShotExample("a", ("head", "head")),
+        FewShotExample("b", ("join",)),
+        FewShotExample("c", ("join", "head")),
+    ]
+    assert example_positions(bank) == {"head": (0, 2), "join": (1, 2)}
 
 
 def test_default_limits():
