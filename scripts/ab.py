@@ -42,6 +42,12 @@ matched to the runs.
 side's median count of timed utterances is printed and kept beside it, with
 ``at_equal_utterances``: the change in mean ``peak_rss_mb`` (in MB) once the
 pooled within-side slope on the utterance count is taken out.
+
+``latency_p50_ms`` is rescaled by ``perfbench/speed.py``'s reading of the
+machine's speed, so each run also keeps the raw ``wall_p50_ms`` that
+``run.py`` prints at the end of its timed loop, and each side's median of it
+is kept and printed beside ``latency_p50_ms``: a verdict that follows only
+the speed reading shows as a gap between the two.
 """
 
 from __future__ import annotations
@@ -63,7 +69,9 @@ SIDES = ("parent", "change")
 TREES = ("src", "scripts", "perfbench")
 TRACED_SEEDS = (1, 2, 3)
 # run.py's line at the end of its timed loop
-_TIMED_RE = re.compile(r"^# (\d+) utterances in \d+ passes: .* machine speed ([0-9.]+) of reference")
+_TIMED_RE = re.compile(
+    r"^# (\d+) utterances in \d+ passes: wall p50 ([0-9.]+) ms, machine speed ([0-9.]+) of reference"
+)
 
 
 def rev_parse(rev: str) -> str:
@@ -87,7 +95,7 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One ``run.py`` in ``checkout``: its metric values, timed utterances and speed."""
+    """One ``run.py`` in ``checkout``: its metric values, timed utterances, raw wall p50 and speed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -102,7 +110,8 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         "correct": result["correct"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "utterances": int(timed.group(1)) if timed else None,
-        "machine_speed": float(timed.group(2)) if timed else None,
+        "wall_p50_ms": float(timed.group(2)) if timed else None,
+        "machine_speed": float(timed.group(3)) if timed else None,
     }
 
 
@@ -175,6 +184,11 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict[str, dict]:
                 **spread, "change_vs_parent": _relative(change - parent, parent),
                 "wins": wins, "pairs": len(pairs), "bound": metric["bound"], "verdict": verdict,
             }
+            if name == "latency_p50_ms":
+                walls = {side: [p[side].get("wall_p50_ms") for p in pairs] for side in SIDES}
+                table[name]["wall_p50_ms"] = {
+                    side: None if None in w else statistics.median(w) for side, w in walls.items()
+                }
             if name == "peak_rss_mb":
                 table[name]["utterances"] = {
                     side: statistics.median(p[side]["utterances"] or 0 for p in pairs) for side in SIDES
@@ -217,6 +231,9 @@ def print_summary(summary: dict[str, dict]) -> None:
         for name, row in table.items():
             line = (f"  {name:<22} {row['parent']['median']:>12.4f} -> {row['change']['median']:>12.4f}"
                     f"  {row['change_vs_parent']:+8.2%}  won {row['wins']}/{row['pairs']}  {row['verdict']}")
+            wall = row.get("wall_p50_ms")
+            if wall and None not in wall.values():
+                line += f"  (raw wall p50 {wall['parent']:.4f} -> {wall['change']:.4f} ms)"
             if "utterances" in row:
                 u = row["utterances"]
                 line += f"  (timed utterances {u['parent']:.0f} -> {u['change']:.0f}"

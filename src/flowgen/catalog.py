@@ -156,8 +156,11 @@ def keyword_parts(text: str) -> list[str]:
     A keyword's pattern can match a text only if every part of the keyword
     is a part of the text: each character that the pattern matches to an
     ASCII letter or digit folds to it here, and no other character does.
+    An ASCII text holds none of the folded characters, so it skips the fold.
     """
-    return _PART_RE.findall(text.translate(_ASCII_FOLDS).lower())
+    if not text.isascii():
+        text = text.translate(_ASCII_FOLDS)
+    return _PART_RE.findall(text.lower())
 
 
 class Catalog:

@@ -24,7 +24,6 @@ records.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -155,7 +154,7 @@ def stage_accuracy(
         raise ValueError("predictions and golds differ in length")
     buckets = {"total": [0, 0], "one_op": [0, 0], "n_op": [0, 0]}
     for pred, gold in zip(predictions, golds):
-        correct = pred is not None and Counter(pred) == Counter(gold)
+        correct = pred is not None and sorted(pred) == sorted(gold)
         keys = ["total", "one_op" if len(gold) == 1 else "n_op"]
         for key in keys:
             buckets[key][1] += 1

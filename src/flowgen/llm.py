@@ -15,11 +15,15 @@ render. ``count_once`` fills two caches, each keyed by the text it counts.
 Pieces made from the catalog or the bank (context lines, example blocks,
 segmentation lines, edge heads) are counted once per runtime, in
 ``stagepred.StagePrompts.tokens``, beside each stage's bound properties
-template. The utterance, each sub-utterance and each node name are counted
-once per ``generate_with_runtime`` call, in that run's cache, so no user
-text outlives its run. Counted text travels as a ``(text, tokens)`` pair:
-every step function takes its text that way, and ``bind`` and
-``render_prompt`` put a pair in without counting it again. Only
+template. A prompt made per call renders in one pass from a template built
+once, as the cag stage prompt does from its family's template, whose
+leading text is so hashed once per process; ``bind`` makes a template only
+for a prompt that a runtime reuses, as the single strategy's full listing
+(``StagePrompts.listing``). The utterance, each sub-utterance and each node
+name are counted once per ``generate_with_runtime`` call, in that run's
+cache, so no user text outlives its run. Counted text travels as a
+``(text, tokens)`` pair: every step function takes its text that way, and
+``bind`` and ``render_prompt`` put a pair in without counting it again. Only
 ``predict_stages``, ``bind``, ``render_prompt`` and ``counted`` also take a
 plain string, and ``stagepred.predict_cag`` and
 ``stagepred.render_stage_prompt``, which can run outside a runtime.

@@ -192,6 +192,10 @@ class StagePrompts:
     So a render counts only what the run adds. Threads that share it can at
     worst build a piece twice, to the same value.
 
+    ``stage`` is the family's module-level template, whose leading text is
+    hashed once per process; ``render_stage_prompt`` renders it with
+    ``bindings`` in one pass.
+
     It also holds the few-shot ``bank`` and its ``example_positions``, which
     ``select_examples`` reads.
     """
@@ -210,10 +214,10 @@ class StagePrompts:
         self.tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
-    def listing(
+    def bindings(
         self, candidates: Iterable[str] | None, examples: list[FewShotExample]
-    ) -> PromptTemplate:
-        """The stage template with its context and examples bound; ``utterance`` stays open.
+    ) -> dict[str, tuple[str, int]]:
+        """The stage template's ``context`` and ``examples``, each a ``(text, tokens)`` pair.
 
         The context lists the candidate stages, or the whole catalog when
         ``candidates`` is None.
@@ -224,13 +228,21 @@ class StagePrompts:
         blocks = [
             f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples
         ]
-        return bind(
-            self.stage,
-            {
-                "context": _joined(lines, self.tokens, "\n"),
-                "examples": _joined(blocks, self.tokens, "\n\n"),
-            },
-        )
+        return {
+            "context": _joined(lines, self.tokens, "\n"),
+            "examples": _joined(blocks, self.tokens, "\n\n"),
+        }
+
+    def listing(
+        self, candidates: Iterable[str] | None, examples: list[FewShotExample]
+    ) -> PromptTemplate:
+        """The stage template with ``bindings`` bound; ``utterance`` stays open.
+
+        The once-per-runtime bind of a prompt that every utterance reuses,
+        as the single strategy's full listing; a per-call prompt is rendered
+        in one pass by ``render_stage_prompt``.
+        """
+        return bind(self.stage, self.bindings(candidates, examples))
 
 
 def stage_prompts(
@@ -265,14 +277,17 @@ def render_stage_prompt(
     family: str = "granite",
     prompts: StagePrompts | None = None,
 ) -> RenderedPrompt:
-    """The stage prompt: ``prompts.listing(candidates, examples)`` with the utterance.
+    """The stage prompt: ``prompts.bindings(candidates, examples)`` and the utterance.
 
-    ``prompts`` is the runtime's ``stage_prompts(catalog, ...)``, or None
-    outside a runtime.
+    One ``render_prompt`` pass over the family's stage template, whose
+    leading text is hashed once per process, so each call hashes from the
+    context block on. ``prompts`` is the runtime's ``stage_prompts(catalog,
+    ...)``, or None outside a runtime.
     """
     if prompts is None:
         prompts = stage_prompts(catalog, family=family)
-    return llm.render_prompt(prompts.listing(candidates, examples), {"utterance": utterance})
+    bindings = prompts.bindings(candidates, examples)
+    return llm.render_prompt(prompts.stage, {**bindings, "utterance": utterance})
 
 
 # --- single-prompt strategy --------------------------------------------------

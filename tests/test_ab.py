@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,3 +151,37 @@ def test_layer_summary_gives_both_traced_values_and_the_change(ab):
     row = layers["demo-pipeline"]["classify.classify.ms"]
     assert (row["parent"], row["change"]) == (0.05, 0.06)
     assert row["change_vs_parent"] == pytest.approx(0.2)
+
+
+def test_a_run_keeps_its_raw_wall_p50_and_the_summary_prints_both_medians(ab, monkeypatch, capsys):
+    stdout = "\n".join([
+        "# 41234 utterances in 12 passes: wall p50 0.2140 ms, machine speed 0.812 of reference",
+        json.dumps({"correct": True, "metrics": {"latency_p50_ms": {"value": 0.25, "unit": "ms"}}}),
+    ])
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    run = ab.run_side(Path("."), "synth-cag", 2, 1.0)
+    assert run == {
+        "correct": True, "metrics": {"latency_p50_ms": 0.25},
+        "utterances": 41234, "wall_p50_ms": 0.214, "machine_speed": 0.812,
+    }
+
+    one = {"latency_p50_ms": [0.5, 0.6], "throughput_ups": [10.0] * 2,
+           "peak_rss_mb": [20.0] * 2, "ok_share": [1.0] * 2}
+    runs = runs_of("synth-single", one, one)
+    # pair 1 runs the parent first, pair 2 the change
+    for r, wall in zip(runs, [0.40, 0.46, 0.42, 0.44]):
+        r["wall_p50_ms"] = wall
+    summary = ab.summarize(runs, END_TO_END)
+    walls = summary["synth-single"]["latency_p50_ms"]["wall_p50_ms"]
+    assert walls == {"parent": pytest.approx(0.42), "change": pytest.approx(0.44)}
+    ab.print_summary(summary)
+    assert "(raw wall p50 0.4200 -> 0.4400 ms)" in capsys.readouterr().out
+
+    # a run without the timed-loop line knows no wall p50
+    del runs[0]["wall_p50_ms"]
+    walls = ab.summarize(runs, END_TO_END)["synth-single"]["latency_p50_ms"]["wall_p50_ms"]
+    assert walls == {"parent": None, "change": pytest.approx(0.44)}

@@ -45,6 +45,20 @@ def test_tokenize_lowercases_and_keeps_digits():
     assert tokenize("...") == []
 
 
+# the four code points that keyword_parts folds to ASCII, then other non-ASCII letters
+_FOLDS = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
+_FOLD_ALPHABET = st.sampled_from(
+    [*"aIkS9_ -", "\u0130", "\u0131", "\u017f", "\u212a", "\u00e9", "\u00df", "\u03a3", "\u212b"]
+)
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127)) | st.text(alphabet=_FOLD_ALPHABET))
+@example("\u212a\u0130\u017fs s\u0131k")
+def test_tokenize_gives_the_parts_of_the_folded_text(text):
+    # an ASCII text skips the fold; every text must split as if folded
+    assert tokenize(text) == re.findall(r"[a-z0-9]+", text.translate(_FOLDS).lower())
+
+
 # --- behaviour examples ---------------------------------------------------------------
 
 

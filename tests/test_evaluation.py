@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_catalog, make_runtime, make_stage, scripted
 from flowgen import InputError, fixture_path
@@ -165,6 +167,23 @@ def test_stage_accuracy_empty_buckets_are_vacuously_perfect():
 def test_stage_accuracy_length_mismatch():
     with pytest.raises(ValueError):
         stage_accuracy([["a"]], [])
+
+
+@given(st.data())
+def test_stage_accuracy_matches_the_counter_oracle(data):
+    # repeated stages from a small alphabet, and None for a failed record
+    answers = st.lists(st.sampled_from("abc"), max_size=4)
+    golds = data.draw(st.lists(answers, max_size=6))
+    preds = [data.draw(st.none() | answers) for _ in golds]
+    hits = {"total": [], "one_op": [], "n_op": []}
+    for pred, gold in zip(preds, golds):
+        correct = pred is not None and Counter(pred) == Counter(gold)
+        hits["total"].append(correct)
+        hits["one_op" if len(gold) == 1 else "n_op"].append(correct)
+    acc = stage_accuracy(preds, golds)
+    for key, found in hits.items():
+        assert getattr(acc, key) == (100.0 * sum(found) / len(found) if found else 100.0)
+    assert (acc.n_records, acc.n_one_op, acc.n_n_op) == tuple(map(len, hits.values()))
 
 
 # --- run_eval over the scripted demo corpus -------------------------------------------

@@ -6,6 +6,8 @@ caught even when every parser still accepts the output.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 
 import pytest
@@ -15,7 +17,7 @@ from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
-from flowgen.llm import FAMILY_PRESEED, count_tokens, counted, render_prompt, usage
+from flowgen.llm import FAMILY_PRESEED, bind, count_tokens, counted, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -538,6 +540,39 @@ def test_counted_prompt_parts_add_up_exactly(data):
     assert decomposed.token_estimate == count_tokens(decomposed.text)
     for split_utterance, _ in splits:
         assert f"Utterance: {split_utterance}\nSub-utterances:\n" in decomposed.text
+
+
+@functools.cache
+def corpus_prompts(corpus: str, family: str):
+    """The stage prompts of a bundled corpus, its bank held in them."""
+    catalog = load_catalog(fixture_path(f"{corpus}_catalog.json"))
+    bank = load_examples(fixture_path(f"{corpus}_bank.json"), catalog)
+    return stage_prompts(catalog, family=family, bank=bank)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_pass_stage_prompt_equals_the_two_step_render(data):
+    corpus = data.draw(st.sampled_from(["demo", "synthetic"]))
+    family = data.draw(st.sampled_from(sorted(FAMILY_PRESEED)))
+    prompts = corpus_prompts(corpus, family)
+    stages, bank = prompts.catalog.stages, prompts.bank
+    candidates = data.draw(st.none() | st.sets(st.sampled_from(sorted(stages)), max_size=6))
+    chosen = data.draw(st.lists(st.sampled_from(range(len(bank))), unique=True, max_size=6))
+    examples = [bank[i] for i in sorted(chosen)]
+    utterance = data.draw(phrases | st.sampled_from(["", " ", "x"]))
+
+    prompt = render_stage_prompt(prompts.catalog, candidates, examples, utterance, family, prompts)
+    # the same parts, bound first into a template of their own and counted as plain text
+    shown = sorted(stages if candidates is None else candidates)
+    lines = [f'"{n}": {stages[n].description}' for n in shown]
+    blocks = [f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples]
+    listing = bind(prompts.stage, {"context": "\n".join(lines), "examples": "\n\n".join(blocks)})
+    two_step = render_prompt(listing, {"utterance": utterance})
+    assert (prompt.text, prompt.token_estimate, prompt.sha256) == (
+        two_step.text, two_step.token_estimate, two_step.sha256
+    )
+    assert prompt.sha256 == hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16]
 
 
 # --- agentic strategy --------------------------------------------------------------

@@ -44,14 +44,20 @@ REPO = Path(__file__).resolve().parent.parent
 
 def test_make_fixtures_check_passes():
     # byte-compares the fixtures and proves their invariants, the scoped/single
-    # prompt ratio <= 0.45 among them; --check writes nothing
+    # prompt ratio <= 0.45 among them; --check writes nothing. The token line
+    # is the README's: a scoped prompt without its few-shot examples is smaller
     done = subprocess.run(
         [sys.executable, "-B", "scripts/make_fixtures.py", "--check"],
         cwd=REPO, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("checked 5 files")
+    checked, tokens = done.stdout.splitlines()
+    assert checked.startswith("checked 5 files")
+    assert tokens == (
+        "prompt tokens: single mean 14628.9, scoped mean 553.7, worst scoped/single ratio 0.053"
+    )
+    assert tokens in (REPO / "README.md").read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("filename", FILES)
