@@ -38,10 +38,10 @@ def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = (
     a ``dict`` file is one object, ``what``, that carries ``keys``. A blank
     file reads as an empty ``kind``. A bad shape raises :class:`InputError`.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(text) if text.strip() else kind()
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, malformed, or an integer past the digit limit
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
     if kind is list:
         if not isinstance(raw, list):

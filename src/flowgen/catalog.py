@@ -24,7 +24,6 @@ __all__ = [
     "StageDef",
     "Catalog",
     "Violation",
-    "CatalogError",
     "CatalogParseError",
     "CatalogValidationError",
     "load_catalog",
@@ -34,20 +33,13 @@ __all__ = [
     "keyword_parts",
 ]
 
-VALUE_KINDS = ("string", "integer", "decimal", "boolean", "enum")
-
-
-class CatalogError(InputError):
-    pass
-
-
-class CatalogParseError(CatalogError):
+class CatalogParseError(InputError):
     def __init__(self, message: str, locus: str = ""):
         super().__init__(f"{locus}: {message}" if locus else message)
         self.locus = locus
 
 
-class CatalogValidationError(CatalogError):
+class CatalogValidationError(InputError):
     def __init__(self, violations: list["Violation"]):
         lines = "\n".join(f"  - {v}" for v in violations)
         super().__init__(f"catalog failed validation:\n{lines}")
@@ -362,6 +354,8 @@ def parse_catalog(text: str) -> Catalog:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogParseError(f"malformed JSON: {exc}", f"line {exc.lineno}") from exc
+    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``
+        raise CatalogParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "stages" not in doc:
         raise CatalogParseError('expected an object with a "stages" array')
     raw_stages = doc["stages"]
@@ -375,7 +369,11 @@ def parse_catalog(text: str) -> Catalog:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return parse_catalog(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogParseError(f"malformed JSON: {exc}", str(path)) from exc
+    return parse_catalog(text)
 
 
 # --- serialization ---------------------------------------------------------

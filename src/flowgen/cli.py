@@ -8,9 +8,10 @@ Subcommands::
     flowgen catalog-validate  check a stage catalog and report violations
     flowgen export            re-emit a saved workflow document as JSON or DOT
 
-Exit codes: 0 on success, 1 for bad usage or bad input of any kind (a
-``ValueError`` or ``OSError``, printed as ``error: ...``), 2 when the
-pipeline or its provider fails (a JSON error envelope goes to stderr).
+Exit codes: 0 on success, 1 for bad usage or bad input of any kind (an
+``InputError``, or any other ``ValueError`` or ``OSError``, printed as
+``error: ...``), 2 when the pipeline or its provider fails (a JSON error
+envelope goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import InputError, __version__
 from .catalog import CatalogValidationError, load_catalog
 from .edgepred import to_dot
 from .llm import FAMILY_PRESEED, ProviderError
@@ -38,14 +39,10 @@ from .pipeline import (
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; we reserve 2 for pipeline failures
     def error(self, message: str):  # noqa: D102
-        raise _UsageError(message)
+        raise InputError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -137,11 +134,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # piped input always carries a trailing newline; it is not part of the flow text
     utterance = args.utterance if args.utterance is not None else sys.stdin.read().strip()
     if not utterance.strip():
-        raise _UsageError("empty utterance")
+        raise InputError("empty utterance")
     try:  # bytes that are not UTF-8 arrive surrogate-escaped, and no output could hold them
         utterance.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise _UsageError(f"the utterance is not UTF-8 text ({exc})") from exc
+        raise InputError(f"the utterance is not UTF-8 text ({exc})") from exc
     cfg = _config_from_args(args)
     runtime = build_runtime(cfg)
     workflow = generate_with_runtime(utterance, runtime)
@@ -163,7 +160,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     measures = tuple(m.strip() for m in args.measure.split(",") if m.strip())
     if not measures:
-        raise _UsageError("--measure needs at least one of stages,edges,props")
+        raise InputError("--measure needs at least one of stages,edges,props")
     report = run_eval(dataset, cfg, measures=measures)
     sys.stdout.write(report_table(report))
     if args.report:
@@ -173,7 +170,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.top < 0:
-        raise _UsageError("--top must not be negative")
+        raise InputError("--top must not be negative")
     cfg = _config_from_args(args)
     # an endpoint classifies without the catalog, so it is not loaded for one
     catalog = None if cfg.classifier_endpoint else load_catalog(cfg.catalog_path)

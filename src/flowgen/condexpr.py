@@ -23,6 +23,7 @@ condition once against a value of each declared type.
 
 from __future__ import annotations
 
+import operator
 import re
 from decimal import Decimal
 from typing import Mapping, Union
@@ -47,7 +48,11 @@ __all__ = [
 
 EnvValue = Union[str, int, Decimal, bool]
 
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_OPS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+COMPARISON_OPS = tuple(_OPS)
 
 
 class ConditionSyntaxError(ValueError):
@@ -307,7 +312,6 @@ def _type_name(value: object) -> str:
 
 
 def _compare(path: str, value: EnvValue, op: str, lit: Literal) -> bool:
-    lit_value = lit.value
     value_is_num = isinstance(value, (int, Decimal)) and not isinstance(value, bool)
     lit_is_num = lit.kind in ("integer", "decimal")
     if value_is_num and lit_is_num:
@@ -321,19 +325,7 @@ def _compare(path: str, value: EnvValue, op: str, lit: Literal) -> bool:
         raise ConditionTypeError(
             f"comparing {lit.kind} literal against {_type_name(value)} value of {path!r}"
         )
-    if op == "=":
-        return value == lit_value
-    if op == "!=":
-        return value != lit_value
-    if op == "<":
-        return value < lit_value
-    if op == "<=":
-        return value <= lit_value
-    if op == ">":
-        return value > lit_value
-    if op == ">=":
-        return value >= lit_value
-    raise AssertionError(f"unknown operator {op!r}")
+    return _OPS[op](value, lit.value)
 
 
 def eval_condition(expr: ConditionExpr, env: Mapping[str, EnvValue]) -> bool:

@@ -26,16 +26,15 @@ from typing import Mapping
 
 from . import fixture_path
 from .catalog import CardinalityBound, Catalog
-from .llm import CompletionProvider, answer_pairs, complete, count_once, load_template, render_prompt
+from .llm import (
+    AnswerError, CompletionProvider, answer_pairs, complete, count_once, load_template, render_prompt,
+)
 
 __all__ = [
     "NodeInstance",
     "FlowGraph",
     "CardinalityViolation",
     "EdgeMetrics",
-    "GraphError",
-    "SegmentationError",
-    "EdgePredictionError",
     "node_names",
     "build_nodes",
     "segment_for_nodes",
@@ -49,18 +48,6 @@ __all__ = [
 
 _SEGMENT_TEMPLATE = load_template(fixture_path("templates", "segment.txt"))
 _EDGES_TEMPLATE = load_template(fixture_path("templates", "edges.txt"))
-
-
-class GraphError(Exception):
-    pass
-
-
-class SegmentationError(GraphError):
-    pass
-
-
-class EdgePredictionError(GraphError):
-    pass
 
 
 class NodeInstance:
@@ -153,7 +140,7 @@ def build_nodes(stages: list[str], catalog: Catalog) -> list[NodeInstance]:
     for stage_name, unique in zip(stages, node_names(stages)):
         stage = catalog.stages.get(stage_name)
         if stage is None:
-            raise GraphError(f"prediction references unknown stage {stage_name!r}")
+            raise AnswerError(f"prediction references unknown stage {stage_name!r}")
         nodes.append(
             NodeInstance(
                 unique_name=unique,
@@ -194,7 +181,7 @@ def segment_for_nodes(
     cache, shared with ``predict_edges``.
     """
     if not nodes:
-        raise SegmentationError("cannot segment for an empty node list")
+        raise AnswerError("cannot segment for an empty node list")
     text = utterance[0]
     if len(nodes) == 1:
         return {nodes[0].unique_name: text}
@@ -214,9 +201,9 @@ def segment_for_nodes(
     for node in nodes:
         span = segments.get(node.unique_name, "")
         if not span:
-            raise SegmentationError(f"no sub-utterance assigned to node {node.unique_name!r}")
+            raise AnswerError(f"no sub-utterance assigned to node {node.unique_name!r}")
         if _normalize_ws(span) not in normalized_utterance:
-            raise SegmentationError(
+            raise AnswerError(
                 f"span for {node.unique_name!r} does not occur in the utterance: {span!r}"
             )
     return segments
@@ -270,7 +257,7 @@ def predict_edges(
     known = graph.node_names()
     parsed = answer_pairs(answer, "->")
     if not parsed:
-        raise EdgePredictionError(f"no parseable edges in response {answer!r}")
+        raise AnswerError(f"no parseable edges in response {answer!r}")
     seen: set[tuple[str, str]] = set()
     for src, dst in parsed:
         if src not in known or dst not in known:

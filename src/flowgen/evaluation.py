@@ -250,7 +250,7 @@ def run_eval(
     """
     for m in measures:
         if m not in MEASURES:
-            raise ValueError(f"unknown measure {m!r} (choose from {MEASURES})")
+            raise InputError(f"unknown measure {m!r} (choose from {MEASURES})")
     rt = runtime or build_runtime(cfg)
     for index, record in enumerate(dataset):
         unknown = sorted(set(record.gold_stages) - rt.catalog.stages.keys())

@@ -67,7 +67,7 @@ __all__ = [
     "TemplateError",
     "ProviderError",
     "NoScriptMatchError",
-    "OperatorParseError",
+    "AnswerError",
     "FAMILY_PRESEED",
     "parse_template",
     "load_template",
@@ -102,10 +102,6 @@ class ProviderError(Exception):
 
 
 class NoScriptMatchError(ProviderError):
-    pass
-
-
-class OperatorParseError(ValueError):
     pass
 
 
@@ -291,6 +287,10 @@ def count_once(tokens: dict[str, int], text: str) -> int:
 # --- answers ---------------------------------------------------------------------
 
 
+class AnswerError(Exception):
+    """A model answer that flowgen cannot use."""
+
+
 def parse_operator_list(text: str) -> list[str]:
     """Parse a model's operator answer into an ordered multiset.
 
@@ -310,7 +310,7 @@ def parse_operator_list(text: str) -> list[str]:
     if not s:
         return []
     if not _RUN_RE.search(s):
-        raise OperatorParseError(f"no alphanumeric content in operator answer {text!r}")
+        raise AnswerError(f"no alphanumeric content in operator answer {text!r}")
     names = [piece.strip().lower() for piece in s.split(",")]
     return [name for name in names if name]
 

@@ -25,10 +25,8 @@ from .catalog import CardinalityBound, Catalog, load_catalog
 from .classify import RemoteClassifier, StageClassifier, load_training_pairs, train
 from .edgepred import (
     CardinalityViolation,
-    EdgePredictionError,
     FlowGraph,
     NodeInstance,
-    SegmentationError,
     build_nodes,
     predict_edges,
     repair_with_renames,
@@ -37,8 +35,8 @@ from .edgepred import (
 )
 from .llm import (
     FAMILY_PRESEED,
+    AnswerError,
     CompletionProvider,
-    OperatorParseError,
     PromptTemplate,
     ProviderError,
     count_once,
@@ -60,7 +58,6 @@ from .stagepred import (
     DEFAULT_EXAMPLE_CAP,
     FewShotExample,
     StagePrediction,
-    StagePredictionError,
     StagePrompts,
     load_examples,
     load_split_examples,
@@ -261,7 +258,7 @@ def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePredic
                 cap=cfg.example_cap, trace=trace, prompts=rt.prompts,
             )
         return predict_agentic(whole, rt.catalog, rt.classifier, rt.provider, trace=trace)
-    except (StagePredictionError, ProviderError, OperatorParseError) as exc:
+    except (AnswerError, ProviderError) as exc:
         provenance = {
             "utterance": whole[0],
             "strategy": cfg.strategy,
@@ -285,7 +282,7 @@ def _edge_branch(
             nodes, utterance, rt.provider, trace=trace, spans=spans,
             tokens=rt.prompts.tokens, counts=counts,
         )
-    except (EdgePredictionError, ProviderError) as exc:
+    except (AnswerError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
     pre_violations = validate_cardinality(graph)
@@ -340,7 +337,7 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         segments = segment_for_nodes(
             whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.tokens, counts
         )
-    except (SegmentationError, ProviderError) as exc:
+    except (AnswerError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
         diagnostics.append({"step": "segmentation", "message": str(exc)})
         segments = {n.unique_name: utterance for n in nodes}

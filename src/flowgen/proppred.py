@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Hashable, Iterable
 
 from . import InputError, fixture_path, read_json
-from .catalog import StageDef, ValueType
+from .catalog import PropertyDef, StageDef, ValueType
 from .condexpr import eval_condition, parse_condition
 from .edgepred import NodeInstance
 from .llm import (
@@ -213,8 +213,10 @@ def validate(
     declared spelling.
     """
     out: list[PropertyAssignment] = []
+    props: list[PropertyDef | None] = []  # each assignment's definition, found once
     for a in assignments:
         prop = stage.find_property(a.name)
+        props.append(prop)
         if prop is None:
             detail = f"{stage.name} has no such property"
             status = REJECTED_UNKNOWN_NAME
@@ -233,12 +235,8 @@ def validate(
     for a in out:
         if a.status is None and a.name not in env:
             env[a.name] = a.coerced
-    for a in out:
-        if a.status is not None:
-            continue
-        prop = stage.find_property(a.name)
-        assert prop is not None
-        if prop.availability is None:
+    for a, prop in zip(out, props):
+        if a.status is not None or prop.availability is None:
             continue
         if not eval_condition(parse_condition(prop.availability), env):
             a.status = REJECTED_DEPENDENCY

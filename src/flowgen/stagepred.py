@@ -30,8 +30,8 @@ from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
     FAMILY_PRESEED,
+    AnswerError,
     CompletionProvider,
-    OperatorParseError,
     PromptTemplate,
     RenderedPrompt,
     bind,
@@ -46,8 +46,6 @@ __all__ = [
     "FewShotExample",
     "CandidateSet",
     "StagePrediction",
-    "StagePredictionError",
-    "DecompositionError",
     "ProtocolViolation",
     "DEFAULT_EXAMPLE_CAP",
     "DEFAULT_MAX_STEPS",
@@ -75,15 +73,7 @@ _DECOMPOSE_TEMPLATE = load_template(fixture_path("templates", "decompose.txt"))
 _AGENT_TEMPLATE = load_template(fixture_path("templates", "agent.txt"))
 
 
-class StagePredictionError(Exception):
-    pass
-
-
-class DecompositionError(StagePredictionError):
-    pass
-
-
-class ProtocolViolation(StagePredictionError):
+class ProtocolViolation(AnswerError):
     def __init__(self, message: str, transcript: list[str]):
         super().__init__(f"{message}\ntranscript:\n" + "\n".join(transcript))
         self.transcript = transcript
@@ -338,7 +328,7 @@ def decompose(
     ]
     subs = [s for s in subs if s]
     if not subs:
-        raise DecompositionError(f"no sub-utterances parsed from {answer!r}")
+        raise AnswerError(f"no sub-utterances parsed from {answer!r}")
     return subs
 
 
@@ -524,7 +514,7 @@ def predict_agentic(
     if "CALL" not in last_reply:
         try:
             answer = parse_operator_list(last_reply)
-        except OperatorParseError:
+        except AnswerError:
             answer = None
         if answer:
             trace.append({"event": "best_effort_final", "answer": last_reply.strip()})

@@ -78,6 +78,17 @@ def test_malformed_json_reports_line():
         parse_catalog("{nope}")
 
 
+def test_undecodable_catalog_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CatalogParseError, match="malformed JSON: 'utf-8' codec") as err:
+        load_catalog(path)
+    assert str(err.value).startswith(f"{path}: ") and err.value.locus == str(path)
+    path.write_bytes(b'{"stages": [' + b"1" * 5000 + b"]}")
+    with pytest.raises(CatalogParseError, match=r"^malformed JSON: Exceeds the limit \(4300 digits\)"):
+        load_catalog(path)
+
+
 def test_missing_field_reports_locus():
     with pytest.raises(CatalogParseError, match=r"stages\[0\].description"):
         parse_catalog(json.dumps({"stages": [{"name": "x"}]}))

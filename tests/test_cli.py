@@ -275,6 +275,10 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         ("export", "--workflow", _workflow(["a", "b", "a"], [("a", "b")])),
         ("classify", "--top", -1),  # a count goes in as the flag's value, not a file
         ("generate", "--cap", -1),
+        ("eval", "--dataset", b"\xff\xfe[]"),  # bytes go in as they are
+        ("eval", "--dataset", b"[" + b"1" * 5000 + b"]"),
+        ("generate", "--catalog", b"\xff\xfe{}"),
+        ("generate", "--catalog", b'{"stages": [' + b"1" * 5000 + b"]}"),
     ],
     ids=[
         "registry-array",
@@ -295,6 +299,10 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         "workflow-repeated-node",
         "classify-negative-top",
         "generate-negative-cap",
+        "dataset-not-utf8",
+        "dataset-huge-integer",
+        "catalog-not-utf8",
+        "catalog-huge-integer",
     ],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
@@ -305,6 +313,8 @@ def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
         value = str(path)
         if content is None:
             path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
         else:
             path.write_text(json.dumps(content))
     argv = {
@@ -427,6 +437,24 @@ def test_eval_malformed_dataset(capsys, tmp_path):
     )
     assert code == 1
     assert "needs utterance and gold_stages" in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["not-utf8", "huge-integer"],
+)
+def test_eval_undecodable_dataset_names_the_file(capsys, tmp_path, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(
+        capsys, "eval", "--dataset", str(bad), "--strategy", "single", "--mock-scripts", EVAL_GOLD
+    )
+    assert code == 1
+    assert err.startswith(f"error: {bad}: malformed JSON: {reason}")
 
 
 # --- classify ----------------------------------------------------------------------

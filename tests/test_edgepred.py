@@ -17,11 +17,8 @@ from flowgen import fixture_path
 from flowgen.catalog import CardinalityBound, load_catalog
 from flowgen.edgepred import (
     CardinalityViolation,
-    EdgePredictionError,
     FlowGraph,
-    GraphError,
     NodeInstance,
-    SegmentationError,
     build_nodes,
     edge_metrics,
     node_names,
@@ -31,7 +28,7 @@ from flowgen.edgepred import (
     to_dot,
     validate_cardinality,
 )
-from flowgen.llm import counted, usage
+from flowgen.llm import AnswerError, counted, usage
 
 
 def node(
@@ -80,7 +77,7 @@ def test_build_nodes_branching_walkthrough_naming():
 
 
 def test_build_nodes_unknown_stage():
-    with pytest.raises(GraphError, match="unknown stage 'ghost'"):
+    with pytest.raises(AnswerError, match="unknown stage 'ghost'"):
         build_nodes(["ghost"], make_catalog(make_stage("head")))
 
 
@@ -133,7 +130,7 @@ def test_segment_missing_node_is_an_error():
     catalog = make_catalog(make_stage("head"), make_stage("sort"))
     nodes = build_nodes(["sort", "head"], catalog)
     provider = scripted(("Assignments:", "sort: whole text"))
-    with pytest.raises(SegmentationError, match="no sub-utterance assigned to node 'head'"):
+    with pytest.raises(AnswerError, match="no sub-utterance assigned to node 'head'"):
         segment_for_nodes(counted("whole text"), nodes, catalog, provider, [], {}, {})
 
 
@@ -141,12 +138,12 @@ def test_segment_paraphrased_span_is_an_error():
     catalog = make_catalog(make_stage("head"), make_stage("sort"))
     nodes = build_nodes(["sort", "head"], catalog)
     provider = scripted(("Assignments:", "sort: order them\nhead: keep a few"))
-    with pytest.raises(SegmentationError, match="does not occur in the utterance"):
+    with pytest.raises(AnswerError, match="does not occur in the utterance"):
         segment_for_nodes(counted("sort rows then head"), nodes, catalog, provider, [], {}, {})
 
 
 def test_segment_empty_node_list_is_an_error():
-    with pytest.raises(SegmentationError):
+    with pytest.raises(AnswerError, match="cannot segment for an empty node list"):
         segment_for_nodes(
             counted("text"), [], make_catalog(make_stage("head")), scripted(), [], {}, {}
         )
@@ -200,7 +197,7 @@ def test_predict_edges_drops_unknown_duplicate_and_cycle_edges():
 def test_predict_edges_requires_at_least_one_parseable_line():
     provider = scripted(("Edges:", "there are no edges here"))
     nodes = [node("a"), node("b")]
-    with pytest.raises(EdgePredictionError):
+    with pytest.raises(AnswerError, match="no parseable edges in response 'there are no edges here'"):
         predict_edges(nodes, counted("u"), provider, [], spans_of(nodes), {}, {})
 
 

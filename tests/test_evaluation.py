@@ -81,11 +81,23 @@ def test_load_dataset_empty_file(tmp_path):
             [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": [{"name": "P"}]}}],
             "record 0 properties of 'sort' need name and value",
         ),
+        # bytes go in as they are: not UTF-8, and an integer past the 4300-digit limit
+        pytest.param(
+            b"\xff\xfe[]", r"data\.json: malformed JSON: 'utf-8' codec can't decode byte 0xff",
+            id="not-utf8",
+        ),
+        pytest.param(
+            b"[" + b"1" * 5000 + b"]", r"data\.json: malformed JSON: Exceeds the limit \(4300 digits\)",
+            id="huge-integer",
+        ),
     ],
 )
 def test_load_dataset_shape_errors(tmp_path, payload, message):
     p = tmp_path / "data.json"
-    p.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        p.write_bytes(payload)
+    else:
+        p.write_text(json.dumps(payload))
     with pytest.raises(InputError, match=message):
         load_dataset(p)
 

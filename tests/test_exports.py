@@ -1,6 +1,8 @@
 """Every name in a ``flowgen`` module's ``__all__`` resolves; no module imports a name it never uses.
 
 No function imports a module that its file already imports at top level.
+Every module-level name of ``flowgen`` is read somewhere, and the package
+defines exactly the exception classes that its callers tell apart.
 """
 
 from __future__ import annotations
@@ -112,3 +114,91 @@ def test_local_reimports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_function_imports_a_module_its_file_imports_at_top_level(path):
     assert local_reimports(path.read_text(encoding="utf-8")) == []
+
+
+READERS = sorted(
+    path for folder in ("src/flowgen", "scripts", "perfbench", "tests")
+    for path in (ROOT / folder).glob("*.py")
+)
+
+
+def module_bindings(source: str) -> list[str]:
+    """The names a module binds at its top level by ``def``, ``class`` or assignment.
+
+    Bindings inside a top-level ``if`` or ``try`` count; imports and
+    ``__all__`` do not.
+    """
+    names: list[str] = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack += [*node.body, *node.orelse, *getattr(node, "finalbody", [])]
+            stack += [n for h in getattr(node, "handlers", []) for n in h.body]
+    return [name for name in names if name != "__all__"]
+
+
+def names_read(source: str) -> set[str]:
+    """The names a module reads: as a name, as an attribute, or by importing them."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_module_bindings_and_reads_are_found():
+    source = (
+        "import a\nX = 1\nY: int = 2\n__all__ = ['f']\ndef f():\n    return m.Z\n"
+        "class C:\n    W = 3\ntry:\n    from b import V\nexcept ImportError:\n    V = 4\n"
+    )
+    assert module_bindings(source) == ["X", "Y", "f", "C", "V"]
+    assert names_read(source) == {"int", "m", "Z", "V", "ImportError"}
+
+
+def test_every_module_level_name_is_read_somewhere():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [
+        f"{path.name}:{name}"
+        for path in sorted((ROOT / "src" / "flowgen").glob("*.py"))
+        for name in module_bindings(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == []
+
+
+# each exception class defined under ``flowgen``, with its base
+EXCEPTIONS = {
+    "flowgen.InputError": "ValueError",
+    "flowgen.catalog.CatalogParseError": "InputError",
+    "flowgen.catalog.CatalogValidationError": "InputError",
+    "flowgen.condexpr.ConditionSyntaxError": "ValueError",
+    "flowgen.condexpr.ConditionTypeError": "TypeError",
+    "flowgen.llm.AnswerError": "Exception",
+    "flowgen.llm.NoScriptMatchError": "ProviderError",
+    "flowgen.llm.ProviderError": "Exception",
+    "flowgen.llm.TemplateError": "ValueError",
+    "flowgen.pipeline.PipelineError": "Exception",
+    "flowgen.stagepred.ProtocolViolation": "AnswerError",
+}
+
+
+def test_exception_classes_are_one_per_failure_outcome():
+    modules = [flowgen, *(importlib.import_module(name) for name in MODULES)]
+    found = {
+        f"{module.__name__}.{name}": ", ".join(base.__name__ for base in obj.__bases__)
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert found == EXCEPTIONS

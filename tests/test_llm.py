@@ -16,8 +16,8 @@ from flowgen.llm import (
     FAMILY_PRESEED,
     MockProvider,
     MockScript,
+    AnswerError,
     NoScriptMatchError,
-    OperatorParseError,
     ProviderError,
     RenderedPrompt,
     TemplateError,
@@ -233,7 +233,7 @@ def test_operator_list_skips_empty_pieces():
 
 
 def test_operator_list_rejects_nonalnum_garbage():
-    with pytest.raises(OperatorParseError):
+    with pytest.raises(AnswerError, match="no alphanumeric content in operator answer '!!!'"):
         parse_operator_list("!!!")
 
 

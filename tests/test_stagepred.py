@@ -17,12 +17,11 @@ from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
-from flowgen.llm import FAMILY_PRESEED, bind, count_tokens, counted, render_prompt, usage
+from flowgen.llm import FAMILY_PRESEED, AnswerError, bind, count_tokens, counted, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
     CandidateSet,
-    DecompositionError,
     FewShotExample,
     ProtocolViolation,
     build_candidates,
@@ -186,7 +185,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
 
 def test_decompose_error_when_no_bullets():
     provider = scripted(("Sub-utterances:", "I cannot answer that."))
-    with pytest.raises(DecompositionError):
+    with pytest.raises(AnswerError, match="no sub-utterances parsed from 'I cannot answer that.'"):
         decompose(counted("u"), provider, decompose_prompt(), [])
 
 
