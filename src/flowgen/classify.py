@@ -10,9 +10,11 @@ the same contract over HTTP can be swapped in without the pipeline noticing.
 
 Texts are cut into words by ``catalog.keyword_parts``, the word rule the
 keyword scan uses too, so ``İzmir`` is the word ``izmir`` to both. A score
-is summed in the query's order, then rounded: ``train`` indexes each token's
-exemplars, and ``classify`` adds the query's terms left to right, token by
-token in the order the query first uses them.
+is summed in the query's order, then rounded: ``train`` builds one index
+from each training token to its idf and its exemplars' weights, and
+``classify`` counts the query's words in a plain dict, looks each one up
+once, and adds its terms left to right, token by token in the order the
+query first uses them.
 
 ``train`` orders the exemplars by label, so ``classify`` finds what the
 pipeline reads, the top label, its score and ``matched``, from the exemplar
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -103,23 +104,21 @@ class StageClassifier(Protocol):
 class ClassifierModel:
     """A trained lexical model, indexed for scoring by ``train``.
 
-    ``postings`` maps each training token to the ``(exemplar, weight)``
-    pairs of the exemplars whose unit vector holds it. ``labels`` is sorted,
-    and ``label_of`` gives each exemplar's index into it. Exemplars are
-    ordered by label, each label's in the training file's order, so
-    ``label_of`` never decreases.
+    ``index`` maps each training token to its idf and its postings, the
+    ``(exemplar, weight)`` pairs of the exemplars whose unit vector holds
+    it. ``labels`` is sorted, and ``label_of`` gives each exemplar's index
+    into it. Exemplars are ordered by label, each label's in the training
+    file's order, so ``label_of`` never decreases.
     """
 
-    __slots__ = ("idf", "default_idf", "postings", "labels", "label_of", "threshold")
+    __slots__ = ("index", "default_idf", "labels", "label_of", "threshold")
 
     def __init__(
-        self, idf: dict[str, float], default_idf: float,
-        postings: dict[str, list[tuple[int, float]]], labels: list[str], label_of: list[int],
-        threshold: float = DEFAULT_THRESHOLD,
+        self, index: dict[str, tuple[float, tuple[tuple[int, float], ...]]], default_idf: float,
+        labels: list[str], label_of: list[int], threshold: float = DEFAULT_THRESHOLD,
     ):
-        self.idf = idf
+        self.index = index
         self.default_idf = default_idf  # weight for query tokens unseen in training
-        self.postings = postings
         self.labels = labels
         self.label_of = label_of
         self.threshold = threshold
@@ -133,11 +132,24 @@ class ClassifierModel:
         fully-unknown text scores 0.0 everywhere and cannot match. Only the
         head is computed here, from the exemplar sums alone.
         """
-        query = _unit(_vectorize(keyword_parts(text), self.idf, self.default_idf))
+        index, default_idf = self.index, self.default_idf
+        # the query's weights, each word looked up once; the norm covers unseen
+        # words too, summed left to right as ``train`` sums an exemplar's
+        terms, squares = [], 0.0
+        for t, n in _counts(keyword_parts(text)).items():
+            entry = index.get(t)
+            if entry is None:
+                w = n * default_idf
+            else:
+                w = n * entry[0]
+                terms.append((w, entry[1]))
+            squares += w * w
+        norm = math.sqrt(squares)
         sums = [0.0] * len(self.label_of)
-        for t, q in query.items():
-            for e, w in self.postings.get(t, ()):
-                sums[e] += q * w
+        for w, postings in terms:
+            q = w / norm
+            for e, pw in postings:
+                sums[e] += q * pw
         # round is monotone, so the top score is the rounded peak. Exemplars are
         # in label order, so the top label is the first exemplar's whose sum
         # rounds to it, which only a sum within 1e-12 of the peak can (the
@@ -153,20 +165,12 @@ class ClassifierModel:
         )
 
 
-def _unit(vec: dict[str, float]) -> dict[str, float]:
-    # left to right: sum() of floats is compensated from Python 3.12 on
-    squares = 0.0
-    for w in vec.values():
-        squares += w * w
-    norm = math.sqrt(squares)
-    if norm == 0.0:
-        return {}
-    return {t: w / norm for t, w in vec.items()}
-
-
-def _vectorize(tokens: list[str], idf: dict[str, float], default_idf: float) -> dict[str, float]:
-    counts = Counter(tokens)
-    return {t: n * idf.get(t, default_idf) for t, n in counts.items()}
+def _counts(tokens: list[str]) -> dict[str, int]:
+    """How often each token occurs, in the order of first use."""
+    counts: dict[str, int] = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    return counts
 
 
 def train(
@@ -191,28 +195,32 @@ def train(
     # a stable sort puts each label's exemplars together, in the file's order
     pairs.sort(key=itemgetter(1))
 
-    docs = [keyword_parts(utterance) for utterance, _ in pairs]
+    docs = [_counts(keyword_parts(utterance)) for utterance, _ in pairs]
     n_docs = len(docs)
-    df = Counter(t for doc in docs for t in set(doc))
+    df = _counts([t for doc in docs for t in doc])
     # smoothed idf keeps every weight positive so exact matches score 1.0
     idf = {t: math.log((1 + n_docs) / (1 + n)) + 1.0 for t, n in df.items()}
     default_idf = math.log(1 + n_docs) + 1.0
 
-    postings: dict[str, list[tuple[int, float]]] = {}
+    postings: dict[str, list[tuple[int, float]]] = {t: [] for t in idf}
     for e, ((utterance, _), doc) in enumerate(zip(pairs, docs)):
-        vec = _unit(_vectorize(doc, idf, default_idf))
-        if not vec:
+        if not doc:
             raise InputError(f"training utterance has no tokens: {utterance!r}")
-        for t, w in vec.items():
-            postings.setdefault(t, []).append((e, w))
+        weights = [(t, n * idf[t]) for t, n in doc.items()]
+        # left to right: sum() of floats is compensated from Python 3.12 on
+        squares = 0.0
+        for _, w in weights:
+            squares += w * w
+        norm = math.sqrt(squares)
+        for t, w in weights:
+            postings[t].append((e, w / norm))
     names = sorted({label for _, label in pairs})
-    index = {label: i for i, label in enumerate(names)}
+    positions = {label: i for i, label in enumerate(names)}
     return ClassifierModel(
-        idf=idf,
+        index={t: (idf[t], tuple(found)) for t, found in postings.items()},
         default_idf=default_idf,
-        postings=postings,
         labels=names,
-        label_of=[index[label] for _, label in pairs],
+        label_of=[positions[label] for _, label in pairs],
         threshold=threshold,
     )
 
@@ -235,17 +243,19 @@ def keyword_scan(catalog: Catalog, text: str) -> set[str]:
     does not surface ``filter``.
 
     Keywords are found through a part index: the text is cut into its
-    ``keyword_parts``, and a keyword's exact pattern runs only when all of
-    the keyword's parts are among them (a keyword with no part always runs).
+    ``keyword_parts``, one intersection with the index's keys finds the
+    parts that keywords are filed under, and a keyword's exact pattern runs
+    only when all of the keyword's parts are among the text's (a keyword
+    with no part, filed under ``""``, always runs).
     The parts fold the four non-ASCII code points that ``re.IGNORECASE``
     matches to ASCII: U+0130 and U+0131 to ``i``, U+017F to ``s`` and
     U+212A (the Kelvin sign) to ``k``. So the index never drops a match.
     """
-    parts = set(keyword_parts(text))
+    parts = {"", *keyword_parts(text)}
     index = catalog.keyword_index
     found: set[str] = set()
-    for first in ("", *parts):
-        for keyword in index.get(first, ()):
+    for first in index.keys() & parts:
+        for keyword in index[first]:
             if keyword.parts <= parts and keyword.pattern.search(text):
                 found.update(keyword.stages)
     return found

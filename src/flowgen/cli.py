@@ -9,9 +9,9 @@ Subcommands::
     flowgen export            re-emit a saved workflow document as JSON or DOT
 
 Exit codes: 0 on success, 1 for bad usage or bad input of any kind (an
-``InputError``, or any other ``ValueError`` or ``OSError``, printed as
-``error: ...``), 2 when the pipeline or its provider fails (a JSON error
-envelope goes to stderr).
+``InputError`` or an ``OSError``, printed as ``error: ...``), 2 when the
+pipeline or its provider fails, or on any other exception (a JSON error
+envelope goes to stderr; step ``internal`` for an unexpected exception).
 """
 
 from __future__ import annotations
@@ -212,16 +212,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # usage, configuration and input files
+    except (InputError, OSError) as exc:  # usage, configuration and input files
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:
-        print(json.dumps(exc.envelope(), indent=2, ensure_ascii=False), file=sys.stderr)
-        return 2
+        return _failed(exc.envelope())
     except ProviderError as exc:
-        envelope = {"error": {"step": "provider", "message": str(exc)}}
-        print(json.dumps(envelope, indent=2, ensure_ascii=False), file=sys.stderr)
-        return 2
+        return _failed({"error": {"step": "provider", "message": str(exc)}})
+    except Exception as exc:  # a fault in flowgen itself: no traceback escapes
+        return _failed({"error": {"step": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+
+
+def _failed(envelope: dict) -> int:
+    """Print an error envelope as JSON on stderr; exit code 2."""
+    print(json.dumps(envelope, indent=2, ensure_ascii=False), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -11,10 +11,13 @@ A token estimate is one regex pass (``count_tokens``). A prompt's estimate and
 SHA-256 are built from parts, each counted and hashed once where it is made;
 ``render_prompt`` joins them in one walk over the template. A template's fixed
 text is counted when it is loaded, and its leading text hashed at its first
-render. ``count_once`` fills two caches, each keyed by the text it counts.
-Pieces made from the catalog or the bank (context lines, example blocks,
-segmentation lines, edge heads) are counted once per runtime, in
-``stagepred.StagePrompts.tokens``, beside each stage's bound properties
+render. The stage prompt's pieces are counted when they are made: each
+stage's context line when a runtime's ``stagepred.StagePrompts`` is built,
+and each few-shot block when its ``stagepred.FewShotExample`` is. So a cag
+stage prompt only joins counted pairs. ``count_once`` fills two caches,
+each keyed by the text it counts. Pieces made from a node's stage
+(segmentation lines, edge heads) are counted once per runtime, at first
+use, in ``StagePrompts.tokens``, beside each stage's bound properties
 template. A prompt made per call renders in one pass from a template built
 once, as the cag stage prompt does from its family's template, whose
 leading text is so hashed once per process; ``bind`` makes a template only

@@ -36,7 +36,6 @@ from .llm import (
     RenderedPrompt,
     bind,
     complete,
-    count_once,
     counted,
     load_template,
     parse_operator_list,
@@ -80,13 +79,18 @@ class ProtocolViolation(AnswerError):
 
 
 class FewShotExample(Record):
-    """An utterance and its answer."""
+    """An utterance and its answer, with its few-shot block counted once.
 
-    __slots__ = ("utterance", "operators")
+    ``block`` is the example as the stage prompt shows it, a ``(text,
+    tokens)`` pair made when the example is.
+    """
+
+    __slots__ = ("utterance", "operators", "block")
 
     def __init__(self, utterance: str, operators: tuple[str, ...]):
         self.utterance = utterance
         self.operators = operators
+        self.block = counted(f'Utterance: {utterance}\nOperators: "{", ".join(operators)}"')
 
 
 class CandidateSet:
@@ -151,30 +155,30 @@ def _verified(
     return kept
 
 
-def _joined(texts: list[str], tokens: dict[str, int], sep: str) -> tuple[str, int]:
-    """``texts`` joined by a whitespace ``sep``, and their token total.
+def _joined(pieces: list[tuple[str, int]], sep: str) -> tuple[str, int]:
+    """Counted ``pieces`` joined by a whitespace ``sep``, and their token total.
 
-    Each text is counted once in ``tokens``. No alphanumeric run crosses
-    ``sep``, so the counts add exactly.
+    No alphanumeric run crosses ``sep``, so the counts add exactly.
     """
-    total = 0
-    for text in texts:
-        total += count_once(tokens, text)
-    return sep.join(texts), total
+    return sep.join([text for text, _ in pieces]), sum([n for _, n in pieces])
 
 
 class StagePrompts:
     """The static prompt text of a runtime, each piece counted once.
 
-    ``stage_prompts`` builds it once per runtime. Its pieces are filled at
-    their first use and looked up after that:
+    ``stage_prompts`` builds it once per runtime, with ``lines``: each
+    stage's context line for the stage prompt, a ``(text, tokens)`` pair by
+    stage name. Each few-shot example counts its own block when it is made
+    (``FewShotExample.block``), so ``bindings`` only joins counted pairs.
 
-    * ``tokens``, the count of each piece made from the catalog or the bank,
-      by its text: each stage's context line and each example's few-shot
-      block for the stage prompt (``listing``), each stage's description
-      line for the segmentation prompt (``edgepred.segment_for_nodes``), and
-      the stage part of each node's head for the edge prompt
-      (``edgepred.predict_edges``). No user text goes in it;
+    The pieces made from a node's stage are filled at their first use and
+    looked up after that:
+
+    * ``tokens``, the count of each such piece, by its text: each stage's
+      description line for the segmentation prompt
+      (``edgepred.segment_for_nodes``), and the stage part of each node's
+      head for the edge prompt (``edgepred.predict_edges``). No user text
+      goes in it;
     * ``properties``, each stage's properties template with its name and
       property list bound (``proppred.predict_properties`` fills it), so its
       digest state covers all the text before the sub-utterance.
@@ -190,7 +194,9 @@ class StagePrompts:
     ``select_examples`` reads.
     """
 
-    __slots__ = ("catalog", "stage", "decompose", "bank", "positions", "tokens", "properties")
+    __slots__ = (
+        "catalog", "stage", "decompose", "bank", "positions", "lines", "tokens", "properties",
+    )
 
     def __init__(
         self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate,
@@ -201,6 +207,9 @@ class StagePrompts:
         self.decompose = decompose  # the split examples bound; ``utterance`` open
         self.bank = bank
         self.positions = example_positions(bank)
+        self.lines = {
+            name: counted(f'"{name}": {stage.description}') for name, stage in catalog.stages.items()
+        }
         self.tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
@@ -212,15 +221,11 @@ class StagePrompts:
         The context lists the candidate stages, or the whole catalog when
         ``candidates`` is None.
         """
-        stages = self.catalog.stages
-        names = sorted(stages if candidates is None else candidates)
-        lines = [f'"{name}": {stages[name].description}' for name in names]
-        blocks = [
-            f'Utterance: {ex.utterance}\nOperators: "{", ".join(ex.operators)}"' for ex in examples
-        ]
+        lines = self.lines
+        names = sorted(lines if candidates is None else candidates)
         return {
-            "context": _joined(lines, self.tokens, "\n"),
-            "examples": _joined(blocks, self.tokens, "\n\n"),
+            "context": _joined([lines[name] for name in names], "\n"),
+            "examples": _joined([ex.block for ex in examples], "\n\n"),
         }
 
     def listing(

@@ -331,7 +331,7 @@ def test_train_orders_exemplars_by_label_keeping_the_file_order():
     model = fit([("c c", "y"), ("b b", "x"), ("a a", "y"), ("d d", "x")])
     assert (model.labels, model.label_of) == (["x", "y"], [0, 0, 1, 1])
     # each exemplar holds one token, so a token's posting names its exemplar
-    assert {t: [e for e, _ in postings] for t, postings in model.postings.items()} == {
+    assert {t: [e for e, _ in postings] for t, (_, postings) in model.index.items()} == {
         "b": [0], "d": [1], "c": [2], "a": [3]
     }
 

@@ -223,6 +223,24 @@ def test_generate_malformed_classifier_reply_prints_envelope(capsys, monkeypatch
     assert "malformed classifier response" in envelope["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "error", [RuntimeError("worker lost"), ValueError("bad state")], ids=["runtime", "value"]
+)
+def test_an_unexpected_exception_exits_two_with_an_internal_envelope(capsys, monkeypatch, error):
+    # a fault in flowgen itself is neither bad input (exit 1) nor a traceback
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("flowgen.pipeline.segment_for_nodes", broken)
+    code, out, err = run(
+        capsys, "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS
+    )
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    message = f"{type(error).__name__}: {error}"
+    assert json.loads(err) == {"error": {"step": "internal", "message": message}}
+
+
 def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):
     pairs = tmp_path / "pairs.json"
     pairs.write_text(json.dumps([{"utterance": "zebra stripes", "label": "no_such_stage"}]))

@@ -11,7 +11,8 @@ Over the reference flows and every strategy, each run must return a
 workflow's diagnostics name only the steps that degrade; every call that
 raised leaves an ``outcome: "error"`` record in its step's trace; and
 ``parallel`` 1 and 2 give the same bytes. Through ``cli.main``, every run
-exits 0, 1 or 2 and prints no traceback.
+exits 0 or 2 and prints no traceback: the config is valid, so no model-side
+fault may exit 1, the code for bad input.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def test_a_faulty_provider_degrades_or_fails_stage_prediction_alike_at_any_paral
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), near_misses=near_miss_lists)
-def test_the_cli_exits_0_1_or_2_under_a_faulty_provider_without_a_traceback(seed, near_misses):
+def test_the_cli_exits_0_or_2_under_a_faulty_provider_without_a_traceback(seed, near_misses):
     load = llm.load_mock_scripts
     for flow in FLOWS:
         for strategy in STRATEGIES:
@@ -183,7 +184,7 @@ def test_the_cli_exits_0_1_or_2_under_a_faulty_provider_without_a_traceback(seed
                         "generate", "--utterance", FLOWS[flow], "--strategy", strategy,
                         "--mock-scripts", str(SCRIPTS[flow]), "--parallel", "2", "--trace",
                     ])
-            assert code in (0, 1, 2), (flow, strategy)
+            assert code in (0, 2), (flow, strategy)
             assert "Traceback" not in err.getvalue()
             if code == 0:
                 assert json.loads(out.getvalue())["provenance"]["strategy"] == strategy

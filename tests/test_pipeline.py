@@ -53,6 +53,7 @@ from flowgen.pipeline import (
     emit,
     generate_with_runtime,
     load_workflow_doc,
+    predict_stages,
 )
 from flowgen.proppred import ACCEPTED, PropertyAssignment, canonical_value
 from flowgen.stagepred import render_stage_prompt
@@ -327,9 +328,11 @@ def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monke
     heads = {f" ({s.name}, inputs {bound(s.inputs)}, outputs {bound(s.outputs)}): " for s in stages}
     (candidates,) = [e["stages"] for e in w.provenance["stage_trace"] if e["event"] == "candidates"]
     context_lines = {f'"{name}": {rt.catalog.stages[name].description}' for name in candidates}
-    for pieces in (prop_lists, node_lines, heads, context_lines):
+    for pieces in (prop_lists, node_lines, heads):
         assert pieces and pieces <= set(first)
         assert not pieces & set(second)
+    # the stage prompt's pieces were counted when the runtime was built
+    assert context_lines and not context_lines & {*first, *second}
     # the utterance and each sub-utterance counted exactly once, each node name at most once
     spans = {LINEAR_FLOW, *w.provenance["segments"].values()}
     assert len(spans) > 2
@@ -337,6 +340,23 @@ def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monke
     names = w.graph.node_names()
     assert len(names) > 2
     assert max(Counter(t for t in second if t in names).values()) == 1
+
+
+def test_a_cag_runtime_counts_its_stage_prompt_pieces_when_built(demo_config, monkeypatch):
+    rt = build_runtime(demo_config(strategy="cag"))
+    rt.provider = recording = RecordingProvider(rt.provider)
+    texts: list[str] = []
+
+    def spy(text):
+        texts.append(text)
+        return count_tokens(text)
+
+    monkeypatch.setattr(llm, "count_tokens", spy)
+    prediction = predict_stages(LINEAR_FLOW, rt)
+    assert prediction.stages and len(recording.prompts) == 2
+    # the first run counts only its own text: the utterance, once, and the two answers
+    answers = [recording.inner.complete(p, CompletionParams()) for p in recording.prompts]
+    assert texts == [LINEAR_FLOW, *answers]
 
 
 def test_steps_take_their_trace_caches_and_counted_text_without_defaults():

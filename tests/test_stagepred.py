@@ -448,6 +448,11 @@ PINNED_CAG_CALLS = [
 ]
 
 
+# synthetic_cag_digest() as the cag strategy gave it before the stage prompt's
+# pieces were counted when the runtime is built
+SYNTHETIC_CAG_DIGEST = "7ff10b1ce60091894b02172f17647ef88b5d4039a5d283d016b0c02f09f8a176"
+
+
 def _synthetic_cag_runtime():
     from flowgen.pipeline import PipelineConfig, build_runtime
 
@@ -488,6 +493,27 @@ def test_cag_prompts_are_pinned_and_counted_exactly():
     assert len(recording.prompts) == 4 * len(records)
     for prompt in recording.prompts:
         assert prompt.token_estimate == count_tokens(prompt.text)
+
+
+def synthetic_cag_digest() -> str:
+    """SHA-256 over each synthetic record's predicted stages and its calls' purpose, tokens and hash."""
+    from flowgen.pipeline import predict_stages
+
+    rt = _synthetic_cag_runtime()
+    records = json.loads(fixture_path("synthetic_utterances.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for record in records:
+        prediction = predict_stages(record["utterance"], rt)
+        calls = [
+            [c["purpose"], c["prompt_tokens"], c["completion_tokens"], c["prompt_sha256"]]
+            for c in prediction.trace if c["event"] == "llm_call"
+        ]
+        digest.update(json.dumps([prediction.stages, calls]).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_the_synthetic_corpus_cag_calls_are_pinned():
+    assert synthetic_cag_digest() == SYNTHETIC_CAG_DIGEST
 
 
 # text that starts and ends with a letter, a digit or a punctuation mark, so
