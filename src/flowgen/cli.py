@@ -131,14 +131,15 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    # piped input always carries a trailing newline; it is not part of the flow text
-    utterance = args.utterance if args.utterance is not None else sys.stdin.read().strip()
+    try:
+        # piped input always carries a trailing newline; it is not part of the flow text
+        utterance = args.utterance if args.utterance is not None else sys.stdin.read().strip()
+        # bytes that are not UTF-8 arrive surrogate-escaped, and no output could hold them
+        utterance.encode("utf-8")
+    except UnicodeError as exc:  # a strict stdin fails to decode them at the read instead
+        raise InputError(f"the utterance is not UTF-8 text ({exc})") from exc
     if not utterance.strip():
         raise InputError("empty utterance")
-    try:  # bytes that are not UTF-8 arrive surrogate-escaped, and no output could hold them
-        utterance.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise InputError(f"the utterance is not UTF-8 text ({exc})") from exc
     cfg = _config_from_args(args)
     runtime = build_runtime(cfg)
     workflow = generate_with_runtime(utterance, runtime)

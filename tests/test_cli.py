@@ -135,7 +135,7 @@ def test_generate_empty_utterance_is_usage_error(capsys):
     assert "error: empty utterance" in err
 
 
-@pytest.mark.parametrize("source", ["stdin", "utterance"])
+@pytest.mark.parametrize("source", ["stdin", "strict-stdin", "utterance"])
 def test_generate_rejects_an_utterance_that_is_not_utf8_before_any_call(
     capsys, monkeypatch, source
 ):
@@ -151,6 +151,10 @@ def test_generate_rejects_an_utterance_that_is_not_utf8_before_any_call(
     text = "Use Tail \udcff"
     if source == "stdin":
         monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        argv = ("--stdin",)
+    elif source == "strict-stdin":  # a UTF-8 locale without UTF-8 mode fails at the read
+        raw = io.BytesIO(b"Use Tail \xff\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
         argv = ("--stdin",)
     else:
         argv = ("--utterance", text)
