@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -31,6 +32,26 @@ def fixture_path(*parts: str) -> Path:
     return Path(__file__).parent.joinpath("fixtures", *parts)
 
 
+# a surrogate's escape; a lone one decodes to a str that no UTF-8 output can carry
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str) -> object:
+    """``json.loads``, which also raises ``ValueError`` for a string holding a lone surrogate.
+
+    The exact check, a UTF-8 encode of the whole value, runs only when a scan
+    of ``text`` finds a surrogate's escape, as a pair for an emoji also is.
+    """
+    raw = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(raw, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            lone = exc.object[exc.start : exc.end]
+            raise ValueError(f"a string holds the lone surrogate {lone!r}, which UTF-8 cannot carry")
+    return raw
+
+
 def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = ()):
     """Parse a JSON input file and check its top-level shape.
 
@@ -40,8 +61,8 @@ def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = (
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw = json.loads(text) if text.strip() else kind()
-    except ValueError as exc:  # not UTF-8, malformed, or an integer past the digit limit
+        raw = parse_json(text) if text.strip() else kind()
+    except ValueError as exc:  # not UTF-8, malformed, a huge integer or a lone surrogate
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
     if kind is list:
         if not isinstance(raw, list):

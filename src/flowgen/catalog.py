@@ -15,7 +15,7 @@ from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 
-from . import InputError, Record, condexpr
+from . import InputError, Record, condexpr, parse_json
 
 __all__ = [
     "CardinalityBound",
@@ -351,10 +351,10 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
 def parse_catalog(text: str) -> Catalog:
     """Parse and validate a catalog document from JSON text."""
     try:
-        doc = json.loads(text)
+        doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise CatalogParseError(f"malformed JSON: {exc}", f"line {exc.lineno}") from exc
-    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``
+    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
         raise CatalogParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "stages" not in doc:
         raise CatalogParseError('expected an object with a "stages" array')

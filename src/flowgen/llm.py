@@ -42,6 +42,7 @@ records, so the trace is the only token ledger.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import string
@@ -50,7 +51,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from . import InputError, Record, read_json
+from . import InputError, Record, parse_json, read_json
 
 # the builtin SHA-256, as random.py loads its hash: hashlib would load
 # OpenSSL, which costs 3.5 MB of memory
@@ -388,30 +389,53 @@ def post_json(
 ) -> object:
     """POST ``payload`` as JSON and return the decoded reply: the one HTTP transport.
 
-    Transport errors and 5xx replies are tried three times in all, with
-    sleeps of 0.2 s and 0.4 s between; a 4xx reply or a body that is not
-    JSON raises ``ProviderError`` at once.
+    Transport errors (``OSError``, which covers refused connections and
+    timeouts, or an ``http.client`` protocol error such as a truncated body)
+    and 5xx replies are tried three times in all, with sleeps of 0.2 s and
+    0.4 s between. Any other non-2xx reply, a body that is not UTF-8 JSON
+    (or holds a lone surrogate, which no output could carry), a URL whose
+    scheme is not http or https, or a request that cannot be built raises
+    ``ProviderError`` at once.
     """
-    import requests  # local: half of flowgen.cli's import time; only live clients use it
+    # local: urllib.request adds 20-35 ms, half of flowgen.cli's import; only live clients send
+    import http.client
+    import urllib.request
+    from urllib.error import HTTPError, URLError
+    from urllib.parse import urlsplit
 
-    last_error: Exception | None = None
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.netloc:  # urlopen reads file: URLs too
+        raise ProviderError(f"{url!r} is not an http or https URL")
+    data = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(
+        url, data, {**(headers or {}), "Content-Type": "application/json"}, method="POST"
+    )
+    last_error: object = None
     for attempt in range(3):
         if attempt:
             time.sleep(0.2 * attempt)
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            last_error = exc
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                body = resp.read()
+        except HTTPError as exc:
+            if exc.code >= 500:
+                last_error = f"server error {exc.code}"
+                continue
+            try:
+                text = exc.read().decode("utf-8", "replace")
+            except (OSError, http.client.HTTPException):  # the reason stays the status code
+                text = ""
+            raise ProviderError(f"request to {url} rejected ({exc.code}): {text[:200]}") from exc
+        except (ValueError, http.client.InvalidURL) as exc:  # a header or URL that cannot be sent
+            raise ProviderError(f"request to {url} cannot be sent: {exc}") from exc
+        except (OSError, http.client.HTTPException) as exc:
+            last_error = exc.reason if isinstance(exc, URLError) else exc
             continue
-        if resp.status_code >= 500:
-            last_error = ProviderError(f"server error {resp.status_code}")
-            continue
-        if resp.status_code >= 400:
-            raise ProviderError(f"request to {url} rejected ({resp.status_code}): {resp.text[:200]}")
         try:
-            return resp.json()
-        except ValueError as exc:  # both json's and requests' decode errors subclass it
-            raise ProviderError(f"non-JSON response from {url}: {resp.text[:200]!r}") from exc
+            return parse_json(body.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, malformed, or holding a lone surrogate
+            text = body.decode("utf-8", "replace")
+            raise ProviderError(f"non-JSON response from {url}: {text[:200]!r}") from exc
     raise ProviderError(f"{url} failed after 3 attempts: {last_error}")
 
 

@@ -404,8 +404,9 @@ def select_examples(
         return [bank[i] for i in matching]
     chosen: set[int] = set()
     cursors = [0] * len(per_stage)
+    # more matches than the cap, so each round picks one at least: an unchosen match lies
+    # at or after its stage's cursor
     while len(chosen) < cap:
-        progressed = False
         for k, indices in enumerate(per_stage):
             if len(chosen) >= cap:
                 break
@@ -415,9 +416,6 @@ def select_examples(
             if cursor < len(indices):
                 chosen.add(indices[cursor])
                 cursors[k] = cursor + 1
-                progressed = True
-        if not progressed:
-            break
     return [bank[i] for i in sorted(chosen)]
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -83,17 +86,6 @@ class RecordingProvider:
         return self.inner.complete(prompt, params)
 
 
-class FakeResponse:
-    """Stands in for ``requests.Response``: a status code and a body, decoded on demand."""
-
-    def __init__(self, status_code: int, text: str):
-        self.status_code = status_code
-        self.text = text
-
-    def json(self):
-        return json.loads(self.text)
-
-
 class NeverClassify:
     def classify(self, text: str) -> Classification:
         return Classification(ranked=(), matched=False)
@@ -149,3 +141,81 @@ def tiny_catalog() -> Catalog:
         make_stage("join", "Combine two inputs on a key.", inputs=(2, 2)),
         make_stage("switch", "Route records to branches.", outputs=(1, None)),
     )
+
+
+# --- a live HTTP endpoint ------------------------------------------------------------
+
+
+class Reply(NamedTuple):
+    """One scripted HTTP answer."""
+
+    status: int
+    body: str
+    length: int | None = None  # the Content-Length sent; above the body's, the body is cut short
+    delay: float = 0.0  # seconds to wait before answering, to let a client time out
+
+
+class Seen(NamedTuple):
+    """One request the endpoint received: its path, its headers and its JSON body."""
+
+    path: str
+    headers: dict[str, str]
+    body: object
+
+
+class Endpoint:
+    """An HTTP server on 127.0.0.1 that records each POST and answers it from a script.
+
+    Each request takes the next of ``replies``; once they run out, ``answer``
+    is called with the request's JSON body. ``url`` is the server's root.
+    """
+
+    def __init__(self):
+        self.replies: list[Reply] = []
+        self.answer: Callable[[object], Reply] = lambda body: Reply(404, "unscripted")
+        self.seen: list[Seen] = []
+        self.closing = threading.Event()
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        self.server.endpoint = self
+        host, port = self.server.server_address[:2]
+        self.url = f"http://{host}:{port}"
+        # a short poll lets close() return within 20 ms rather than the default 0.5 s
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.02,), daemon=True)
+        self.thread.start()
+
+    def close(self) -> None:
+        """Stop serving and close the socket, so a new connection is refused."""
+        self.closing.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        endpoint = self.server.endpoint
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        endpoint.seen.append(Seen(self.path, dict(self.headers), body))
+        reply = endpoint.replies.pop(0) if endpoint.replies else endpoint.answer(body)
+        if endpoint.closing.wait(reply.delay):
+            return
+        data = reply.body.encode("utf-8")
+        self.send_response(reply.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data) if reply.length is None else reply.length))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture()
+def http_endpoint(monkeypatch):
+    # a proxy from the environment would otherwise get the requests meant for 127.0.0.1
+    for name in ("NO_PROXY", "no_proxy"):
+        monkeypatch.setenv(name, "*")
+    endpoint = Endpoint()
+    yield endpoint
+    endpoint.close()

@@ -89,6 +89,22 @@ def test_undecodable_catalog_file_is_a_parse_error(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize(
+    "escape, lone",
+    [("\\ud800", True), ("x\\uDFFF", True), ("\\ud83d\\ude00", False), ("\\\\ud800", False)],
+    ids=["high", "low", "pair", "escaped-backslash"],
+)
+def test_a_lone_surrogate_escape_is_malformed_json(escape, lone):
+    # a lone surrogate parses, but the prompt hash and the output could not encode it
+    text = fixture_path("demo_catalog.json").read_text(encoding="utf-8")
+    text = text.replace('"description": "', '"description": "' + escape, 1)
+    if lone:
+        with pytest.raises(CatalogParseError, match=r"^malformed JSON: a string holds the lone surrogate"):
+            parse_catalog(text)
+    else:
+        assert len(parse_catalog(text).stages) == 31
+
+
 def test_missing_field_reports_locus():
     with pytest.raises(CatalogParseError, match=r"stages\[0\].description"):
         parse_catalog(json.dumps({"stages": [{"name": "x"}]}))

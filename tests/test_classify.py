@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FakeResponse, make_catalog, make_stage
+from conftest import Reply, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import keyword_parts as tokenize
 from flowgen.llm import ProviderError
@@ -497,30 +497,15 @@ def test_indexed_scan_agrees_with_every_pattern_on_the_synthetic_corpus():
 # --- remote contract --------------------------------------------------------------------
 
 
-def test_remote_classifier_parses_contract(monkeypatch):
-    class FakeResponse:
-        status_code = 200
-
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"ranked": [["sort", 0.9], ["filter", 0.1]], "matched": True}
-
-    calls = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls["url"], calls["payload"] = url, json
-        return FakeResponse()
-
-    monkeypatch.setattr("requests.post", fake_post)
-    result = RemoteClassifier("http://cls.local/").classify("sort it")
-    assert calls["url"] == "http://cls.local/classify"
-    assert calls["payload"] == {"text": "sort it"}
+def test_remote_classifier_parses_contract(http_endpoint):
+    http_endpoint.replies.append(Reply(200, '{"ranked": [["sort", 0.9], ["filter", 0.1]], "matched": true}'))
+    result = RemoteClassifier(http_endpoint.url + "/").classify("sort it")
+    (seen,) = http_endpoint.seen
+    assert (seen.path, seen.body) == ("/classify", {"text": "sort it"})
     assert result.top == "sort" and result.matched
 
 
-def test_remote_classifier_wraps_malformed_payloads(monkeypatch):
+def test_remote_classifier_wraps_malformed_payloads(http_endpoint):
     for body in [
         {"oops": True},
         {"ranked": [["sort", 0.1]], "matched": "false"},  # bool("false") is True
@@ -529,14 +514,14 @@ def test_remote_classifier_wraps_malformed_payloads(monkeypatch):
         {"ranked": [["sort", 10**400]], "matched": True},  # float() overflows
         {"ranked": [["sort", float("nan")]], "matched": True},
     ]:
-        monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, json.dumps(body)))
+        http_endpoint.replies.append(Reply(200, json.dumps(body)))
         with pytest.raises(ProviderError, match="malformed"):
-            RemoteClassifier("http://cls.local").classify("x")
+            RemoteClassifier(http_endpoint.url).classify("x")
+    assert len(http_endpoint.seen) == 6
 
 
-def test_remote_classifier_retries_server_errors(monkeypatch):
-    replies = [FakeResponse(503, "busy"), FakeResponse(200, '{"ranked": [], "matched": false}')]
-    monkeypatch.setattr("requests.post", lambda *a, **k: replies.pop(0))
+def test_remote_classifier_retries_server_errors(http_endpoint, monkeypatch):
+    http_endpoint.replies += [Reply(503, "busy"), Reply(200, '{"ranked": [], "matched": false}')]
     monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
-    result = RemoteClassifier("http://cls.local").classify("x")
-    assert replies == [] and result == Classification(ranked=(), matched=False)
+    result = RemoteClassifier(http_endpoint.url).classify("x")
+    assert len(http_endpoint.seen) == 2 and result == Classification(ranked=(), matched=False)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LINEAR_FLOW, FakeResponse
+from conftest import LINEAR_FLOW, Reply
 from flowgen import fixture_path
 from flowgen.cli import main
 from flowgen.llm import MockProvider
@@ -208,20 +208,14 @@ def test_generate_classifier_failure_prints_envelope(capsys, monkeypatch):
     assert [c["purpose"] for c in calls] == ["decompose"]
 
 
-def test_generate_malformed_classifier_reply_prints_envelope(capsys, monkeypatch):
-    posted = []
-
-    def post(url, **kwargs):
-        posted.append(url)
-        return FakeResponse(200, '{"ranked": {"a1": 0}, "matched": 0}')
-
-    monkeypatch.setattr("requests.post", post)
+def test_generate_malformed_classifier_reply_prints_envelope(capsys, http_endpoint):
+    http_endpoint.replies.append(Reply(200, '{"ranked": {"a1": 0}, "matched": 0}'))
     code, out, err = run(
         capsys,
         "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
-        "--classifier", "http://127.0.0.1:9",
+        "--classifier", http_endpoint.url,
     )
-    assert code == 2 and out == "" and posted == ["http://127.0.0.1:9/classify"]
+    assert code == 2 and out == "" and [s.path for s in http_endpoint.seen] == ["/classify"]
     envelope = json.loads(err)
     assert envelope["error"]["step"] == "stage_prediction"
     assert "malformed classifier response" in envelope["error"]["message"]
@@ -347,13 +341,14 @@ def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
     assert "Traceback" not in err
 
 
-def test_import_leaves_requests_unloaded():
-    # requests is imported only by the live HTTP clients, when they send
-    probe = "import sys, flowgen.cli; print('requests' in sys.modules)"
+def test_import_loads_no_http_client():
+    # the HTTP transport and TLS are imported only by the live clients, when they send
+    unwanted = ["http.client", "requests", "ssl", "urllib.request"]
+    probe = f"import sys, flowgen.cli; print(sorted(set({unwanted!r}) & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_serial_runs_load_neither_openssl_nor_thread_pools():
@@ -475,6 +470,30 @@ def test_eval_undecodable_dataset_names_the_file(capsys, tmp_path, content, reas
     assert err.startswith(f"error: {bad}: malformed JSON: {reason}")
 
 
+# a JSON escape of half a surrogate pair: it parses, but no UTF-8 output can carry it
+WORKFLOW_DOC = (
+    '{"nodes": [{"unique_name": "sort_1\\ud800", "stage": "sort", "sub_utterance": "sort it", '
+    '"properties": []}], "edges": []}'
+)
+
+
+@pytest.mark.parametrize("command", ["catalog-validate", "generate", "export"])
+def test_a_lone_surrogate_escape_in_an_input_file_is_bad_input(capsys, tmp_path, command):
+    bad = tmp_path / "input.json"
+    if command == "export":
+        bad.write_text(WORKFLOW_DOC, encoding="utf-8")
+        argv = ["export", "--workflow", str(bad)]
+    else:
+        catalog = fixture_path("demo_catalog.json").read_text(encoding="utf-8")
+        bad.write_text(catalog.replace('"description": "', '"description": "\\ud800', 1), encoding="utf-8")
+        argv = [command, "--catalog", str(bad)]
+        if command == "generate":
+            argv += ["--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "the lone surrogate '\\ud800'" in err
+
+
 # --- classify ----------------------------------------------------------------------
 
 
@@ -503,19 +522,13 @@ def test_classify_with_custom_training_pairs(capsys, tmp_path):
     assert out.splitlines() == ["matched: true", "1.0000  sort"]
 
 
-def test_classify_with_classifier_endpoint(capsys, monkeypatch):
-    posted = []
-
-    def post(url, **kwargs):
-        posted.append((url, kwargs["json"]))
-        return FakeResponse(200, '{"ranked": [["sort", 0.9], ["head", 0.1]], "matched": true}')
-
-    monkeypatch.setattr("requests.post", post)
+def test_classify_with_classifier_endpoint(capsys, http_endpoint):
+    http_endpoint.replies.append(Reply(200, '{"ranked": [["sort", 0.9], ["head", 0.1]], "matched": true}'))
     code, out, err = run(
-        capsys, "classify", "--text", "sort rows", "--classifier", "http://127.0.0.1:9/x", "--top", "1"
+        capsys, "classify", "--text", "sort rows", "--classifier", http_endpoint.url + "/x", "--top", "1"
     )
     assert code == 0 and err == ""
-    assert posted == [("http://127.0.0.1:9/x/classify", {"text": "sort rows"})]
+    assert [(s.path, s.body) for s in http_endpoint.seen] == [("/x/classify", {"text": "sort rows"})]
     assert out.splitlines() == ["matched: true", "0.9000  sort"]
 
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FakeResponse
+from conftest import Reply
 from flowgen import InputError
 from flowgen.llm import (
     CompletionParams,
@@ -380,30 +380,22 @@ def test_provider_from_env_requires_endpoint():
     assert provider.model == "m" and provider.api_key == "k"
 
 
-def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
-    class FakeResponse:
-        status_code = 200
-
-        def json(self):
-            return {
-                "choices": [{"text": "answer"}],
-                "usage": {"prompt_tokens": 10, "completion_tokens": 2},
-            }
-
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen["payload"], seen["headers"] = json, headers
-        return FakeResponse()
-
-    monkeypatch.setattr("requests.post", fake_post)
-    provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local", "LLM_API_KEY": "k"})
+def test_http_provider_parses_usage_and_choice_shapes(http_endpoint):
+    http_endpoint.replies.append(
+        Reply(200, json.dumps({
+            "choices": [{"text": "answer"}],
+            "usage": {"prompt_tokens": 10, "completion_tokens": 2},
+        }))
+    )
+    provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url + "/v1", "LLM_API_KEY": "k"})
     trace: list[dict] = []
     assert complete(provider, prompt_of("ping"), trace, "decompose") == "answer"
     # the reported usage is not read: both counts are flowgen's estimates
     assert (trace[0]["prompt_tokens"], trace[0]["completion_tokens"]) == (1, 1)
-    assert seen["payload"]["prompt"] == "ping"
-    assert seen["headers"]["Authorization"] == "Bearer k"
+    (seen,) = http_endpoint.seen
+    assert seen.path == "/v1" and seen.body["prompt"] == "ping"
+    assert seen.headers["Authorization"] == "Bearer k"
+    assert seen.headers["Content-Type"] == "application/json"
 
 
 @pytest.mark.parametrize(
@@ -417,81 +409,80 @@ def test_http_provider_parses_usage_and_choice_shapes(monkeypatch):
         pytest.param({"choices": [{"message": {"content": "hi"}}]}, "carries no text", id="body6"),
     ],
 )
-def test_http_provider_wraps_malformed_bodies(monkeypatch, body, message):
-    class FakeResponse:
-        status_code = 200
-        text = "body"
-
-        def json(self):
-            return body
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
-    provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
+def test_http_provider_wraps_malformed_bodies(http_endpoint, body, message):
+    http_endpoint.replies.append(Reply(200, json.dumps(body)))
+    provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url})
     with pytest.raises(ProviderError, match=message):
         provider.complete(prompt_of("ping"), PARAMS)
 
 
-def test_http_provider_surfaces_client_errors_without_retry(monkeypatch):
-    calls = {"n": 0}
-
-    class FakeResponse:
-        status_code = 400
-        text = "bad request"
-
-    def fake_post(*args, **kwargs):
-        calls["n"] += 1
-        return FakeResponse()
-
-    monkeypatch.setattr("requests.post", fake_post)
-    provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
-    with pytest.raises(ProviderError, match="rejected"):
+def test_http_provider_surfaces_client_errors_without_retry(http_endpoint):
+    http_endpoint.replies.append(Reply(400, "bad request"))
+    provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url})
+    with pytest.raises(ProviderError, match=r"rejected \(400\): bad request"):
         provider.complete(prompt_of("ping"), PARAMS)
-    assert calls["n"] == 1
+    assert len(http_endpoint.seen) == 1
 
 
-def test_http_provider_retries_server_errors(monkeypatch):
-    calls = {"n": 0}
-
-    class Flaky:
-        status_code = 500
-        text = "boom"
-
-    class Good:
-        status_code = 200
-
-        def json(self):
-            return {"text": "ok"}
-
-    def fake_post(*args, **kwargs):
-        calls["n"] += 1
-        return Flaky() if calls["n"] == 1 else Good()
-
-    monkeypatch.setattr("requests.post", fake_post)
-    monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
-    provider = provider_from_env({"LLM_ENDPOINT": "http://llm.local"})
-    assert provider.complete(prompt_of("ping"), PARAMS) == "ok"
-    assert calls["n"] == 2
-
-
-def test_post_json_retries_transport_errors_then_gives_up(monkeypatch):
-    import requests
-
-    timeouts, sleeps = [], []
-
-    def down(url, json=None, headers=None, timeout=None):
-        timeouts.append(timeout)
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr("requests.post", down)
+def test_http_provider_retries_server_errors(http_endpoint, monkeypatch):
+    http_endpoint.replies += [Reply(500, "boom"), Reply(200, '{"text": "ok"}')]
+    sleeps = []
     monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
-    with pytest.raises(ProviderError, match="failed after 3 attempts: connection refused"):
-        post_json("http://llm.local", {}, timeout=5.0)
-    assert timeouts == [5.0] * 3 and sleeps == [0.2, 0.4]
+    provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url})
+    assert provider.complete(prompt_of("ping"), PARAMS) == "ok"
+    assert len(http_endpoint.seen) == 2 and sleeps == [0.2]
 
 
-def test_post_json_rejects_a_non_json_body_without_retry(monkeypatch):
-    replies = [FakeResponse(200, "<html>bad gateway</html>")]
-    monkeypatch.setattr("requests.post", lambda *a, **k: replies.pop(0))
-    with pytest.raises(ProviderError, match="non-JSON response"):
-        post_json("http://llm.local", {}, timeout=5.0)
-    assert replies == []
+@pytest.mark.parametrize(
+    "reply, timeout, message",
+    [
+        pytest.param(Reply(503, "busy"), 5.0, "server error 503", id="server-error"),
+        # the reply promises more bytes than it sends, then the connection closes
+        pytest.param(Reply(200, '{"te', length=100), 5.0, r"IncompleteRead\(4 bytes read", id="truncated"),
+        pytest.param(Reply(200, "{}", delay=5.0), 0.05, "timed out", id="timeout"),
+    ],
+)
+def test_post_json_tries_three_times_then_gives_up(http_endpoint, monkeypatch, reply, timeout, message):
+    http_endpoint.answer = lambda body: reply
+    sleeps = []
+    monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
+    with pytest.raises(ProviderError, match=f"failed after 3 attempts: {message}"):
+        post_json(http_endpoint.url, {"n": 1}, timeout=timeout)
+    assert [seen.body for seen in http_endpoint.seen] == [{"n": 1}] * 3
+    assert sleeps == [0.2, 0.4]
+
+
+def test_post_json_retries_transport_errors_then_gives_up(http_endpoint, monkeypatch):
+    http_endpoint.close()  # nothing listens on its port now
+    sleeps = []
+    monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
+    with pytest.raises(ProviderError, match=r"failed after 3 attempts: \[Errno \d+\] Connection refused"):
+        post_json(http_endpoint.url, {}, timeout=5.0)
+    assert sleeps == [0.2, 0.4]
+
+
+def test_post_json_rejects_a_non_json_body_without_retry(http_endpoint):
+    http_endpoint.answer = lambda body: Reply(200, "<html>bad gateway</html>")
+    with pytest.raises(ProviderError, match="non-JSON response .*'<html>bad gateway</html>'"):
+        post_json(http_endpoint.url, {}, timeout=5.0)
+    assert len(http_endpoint.seen) == 1
+
+
+@pytest.mark.parametrize("url", ["file://{}", "{}", "ftp://llm.local/v1", "http:///v1"])
+def test_post_json_sends_only_to_http_urls(monkeypatch, tmp_path, url):
+    # urlopen would answer a file: URL with the file's bytes, as if it were a reply
+    reply = tmp_path / "reply.json"
+    reply.write_text('{"text": "read from disk"}', encoding="utf-8")
+    url = url.format(reply)
+    sleeps = []
+    monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
+    monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: pytest.fail("a request went out"))
+    with pytest.raises(ProviderError, match="is not an http or https URL"):
+        post_json(url, {}, timeout=5.0)
+    assert sleeps == []
+
+
+def test_post_json_rejects_a_header_it_cannot_send_without_retry(http_endpoint):
+    with pytest.raises(ProviderError, match="cannot be sent: Invalid header value"):
+        post_json(http_endpoint.url, {}, timeout=5.0, headers={"Authorization": "Bearer k\r\nX-Evil: 1"})
+    assert http_endpoint.seen == []

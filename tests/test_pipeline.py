@@ -21,10 +21,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (
     BRANCHING_FLOW,
     FULL_NAME_FLOW,
-    FakeResponse,
     LINEAR_FLOW,
     MERGE_FLOW,
     RecordingProvider,
+    Reply,
     make_catalog,
     make_runtime as runtime,
     make_stage,
@@ -581,48 +581,48 @@ def test_empty_stage_answer_yields_empty_workflow():
     assert w.graph.nodes == [] and w.graph.edges == [] and w.properties == {}
 
 
-class FaultyEndpoint:
-    """A completion endpoint answering from the demo scripts, except at call ``k``.
+class FaultyAnswers:
+    """Answers completion requests from the demo scripts, except at call ``k``.
 
     Call ``k`` gets the ``bad`` replies instead, one per attempt it makes.
     """
 
-    def __init__(self, k: int, bad: list[FakeResponse]):
+    def __init__(self, k: int, bad: list[Reply]):
         self.scripts = load_mock_scripts(fixture_path("mock_scripts_demo.json"))
         self.k, self.bad = k, list(bad)
         self.calls = 0
 
-    def post(self, url, **kwargs) -> FakeResponse:
+    def __call__(self, body: dict) -> Reply:
         if self.calls == self.k and self.bad:
             reply = self.bad.pop(0)
             self.calls += not self.bad
             return reply
         self.calls += 1
-        prompt = RenderedPrompt(text=kwargs["json"]["prompt"], token_estimate=0, sha256="")
+        prompt = RenderedPrompt(text=body["prompt"], token_estimate=0, sha256="")
         answer = self.scripts.complete(prompt, CompletionParams())
-        return FakeResponse(200, json.dumps({"text": answer}))
+        return Reply(200, json.dumps({"text": answer}))
 
 
 # the step that LINEAR_FLOW's k-th call serves at parallel=1; None is stage prediction
 LINEAR_CALL_STEPS = [None, None, "segmentation", "edge_prediction", *["properties"] * 6]
 
 BAD_REPLIES = {
-    "not-json": [FakeResponse(200, "<html>bad gateway</html>")],
-    "array": [FakeResponse(200, "[1, 2]")],
-    "no-choice": [FakeResponse(200, '{"choices": []}')],
-    "rejected": [FakeResponse(400, "bad request")],
-    "server-down": [FakeResponse(500, "boom")] * 3,
+    "not-json": [Reply(200, "<html>bad gateway</html>")],
+    "array": [Reply(200, "[1, 2]")],
+    "no-choice": [Reply(200, '{"choices": []}')],
+    "rejected": [Reply(400, "bad request")],
+    "server-down": [Reply(500, "boom")] * 3,
+    "lone-surrogate": [Reply(200, '{"text": "sort_1 \\ud800"}')],
 }
 
 
 @pytest.mark.parametrize("fault", BAD_REPLIES)
 @pytest.mark.parametrize("k", range(len(LINEAR_CALL_STEPS)))
-def test_a_bad_http_reply_at_any_call_degrades_or_aborts(demo_config, monkeypatch, k, fault):
-    endpoint = FaultyEndpoint(k, BAD_REPLIES[fault])
-    monkeypatch.setattr("requests.post", endpoint.post)
+def test_a_bad_http_reply_at_any_call_degrades_or_aborts(demo_config, http_endpoint, monkeypatch, k, fault):
+    answers = http_endpoint.answer = FaultyAnswers(k, BAD_REPLIES[fault])
     monkeypatch.setattr("flowgen.llm.time.sleep", lambda s: None)
     rt = build_runtime(demo_config())
-    rt.provider = HTTPProvider("http://llm.local")
+    rt.provider = HTTPProvider(http_endpoint.url)
     if LINEAR_CALL_STEPS[k] is None:
         with pytest.raises(PipelineError) as err:
             generate_with_runtime(LINEAR_FLOW, rt)
@@ -630,7 +630,7 @@ def test_a_bad_http_reply_at_any_call_degrades_or_aborts(demo_config, monkeypatc
     else:
         w = generate_with_runtime(LINEAR_FLOW, rt)
         assert [d["step"] for d in w.provenance["diagnostics"]] == [LINEAR_CALL_STEPS[k]]
-        assert endpoint.calls == len(LINEAR_CALL_STEPS)
+        assert answers.calls == len(LINEAR_CALL_STEPS)
 
 
 # --- emission ------------------------------------------------------------------------
