@@ -1,9 +1,11 @@
-"""Shared fixtures: demo corpus paths, scenario texts, small catalog builders."""
+"""Shared fixtures: demo corpus paths, scenario texts, small catalog builders, a live HTTP endpoint."""
 
 from __future__ import annotations
 
 import json
 import threading
+import urllib.request
+from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, NamedTuple
 
@@ -156,10 +158,10 @@ class Reply(NamedTuple):
 
 
 class Seen(NamedTuple):
-    """One request the endpoint received: its path, its headers and its JSON body."""
+    """One request the endpoint received: its path, its headers (read in any case) and its JSON body."""
 
     path: str
-    headers: dict[str, str]
+    headers: Message
     body: object
 
 
@@ -196,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         endpoint = self.server.endpoint
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        endpoint.seen.append(Seen(self.path, dict(self.headers), body))
+        endpoint.seen.append(Seen(self.path, self.headers, body))
         reply = endpoint.replies.pop(0) if endpoint.replies else endpoint.answer(body)
         if endpoint.closing.wait(reply.delay):
             return
@@ -209,6 +211,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):
         pass
+
+
+def record_timeouts(monkeypatch) -> list[float]:
+    """The timeout of each ``urlopen`` call from now on; the calls still go out."""
+    real, timeouts = urllib.request.urlopen, []
+
+    def urlopen(request, timeout):
+        timeouts.append(timeout)
+        return real(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return timeouts
 
 
 @pytest.fixture()

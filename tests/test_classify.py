@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import Reply, make_catalog, make_stage
+from conftest import Reply, make_catalog, make_stage, record_timeouts
 from flowgen import InputError, fixture_path
 from flowgen.catalog import keyword_parts as tokenize
 from flowgen.llm import ProviderError
@@ -497,9 +497,11 @@ def test_indexed_scan_agrees_with_every_pattern_on_the_synthetic_corpus():
 # --- remote contract --------------------------------------------------------------------
 
 
-def test_remote_classifier_parses_contract(http_endpoint):
+def test_remote_classifier_parses_contract(http_endpoint, monkeypatch):
     http_endpoint.replies.append(Reply(200, '{"ranked": [["sort", 0.9], ["filter", 0.1]], "matched": true}'))
+    timeouts = record_timeouts(monkeypatch)
     result = RemoteClassifier(http_endpoint.url + "/").classify("sort it")
+    assert timeouts == [30.0]
     (seen,) = http_endpoint.seen
     assert (seen.path, seen.body) == ("/classify", {"text": "sort it"})
     assert result.top == "sort" and result.matched

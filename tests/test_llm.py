@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import Reply
+from conftest import Reply, record_timeouts
 from flowgen import InputError
 from flowgen.llm import (
     CompletionParams,
@@ -380,7 +380,7 @@ def test_provider_from_env_requires_endpoint():
     assert provider.model == "m" and provider.api_key == "k"
 
 
-def test_http_provider_parses_usage_and_choice_shapes(http_endpoint):
+def test_http_provider_parses_usage_and_choice_shapes(http_endpoint, monkeypatch):
     http_endpoint.replies.append(
         Reply(200, json.dumps({
             "choices": [{"text": "answer"}],
@@ -388,8 +388,10 @@ def test_http_provider_parses_usage_and_choice_shapes(http_endpoint):
         }))
     )
     provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url + "/v1", "LLM_API_KEY": "k"})
+    timeouts = record_timeouts(monkeypatch)
     trace: list[dict] = []
     assert complete(provider, prompt_of("ping"), trace, "decompose") == "answer"
+    assert timeouts == [60.0]
     # the reported usage is not read: both counts are flowgen's estimates
     assert (trace[0]["prompt_tokens"], trace[0]["completion_tokens"]) == (1, 1)
     (seen,) = http_endpoint.seen
@@ -454,11 +456,11 @@ def test_post_json_tries_three_times_then_gives_up(http_endpoint, monkeypatch, r
 
 def test_post_json_retries_transport_errors_then_gives_up(http_endpoint, monkeypatch):
     http_endpoint.close()  # nothing listens on its port now
-    sleeps = []
+    timeouts, sleeps = record_timeouts(monkeypatch), []
     monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
     with pytest.raises(ProviderError, match=r"failed after 3 attempts: \[Errno \d+\] Connection refused"):
         post_json(http_endpoint.url, {}, timeout=5.0)
-    assert sleeps == [0.2, 0.4]
+    assert timeouts == [5.0] * 3 and sleeps == [0.2, 0.4]
 
 
 def test_post_json_rejects_a_non_json_body_without_retry(http_endpoint):
