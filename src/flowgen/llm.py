@@ -392,7 +392,9 @@ def post_json(
     Transport errors (``OSError``, which covers refused connections and
     timeouts, or an ``http.client`` protocol error such as a truncated body)
     and 5xx replies are tried three times in all, with sleeps of 0.2 s and
-    0.4 s between. Any other non-2xx reply, a body that is not UTF-8 JSON
+    0.4 s between. Redirects are not followed: a redirect would carry the
+    ``Authorization`` header to the host it names, so a 3xx reply is
+    rejected like a 4xx. Any other non-2xx reply, a body that is not UTF-8 JSON
     (or holds a lone surrogate, which no output could carry), a URL whose
     scheme is not http or https, or a request that cannot be built raises
     ``ProviderError`` at once.
@@ -406,6 +408,12 @@ def post_json(
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.netloc:  # urlopen reads file: URLs too
         raise ProviderError(f"{url!r} is not an http or https URL")
+
+    class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx reply then raises HTTPError, as a 4xx does
+
+    opener = urllib.request.build_opener(RefuseRedirect)
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data, {**(headers or {}), "Content-Type": "application/json"}, method="POST"
@@ -415,7 +423,7 @@ def post_json(
         if attempt:
             time.sleep(0.2 * attempt)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
+            with opener.open(request, timeout=timeout) as resp:
                 body = resp.read()
         except HTTPError as exc:
             if exc.code >= 500:
@@ -426,7 +434,7 @@ def post_json(
             except (OSError, http.client.HTTPException):  # the reason stays the status code
                 text = ""
             raise ProviderError(f"request to {url} rejected ({exc.code}): {text[:200]}") from exc
-        except (ValueError, http.client.InvalidURL) as exc:  # a header or URL that cannot be sent
+        except ValueError as exc:  # a header or URL that cannot be sent
             raise ProviderError(f"request to {url} cannot be sent: {exc}") from exc
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc.reason if isinstance(exc, URLError) else exc

@@ -155,6 +155,7 @@ class Reply(NamedTuple):
     body: str
     length: int | None = None  # the Content-Length sent; above the body's, the body is cut short
     delay: float = 0.0  # seconds to wait before answering, to let a client time out
+    location: str | None = None  # a Location header, for a redirect
 
 
 class Seen(NamedTuple):
@@ -206,22 +207,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(reply.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data) if reply.length is None else reply.length))
+        if reply.location is not None:
+            self.send_header("Location", reply.location)
         self.end_headers()
         self.wfile.write(data)
+
+    def do_GET(self):  # a client that follows a 301-303 redirect sends a GET
+        self.server.endpoint.seen.append(Seen(self.path, self.headers, None))
+        self.send_error(405)
 
     def log_message(self, format, *args):
         pass
 
 
 def record_timeouts(monkeypatch) -> list[float]:
-    """The timeout of each ``urlopen`` call from now on; the calls still go out."""
-    real, timeouts = urllib.request.urlopen, []
+    """The timeout of each request ``post_json`` opens from now on; the requests still go out."""
+    real, timeouts = urllib.request.OpenerDirector.open, []
 
-    def urlopen(request, timeout):
+    def open(self, request, timeout):
         timeouts.append(timeout)
-        return real(request, timeout=timeout)
+        return real(self, request, timeout=timeout)
 
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open)
     return timeouts
 
 

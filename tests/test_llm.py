@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import Reply, record_timeouts
+from conftest import Endpoint, Reply, record_timeouts
 from flowgen import InputError
 from flowgen.llm import (
     CompletionParams,
@@ -478,7 +478,9 @@ def test_post_json_sends_only_to_http_urls(monkeypatch, tmp_path, url):
     url = url.format(reply)
     sleeps = []
     monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
-    monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: pytest.fail("a request went out"))
+    monkeypatch.setattr(
+        "urllib.request.OpenerDirector.open", lambda *a, **k: pytest.fail("a request went out")
+    )
     with pytest.raises(ProviderError, match="is not an http or https URL"):
         post_json(url, {}, timeout=5.0)
     assert sleeps == []
@@ -488,3 +490,18 @@ def test_post_json_rejects_a_header_it_cannot_send_without_retry(http_endpoint):
     with pytest.raises(ProviderError, match="cannot be sent: Invalid header value"):
         post_json(http_endpoint.url, {}, timeout=5.0, headers={"Authorization": "Bearer k\r\nX-Evil: 1"})
     assert http_endpoint.seen == []
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_post_json_follows_no_redirect(http_endpoint, monkeypatch, status):
+    # a followed redirect would carry the Authorization header to the host it names
+    elsewhere = Endpoint()
+    try:
+        http_endpoint.answer = lambda body: Reply(status, "moved", location=elsewhere.url + "/v1")
+        sleeps = []
+        monkeypatch.setattr("flowgen.llm.time.sleep", sleeps.append)
+        with pytest.raises(ProviderError, match=rf"rejected \({status}\): moved"):
+            post_json(http_endpoint.url, {}, timeout=5.0, headers={"Authorization": "Bearer k"})
+        assert len(http_endpoint.seen) == 1 and elsewhere.seen == [] and sleeps == []
+    finally:
+        elsewhere.close()
