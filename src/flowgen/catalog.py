@@ -348,14 +348,18 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
     return _violations(list(catalog.stages.values()))
 
 
-def parse_catalog(text: str) -> Catalog:
-    """Parse and validate a catalog document from JSON text."""
+def parse_catalog(text: str, source: str = "") -> Catalog:
+    """Parse and validate a catalog document from JSON text.
+
+    A JSON error names ``source``, when given: the file ``text`` was read from.
+    """
+    where = f"{source}: " if source else ""
     try:
         doc = parse_json(text)
     except json.JSONDecodeError as exc:
-        raise CatalogParseError(f"malformed JSON: {exc}", f"line {exc.lineno}") from exc
+        raise CatalogParseError(f"malformed JSON: {exc}", f"{where}line {exc.lineno}") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
-        raise CatalogParseError(f"malformed JSON: {exc}") from exc
+        raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
     if not isinstance(doc, dict) or "stages" not in doc:
         raise CatalogParseError('expected an object with a "stages" array')
     raw_stages = doc["stages"]
@@ -373,7 +377,7 @@ def load_catalog(path: str | Path) -> Catalog:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CatalogParseError(f"malformed JSON: {exc}", str(path)) from exc
-    return parse_catalog(text)
+    return parse_catalog(text, str(path))
 
 
 # --- serialization ---------------------------------------------------------

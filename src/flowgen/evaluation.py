@@ -252,8 +252,10 @@ def run_eval(
         if m not in MEASURES:
             raise InputError(f"unknown measure {m!r} (choose from {MEASURES})")
     rt = runtime or build_runtime(cfg)
+    stages = rt.catalog.stages
     for index, record in enumerate(dataset):
-        unknown = sorted(set(record.gold_stages) - rt.catalog.stages.keys())
+        # the record's own names: a set minus the keys view would walk the whole catalog
+        unknown = sorted({s for s in record.gold_stages if s not in stages})
         if unknown:
             raise InputError(f"record {index} has gold stages outside the catalog: {unknown}")
     report = MetricsReport(measures=list(measures), records=len(dataset))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,8 +86,25 @@ def test_undecodable_catalog_file_is_a_parse_error(tmp_path):
         load_catalog(path)
     assert str(err.value).startswith(f"{path}: ") and err.value.locus == str(path)
     path.write_bytes(b'{"stages": [' + b"1" * 5000 + b"]}")
-    with pytest.raises(CatalogParseError, match=r"^malformed JSON: Exceeds the limit \(4300 digits\)"):
+    exceeds = r"malformed JSON: Exceeds the limit \(4300 digits\)"
+    with pytest.raises(CatalogParseError, match=f"^{re.escape(str(path))}: {exceeds}"):
         load_catalog(path)
+
+
+def test_every_json_error_of_a_catalog_file_names_the_file(tmp_path):
+    path = tmp_path / "catalog.json"
+    named = re.escape(str(path))
+    text = fixture_path("demo_catalog.json").read_text(encoding="utf-8")
+    path.write_text(text.replace('"description": "', '"description": "\\ud800', 1), encoding="utf-8")
+    with pytest.raises(CatalogParseError, match=f"^{named}: malformed JSON: a string holds the lone surrogate"):
+        load_catalog(path)
+    path.write_text('{"stages": [\n  {nope}\n]}', encoding="utf-8")
+    with pytest.raises(CatalogParseError, match=f"^{named}: line 2: malformed JSON: Expecting") as err:
+        load_catalog(path)
+    assert err.value.locus == f"{path}: line 2"
+    # text with no file keeps the bare line
+    with pytest.raises(CatalogParseError, match=r"^line 2: malformed JSON"):
+        parse_catalog('{"stages": [\n  {nope}\n]}')
 
 
 @pytest.mark.parametrize(

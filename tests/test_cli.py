@@ -491,7 +491,7 @@ def test_a_lone_surrogate_escape_in_an_input_file_is_bad_input(capsys, tmp_path,
             argv += ["--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "the lone surrogate '\\ud800'" in err
+    assert err.startswith(f"error: {bad}: ") and "the lone surrogate '\\ud800'" in err
 
 
 # --- classify ----------------------------------------------------------------------

@@ -224,6 +224,14 @@ def test_run_eval_rejects_unknown_measure(eval_config):
         run_eval([], eval_config(), measures=("speed",))
 
 
+def test_run_eval_rejects_gold_stages_outside_the_catalog(eval_config):
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset.insert(2, EvalRecord(utterance="sort it", gold_stages=["warp", "sort", "warp"]))
+    with pytest.raises(InputError) as err:
+        run_eval(dataset, eval_config())
+    assert str(err.value) == "record 2 has gold stages outside the catalog: ['warp']"
+
+
 def test_run_eval_parallel_report_is_identical(eval_config):
     dataset = load_dataset(fixture_path("eval_dataset_small.json"))
     sequential = run_eval(dataset, eval_config(parallel=1))

@@ -21,6 +21,8 @@ from flowgen.llm import (
     ProviderError,
     RenderedPrompt,
     TemplateError,
+    _TOKEN_RE,
+    _merges,
     answer_pairs,
     bind,
     complete,
@@ -93,6 +95,29 @@ MIXED_TEXT = st.text(
 @given(MIXED_TEXT)
 def test_count_tokens_matches_reference(text):
     assert count_tokens(text) == per_character_count(text)
+
+
+ASCII_TEXT = st.text(alphabet=st.characters(max_codepoint=127), max_size=60)
+
+
+def test_count_tokens_matches_the_regex_on_every_ascii_pair():
+    # every class of a character and every join of two: start, run, mark, space
+    pairs = [chr(a) + chr(b) for a in range(128) for b in range(128)]
+    mismatched = [t for t in pairs
+                  if not count_tokens(t) == len(_TOKEN_RE.findall(t)) == per_character_count(t)]
+    assert len(pairs) == 16384 and mismatched == []
+
+
+@given(ASCII_TEXT)
+def test_count_tokens_matches_the_regex_on_ascii_text(text):
+    assert count_tokens(text) == len(_TOKEN_RE.findall(text)) == per_character_count(text)
+
+
+@given(st.one_of(ASCII_TEXT, MIXED_TEXT), st.one_of(ASCII_TEXT, MIXED_TEXT))
+def test_count_tokens_join_rule(a, b):
+    # what bind and render_prompt rely on, also where ASCII text meets text that is not
+    joined = count_tokens(a) + count_tokens(b) - (bool(a and b) and _merges(a, b))
+    assert count_tokens(a + b) == joined
 
 
 # --- templates ---------------------------------------------------------------------
