@@ -20,7 +20,7 @@ from statistics import mean
 from flowgen import fixture_path
 from flowgen.catalog import load_catalog, validate_catalog
 from flowgen.classify import load_training_pairs, train
-from flowgen.llm import counted, load_mock_scripts
+from flowgen.llm import load_mock_scripts
 from flowgen.stagepred import (
     build_candidates,
     load_examples,
@@ -99,7 +99,7 @@ def verify(out_dir: Path) -> dict[str, float]:
         scopeds.append(scoped.token_estimate)
 
         # the scripts must drive both strategies to the labeled answer
-        assert predict_single(counted(utterance), catalog, listing, provider, []).stages == gold
+        assert predict_single(utterance, catalog, listing, provider, []).stages == gold
         prediction = predict_cag(utterance, catalog, model, bank, provider, prompts=prompts)
         assert prediction.stages == gold, (utterance, prediction.stages)
 

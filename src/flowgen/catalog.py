@@ -40,9 +40,10 @@ class CatalogParseError(InputError):
 
 
 class CatalogValidationError(InputError):
-    def __init__(self, violations: list["Violation"]):
+    def __init__(self, violations: list["Violation"], source: str = ""):
         lines = "\n".join(f"  - {v}" for v in violations)
-        super().__init__(f"catalog failed validation:\n{lines}")
+        where = f"{source}: " if source else ""
+        super().__init__(f"{where}catalog failed validation:\n{lines}")
         self.violations = violations
 
 
@@ -351,7 +352,9 @@ def validate_catalog(catalog: Catalog) -> list[Violation]:
 def parse_catalog(text: str, source: str = "") -> Catalog:
     """Parse and validate a catalog document from JSON text.
 
-    A JSON error names ``source``, when given: the file ``text`` was read from.
+    Every error names ``source``, when given: the file ``text`` was read
+    from. It leads the locus, as in ``<source>: line 2`` or
+    ``<source>: stages[0].name``.
     """
     where = f"{source}: " if source else ""
     try:
@@ -361,14 +364,14 @@ def parse_catalog(text: str, source: str = "") -> Catalog:
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
         raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
     if not isinstance(doc, dict) or "stages" not in doc:
-        raise CatalogParseError('expected an object with a "stages" array')
+        raise CatalogParseError('expected an object with a "stages" array', source)
     raw_stages = doc["stages"]
     if not isinstance(raw_stages, list):
-        raise CatalogParseError("expected list", "stages")
-    stages = [_parse_stage(raw, f"stages[{i}]") for i, raw in enumerate(raw_stages)]
+        raise CatalogParseError("expected list", f"{where}stages")
+    stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(raw_stages)]
     violations = _violations(stages)
     if violations:
-        raise CatalogValidationError(violations)
+        raise CatalogValidationError(violations, source)
     return Catalog({s.name: s for s in stages})
 
 

@@ -26,9 +26,7 @@ from typing import Mapping
 
 from . import fixture_path
 from .catalog import CardinalityBound, Catalog
-from .llm import (
-    AnswerError, CompletionProvider, answer_pairs, complete, count_once, load_template, render_prompt,
-)
+from .llm import AnswerError, CompletionProvider, answer_pairs, complete, load_template, render_prompt
 
 __all__ = [
     "NodeInstance",
@@ -160,13 +158,11 @@ def _normalize_ws(text: str) -> str:
 
 
 def segment_for_nodes(
-    utterance: tuple[str, int],
+    utterance: str,
     nodes: list[NodeInstance],
     catalog: Catalog,
     provider: CompletionProvider,
     trace: list[dict],
-    tokens: dict[str, int],
-    counts: dict[str, int],
 ) -> dict[str, str]:
     """Map every node to the utterance span that describes it.
 
@@ -175,29 +171,21 @@ def segment_for_nodes(
     paraphrased spans are an error, not a warning, because properties are
     predicted from them.
 
-    Each node's line is its name and its stage's description line. A
-    description line is counted in ``tokens``, the runtime's cache
-    (``StagePrompts.tokens``), and a node name in ``counts``, the run's
-    cache, shared with ``predict_edges``.
+    Each node's line is its name and its stage's description line; the
+    render counts the node block with the utterance, as the run's text.
     """
     if not nodes:
         raise AnswerError("cannot segment for an empty node list")
-    text = utterance[0]
     if len(nodes) == 1:
-        return {nodes[0].unique_name: text}
-    lines, total = [], 0
-    for n in nodes:
-        # the line after the node's name starts with a space, so the counts add
-        line = f" ({n.stage}): {catalog.stages[n.stage].description}"
-        lines.append(n.unique_name + line)
-        total += count_once(counts, n.unique_name) + count_once(tokens, line)
-    prompt = render_prompt(
-        _SEGMENT_TEMPLATE, {"nodes": ("\n".join(lines), total), "utterance": utterance}
+        return {nodes[0].unique_name: utterance}
+    block = "\n".join(
+        f"{n.unique_name} ({n.stage}): {catalog.stages[n.stage].description}" for n in nodes
     )
+    prompt = render_prompt(_SEGMENT_TEMPLATE, {"nodes": block, "utterance": utterance})
     answer = complete(provider, prompt, trace, "segmentation")
     known = {n.unique_name for n in nodes}
     segments = {name: span for name, span in answer_pairs(answer, ":") if name in known}
-    normalized_utterance = _normalize_ws(text)
+    normalized_utterance = _normalize_ws(utterance)
     for node in nodes:
         span = segments.get(node.unique_name, "")
         if not span:
@@ -218,12 +206,10 @@ def _bound_text(bound: CardinalityBound) -> str:
 
 def predict_edges(
     nodes: list[NodeInstance],
-    utterance: tuple[str, int],
+    utterance: str,
     provider: CompletionProvider,
     trace: list[dict],
-    spans: Mapping[str, tuple[str, int]],
-    tokens: dict[str, int],
-    counts: dict[str, int],
+    spans: Mapping[str, str],
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -234,25 +220,18 @@ def predict_edges(
     exactly the given nodes.
 
     ``spans`` maps each node's name to its sub-utterance. Each node's line
-    starts with its name and the stage part of its head,
-    ``" (<stage>, inputs <a..b>, outputs <c..d>): "``. A stage part is
-    counted in ``tokens``, the runtime's cache (``StagePrompts.tokens``),
-    and a node name in ``counts``, the run's cache, as in
-    ``segment_for_nodes``.
+    is its name, its stage and bounds, and its sub-utterance; the render
+    counts the node block with the utterance, as the run's text.
     """
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
-    lines, total = [], 0
-    for n in nodes:
-        # the stage part starts and ends with a space, so the counts add
-        head = f" ({n.stage}, inputs {_bound_text(n.inputs)}, outputs {_bound_text(n.outputs)}): "
-        span, span_tokens = spans[n.unique_name]
-        lines.append(n.unique_name + head + span)
-        total += count_once(counts, n.unique_name) + count_once(tokens, head) + span_tokens
-    prompt = render_prompt(
-        _EDGES_TEMPLATE, {"nodes": ("\n".join(lines), total), "utterance": utterance}
+    block = "\n".join(
+        f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
+        f"outputs {_bound_text(n.outputs)}): {spans[n.unique_name]}"
+        for n in nodes
     )
+    prompt = render_prompt(_EDGES_TEMPLATE, {"nodes": block, "utterance": utterance})
     answer = complete(provider, prompt, trace, "edge_prediction")
     known = graph.node_names()
     parsed = answer_pairs(answer, "->")

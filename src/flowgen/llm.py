@@ -9,29 +9,19 @@ its own). Both are plain data — template files with ``{{placeholder}}`` slots
 
 A token estimate (``count_tokens``) is defined by one regex. ASCII text is
 counted through a table of class bytes derived from it, with no string per
-token; other text runs the regex. A prompt's estimate and
-SHA-256 are built from parts, each counted and hashed once where it is made;
-``render_prompt`` joins them in one walk over the template. A template's fixed
-text is counted when it is loaded, and its leading text hashed at its first
-render. The stage prompt's pieces are counted when they are made: each
-stage's context line when a runtime's ``stagepred.StagePrompts`` is built,
-and each few-shot block when its ``stagepred.FewShotExample`` is. So a cag
-stage prompt only joins counted pairs. ``count_once`` fills two caches,
-each keyed by the text it counts. Pieces made from a node's stage
-(segmentation lines, edge heads) are counted once per runtime, at first
-use, in ``StagePrompts.tokens``, beside each stage's bound properties
-template. A prompt made per call renders in one pass from a template built
-once, as the cag stage prompt does from its family's template, whose
-leading text is so hashed once per process; ``bind`` makes a template only
-for a prompt that a runtime reuses, as the single strategy's full listing
-(``StagePrompts.listing``). The utterance, each sub-utterance and each node
-name are counted once per ``generate_with_runtime`` call, in that run's
-cache, so no user text outlives its run. Counted text travels as a
-``(text, tokens)`` pair: every step function takes its text that way, and
-``bind`` and ``render_prompt`` put a pair in without counting it again. Only
-``predict_stages``, ``bind``, ``render_prompt`` and ``counted`` also take a
-plain string, and ``stagepred.predict_cag`` and
-``stagepred.render_stage_prompt``, which can run outside a runtime.
+token; other text runs the regex. A prompt's estimate and SHA-256 are built
+from parts; ``render_prompt`` joins them in one walk over the template, by a
+join rule under which counts add exactly. The counting rule: text fixed per
+runtime is counted once, where it is made, and travels as a ``(text,
+tokens)`` pair; a render counts the run's text it is given. The fixed text
+is a template's own text (counted when it is loaded; its leading text is
+hashed at its first render), each stage's context line
+(``stagepred.StagePrompts.lines``), each few-shot block
+(``stagepred.FewShotExample.block``), the single strategy's full listing
+(``StagePrompts.listing``, a template made by ``bind``) and each stage's
+bound properties template (``StagePrompts.properties``). The run's text,
+its utterance, sub-utterances and node blocks, goes to every step as a plain
+string, so no user text outlives its run.
 
 Two providers speak the completion contract, and each returns only the
 answer text: a deterministic scripted mock for offline runs and tests, and a
@@ -80,7 +70,6 @@ __all__ = [
     "render_prompt",
     "count_tokens",
     "counted",
-    "count_once",
     "parse_operator_list",
     "answer_pairs",
     "MockScript",
@@ -237,7 +226,9 @@ def render_prompt(
     """Substitute every placeholder; unbound placeholders are an error.
 
     Values are taken and joined as ``bind`` does, in one walk over the
-    segments. The digest continues ``template.lead``'s hash over the rest.
+    segments: a string, the run's text, is counted here, and a ``(text,
+    tokens)`` pair goes in as counted. The digest continues
+    ``template.lead``'s hash over the rest.
     """
     parts, tokens = [], 0
     for kind, value, n in template.segments:
@@ -291,19 +282,11 @@ def count_tokens(text: str) -> int:
 
 
 def counted(text: str | tuple[str, int]) -> tuple[str, int]:
-    """``text`` with its token estimate, for a caller that binds it more than once.
+    """``text`` with its token estimate, for text fixed per runtime that many prompts bind.
 
     A ``(text, tokens)`` pair is already counted and comes back as it is.
     """
     return text if isinstance(text, tuple) else (text, count_tokens(text))
-
-
-def count_once(tokens: dict[str, int], text: str) -> int:
-    """The count of ``text``, kept in ``tokens`` at its first use."""
-    n = tokens.get(text)
-    if n is None:
-        n = tokens[text] = count_tokens(text)
-    return n
 
 
 # --- answers ---------------------------------------------------------------------

@@ -39,8 +39,6 @@ from .llm import (
     CompletionProvider,
     PromptTemplate,
     ProviderError,
-    count_once,
-    counted,
     load_mock_scripts,
     provider_from_env,
     usage,
@@ -239,7 +237,7 @@ class Workflow:
 # --- generation ----------------------------------------------------------------
 
 
-def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePrediction:
+def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
     """Predict the utterance's stage multiset with the configured strategy.
 
     Any failure raises ``PipelineError("stage_prediction")``. Its provenance
@@ -247,20 +245,19 @@ def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePredic
     failure, since those were paid for.
     """
     cfg = rt.cfg
-    whole = counted(utterance)
     trace: list[dict] = []
     try:
         if cfg.strategy == "single":
-            return predict_single(whole, rt.catalog, rt.listing, rt.provider, trace=trace)
+            return predict_single(utterance, rt.catalog, rt.listing, rt.provider, trace=trace)
         if cfg.strategy == "cag":
             return predict_cag(
-                whole, rt.catalog, rt.classifier, rt.bank, rt.provider,
+                utterance, rt.catalog, rt.classifier, rt.bank, rt.provider,
                 cap=cfg.example_cap, trace=trace, prompts=rt.prompts,
             )
-        return predict_agentic(whole, rt.catalog, rt.classifier, rt.provider, trace=trace)
+        return predict_agentic(utterance, rt.catalog, rt.classifier, rt.provider, trace=trace)
     except (AnswerError, ProviderError) as exc:
         provenance = {
-            "utterance": whole[0],
+            "utterance": utterance,
             "strategy": cfg.strategy,
             "stage_trace": trace,
             "usage": usage(trace),
@@ -269,19 +266,12 @@ def predict_stages(utterance: str | tuple[str, int], rt: Runtime) -> StagePredic
 
 
 def _edge_branch(
-    utterance: tuple[str, int],
-    nodes: list[NodeInstance],
-    spans: dict[str, tuple[str, int]],
-    counts: dict[str, int],
-    rt: Runtime,
+    utterance: str, nodes: list[NodeInstance], spans: dict[str, str], rt: Runtime
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     try:
-        graph = predict_edges(
-            nodes, utterance, rt.provider, trace=trace, spans=spans,
-            tokens=rt.prompts.tokens, counts=counts,
-        )
+        graph = predict_edges(nodes, utterance, rt.provider, trace=trace, spans=spans)
     except (AnswerError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
@@ -291,13 +281,15 @@ def _edge_branch(
 
 
 def _property_branch_one(
-    node: NodeInstance, span: tuple[str, int], rt: Runtime
+    node: NodeInstance, rt: Runtime
 ) -> tuple[str, list[PropertyAssignment], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     stage = rt.catalog.stages[node.stage]
     try:
-        raw = predict_properties(node, stage, rt.provider, trace, rt.prompts.properties, span)
+        raw = predict_properties(
+            node, stage, rt.provider, trace, rt.prompts.properties, node.sub_utterance
+        )
         statused = validate(raw, stage, rt.registry)
     except ProviderError as exc:  # degrade per node; a loaded catalog's conditions type-check
         diagnostics.append(
@@ -310,13 +302,12 @@ def _property_branch_one(
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     """Run every step on ``utterance``.
 
-    The utterance, each distinct sub-utterance and each node name are
-    counted once, in the run's own cache; every prompt of the run reuses
-    those counts.
+    The utterance, the sub-utterances and the node names go to each step as
+    plain strings, and each render counts the ones it is given; only text
+    fixed per runtime (``rt.prompts``, ``rt.listing``) comes counted.
     """
     cfg = rt.cfg
-    whole = counted(utterance)
-    prediction = predict_stages(whole, rt)
+    prediction = predict_stages(utterance, rt)
     provenance: dict = {
         "utterance": utterance,
         "strategy": cfg.strategy,
@@ -332,24 +323,19 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         return Workflow(graph=FlowGraph(nodes=[]), properties={}, provenance=provenance)
 
     seg_trace: list[dict] = []
-    counts = {utterance: whole[1]}  # by text: the utterance, sub-utterances and node names
     try:
-        segments = segment_for_nodes(
-            whole, nodes, rt.catalog, rt.provider, seg_trace, rt.prompts.tokens, counts
-        )
+        segments = segment_for_nodes(utterance, nodes, rt.catalog, rt.provider, seg_trace)
     except (AnswerError, ProviderError) as exc:
         # degraded but total: every node falls back to the whole utterance
         diagnostics.append({"step": "segmentation", "message": str(exc)})
         segments = {n.unique_name: utterance for n in nodes}
-    spans: dict[str, tuple[str, int]] = {}
     for node in nodes:
-        sub = node.sub_utterance = segments[node.unique_name]
-        spans[node.unique_name] = (sub, count_once(counts, sub))
-    provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
+        node.sub_utterance = segments[node.unique_name]
+    spans = provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    calls = [partial(_edge_branch, whole, nodes, spans, counts, rt)]
-    calls += [partial(_property_branch_one, n, spans[n.unique_name], rt) for n in nodes]
+    calls = [partial(_edge_branch, utterance, nodes, spans, rt)]
+    calls += [partial(_property_branch_one, n, rt) for n in nodes]
     edge_result, *prop_results = run_in_order(calls, cfg.parallel)
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result
     diagnostics.extend(edge_diags)

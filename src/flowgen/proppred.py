@@ -3,10 +3,10 @@
 The model proposes ``name = value`` lines from a node's sub-utterance. Its
 prompt is the properties template with the stage's name and property list
 bound and counted once per stage and runtime, so the template's SHA-256
-state covers all the text before the sub-utterance. The sub-utterance comes
-counted once per run, so a call counts and hashes only that and the
-prompt's last line. Every assignment then runs a four-step gauntlet, each
-rejection tagged with the step that fired:
+state covers all the text before the sub-utterance. A call counts and
+hashes only the sub-utterance, the run's text, and the prompt's last line.
+Every assignment then runs a four-step gauntlet, each rejection tagged with
+the step that fired:
 
 1. the name must exist in the stage's schema (``rejected_unknown_name``),
 2. the raw value must coerce to the declared type (``rejected_type``),
@@ -123,7 +123,7 @@ def predict_properties(
     provider: CompletionProvider,
     trace: list[dict],
     templates: dict[str, PromptTemplate],
-    span: tuple[str, int],
+    span: str,
 ) -> list[PropertyAssignment]:
     """Ask the model for ``name = value`` lines about ``span``, the node's sub-utterance.
 

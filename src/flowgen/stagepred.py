@@ -164,27 +164,21 @@ def _joined(pieces: list[tuple[str, int]], sep: str) -> tuple[str, int]:
 
 
 class StagePrompts:
-    """The static prompt text of a runtime, each piece counted once.
+    """The static prompt text of a runtime, each piece counted once, where it is made.
 
     ``stage_prompts`` builds it once per runtime, with ``lines``: each
     stage's context line for the stage prompt, a ``(text, tokens)`` pair by
     stage name. Each few-shot example counts its own block when it is made
     (``FewShotExample.block``), so ``bindings`` only joins counted pairs.
 
-    The pieces made from a node's stage are filled at their first use and
-    looked up after that:
+    ``properties`` holds each stage's properties template with its name and
+    property list bound, filled at the stage's first use
+    (``proppred.predict_properties``), so its digest state covers all the
+    text before the sub-utterance. Threads that share it can at worst build
+    a template twice, to the same value.
 
-    * ``tokens``, the count of each such piece, by its text: each stage's
-      description line for the segmentation prompt
-      (``edgepred.segment_for_nodes``), and the stage part of each node's
-      head for the edge prompt (``edgepred.predict_edges``). No user text
-      goes in it;
-    * ``properties``, each stage's properties template with its name and
-      property list bound (``proppred.predict_properties`` fills it), so its
-      digest state covers all the text before the sub-utterance.
-
-    So a render counts only what the run adds. Threads that share it can at
-    worst build a piece twice, to the same value.
+    A render counts the run's text it is given: the utterance, the
+    sub-utterances and the node blocks are never kept here.
 
     ``stage`` is the family's module-level template, whose leading text is
     hashed once per process; ``render_stage_prompt`` renders it with
@@ -195,7 +189,7 @@ class StagePrompts:
     """
 
     __slots__ = (
-        "catalog", "stage", "decompose", "bank", "positions", "lines", "tokens", "properties",
+        "catalog", "stage", "decompose", "bank", "positions", "lines", "properties",
     )
 
     def __init__(
@@ -210,7 +204,6 @@ class StagePrompts:
         self.lines = {
             name: counted(f'"{name}": {stage.description}') for name, stage in catalog.stages.items()
         }
-        self.tokens: dict[str, int] = {}  # by text
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
     def bindings(
@@ -268,7 +261,7 @@ def render_stage_prompt(
     catalog: Catalog,
     candidates: Iterable[str] | None,
     examples: list[FewShotExample],
-    utterance: str | tuple[str, int],
+    utterance: str,
     family: str = "granite",
     prompts: StagePrompts | None = None,
 ) -> RenderedPrompt:
@@ -289,7 +282,7 @@ def render_stage_prompt(
 
 
 def predict_single(
-    utterance: tuple[str, int],
+    utterance: str,
     catalog: Catalog,
     listing: PromptTemplate,
     provider: CompletionProvider,
@@ -314,7 +307,7 @@ def predict_single(
 
 
 def decompose(
-    utterance: tuple[str, int],
+    utterance: str,
     provider: CompletionProvider,
     template: PromptTemplate,
     trace: list[dict],
@@ -420,7 +413,7 @@ def select_examples(
 
 
 def predict_cag(
-    utterance: str | tuple[str, int],
+    utterance: str,
     catalog: Catalog,
     classifier: StageClassifier,
     bank: list[FewShotExample],
@@ -440,14 +433,13 @@ def predict_cag(
 
     ``prompts`` is ``stage_prompts(catalog, split_examples, family, bank)``,
     built once per runtime, or None outside a runtime; the examples come
-    from its bank. The utterance is counted once, for both prompts.
+    from its bank.
     """
     trace = [] if trace is None else trace
     if prompts is None:
         prompts = stage_prompts(catalog, split_examples or (), family, bank)
-    utterance = counted(utterance)
     subs = decompose(utterance, provider, prompts.decompose, trace)
-    candidates = build_candidates(subs, classifier, catalog, utterance[0], trace)
+    candidates = build_candidates(subs, classifier, catalog, utterance, trace)
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
         return StagePrediction(stages=[], trace=trace)
@@ -478,7 +470,7 @@ def _scan_agent_reply(text: str) -> tuple[str, str] | None:
 
 
 def predict_agentic(
-    utterance: tuple[str, int],
+    utterance: str,
     catalog: Catalog,
     classifier: StageClassifier,
     provider: CompletionProvider,

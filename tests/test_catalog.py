@@ -107,6 +107,71 @@ def test_every_json_error_of_a_catalog_file_names_the_file(tmp_path):
         parse_catalog('{"stages": [\n  {nope}\n]}')
 
 
+def stage_doc(**overrides) -> dict:
+    return json.loads(doc_with(overrides))
+
+
+def prop(**overrides) -> dict:
+    return {"name": "p", "description": "d", "type": "string", **overrides}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], 'expected an object with a "stages" array'),
+        ({"stages": 5}, "stages: expected list"),
+        ({"stages": [5]}, "stages[0]: expected stage object"),
+        ({"stages": [{"name": 5}]}, "stages[0].name: expected str, got int"),
+        (stage_doc(synonyms="sort"), "stages[0].synonyms: expected list"),
+        (stage_doc(synonyms=["sort", 5]), "stages[0].synonyms[1]: expected str, got int"),
+        (stage_doc(properties={}), "stages[0].properties: expected list"),
+        (stage_doc(is_connector="yes"), "stages[0].is_connector: expected boolean, got str"),
+        (stage_doc(inputs=5), "stages[0].inputs: expected object with min/max"),
+        (stage_doc(inputs={"min": True, "max": 1}), "stages[0].inputs.min: expected integer, got bool"),
+        (stage_doc(outputs={"min": 0}), "stages[0].outputs.max: expected integer, got NoneType"),
+        (stage_doc(properties=[5]), "stages[0].properties[0]: expected property object"),
+        (
+            stage_doc(properties=[prop(type="float")]),
+            "stages[0].properties[0].type: unknown value type 'float'",
+        ),
+        (
+            stage_doc(properties=[prop(type={"enum": ["a", 1]})]),
+            "stages[0].properties[0].type.enum: expected str, got int",
+        ),
+        (
+            stage_doc(properties=[prop(type={"enum": "a"})]),
+            'stages[0].properties[0].type: expected a type name or {"enum": [...]}',
+        ),
+        (
+            stage_doc(properties=[prop(availability=5)]),
+            "stages[0].properties[0].availability: expected str, got int",
+        ),
+        (
+            stage_doc(inputs={"min": -1, "max": 1}),
+            "catalog failed validation:\n  - head.inputs: min -1 is negative",
+        ),
+    ],
+    ids=[
+        "top-level-array", "stages-not-list", "stage-not-object", "name-not-str",
+        "synonyms-not-list", "synonym-not-str", "properties-not-list", "connector-not-bool",
+        "bound-not-object", "min-a-bool", "max-missing", "property-not-object",
+        "unknown-type", "variant-not-str", "type-not-name-or-enum", "availability-not-str",
+        "negative-min",
+    ],
+)
+def test_every_catalog_error_of_a_file_names_the_file_and_the_locus(tmp_path, doc, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected_type = CatalogValidationError if "validation" in message else CatalogParseError
+    with pytest.raises(expected_type) as err:
+        load_catalog(path)
+    assert str(err.value) == f"{path}: {message}"
+    # text with no file keeps the bare message
+    with pytest.raises(expected_type) as err:
+        parse_catalog(json.dumps(doc))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "escape, lone",
     [("\\ud800", True), ("x\\uDFFF", True), ("\\ud83d\\ude00", False), ("\\\\ud800", False)],

@@ -623,6 +623,34 @@ def test_catalog_validate_parse_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_a_catalog_error_names_the_catalog_file(capsys, tmp_path):
+    bad = tmp_path / "catalog.json"
+    for doc, message in (
+        ([], 'expected an object with a "stages" array'),
+        ({"stages": 5}, "stages: expected list"),
+        ({"stages": [{"name": 5}]}, "stages[0].name: expected str, got int"),
+    ):
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "catalog-validate", "--catalog", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+    # generate reads up to six JSON files; a catalog that fails validation names its own
+    doc = json.loads(fixture_path("demo_catalog.json").read_text(encoding="utf-8"))
+    doc["stages"][0]["description"] = ""
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    name = doc["stages"][0]["name"]
+    code, out, err = run(
+        capsys, "generate", "--utterance", LINEAR_FLOW, "--catalog", str(bad),
+        "--mock-scripts", DEMO_SCRIPTS,
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {bad}: catalog failed validation:\n  - {name}.description: description is empty\n"
+    )
+    # catalog-validate lists the violations themselves, as before
+    code, out, err = run(capsys, "catalog-validate", "--catalog", str(bad))
+    assert (code, out, err) == (1, "", f"{name}: description: description is empty\n")
+
+
 # --- export ------------------------------------------------------------------------
 
 

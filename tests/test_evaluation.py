@@ -81,6 +81,10 @@ def test_load_dataset_empty_file(tmp_path):
             [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": [{"name": "P"}]}}],
             "record 0 properties of 'sort' need name and value",
         ),
+        (
+            [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": {"name": "P", "value": "v"}}}],
+            "record 0 properties of 'sort' need name and value",
+        ),
         # bytes go in as they are: not UTF-8, and an integer past the 4300-digit limit
         pytest.param(
             b"\xff\xfe[]", r"data\.json: malformed JSON: 'utf-8' codec can't decode byte 0xff",
@@ -148,6 +152,18 @@ def test_load_dataset_validates_property_nodes(tmp_path):
     )
     with pytest.raises(InputError, match="unknown node 'ghost'"):
         load_dataset(p)
+
+
+def test_load_dataset_reads_gold_properties(tmp_path):
+    p = tmp_path / "data.json"
+    item = {
+        "utterance": "u",
+        "gold_stages": ["sort", "head"],
+        "gold_properties": {"sort": [{"name": "Sort Key", "value": "age"}, {"name": "Limit", "value": 5}]},
+    }
+    p.write_text(json.dumps([item]))
+    (loaded,) = load_dataset(p)
+    assert loaded.gold_properties == {"sort": [("Sort Key", "age"), ("Limit", "5")]}
 
 
 # --- stage accuracy ----------------------------------------------------------------
@@ -476,6 +492,26 @@ def test_report_table_rendering(eval_config):
     assert "stage accuracy [%]" in table
     assert "95.0" in table and "87.5" in table
     assert "mean prompt tokens" in table and "single:" in table
+
+
+def test_report_table_shows_edge_and_property_results():
+    rt = eval_runtime()
+    dataset = [
+        record(gold_edges=[("sort", "head")], gold_properties={"sort": [("Sort Key", "age")]}),
+        record(gold_edges=[("head", "sort")]),  # flipped: similarity 0; no gold properties
+    ]
+    report = run_eval(dataset, rt.cfg, measures=("stages", "edges", "props"), runtime=rt)
+    # Dice 1 and 0; Limit = 50 is predicted but not gold, so P 1/2, R 1, F1 2/3
+    assert report_table(report) == (
+        "stage accuracy [%]          total     1-op     n-op\n"
+        "                            100.0    100.0    100.0\n"
+        "edge similarity            0.5000\n"
+        "edge exact rate            0.5000\n"
+        "properties                      P        R       F1\n"
+        "                           0.5000   1.0000   0.6667\n"
+        f"mean prompt tokens       single: {report.tokens['single']:.1f}\n"
+        "records: 2, failures: 0\n"
+    )
 
 
 def test_report_table_lists_failures():

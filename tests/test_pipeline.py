@@ -302,8 +302,9 @@ def test_every_prompt_is_counted_and_hashed_as_from_scratch(
         assert prompt.sha256 == hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()[:16]
 
 
-def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monkeypatch):
+def test_a_second_run_counts_only_its_own_text(demo_config, monkeypatch):
     rt = build_runtime(demo_config())
+    rt.provider = recording = RecordingProvider(rt.provider)
     texts: list[str] = []
 
     def spy(text):
@@ -314,32 +315,46 @@ def test_a_second_run_counts_no_static_text_and_no_text_twice(demo_config, monke
     runs = []
     for _ in range(2):
         texts.clear()
+        recording.prompts.clear()
         w = generate_with_runtime(LINEAR_FLOW, rt)
         runs.append(list(texts))
     first, second = runs
-    stages = [rt.catalog.stages[n.stage] for n in w.graph.nodes]
-    prop_lists = {"\n".join(f"{p.name}: {p.description}" for p in s.properties) for s in stages}
-    prop_lists.discard("")
-    node_lines = {f" ({s.name}): {s.description}" for s in stages}
+    nodes = edgepred.build_nodes(w.provenance["stages"], rt.catalog)
+    spans = w.provenance["segments"]
+    assert len(nodes) > 2 and list(spans) == [n.unique_name for n in nodes]
 
     def bound(b):
         return f"{b.min}..{'*' if b.max is None else b.max}"
 
-    heads = {f" ({s.name}, inputs {bound(s.inputs)}, outputs {bound(s.outputs)}): " for s in stages}
+    # the run's own text, counted at each render that is given it: the utterance (decompose,
+    # stage, segmentation and edge prompts), the two node blocks, each span and each answer
+    segment_block = "\n".join(
+        f"{n.unique_name} ({n.stage}): {rt.catalog.stages[n.stage].description}" for n in nodes
+    )
+    edge_block = "\n".join(
+        f"{n.unique_name} ({n.stage}, inputs {bound(n.inputs)}, outputs {bound(n.outputs)}): "
+        f"{spans[n.unique_name]}"
+        for n in nodes
+    )
+    answers = [recording.inner.complete(p, CompletionParams()) for p in recording.prompts]
+    own = Counter([LINEAR_FLOW] * 4 + [segment_block, edge_block, *spans.values(), *answers])
+    assert Counter(second) == own
+    # the first run also binds each stage's properties template, its name and property list
+    stages = {n.stage: rt.catalog.stages[n.stage] for n in nodes}.values()
+    prop_lists = ["\n".join(f"{p.name}: {p.description}" for p in s.properties) for s in stages]
+    assert Counter(first) == own + Counter([s.name for s in stages] + prop_lists)
+    assert any(prop_lists) and not set(prop_lists) & set(second)
+    # no run counts a context line, a few-shot block or template text
     (candidates,) = [e["stages"] for e in w.provenance["stage_trace"] if e["event"] == "candidates"]
-    context_lines = {f'"{name}": {rt.catalog.stages[name].description}' for name in candidates}
-    for pieces in (prop_lists, node_lines, heads):
-        assert pieces and pieces <= set(first)
-        assert not pieces & set(second)
-    # the stage prompt's pieces were counted when the runtime was built
-    assert context_lines and not context_lines & {*first, *second}
-    # the utterance and each sub-utterance counted exactly once, each node name at most once
-    spans = {LINEAR_FLOW, *w.provenance["segments"].values()}
-    assert len(spans) > 2
-    assert Counter(t for t in second if t in spans) == Counter(spans)
-    names = w.graph.node_names()
-    assert len(names) > 2
-    assert max(Counter(t for t in second if t in names).values()) == 1
+    context_lines = {rt.prompts.lines[name][0] for name in candidates}
+    blocks = {ex.block[0] for ex in rt.bank}
+    templates = [
+        *stagepred._STAGE_TEMPLATES.values(), rt.prompts.decompose, edgepred._SEGMENT_TEMPLATE,
+        edgepred._EDGES_TEMPLATE, *rt.prompts.properties.values(),
+    ]
+    template_texts = {text for t in templates for kind, text, _ in t.segments if kind == "text"}
+    for static in (context_lines, blocks, template_texts):
+        assert static and not static & {*first, *second}
 
 
 def test_a_cag_runtime_counts_its_stage_prompt_pieces_when_built(demo_config, monkeypatch):
@@ -354,14 +369,15 @@ def test_a_cag_runtime_counts_its_stage_prompt_pieces_when_built(demo_config, mo
     monkeypatch.setattr(llm, "count_tokens", spy)
     prediction = predict_stages(LINEAR_FLOW, rt)
     assert prediction.stages and len(recording.prompts) == 2
-    # the first run counts only its own text: the utterance, once, and the two answers
+    # the first run counts only its own text: the utterance at each of its two renders, and
+    # each answer; no context line, few-shot block or template text
     answers = [recording.inner.complete(p, CompletionParams()) for p in recording.prompts]
-    assert texts == [LINEAR_FLOW, *answers]
+    assert texts == [LINEAR_FLOW, answers[0], LINEAR_FLOW, answers[1]]
 
 
-def test_steps_take_their_trace_caches_and_counted_text_without_defaults():
-    # the pipeline hands every step its trace, its count caches and its text
-    # as (text, tokens); no default stands in for one of them
+def test_steps_take_their_trace_caches_and_text_without_defaults():
+    # the pipeline hands every step its trace, its runtime's caches and its text; no
+    # default stands in for one of them
     steps = [
         stagepred.predict_single, stagepred.decompose, stagepred.build_candidates,
         stagepred.predict_agentic, edgepred.segment_for_nodes, edgepred.predict_edges,
