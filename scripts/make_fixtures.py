@@ -77,7 +77,7 @@ def verify(out_dir: Path) -> dict[str, float]:
     split_examples = load_split_examples(fixture_path("split_examples.json"))
 
     prompts = stage_prompts(catalog, split_examples, bank=bank)
-    listing = prompts.listing(None, bank)
+    listing = prompts.listing()
     singles, scopeds = [], []
     for rec in records:
         utterance, gold = rec["utterance"], rec["gold_stages"]
@@ -89,7 +89,7 @@ def verify(out_dir: Path) -> dict[str, float]:
         scoped = render_stage_prompt(
             catalog,
             candidates.stages,
-            select_examples(candidates, bank, prompts.positions),
+            select_examples(candidates, prompts),
             utterance,
             prompts=prompts,
         )

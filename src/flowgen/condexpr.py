@@ -174,7 +174,7 @@ def _tokenize(text: str) -> list[_Token]:
                 kind = word
             tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(("end", "", len(text)))
+    tokens.append(("end of input", "", len(text)))
     return tokens
 
 
@@ -207,7 +207,7 @@ class _Parser:
 
     def unexpected(self, expected: tuple[str, ...]) -> ConditionSyntaxError:
         kind, _, pos = self.tokens[self.i]
-        return ConditionSyntaxError(f"unexpected {kind or 'end of input'}", pos, expected)
+        return ConditionSyntaxError(f"unexpected {kind}", pos, expected)
 
     def expect(self, kind: str) -> _Token:
         if self.kind != kind:
@@ -217,7 +217,7 @@ class _Parser:
     def parse(self) -> ConditionExpr:
         expr = self.or_expr()
         kind, text, pos = self.tokens[self.i]
-        if kind != "end":
+        if kind != "end of input":
             raise ConditionSyntaxError(f"trailing input {text!r}", pos, ("end of input",))
         return expr
 

@@ -22,7 +22,6 @@ the user didn't describe is worse than leaving a hole visible.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
 
 from . import fixture_path
 from .catalog import CardinalityBound, Catalog
@@ -209,7 +208,6 @@ def predict_edges(
     utterance: str,
     provider: CompletionProvider,
     trace: list[dict],
-    spans: Mapping[str, str],
 ) -> FlowGraph:
     """Propose directed edges over the given nodes via one completion.
 
@@ -219,16 +217,16 @@ def predict_edges(
     a cycle is dropped in response order, so the result is always a DAG over
     exactly the given nodes.
 
-    ``spans`` maps each node's name to its sub-utterance. Each node's line
-    is its name, its stage and bounds, and its sub-utterance; the render
-    counts the node block with the utterance, as the run's text.
+    Each node's line is its name, its stage and bounds, and its own
+    ``sub_utterance``; the render counts the node block with the utterance,
+    as the run's text.
     """
     graph = FlowGraph(nodes=list(nodes))
     if len(nodes) < 2:
         return graph
     block = "\n".join(
         f"{n.unique_name} ({n.stage}, inputs {_bound_text(n.inputs)}, "
-        f"outputs {_bound_text(n.outputs)}): {spans[n.unique_name]}"
+        f"outputs {_bound_text(n.outputs)}): {n.sub_utterance}"
         for n in nodes
     )
     prompt = render_prompt(_EDGES_TEMPLATE, {"nodes": block, "utterance": utterance})

@@ -209,7 +209,7 @@ def build_runtime(cfg: PipelineConfig) -> Runtime:
     else:
         provider = provider_from_env()
     prompts = stage_prompts(catalog, split_examples, cfg.family, bank)
-    listing = prompts.listing(None, bank) if cfg.strategy == "single" else None
+    listing = prompts.listing() if cfg.strategy == "single" else None
     return Runtime(
         catalog=catalog,
         classifier=classifier,
@@ -266,12 +266,12 @@ def predict_stages(utterance: str, rt: Runtime) -> StagePrediction:
 
 
 def _edge_branch(
-    utterance: str, nodes: list[NodeInstance], spans: dict[str, str], rt: Runtime
+    utterance: str, nodes: list[NodeInstance], rt: Runtime
 ) -> tuple[FlowGraph, dict[str, list[str]], list[CardinalityViolation], list[dict], list[dict]]:
     trace: list[dict] = []
     diagnostics: list[dict] = []
     try:
-        graph = predict_edges(nodes, utterance, rt.provider, trace=trace, spans=spans)
+        graph = predict_edges(nodes, utterance, rt.provider, trace=trace)
     except (AnswerError, ProviderError) as exc:
         diagnostics.append({"step": "edge_prediction", "message": str(exc)})
         graph = FlowGraph(nodes=list(nodes))
@@ -287,9 +287,7 @@ def _property_branch_one(
     diagnostics: list[dict] = []
     stage = rt.catalog.stages[node.stage]
     try:
-        raw = predict_properties(
-            node, stage, rt.provider, trace, rt.prompts.properties, node.sub_utterance
-        )
+        raw = predict_properties(node, stage, rt.provider, trace, rt.prompts.properties)
         statused = validate(raw, stage, rt.registry)
     except ProviderError as exc:  # degrade per node; a loaded catalog's conditions type-check
         diagnostics.append(
@@ -302,9 +300,9 @@ def _property_branch_one(
 def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
     """Run every step on ``utterance``.
 
-    The utterance, the sub-utterances and the node names go to each step as
-    plain strings, and each render counts the ones it is given; only text
-    fixed per runtime (``rt.prompts``, ``rt.listing``) comes counted.
+    Each node carries its own ``sub_utterance`` once segmentation sets it.
+    Each render counts the run's text it reads; only text fixed per runtime
+    (``rt.prompts``, ``rt.listing``) comes counted.
     """
     cfg = rt.cfg
     prediction = predict_stages(utterance, rt)
@@ -331,10 +329,10 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
         segments = {n.unique_name: utterance for n in nodes}
     for node in nodes:
         node.sub_utterance = segments[node.unique_name]
-    spans = provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
+    provenance["segments"] = {n.unique_name: n.sub_utterance for n in nodes}
     provenance["segment_trace"] = seg_trace
 
-    calls = [partial(_edge_branch, utterance, nodes, spans, rt)]
+    calls = [partial(_edge_branch, utterance, nodes, rt)]
     calls += [partial(_property_branch_one, n, rt) for n in nodes]
     edge_result, *prop_results = run_in_order(calls, cfg.parallel)
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result

@@ -1,12 +1,12 @@
 """Per-node property prediction and validation.
 
-The model proposes ``name = value`` lines from a node's sub-utterance. Its
-prompt is the properties template with the stage's name and property list
-bound and counted once per stage and runtime, so the template's SHA-256
-state covers all the text before the sub-utterance. A call counts and
-hashes only the sub-utterance, the run's text, and the prompt's last line.
-Every assignment then runs a four-step gauntlet, each rejection tagged with
-the step that fired:
+The model proposes ``name = value`` lines from the node's own
+``sub_utterance``. Its prompt is the properties template with the stage's
+name and property list bound and counted once per stage and runtime, so the
+template's SHA-256 state covers all the text before the sub-utterance. A
+call counts and hashes only the sub-utterance, the run's text, and the
+prompt's last line. Every assignment then runs a four-step gauntlet, each
+rejection tagged with the step that fired:
 
 1. the name must exist in the stage's schema (``rejected_unknown_name``),
 2. the raw value must coerce to the declared type (``rejected_type``),
@@ -123,9 +123,8 @@ def predict_properties(
     provider: CompletionProvider,
     trace: list[dict],
     templates: dict[str, PromptTemplate],
-    span: str,
 ) -> list[PropertyAssignment]:
-    """Ask the model for ``name = value`` lines about ``span``, the node's sub-utterance.
+    """Ask the model for ``name = value`` lines about the node's ``sub_utterance``.
 
     Zero parseable lines is fine. ``templates`` is the runtime's properties
     template of each stage, by stage name, with only ``sub_utterance`` open
@@ -137,7 +136,7 @@ def predict_properties(
         template = templates[stage.name] = bind(
             _PROPERTIES_TEMPLATE, {"stage": stage.name, "properties": prop_lines}
         )
-    prompt = render_prompt(template, {"sub_utterance": span})
+    prompt = render_prompt(template, {"sub_utterance": node.sub_utterance})
     answer = complete(provider, prompt, trace, "properties", node=node.unique_name)
     pairs = answer_pairs(answer, "=")
     return [PropertyAssignment(name=name, raw_value=value) for name, value in pairs if name]

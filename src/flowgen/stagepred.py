@@ -184,19 +184,16 @@ class StagePrompts:
     hashed once per process; ``render_stage_prompt`` renders it with
     ``bindings`` in one pass.
 
-    It also holds the few-shot ``bank`` and its ``example_positions``, which
-    ``select_examples`` reads.
+    It is the one holder of the few-shot ``bank`` and its
+    ``example_positions``, which ``listing`` and ``select_examples`` read.
     """
 
-    __slots__ = (
-        "catalog", "stage", "decompose", "bank", "positions", "lines", "properties",
-    )
+    __slots__ = ("stage", "decompose", "bank", "positions", "lines", "properties")
 
     def __init__(
         self, catalog: Catalog, stage: PromptTemplate, decompose: PromptTemplate,
         bank: Sequence[FewShotExample],
     ):
-        self.catalog = catalog
         self.stage = stage  # the family's stage template, no slot bound
         self.decompose = decompose  # the split examples bound; ``utterance`` open
         self.bank = bank
@@ -207,7 +204,7 @@ class StagePrompts:
         self.properties: dict[str, PromptTemplate] = {}  # by stage name
 
     def bindings(
-        self, candidates: Iterable[str] | None, examples: list[FewShotExample]
+        self, candidates: Iterable[str] | None, examples: Sequence[FewShotExample]
     ) -> dict[str, tuple[str, int]]:
         """The stage template's ``context`` and ``examples``, each a ``(text, tokens)`` pair.
 
@@ -221,16 +218,14 @@ class StagePrompts:
             "examples": _joined([ex.block for ex in examples], "\n\n"),
         }
 
-    def listing(
-        self, candidates: Iterable[str] | None, examples: list[FewShotExample]
-    ) -> PromptTemplate:
-        """The stage template with ``bindings`` bound; ``utterance`` stays open.
+    def listing(self) -> PromptTemplate:
+        """The stage template over the whole catalog and ``bank``; ``utterance`` stays open.
 
-        The once-per-runtime bind of a prompt that every utterance reuses,
-        as the single strategy's full listing; a per-call prompt is rendered
-        in one pass by ``render_stage_prompt``.
+        The single strategy's full listing, bound once per runtime and reused
+        for every utterance; a per-call prompt is rendered in one pass by
+        ``render_stage_prompt``.
         """
-        return bind(self.stage, self.bindings(candidates, examples))
+        return bind(self.stage, self.bindings(None, self.bank))
 
 
 def stage_prompts(
@@ -290,8 +285,8 @@ def predict_single(
 ) -> StagePrediction:
     """One prompt over the full catalog and the full example bank.
 
-    ``listing`` is ``stage_prompts(catalog, family=family).listing(None,
-    bank)``, built once and reused for every utterance.
+    ``listing`` is ``stage_prompts(catalog, family=family, bank=bank).listing()``,
+    built once and reused for every utterance.
     """
     prompt = llm.render_prompt(listing, {"utterance": utterance})
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))
@@ -378,19 +373,16 @@ def example_positions(bank: Sequence[FewShotExample]) -> dict[str, tuple[int, ..
 
 
 def select_examples(
-    candidates: CandidateSet,
-    bank: Sequence[FewShotExample],
-    positions: dict[str, tuple[int, ...]],
-    cap: int = DEFAULT_EXAMPLE_CAP,
+    candidates: CandidateSet, prompts: StagePrompts, cap: int = DEFAULT_EXAMPLE_CAP
 ) -> list[FewShotExample]:
-    """Few-shot examples that mention at least one candidate stage.
+    """Few-shot examples of ``prompts.bank`` that mention at least one candidate stage.
 
-    ``positions`` is ``example_positions(bank)``: the matches are read from
-    it, not found by testing every example. If more than ``cap`` match, a
-    round-robin over candidate stages (stages in lexicographic order,
-    examples in bank order) keeps per-candidate coverage; the selection is
-    emitted in bank order either way.
+    The matches are read from ``prompts.positions``, not found by testing
+    every example. If more than ``cap`` match, a round-robin over candidate
+    stages (stages in lexicographic order, examples in bank order) keeps
+    per-candidate coverage; the selection is emitted in bank order either way.
     """
+    bank, positions = prompts.bank, prompts.positions
     per_stage = [positions[stage] for stage in sorted(candidates.stages) if stage in positions]
     matching = sorted(set().union(*per_stage))
     if len(matching) <= cap:
@@ -443,7 +435,7 @@ def predict_cag(
     if not candidates.stages:
         trace.append({"event": "empty_candidates"})
         return StagePrediction(stages=[], trace=trace)
-    examples = select_examples(candidates, prompts.bank, prompts.positions, cap)
+    examples = select_examples(candidates, prompts, cap)
     trace.append({"event": "examples_selected", "count": len(examples)})
     prompt = render_stage_prompt(catalog, candidates.stages, examples, utterance, family, prompts)
     answer = parse_operator_list(complete(provider, prompt, trace, "stage_selection"))

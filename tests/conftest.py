@@ -14,7 +14,7 @@ import pytest
 from flowgen import fixture_path
 from flowgen.catalog import Catalog, CardinalityBound, PropertyDef, StageDef, STRING
 from flowgen.classify import Classification
-from flowgen.llm import MockProvider, MockScript
+from flowgen.llm import MockProvider, MockScript, ProviderError
 from flowgen.pipeline import PipelineConfig, Runtime
 from flowgen.stagepred import stage_prompts
 
@@ -88,6 +88,18 @@ class RecordingProvider:
         return self.inner.complete(prompt, params)
 
 
+class FailingOn:
+    """Answers from ``inner``, but raises ``ProviderError`` on a prompt containing ``cue``."""
+
+    def __init__(self, inner, cue: str):
+        self.inner, self.cue = inner, cue
+
+    def complete(self, prompt, params):
+        if self.cue in prompt.text:
+            raise ProviderError("endpoint down")
+        return self.inner.complete(prompt, params)
+
+
 class NeverClassify:
     def classify(self, text: str) -> Classification:
         return Classification(ranked=(), matched=False)
@@ -106,7 +118,7 @@ def make_runtime(catalog: Catalog, provider: MockProvider, **cfg_overrides) -> R
         provider=provider,
         cfg=cfg,
         prompts=prompts,
-        listing=prompts.listing(None, []),
+        listing=prompts.listing(),
     )
 
 

@@ -41,7 +41,7 @@ from flowgen.edgepred import (
     validate_cardinality,
 )
 from flowgen.evaluation import load_dataset, report_json, run_eval
-from flowgen.llm import counted, load_mock_scripts
+from flowgen.llm import load_mock_scripts
 from flowgen.pipeline import PipelineConfig, build_runtime, emit, generate_with_runtime
 from flowgen.proppred import (
     ACCEPTED,
@@ -136,9 +136,9 @@ def test_criterion_2_token_reduction():
         )
         records = load_dataset(fixture_path("synthetic_utterances.json"))
         assert len(records) == 20
-        listing = rt.prompts.listing(None, rt.bank)
+        listing = rt.prompts.listing()
         for record in records:
-            full = predict_single(counted(record.utterance), rt.catalog, listing, rt.provider, [])
+            full = predict_single(record.utterance, rt.catalog, listing, rt.provider, [])
             scoped = predict_cag(
                 record.utterance,
                 rt.catalog,

@@ -89,6 +89,32 @@ def test_error_carries_position_and_expected():
     assert "literal" in err.value.expected
 
 
+@pytest.mark.parametrize(
+    "text, message, position, expected",
+    [
+        ("'a' =", "unexpected end of input at position 5 (expected literal)", 5, ("literal",)),
+        ("defined('x'", "unexpected end of input at position 11 (expected rparen)", 11, ("rparen",)),
+        ("defined 'x'", "unexpected path at position 8 (expected lparen)", 8, ("lparen",)),
+        (
+            "and 'x' = 1",
+            "unexpected and at position 0 (expected path, literal, defined, not, ()",
+            0,
+            ("path", "literal", "defined", "not", "("),
+        ),
+        (
+            "",
+            "unexpected end of input at position 0 (expected path, literal, defined, not, ()",
+            0,
+            ("path", "literal", "defined", "not", "("),
+        ),
+    ],
+)
+def test_an_unexpected_token_error_names_the_token(text, message, position, expected):
+    with pytest.raises(ConditionSyntaxError) as err:
+        parse_condition(text)
+    assert (str(err.value), err.value.position, err.value.expected) == (message, position, expected)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ConditionSyntaxError, match="trailing"):
         parse_condition("'a' = 1 'b'")

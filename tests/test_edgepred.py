@@ -45,11 +45,6 @@ def node(
     )
 
 
-def spans_of(nodes: list[NodeInstance]) -> dict[str, str]:
-    """Each node's sub-utterance, as the pipeline hands them to ``predict_edges``."""
-    return {n.unique_name: n.sub_utterance for n in nodes}
-
-
 # --- node construction ---------------------------------------------------------
 
 
@@ -152,14 +147,14 @@ def test_predict_edges_skips_call_for_small_flows():
     for stages in ([], ["head"]):
         catalog = make_catalog(make_stage("head"))
         nodes = build_nodes(stages, catalog)
-        g = predict_edges(nodes, "u", scripted(), [], spans_of(nodes))
+        g = predict_edges(nodes, "u", scripted(), [])
         assert g.edges == []
 
 
 def test_predict_edges_parses_arrow_lines():
     nodes = [node("a"), node("b"), node("c")]
     provider = scripted(("Edges:", "noise\na -> b\n  b   ->   c  "))
-    g = predict_edges(nodes, "u", provider, [], spans_of(nodes))
+    g = predict_edges(nodes, "u", provider, [])
     assert g.edges == [("a", "b"), ("b", "c")]
 
 
@@ -171,7 +166,7 @@ def test_predict_edges_prompt_includes_bounds_and_spans():
     nodes[0].sub_utterance = "merge them"
     cue = "join (join, inputs 2..2, outputs 1..1): merge them\nswitch (switch, inputs 1..1, outputs 1..*):"
     provider = scripted((cue, "switch -> join"))
-    g = predict_edges(nodes, "u", provider, [], spans_of(nodes))
+    g = predict_edges(nodes, "u", provider, [])
     assert g.edges == [("switch", "join")]
 
 
@@ -179,7 +174,7 @@ def test_predict_edges_drops_unknown_duplicate_and_cycle_edges():
     nodes = [node("a"), node("b")]
     provider = scripted(("Edges:", "a -> b\na -> ghost\na -> b\nb -> a\na -> a"))
     trace: list[dict] = []
-    g = predict_edges(nodes, "u", provider, trace, spans_of(nodes))
+    g = predict_edges(nodes, "u", provider, trace)
     assert g.edges == [("a", "b")]
     reasons = [(e["edge"], e["reason"]) for e in trace if e["event"] == "edge_dropped"]
     assert reasons == [
@@ -194,13 +189,13 @@ def test_predict_edges_requires_at_least_one_parseable_line():
     provider = scripted(("Edges:", "there are no edges here"))
     nodes = [node("a"), node("b")]
     with pytest.raises(AnswerError, match="no parseable edges in response 'there are no edges here'"):
-        predict_edges(nodes, "u", provider, [], spans_of(nodes))
+        predict_edges(nodes, "u", provider, [])
 
 
 def test_predicted_graph_is_always_acyclic():
     nodes = [node(f"n{i}") for i in range(4)]
     lines = "\n".join(f"n{i} -> n{j}" for i in range(4) for j in range(4))
-    g = predict_edges(nodes, "u", scripted(("Edges:", lines)), [], spans_of(nodes))
+    g = predict_edges(nodes, "u", scripted(("Edges:", lines)), [])
     order = {name: i for i, name in enumerate(sorted(g.node_names()))}
     assert all(order[s] < order[d] for s, d in g.edges)
 

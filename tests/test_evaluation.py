@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_catalog, make_runtime, make_stage, scripted
+from conftest import FailingOn, make_catalog, make_runtime, make_stage, scripted
 from flowgen import InputError, fixture_path
 from flowgen.catalog import INTEGER, STRING, PropertyDef
 from flowgen.evaluation import (
@@ -21,7 +21,7 @@ from flowgen.evaluation import (
     run_eval,
     stage_accuracy,
 )
-from flowgen.llm import ProviderError, render_prompt
+from flowgen.llm import render_prompt
 from flowgen.pipeline import PipelineConfig
 
 
@@ -369,19 +369,6 @@ def test_run_eval_props_half_recall():
     report = run_eval(dataset, rt.cfg, measures=("props",), runtime=rt)
     assert report.props.precision == 1.0
     assert report.props.recall == pytest.approx(2 / 3)
-
-
-class FailingOn:
-    """Raises ``ProviderError`` on a prompt that contains ``text``."""
-
-    def __init__(self, inner, text: str):
-        self.inner = inner
-        self.text = text
-
-    def complete(self, prompt, params):
-        if self.text in prompt.text:
-            raise ProviderError("endpoint down")
-        return self.inner.complete(prompt, params)
 
 
 def test_run_eval_failed_record_misses_its_edges_and_properties():

@@ -412,7 +412,8 @@ def test_http_provider_parses_usage_and_choice_shapes(http_endpoint, monkeypatch
             "usage": {"prompt_tokens": 10, "completion_tokens": 2},
         }))
     )
-    provider = provider_from_env({"LLM_ENDPOINT": http_endpoint.url + "/v1", "LLM_API_KEY": "k"})
+    env = {"LLM_ENDPOINT": http_endpoint.url + "/v1", "LLM_API_KEY": "k", "LLM_MODEL": "m"}
+    provider = provider_from_env(env)
     timeouts = record_timeouts(monkeypatch)
     trace: list[dict] = []
     assert complete(provider, prompt_of("ping"), trace, "decompose") == "answer"
@@ -421,6 +422,8 @@ def test_http_provider_parses_usage_and_choice_shapes(http_endpoint, monkeypatch
     assert (trace[0]["prompt_tokens"], trace[0]["completion_tokens"]) == (1, 1)
     (seen,) = http_endpoint.seen
     assert seen.path == "/v1" and seen.body["prompt"] == "ping"
+    # the request body README documents, with the default parameters
+    assert seen.body == {"temperature": 0.0, "max_tokens": 512, "model": "m", "prompt": "ping"}
     assert seen.headers["Authorization"] == "Bearer k"
     assert seen.headers["Content-Type"] == "application/json"
 

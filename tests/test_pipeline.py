@@ -23,6 +23,7 @@ from conftest import (
     FULL_NAME_FLOW,
     LINEAR_FLOW,
     MERGE_FLOW,
+    FailingOn,
     RecordingProvider,
     Reply,
     make_catalog,
@@ -320,8 +321,8 @@ def test_a_second_run_counts_only_its_own_text(demo_config, monkeypatch):
         runs.append(list(texts))
     first, second = runs
     nodes = edgepred.build_nodes(w.provenance["stages"], rt.catalog)
-    spans = w.provenance["segments"]
-    assert len(nodes) > 2 and list(spans) == [n.unique_name for n in nodes]
+    segments = w.provenance["segments"]
+    assert len(nodes) > 2 and list(segments) == [n.unique_name for n in nodes]
 
     def bound(b):
         return f"{b.min}..{'*' if b.max is None else b.max}"
@@ -333,11 +334,11 @@ def test_a_second_run_counts_only_its_own_text(demo_config, monkeypatch):
     )
     edge_block = "\n".join(
         f"{n.unique_name} ({n.stage}, inputs {bound(n.inputs)}, outputs {bound(n.outputs)}): "
-        f"{spans[n.unique_name]}"
+        f"{segments[n.unique_name]}"
         for n in nodes
     )
     answers = [recording.inner.complete(p, CompletionParams()) for p in recording.prompts]
-    own = Counter([LINEAR_FLOW] * 4 + [segment_block, edge_block, *spans.values(), *answers])
+    own = Counter([LINEAR_FLOW] * 4 + [segment_block, edge_block, *segments.values(), *answers])
     assert Counter(second) == own
     # the first run also binds each stage's properties template, its name and property list
     stages = {n.stage: rt.catalog.stages[n.stage] for n in nodes}.values()
@@ -546,18 +547,6 @@ def test_stage_prediction_failure_aborts_with_envelope():
     envelope = err.value.envelope()
     assert envelope["error"]["step"] == "stage_prediction"
     assert envelope["provenance"]["utterance"] == UTTERANCE
-
-
-class FailingOn:
-    """Answers from ``inner``, but raises ``ProviderError`` on a prompt containing ``cue``."""
-
-    def __init__(self, inner, cue: str):
-        self.inner, self.cue = inner, cue
-
-    def complete(self, prompt, params):
-        if self.cue in prompt.text:
-            raise llm.ProviderError("endpoint down")
-        return self.inner.complete(prompt, params)
 
 
 def test_a_failed_segmentation_call_leaves_its_record():

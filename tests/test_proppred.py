@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_stage, scripted
+from conftest import RecordingProvider, make_stage, scripted
 from flowgen import InputError, fixture_path
 from flowgen.catalog import BOOLEAN, DECIMAL, INTEGER, STRING, PropertyDef, ValueType
 from flowgen.edgepred import NodeInstance
@@ -28,7 +28,7 @@ from flowgen.proppred import (
     prop_metrics,
     validate,
 )
-from flowgen.llm import counted, usage
+from flowgen.llm import usage
 
 WRITE_MODE = ValueType("enum", ("append", "replace", "upsert"))
 
@@ -79,7 +79,7 @@ def test_predict_properties_parses_assignment_lines():
     provider = scripted(
         ("Properties set:", "Row Limit = 50\nnoise without equals\n = headless\nWrite Mode = replace")
     )
-    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {})
     assert [(a.name, a.raw_value) for a in out] == [
         ("Row Limit", "50"),
         ("Write Mode", "replace"),
@@ -89,7 +89,7 @@ def test_predict_properties_parses_assignment_lines():
 
 def test_predict_properties_none_answer_yields_no_assignments():
     provider = scripted(("Properties set:", "none"))
-    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {})
     assert out == []
 
 
@@ -99,9 +99,10 @@ def test_predict_properties_prompt_carries_schema_and_span():
     )
     provider = scripted((cue, "Row Limit = 5"))
     trace: list[dict] = []
-    span = counted("limit to 5 rows")
-    out = predict_properties(prop_node(span[0]), connector_stage(), provider, trace, {}, span)
+    recording = RecordingProvider(provider)
+    out = predict_properties(prop_node("limit to 5 rows"), connector_stage(), recording, trace, {})
     assert out[0].name == "Row Limit"
+    assert recording.prompts[0].text.endswith("\nSub-utterance: limit to 5 rows\nProperties set:")
     assert usage(trace)["requests"] == 1
     assert trace[0]["purpose"] == "properties" and trace[0]["node"] == "warehouse"
 
@@ -109,7 +110,7 @@ def test_predict_properties_prompt_carries_schema_and_span():
 def test_predict_properties_prompt_lists_each_property():
     cue = "Connection Name: Registered connection to use.\nRow Limit: Max rows to read."
     provider = scripted((cue, "none"))
-    out = predict_properties(prop_node(), connector_stage(), provider, [], {}, counted("load it"))
+    out = predict_properties(prop_node(), connector_stage(), provider, [], {})
     assert out == []
 
 

@@ -17,7 +17,7 @@ from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
-from flowgen.llm import FAMILY_PRESEED, AnswerError, bind, count_tokens, counted, render_prompt, usage
+from flowgen.llm import FAMILY_PRESEED, AnswerError, bind, count_tokens, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -160,13 +160,13 @@ def decompose_prompt(splits=()):
 
 def test_decompose_parses_bullet_lines():
     provider = scripted(("Sub-utterances:", "- first rows\n- combine data\nignored"))
-    subs = decompose(counted("first rows then combine data"), provider, decompose_prompt(), [])
+    subs = decompose("first rows then combine data", provider, decompose_prompt(), [])
     assert subs == ["first rows", "combine data"]
 
 
 def test_decompose_skips_blank_bullets_and_indented_noise():
     provider = scripted(("Sub-utterances:", "- \n  - keep me\nplain text\n- also"))
-    subs = decompose(counted("u"), provider, decompose_prompt(), [])
+    subs = decompose("u", provider, decompose_prompt(), [])
     assert subs == ["keep me", "also"]
 
 
@@ -176,7 +176,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
     cue = f"Utterance: {utterance}\nSub-utterances:\n- {subs[0]}"
     provider = scripted((cue, "- one"))  # only matches if the example block rendered
     usage_trace: list[dict] = []
-    subs = decompose(counted("u"), provider, decompose_prompt(splits), usage_trace)
+    subs = decompose("u", provider, decompose_prompt(splits), usage_trace)
     assert subs == ["one"]
     spent = usage(usage_trace)
     assert spent["requests"] == 1 and spent["prompt_tokens"] > 0
@@ -186,7 +186,7 @@ def test_decompose_renders_split_examples_and_counts_usage():
 def test_decompose_error_when_no_bullets():
     provider = scripted(("Sub-utterances:", "I cannot answer that."))
     with pytest.raises(AnswerError, match="no sub-utterances parsed from 'I cannot answer that.'"):
-        decompose(counted("u"), provider, decompose_prompt(), [])
+        decompose("u", provider, decompose_prompt(), [])
 
 
 # --- candidate construction --------------------------------------------------------
@@ -236,9 +236,9 @@ def test_select_examples_filters_to_candidate_mentions():
         FewShotExample("b", ("switch",)),
         FewShotExample("c", ("join", "head")),
     ]
-    positions = example_positions(bank)
-    assert select_examples(_cands("head"), bank, positions) == [bank[0], bank[2]]
-    assert select_examples(_cands("sql_server"), bank, positions) == []
+    prompts = stage_prompts(make_catalog(), bank=bank)
+    assert select_examples(_cands("head"), prompts) == [bank[0], bank[2]]
+    assert select_examples(_cands("sql_server"), prompts) == []
 
 
 def test_select_examples_round_robin_over_cap():
@@ -246,14 +246,16 @@ def test_select_examples_round_robin_over_cap():
     B = [FewShotExample(f"b{i}", ("beta",)) for i in range(2)]
     bank = [A[0], A[1], A[2], B[0], A[3], B[1]]
     # round 1 picks a0 and b0, round 2 picks a1; output restores bank order
-    chosen = select_examples(_cands("alpha", "beta"), bank, example_positions(bank), cap=3)
+    prompts = stage_prompts(make_catalog(), bank=bank)
+    chosen = select_examples(_cands("alpha", "beta"), prompts, cap=3)
     assert chosen == [A[0], A[1], B[0]]
 
 
 def test_select_examples_cap_covers_every_candidate():
     bank = [FewShotExample(f"a{i}", ("alpha",)) for i in range(30)]
     bank += [FewShotExample("b", ("beta",))]
-    chosen = select_examples(_cands("alpha", "beta"), bank, example_positions(bank), cap=5)
+    prompts = stage_prompts(make_catalog(), bank=bank)
+    chosen = select_examples(_cands("alpha", "beta"), prompts, cap=5)
     assert len(chosen) == 5
     assert any("beta" in ex.operators for ex in chosen)
     names = [ex.utterance for ex in chosen]
@@ -310,7 +312,7 @@ def test_select_examples_from_the_index_equals_the_bank_scan(bank, stages, offse
     matches = len(scan_every_example(candidates, bank, len(bank)))
     # the cap is below, at or above the number of matches
     cap = max(0, matches + offset)
-    chosen = select_examples(candidates, bank, example_positions(bank), cap)
+    chosen = select_examples(candidates, stage_prompts(make_catalog(), bank=bank), cap)
     assert chosen == scan_every_example(candidates, bank, cap)
 
 
@@ -334,8 +336,8 @@ def test_default_limits():
 def test_predict_single_answers_and_counts_tokens(catalog):
     bank = [FewShotExample("first rows", ("head",))]
     provider = scripted(("Context:", '"head, join"'))
-    listing = stage_prompts(catalog).listing(None, bank)
-    pred = predict_single(counted("u"), catalog, listing, provider, [])
+    listing = stage_prompts(catalog, bank=bank).listing()
+    pred = predict_single("u", catalog, listing, provider, [])
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 1
     expected = render_stage_prompt(catalog, None, bank, "u").token_estimate
@@ -344,8 +346,8 @@ def test_predict_single_answers_and_counts_tokens(catalog):
 
 def test_predict_single_keeps_duplicates_and_drops_unknown(catalog):
     provider = scripted(("Context:", '"head, head, bogus"'))
-    listing = stage_prompts(catalog).listing(None, [])
-    pred = predict_single(counted("u"), catalog, listing, provider, [])
+    listing = stage_prompts(catalog).listing()
+    pred = predict_single("u", catalog, listing, provider, [])
     assert pred.stages == ["head", "head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 
@@ -569,10 +571,10 @@ def test_counted_prompt_parts_add_up_exactly(data):
 
 @functools.cache
 def corpus_prompts(corpus: str, family: str):
-    """The stage prompts of a bundled corpus, its bank held in them."""
+    """A bundled corpus's catalog, and its stage prompts with its bank held in them."""
     catalog = load_catalog(fixture_path(f"{corpus}_catalog.json"))
     bank = load_examples(fixture_path(f"{corpus}_bank.json"), catalog)
-    return stage_prompts(catalog, family=family, bank=bank)
+    return catalog, stage_prompts(catalog, family=family, bank=bank)
 
 
 @settings(max_examples=80, deadline=None)
@@ -580,14 +582,14 @@ def corpus_prompts(corpus: str, family: str):
 def test_one_pass_stage_prompt_equals_the_two_step_render(data):
     corpus = data.draw(st.sampled_from(["demo", "synthetic"]))
     family = data.draw(st.sampled_from(sorted(FAMILY_PRESEED)))
-    prompts = corpus_prompts(corpus, family)
-    stages, bank = prompts.catalog.stages, prompts.bank
+    catalog, prompts = corpus_prompts(corpus, family)
+    stages, bank = catalog.stages, prompts.bank
     candidates = data.draw(st.none() | st.sets(st.sampled_from(sorted(stages)), max_size=6))
     chosen = data.draw(st.lists(st.sampled_from(range(len(bank))), unique=True, max_size=6))
     examples = [bank[i] for i in sorted(chosen)]
     utterance = data.draw(phrases | st.sampled_from(["", " ", "x"]))
 
-    prompt = render_stage_prompt(prompts.catalog, candidates, examples, utterance, family, prompts)
+    prompt = render_stage_prompt(catalog, candidates, examples, utterance, family, prompts)
     # the same parts, bound first into a template of their own and counted as plain text
     shown = sorted(stages if candidates is None else candidates)
     lines = [f'"{n}": {stages[n].description}' for n in shown]
@@ -611,7 +613,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
         ("CALL classify: first rows\nRESULT: head", "CALL classify: zzz"),
         ("Utterance:", "CALL classify: first rows"),
     )
-    pred = predict_agentic(counted("u"), catalog, model, provider, [])
+    pred = predict_agentic("u", catalog, model, provider, [])
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == 3
     calls = [e for e in pred.trace if e["event"] == "classify_call"]
@@ -625,7 +627,7 @@ def test_predict_agentic_multi_turn_transcript(catalog):
 def test_predict_agentic_final_verified_against_catalog(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", 'FINAL: "head, bogus"'))
-    pred = predict_agentic(counted("u"), catalog, model, provider, [])
+    pred = predict_agentic("u", catalog, model, provider, [])
     assert pred.stages == ["head"]
     assert {"event": "dropped_names", "names": ["bogus"]} in pred.trace
 
@@ -636,7 +638,7 @@ def test_predict_agentic_appends_free_form_replies(catalog):
         ("let me think", 'FINAL: "head"'),
         ("Utterance:", "let me think"),
     )
-    pred = predict_agentic(counted("u"), catalog, model, provider, [])
+    pred = predict_agentic("u", catalog, model, provider, [])
     assert pred.stages == ["head"] and usage(pred.trace)["requests"] == 2
 
 
@@ -644,7 +646,7 @@ def test_predict_agentic_protocol_violation_at_step_cap(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", "CALL classify: loop"))
     with pytest.raises(ProtocolViolation) as err:
-        predict_agentic(counted("u"), catalog, model, provider, [])
+        predict_agentic("u", catalog, model, provider, [])
     # one CALL line and one RESULT line per step
     assert len(err.value.transcript) == 2 * DEFAULT_MAX_STEPS == 16
     assert err.value.transcript[0] == "CALL classify: loop"
@@ -654,7 +656,7 @@ def test_predict_agentic_protocol_violation_at_step_cap(catalog):
 def test_predict_agentic_best_effort_answer_at_cap(catalog):
     model = fit([("first rows", "head")])
     provider = scripted(("Utterance:", '"head, join"'))  # neither CALL nor FINAL
-    pred = predict_agentic(counted("u"), catalog, model, provider, [])
+    pred = predict_agentic("u", catalog, model, provider, [])
     assert pred.stages == ["head", "join"]
     assert usage(pred.trace)["requests"] == DEFAULT_MAX_STEPS == 8
     assert any(e["event"] == "best_effort_final" for e in pred.trace)
