@@ -41,8 +41,13 @@ def parse_json(text: str) -> object:
 
     The exact check, a UTF-8 encode of the whole value, runs only when a scan
     of ``text`` finds a surrogate's escape, as a pair for an emoji also is.
+    Arrays or objects nested past the interpreter's recursion limit raise
+    ``ValueError`` too, where ``json.loads`` raises ``RecursionError``.
     """
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("arrays or objects nest too deeply") from None
     if _SURROGATE_ESCAPE.search(text):
         try:
             json.dumps(raw, ensure_ascii=False).encode("utf-8")

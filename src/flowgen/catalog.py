@@ -29,7 +29,6 @@ __all__ = [
     "load_catalog",
     "parse_catalog",
     "dump_catalog",
-    "validate_catalog",
     "keyword_parts",
 ]
 
@@ -162,32 +161,25 @@ class Catalog:
         self.stages = stages
 
     @cached_property
-    def synonym_index(self) -> dict[str, frozenset[str]]:
-        """Keyword -> stage names it identifies (names plus synonyms).
+    def keyword_index(self) -> dict[str, tuple[Keyword, ...]]:
+        """Each keyword (a stage's name or synonym) by its first ``keyword_parts`` part.
 
-        Keywords are folded as ``keyword_parts`` folds a text, then
-        lowercased: ``str.lower()`` alone turns U+0130 into ``i`` and a
-        combining dot, which no text spelled ``İ``, ``i`` or ``I`` matches.
+        A keyword's ``stages`` are every stage it names. Keywords are folded
+        as ``keyword_parts`` folds a text, then lowercased: ``str.lower()``
+        alone turns U+0130 into ``i`` and a combining dot, which no text
+        spelled ``İ``, ``i`` or ``I`` matches. A keyword with no part is
+        filed under ``""``. Built, and its patterns compiled, at the first
+        keyword scan, so a catalog that is never scanned pays nothing.
         """
-        index: dict[str, set[str]] = {}
+        stages_of: dict[str, set[str]] = {}
         for stage in self.stages.values():
             for keyword in (stage.name, *stage.synonyms):
-                index.setdefault(keyword.translate(_ASCII_FOLDS).lower(), set()).add(stage.name)
-        return {k: frozenset(v) for k, v in index.items()}
-
-    @cached_property
-    def keyword_index(self) -> dict[str, tuple[Keyword, ...]]:
-        """``synonym_index`` keywords by their first ``keyword_parts`` part.
-
-        A keyword with no part is filed under ``""``. Built, and its patterns
-        compiled, at the first keyword scan, so a catalog that is never
-        scanned pays nothing.
-        """
+                stages_of.setdefault(keyword.translate(_ASCII_FOLDS).lower(), set()).add(stage.name)
         index: dict[str, list[Keyword]] = {}
-        for k, stages in self.synonym_index.items():
+        for k, stages in stages_of.items():
             first, *rest = keyword_parts(k) or [""]
             pattern = re.compile(r"\b" + re.escape(k).replace("_", "[_ ]") + r"\b", re.IGNORECASE)
-            index.setdefault(first, []).append(Keyword(frozenset(rest), pattern, stages))
+            index.setdefault(first, []).append(Keyword(frozenset(rest), pattern, frozenset(stages)))
         return {first: tuple(keywords) for first, keywords in index.items()}
 
 
@@ -342,11 +334,6 @@ def _violations(stages: list[StageDef]) -> list[Violation]:
         if sep and base in seen and digits.isascii() and digits.isdigit():
             out.append(Violation(name, "name", f"collides with the node names of stage {base!r}"))
     return out
-
-
-def validate_catalog(catalog: Catalog) -> list[Violation]:
-    """Check semantic invariants; returns all violations, mutating nothing."""
-    return _violations(list(catalog.stages.values()))
 
 
 def parse_catalog(text: str, source: str = "") -> Catalog:

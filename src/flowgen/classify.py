@@ -3,10 +3,12 @@
 The built-in model is a deliberately simple lexical nearest neighbour: each
 training utterance becomes a unit-normalized tf-idf vector, a query is scored
 against every exemplar by cosine similarity, and per-stage scores aggregate by
-max. It is fully deterministic, trains in milliseconds, and memorizes its
-training set (an exact training utterance always comes back with score 1.0),
-which is exactly what the offline harness needs. A remote classifier speaking
-the same contract over HTTP can be swapped in without the pipeline noticing.
+max; a query is ``matched`` when its top score reaches ``THRESHOLD``, one
+constant for every model. It is fully deterministic, trains in milliseconds,
+and memorizes its training set (an exact training utterance always comes back
+with score 1.0), which is exactly what the offline harness needs. A remote
+classifier speaking the same contract over HTTP can be swapped in without the
+pipeline noticing.
 
 Texts are cut into words by ``catalog.keyword_parts``, the word rule the
 keyword scan uses too, so ``İzmir`` is the word ``izmir`` to both. A score
@@ -38,14 +40,14 @@ __all__ = [
     "ClassifierModel",
     "Classification",
     "StageClassifier",
-    "DEFAULT_THRESHOLD",
+    "THRESHOLD",
     "train",
     "load_training_pairs",
     "keyword_scan",
     "RemoteClassifier",
 ]
 
-DEFAULT_THRESHOLD = 0.25
+THRESHOLD = 0.25
 
 # scores are rounded so that identical vectors compare as exactly 1.0 and
 # floating-point fuzz cannot flip a tie-break
@@ -111,17 +113,16 @@ class ClassifierModel:
     file's order, so ``label_of`` never decreases.
     """
 
-    __slots__ = ("index", "default_idf", "labels", "label_of", "threshold")
+    __slots__ = ("index", "default_idf", "labels", "label_of")
 
     def __init__(
         self, index: dict[str, tuple[float, tuple[tuple[int, float], ...]]], default_idf: float,
-        labels: list[str], label_of: list[int], threshold: float = DEFAULT_THRESHOLD,
+        labels: list[str], label_of: list[int],
     ):
         self.index = index
         self.default_idf = default_idf  # weight for query tokens unseen in training
         self.labels = labels
         self.label_of = label_of
-        self.threshold = threshold
 
     def classify(self, text: str) -> Classification:
         """Score ``text`` against every label; deterministic for identical inputs.
@@ -161,7 +162,7 @@ class ClassifierModel:
         if j and max(sums[:j]) >= near:
             j = next(i for i, s in enumerate(sums) if s >= near and round(s, _SCORE_DIGITS) == score)
         return Classification._of_sums(
-            self.labels, self.label_of, sums, self.label_of[j], score, score >= self.threshold
+            self.labels, self.label_of, sums, self.label_of[j], score, score >= THRESHOLD
         )
 
 
@@ -173,11 +174,7 @@ def _counts(tokens: list[str]) -> dict[str, int]:
     return counts
 
 
-def train(
-    pairs: Iterable[tuple[str, str]],
-    labels: Iterable[str],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> ClassifierModel:
+def train(pairs: Iterable[tuple[str, str]], labels: Iterable[str]) -> ClassifierModel:
     """Fit the lexical model to ``(utterance, label)`` pairs.
 
     ``labels`` is the set of admissible stage names (normally the catalog's);
@@ -221,7 +218,6 @@ def train(
         default_idf=default_idf,
         labels=names,
         label_of=[positions[label] for _, label in pairs],
-        threshold=threshold,
     )
 
 

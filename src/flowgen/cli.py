@@ -24,7 +24,7 @@ from pathlib import Path
 from . import InputError, __version__
 from .catalog import CatalogValidationError, load_catalog
 from .edgepred import to_dot
-from .llm import FAMILY_PRESEED, ProviderError
+from .llm import FAMILIES, ProviderError
 from .pipeline import (
     STRATEGIES,
     PipelineConfig,
@@ -53,7 +53,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classifier", help="classifier training pairs JSON path, or http(s) endpoint")
     p.add_argument("--registry", help="external name registry JSON path")
     p.add_argument("--mock-scripts", help="scripted provider JSON path (offline mode)")
-    p.add_argument("--family", choices=tuple(FAMILY_PRESEED), default="granite")
+    p.add_argument("--family", choices=FAMILIES, default="granite")
     p.add_argument("--parallel", type=int, default=1, help="worker threads for edge/property branches")
     p.add_argument("--cap", type=int, default=None, help="max few-shot examples per stage prompt")
 

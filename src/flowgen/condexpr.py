@@ -150,6 +150,10 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"and", "or", "not", "defined", "true", "false"}
 
+# the longest condition, in tokens: it bounds the parser's recursion (five
+# frames per parenthesis) and the tree's depth well under the interpreter's limit
+MAX_TOKENS = 200
+
 
 # a token is (kind, text, pos): its kind, its source text and where it starts
 _Token = tuple[str, str, int]
@@ -174,6 +178,9 @@ def _tokenize(text: str) -> list[_Token]:
                 kind = word
             tokens.append((kind, m.group(), pos))
         pos = m.end()
+    if len(tokens) > MAX_TOKENS:
+        message = f"condition is longer than {MAX_TOKENS} tokens"
+        raise ConditionSyntaxError(message, tokens[MAX_TOKENS][2])
     tokens.append(("end of input", "", len(text)))
     return tokens
 
@@ -271,7 +278,7 @@ class _Parser:
         raise self.unexpected(("path", "literal", "defined", "not", "("))
 
     def literal(self) -> Literal:
-        kind, text, _ = self.tokens[self.i]
+        kind, text, pos = self.tokens[self.i]
         if kind == "string":
             self.advance()
             return Literal("string", text[1:-1])
@@ -279,7 +286,11 @@ class _Parser:
             self.advance()
             if "." in text:
                 return Literal("decimal", Decimal(text))
-            return Literal("integer", int(text))
+            try:
+                return Literal("integer", int(text))
+            except ValueError:  # more digits than ``sys.get_int_max_str_digits`` allows
+                message = f"integer literal of {len(text)} characters is too long"
+                raise ConditionSyntaxError(message, pos) from None
         if kind in ("true", "false"):
             self.advance()
             return Literal("boolean", kind == "true")

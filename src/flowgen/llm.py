@@ -2,9 +2,9 @@
 
 Prompts differ per model family only in their fixed wrapper text: granite
 prompts carry ``<|start_of_role|>...<|end_of_role|>`` delimiters and end on an
-assistant cue, while llama prompts are bare text whose operator-list prompts
-end with a preseeded opening quote (so the reply contains no opening quote of
-its own). Both are plain data — template files with ``{{placeholder}}`` slots
+assistant cue, while llama prompts are bare text, and the llama operator-list
+template file ends with the answer's opening quote (so the reply contains no
+opening quote of its own). Both are plain data — template files with ``{{placeholder}}`` slots
 — never family branches in code.
 
 A token estimate (``count_tokens``) is defined by one regex. ASCII text is
@@ -63,7 +63,7 @@ __all__ = [
     "ProviderError",
     "NoScriptMatchError",
     "AnswerError",
-    "FAMILY_PRESEED",
+    "FAMILIES",
     "parse_template",
     "load_template",
     "bind",
@@ -82,9 +82,8 @@ __all__ = [
     "usage",
 ]
 
-# the model families, each with what its operator-list prompts preseed:
-# a single opening quote for llama models
-FAMILY_PRESEED: dict[str, str | None] = {"granite": None, "llama": '"'}
+# the model families, each with its own ``<family>_stage.txt`` template
+FAMILIES = ("granite", "llama")
 
 
 class TemplateError(ValueError):
@@ -174,8 +173,8 @@ def _add_text(segments: list[tuple[str, str, int]], text: str, tokens: int) -> N
     segments.append(("text", text, tokens))
 
 
-def parse_template(text: str, preseed: str | None = None) -> PromptTemplate:
-    """Split ``{{name}}`` slots out of ``text``; ``preseed`` is appended after the end."""
+def parse_template(text: str) -> PromptTemplate:
+    """Split ``{{name}}`` slots out of ``text``."""
     segments: list[tuple[str, str, int]] = []
     pos = 0
     for m in _PLACEHOLDER_RE.finditer(text):
@@ -183,17 +182,17 @@ def parse_template(text: str, preseed: str | None = None) -> PromptTemplate:
         _add_text(segments, fixed, count_tokens(fixed))
         segments.append(("slot", m.group(1), 0))
         pos = m.end()
-    tail = text[pos:] + (preseed or "")
+    tail = text[pos:]
     _add_text(segments, tail, count_tokens(tail))
     return PromptTemplate(segments=tuple(segments))
 
 
-def load_template(path: str | Path, preseed: str | None = None) -> PromptTemplate:
+def load_template(path: str | Path) -> PromptTemplate:
     """Load a template file; one trailing newline is ignored so files can end normally."""
     text = Path(path).read_text(encoding="utf-8")
     if text.endswith("\n"):
         text = text[:-1]
-    return parse_template(text, preseed=preseed)
+    return parse_template(text)
 
 
 def bind(
@@ -356,8 +355,8 @@ class MockProvider:
 
     __slots__ = ("scripts",)
 
-    def __init__(self, scripts: list[MockScript] | None = None):
-        self.scripts = [] if scripts is None else scripts
+    def __init__(self, scripts: list[MockScript]):
+        self.scripts = scripts
 
     def complete(self, prompt: RenderedPrompt, params: CompletionParams) -> str:
         for script in self.scripts:

@@ -34,7 +34,7 @@ from .edgepred import (
     validate_cardinality,
 )
 from .llm import (
-    FAMILY_PRESEED,
+    FAMILIES,
     AnswerError,
     CompletionProvider,
     PromptTemplate,
@@ -136,7 +136,7 @@ class PipelineConfig:
 def _check_config(cfg: PipelineConfig) -> None:
     if cfg.strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
-    if cfg.family not in FAMILY_PRESEED:
+    if cfg.family not in FAMILIES:
         raise InputError(f"unknown model family {cfg.family!r}")
     if cfg.parallel < 1:
         raise InputError("parallel width must be at least 1")
@@ -427,13 +427,22 @@ def _array(items: list[str], indent: str) -> str:
     return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
 
+def _string(value: object, field: str) -> str:
+    """``value``, which must be a string: a ``TypeError`` names ``field`` otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, not {type(value).__name__}")
+    return value
+
+
 def load_workflow_doc(path: str | Path) -> Workflow:
     """Rebuild a workflow from an emitted document (for re-export).
 
     Bounds are not part of the document, so the graph carries permissive
     ones; property values are already canonical strings and re-emit as-is.
-    A repeated node name, a self-loop or an edge to a missing node is an
-    ``InputError``: no generate run writes such a graph.
+    Every name, stage, sub-utterance, property and edge end must be a JSON
+    string, as ``emit`` writes it. A repeated node name, a self-loop or an
+    edge to a missing node is an ``InputError``: no generate run writes such
+    a graph.
     """
     raw = read_json(path, dict, "a workflow document", ("nodes", "edges"))
     anybound = CardinalityBound(0, None)
@@ -443,23 +452,23 @@ def load_workflow_doc(path: str | Path) -> Workflow:
         for n in raw["nodes"]:
             nodes.append(
                 NodeInstance(
-                    unique_name=str(n["unique_name"]),
-                    stage=str(n["stage"]),
+                    unique_name=_string(n["unique_name"], "unique_name"),
+                    stage=_string(n["stage"], "stage"),
                     inputs=anybound,
                     outputs=anybound,
-                    sub_utterance=str(n.get("sub_utterance", "")),
+                    sub_utterance=_string(n.get("sub_utterance", ""), "sub_utterance"),
                 )
             )
             properties[nodes[-1].unique_name] = [
                 PropertyAssignment(
-                    name=str(p["name"]),
-                    raw_value=str(p["value"]),
-                    coerced=str(p["value"]),
+                    name=_string(p["name"], "property name"),
+                    raw_value=_string(p["value"], "property value"),
+                    coerced=p["value"],
                     status=ACCEPTED,
                 )
                 for p in n.get("properties", [])
             ]
-        edges = [(str(e["from"]), str(e["to"])) for e in raw["edges"]]
+        edges = [(_string(e["from"], "from"), _string(e["to"], "to")) for e in raw["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: not a workflow document ({exc})") from exc
     names: set[str] = set()

@@ -29,7 +29,7 @@ from . import InputError, Record, classify, fixture_path, llm, read_json
 from .catalog import Catalog
 from .classify import Classification, StageClassifier
 from .llm import (
-    FAMILY_PRESEED,
+    FAMILIES,
     AnswerError,
     CompletionProvider,
     PromptTemplate,
@@ -65,8 +65,7 @@ DEFAULT_EXAMPLE_CAP = 40
 DEFAULT_MAX_STEPS = 8
 
 _STAGE_TEMPLATES = {
-    family: load_template(fixture_path("templates", f"{family}_stage.txt"), preseed=preseed)
-    for family, preseed in FAMILY_PRESEED.items()
+    family: load_template(fixture_path("templates", f"{family}_stage.txt")) for family in FAMILIES
 }
 _DECOMPOSE_TEMPLATE = load_template(fixture_path("templates", "decompose.txt"))
 _AGENT_TEMPLATE = load_template(fixture_path("templates", "agent.txt"))

@@ -21,7 +21,6 @@ from flowgen.catalog import (
     dump_catalog,
     load_catalog,
     parse_catalog,
-    validate_catalog,
 )
 from flowgen.condexpr import COMPARISON_OPS
 from flowgen.proppred import ACCEPTED, REJECTED_DEPENDENCY, PropertyAssignment, validate
@@ -47,7 +46,7 @@ def doc_with(stage_overrides: dict) -> str:
 def test_demo_catalog_loads_clean_and_round_trips():
     catalog = load_catalog(fixture_path("demo_catalog.json"))
     assert len(catalog.stages) == 31
-    assert validate_catalog(catalog) == []
+    # parse_catalog raises on any violation
     again = parse_catalog(dump_catalog(catalog))
     assert again.stages == catalog.stages
 
@@ -374,7 +373,7 @@ def test_stage_name_colliding_with_node_names_rejected():
     ]
 
 
-def test_validate_catalog_is_pure_and_reports_all():
+def test_catalog_validation_reports_all():
     no_description = StageDef(
         name="a",
         description="",
@@ -389,26 +388,28 @@ def test_validate_catalog_is_pure_and_reports_all():
     bad = make_catalog(
         no_description, make_stage("b"), make_stage("Mixed"), make_stage("b_2"), make_stage("b_x")
     )
-    messages = [str(v) for v in validate_catalog(bad)]
+    with pytest.raises(CatalogValidationError) as err:
+        parse_catalog(dump_catalog(bad))
+    messages = [str(v) for v in err.value.violations]
     assert len(messages) == 4
     assert any("exceeds max" in m for m in messages)
     assert any("description" in m for m in messages)
     assert "Mixed.name: stage name is not lowercase" in messages
     assert "b_2.name: collides with the node names of stage 'b'" in messages
-    with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(dump_catalog(bad))
-    assert [str(v) for v in err.value.violations] == messages
 
 
-# --- lookup and synonym index -------------------------------------------------------
+# --- lookup and keyword index -------------------------------------------------------
 
 
-def test_synonym_index_covers_names_and_synonyms_lowercased():
+def test_keyword_index_covers_names_and_synonyms_lowercased():
     catalog = make_catalog(
-        make_stage("sqlserver", synonyms=("sql_server",), is_connector=True)
+        make_stage("sqlserver", synonyms=("SQL_Server",), is_connector=True)
     )
-    assert catalog.synonym_index["sqlserver"] == frozenset({"sqlserver"})
-    assert catalog.synonym_index["sql_server"] == frozenset({"sqlserver"})
+    stages_of = {k.pattern.pattern: k.stages for ks in catalog.keyword_index.values() for k in ks}
+    assert stages_of == {
+        r"\bsqlserver\b": frozenset({"sqlserver"}),
+        r"\bsql[_ ]server\b": frozenset({"sqlserver"}),
+    }
 
 
 def test_lookup_stage_by_exact_name_only():

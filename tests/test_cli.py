@@ -270,6 +270,22 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
     }
 
 
+# nested past the interpreter's recursion limit, where json.loads raises RecursionError
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+# workflow nodes whose fields emit would write as strings
+_NON_STRING_NODE = {"unique_name": None, "stage": ["sort"], "sub_utterance": {"a": 1}}
+_NON_STRING_PROPERTY = {"unique_name": "a", "stage": "sort", "properties": [{"name": 3, "value": None}]}
+
+
+def _catalog_with_condition(availability: str) -> dict:
+    prop = {"name": "n", "description": "d", "type": "boolean", "availability": availability}
+    stage = {
+        "name": "s", "description": "d", "synonyms": [], "is_connector": False,
+        "inputs": {"min": 1, "max": 1}, "outputs": {"min": 1, "max": 1}, "properties": [prop],
+    }
+    return {"stages": [stage]}
+
+
 @pytest.mark.parametrize(
     "command, flag, content",
     [
@@ -280,6 +296,7 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         ("generate", "--split-examples", {"utterance": "u", "subs": ["u"]}),
         ("generate", "--classifier", {"utterance": "u", "label": "sort"}),
         ("generate", "--mock-scripts", [{"match": {"regex": "x"}, "response": "r"}]),
+        ("generate", "--mock-scripts", DEEP_JSON),
         ("eval", "--dataset", [{**_GOLD_SORT, "gold_edges": [{"to": "sort"}]}]),
         ("eval", "--dataset", [{**_GOLD_SORT, "gold_properties": [{"name": "P", "value": "v"}]}]),
         ("eval", "--dataset", [{**_GOLD_SORT, "gold_stages": "sort"}]),
@@ -289,10 +306,15 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         ("export", "--workflow", _workflow(["a"], [("a", "ghost")])),
         ("export", "--workflow", _workflow(["a", "b"], [("a", "b"), ("b", "b")])),
         ("export", "--workflow", _workflow(["a", "b", "a"], [("a", "b")])),
+        ("export", "--workflow", DEEP_JSON),
+        ("export", "--workflow", {"nodes": [_NON_STRING_NODE], "edges": []}),
+        ("export", "--workflow", {"nodes": [_NON_STRING_PROPERTY], "edges": []}),
         ("classify", "--top", -1),  # a count goes in as the flag's value, not a file
         ("generate", "--cap", -1),
         ("generate", "--catalog", b"\xff\xfe{}"),  # bytes go in as they are
         ("generate", "--catalog", b'{"stages": [' + b"1" * 5000 + b"]}"),
+        ("catalog-validate", "--catalog", DEEP_JSON),
+        ("generate", "--catalog", _catalog_with_condition(" and ".join(["'n'"] * 5000))),
     ],
     ids=[
         "registry-array",
@@ -302,6 +324,7 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         "split-examples-object",
         "classifier-object",
         "mock-scripts-unknown-matcher",
+        "mock-scripts-deep-nesting",
         "dataset-edge-without-from",
         "dataset-properties-list",
         "dataset-string-stages",
@@ -311,10 +334,15 @@ def _workflow(names: list[str], edges: list[tuple[str, str]]) -> dict:
         "workflow-edge-to-missing-node",
         "workflow-self-loop",
         "workflow-repeated-node",
+        "workflow-deep-nesting",
+        "workflow-non-string-node-fields",
+        "workflow-non-string-property",
         "classify-negative-top",
         "generate-negative-cap",
         "catalog-not-utf8",
         "catalog-huge-integer",
+        "catalog-deep-nesting",
+        "catalog-condition-too-long",
     ],
 )
 def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
@@ -334,6 +362,7 @@ def test_malformed_input_exits_one(capsys, tmp_path, command, flag, content):
         "eval": ["eval", "--strategy", "single", "--mock-scripts", EVAL_GOLD],
         "export": ["export"],
         "classify": ["classify", "--text", "sort the rows"],
+        "catalog-validate": ["catalog-validate"],
     }[command]
     code, _, err = run(capsys, *argv, flag, value)
     assert code == 1
@@ -457,8 +486,9 @@ def test_eval_malformed_dataset(capsys, tmp_path):
     [
         (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits) for integer string conversion"),
+        (DEEP_JSON, "arrays or objects nest too deeply"),
     ],
-    ids=["not-utf8", "huge-integer"],
+    ids=["not-utf8", "huge-integer", "deep-nesting"],
 )
 def test_eval_undecodable_dataset_names_the_file(capsys, tmp_path, content, reason):
     bad = tmp_path / "bad.json"

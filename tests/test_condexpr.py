@@ -24,9 +24,11 @@ from flowgen.condexpr import (
     Literal,
     Not,
     Or,
+    MAX_TOKENS,
     PropertyRef,
     eval_condition,
     parse_condition,
+    references,
 )
 
 # --- parsing examples ---------------------------------------------------------
@@ -135,6 +137,34 @@ def test_empty_and_malformed_paths():
 def test_literal_comparison_left_side_rejected():
     with pytest.raises(ConditionSyntaxError, match="left side"):
         parse_condition('1 = 1')
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("'m' = " + "9" * 5000, "integer literal of 5000 characters is too long at position 6", 6),
+        ("(" * 2000 + "'n'" + ")" * 2000, "condition is longer than 200 tokens at position 200", 200),
+        ("not " * 3000 + "'n'", "condition is longer than 200 tokens at position 800", 800),
+        (" and ".join(["'n'"] * 5000), "condition is longer than 200 tokens at position 800", 800),
+    ],
+    ids=["huge-integer", "deep-parentheses", "long-not-chain", "long-and-chain"],
+)
+def test_a_condition_past_the_parser_limits_is_a_syntax_error(text, message, position):
+    # each would raise ValueError or RecursionError in the parser or in a walk of its tree
+    with pytest.raises(ConditionSyntaxError) as err:
+        parse_condition(text)
+    assert (str(err.value), err.value.position) == (message, position)
+
+
+def test_conditions_up_to_the_token_limit_parse_and_evaluate():
+    nested = "(" * 99 + "'n'" + ")" * 99
+    assert parse_condition(nested) == PropertyRef("n")
+    assert eval_condition(parse_condition("not " + nested), {"n": False})  # MAX_TOKENS tokens
+    chain = parse_condition(" and ".join(["'n'"] * 100))
+    assert eval_condition(chain, {"n": True}) and not eval_condition(chain, {"n": False})
+    assert references(chain) == [("n", None)] * 100
+    with pytest.raises(ConditionSyntaxError, match=f"longer than {MAX_TOKENS} tokens"):
+        parse_condition("not not " + nested)
 
 
 # --- evaluation examples --------------------------------------------------------

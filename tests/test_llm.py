@@ -10,10 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import Endpoint, Reply, record_timeouts
-from flowgen import InputError
+from flowgen import InputError, fixture_path
 from flowgen.llm import (
     CompletionParams,
-    FAMILY_PRESEED,
     MockProvider,
     MockScript,
     AnswerError,
@@ -141,9 +140,10 @@ def test_extra_bindings_are_ignored():
     assert render_prompt(template, {"unused": "x"}).text == "static text"
 
 
-def test_preseed_appends_after_rendered_text():
-    template = parse_template("Operators: ", preseed=FAMILY_PRESEED["llama"])
-    assert render_prompt(template, {}).text == 'Operators: "'
+def test_llama_stage_template_ends_with_the_opening_quote():
+    template = load_template(fixture_path("templates", "llama_stage.txt"))
+    values = {"context": "", "examples": "", "utterance": "x"}
+    assert render_prompt(template, values).text.endswith('Utterance: x\nOperators: "')
 
 
 # pieces that often start or end with an ASCII alphanumeric, so joins merge runs;
@@ -156,14 +156,13 @@ SLOT_NAMES = ("x", "y", "z")
 def templates(draw):
     parts = draw(st.lists(st.one_of(PIECES, st.sampled_from(SLOT_NAMES)), max_size=8))
     text = "".join("{{%s}}" % p if p in SLOT_NAMES else p for p in parts)
-    preseed = draw(st.none() | PIECES)
     values = {name: draw(PIECES) for name in SLOT_NAMES}  # empty values included
-    expected = "".join(values[p] if p in SLOT_NAMES else p for p in parts) + (preseed or "")
-    return parse_template(text, preseed=preseed), values, expected
+    expected = "".join(values[p] if p in SLOT_NAMES else p for p in parts)
+    return parse_template(text), values, expected
 
 
 @given(templates())
-@example((parse_template("a{{x}}{{y}}b", preseed="c"), {"x": "1", "y": "", "z": ""}, "a1bc"))
+@example((parse_template("a{{x}}{{y}}bc"), {"x": "1", "y": "", "z": ""}, "a1bc"))
 @example((parse_template("{{x}}{{y}}"), {"x": "", "y": "", "z": ""}, ""))
 def test_render_estimate_matches_count_of_rendered_text(case):
     template, values, expected = case

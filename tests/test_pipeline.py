@@ -108,8 +108,8 @@ def test_single_runtime_compiles_no_keyword_pattern(demo_config, monkeypatch):
 
     keyword_scan(rt.catalog, "sort the rows")
     assert "keyword_index" in vars(rt.catalog)
-    assert len([p for p in compiled if isinstance(p, str) and p.startswith(r"\b")]) == len(
-        rt.catalog.synonym_index
+    assert len([p for p in compiled if isinstance(p, str) and p.startswith(r"\b")]) == sum(
+        map(len, rt.catalog.keyword_index.values())
     )
 
 
@@ -618,6 +618,7 @@ BAD_REPLIES = {
     "rejected": [Reply(400, "bad request")],
     "server-down": [Reply(500, "boom")] * 3,
     "lone-surrogate": [Reply(200, '{"text": "sort_1 \\ud800"}')],
+    "deep-nesting": [Reply(200, "[" * 100000 + "]" * 100000)],
 }
 
 

@@ -17,7 +17,7 @@ from conftest import FULL_NAME_FLOW, RecordingProvider, make_catalog, make_stage
 from flowgen import InputError, fixture_path
 from flowgen.catalog import load_catalog
 from flowgen.classify import Classification, train
-from flowgen.llm import FAMILY_PRESEED, AnswerError, bind, count_tokens, render_prompt, usage
+from flowgen.llm import FAMILIES, AnswerError, bind, count_tokens, render_prompt, usage
 from flowgen.stagepred import (
     DEFAULT_EXAMPLE_CAP,
     DEFAULT_MAX_STEPS,
@@ -38,8 +38,8 @@ from flowgen.stagepred import (
 )
 
 
-def fit(pairs: list[tuple[str, str]], threshold: float = 0.25):
-    return train(pairs, {label for _, label in pairs}, threshold=threshold)
+def fit(pairs: list[tuple[str, str]]):
+    return train(pairs, {label for _, label in pairs})
 
 
 @pytest.fixture()
@@ -218,7 +218,7 @@ def test_build_candidates_ignores_labels_outside_catalog(catalog):
 
 
 def test_build_candidates_ignores_below_threshold(catalog):
-    model = fit([("alpha beta gamma", "head")], threshold=0.9)
+    model = fit([("alpha beta gamma", "head")])
     cand = build_candidates(["alpha zzz yyy"], model, catalog, "no names", [])
     assert cand.stages == frozenset()
 
@@ -385,7 +385,7 @@ def test_predict_cag_verifies_against_candidates_not_catalog(catalog):
 
 
 def test_predict_cag_empty_candidates_short_circuits(catalog):
-    model = fit([("first rows", "head")], threshold=0.9)
+    model = fit([("first rows", "head")])
     provider = scripted(("Sub-utterances:", "- zzz qqq"))
     pred = predict_cag("zzz qqq", catalog, model, [], provider)
     assert pred.stages == [] and pred.stage_prompt_tokens == 0
@@ -534,7 +534,7 @@ def _expected_stage_prompt(family, lines, blocks, utterance):
     raw = fixture_path("templates", f"{family}_stage.txt").read_text(encoding="utf-8")
     text = raw.removesuffix("\n").replace("{{context}}", "\n".join(lines))
     text = text.replace("{{examples}}", "\n\n".join(blocks)).replace("{{utterance}}", utterance)
-    return text + (FAMILY_PRESEED[family] or "")
+    return text
 
 
 @settings(max_examples=60, deadline=None)
@@ -581,7 +581,7 @@ def corpus_prompts(corpus: str, family: str):
 @given(st.data())
 def test_one_pass_stage_prompt_equals_the_two_step_render(data):
     corpus = data.draw(st.sampled_from(["demo", "synthetic"]))
-    family = data.draw(st.sampled_from(sorted(FAMILY_PRESEED)))
+    family = data.draw(st.sampled_from(FAMILIES))
     catalog, prompts = corpus_prompts(corpus, family)
     stages, bank = catalog.stages, prompts.bank
     candidates = data.draw(st.none() | st.sets(st.sampled_from(sorted(stages)), max_size=6))
