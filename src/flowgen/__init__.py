@@ -85,17 +85,23 @@ def has_keys(item: object, keys: tuple[str, ...]) -> bool:
     return isinstance(item, dict) and all(k in item for k in keys)
 
 
-def run_in_order(calls: list[Callable[[], _T]], width: int) -> list[_T]:
-    """Results of ``calls`` in list order, run on up to ``width`` threads.
-
-    Calls are submitted in list order. At width 1, or with fewer than two
-    calls, they run one after another on the calling thread.
-    """
-    if width < 2 or len(calls) < 2:
-        return [call() for call in calls]
+def thread_pool(width: int):
+    """A new ``concurrent.futures`` pool of ``width`` threads; they start as calls are submitted."""
     # local: concurrent.futures loads logging too, and serial runs never use it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(call) for call in calls]
-        return [future.result() for future in futures]
+    return ThreadPoolExecutor(max_workers=width)
+
+
+def run_in_order(calls: list[Callable[[], _T]], pool) -> list[_T]:
+    """Results of ``calls`` in list order, run on ``pool``, a ``concurrent.futures`` executor.
+
+    Calls are submitted in list order. With no pool, they run one after
+    another on the calling thread. A call must not wait on another call that
+    it submits to the same pool: with every worker waiting, the pool
+    deadlocks.
+    """
+    if pool is None:
+        return [call() for call in calls]
+    futures = [pool.submit(call) for call in calls]
+    return [future.result() for future in futures]

@@ -24,10 +24,11 @@ records.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
-from . import InputError, Record, has_keys, read_json, run_in_order
+from . import InputError, Record, has_keys, read_json, run_in_order, thread_pool
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
@@ -245,8 +246,9 @@ def run_eval(
 
     ``stages`` only needs stage predictions; ``edges`` and ``props`` run the
     full pipeline for records that carry the corresponding gold data. Records
-    run concurrently up to the configured width; aggregation is keyed by
-    record index, so the report does not depend on completion order.
+    run concurrently up to the configured width, and their edge and property
+    branches share the runtime's own pool of that width; aggregation is keyed
+    by record index, so the report does not depend on completion order.
     """
     for m in measures:
         if m not in MEASURES:
@@ -261,7 +263,10 @@ def run_eval(
     report = MetricsReport(measures=list(measures), records=len(dataset))
 
     calls = [partial(_eval_record, record, rt, measures) for record in dataset]
-    results = run_in_order(calls, rt.cfg.parallel)
+    # the records' own pool: a record waits on its branches, which run on the runtime's
+    wide = rt.cfg.parallel > 1 and len(calls) > 1
+    with thread_pool(rt.cfg.parallel) if wide else nullcontext() as pool:
+        results = run_in_order(calls, pool)
 
     prompt_tokens = 0
     requests = 0

@@ -16,11 +16,12 @@ empty property list for that node) and leaves a diagnostic behind.
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from . import InputError, fixture_path, read_json, run_in_order
+from . import InputError, fixture_path, read_json, run_in_order, thread_pool
 from .catalog import CardinalityBound, Catalog, load_catalog
 from .classify import RemoteClassifier, StageClassifier, load_training_pairs, train
 from .edgepred import (
@@ -161,7 +162,7 @@ def _check_config(cfg: PipelineConfig) -> None:
 class Runtime:
     __slots__ = (
         "catalog", "classifier", "bank", "split_examples", "registry", "provider", "cfg",
-        "prompts", "listing",
+        "prompts", "listing", "_branch_pool", "_pool_lock",
     )
 
     def __init__(
@@ -182,6 +183,23 @@ class Runtime:
         # the single strategy's full-catalog stage prompt, all but the utterance
         # bound and counted once; None for the other strategies
         self.listing = listing
+        self._branch_pool = None
+        self._pool_lock = threading.Lock()
+
+    def branch_pool(self):
+        """The pool that runs the edge and property branches; None at ``parallel`` 1.
+
+        It starts at the first call, so ``concurrent.futures`` loads at the
+        first parallel run, and the runtime keeps it, with its threads, until
+        the runtime is dropped. Concurrent first calls start one pool. Only
+        branches run on it: a caller that waits on them runs elsewhere.
+        """
+        if self.cfg.parallel < 2:
+            return None
+        with self._pool_lock:
+            if self._branch_pool is None:
+                self._branch_pool = thread_pool(self.cfg.parallel)
+            return self._branch_pool
 
 
 def load_classifier(cfg: PipelineConfig, catalog: Catalog | None) -> StageClassifier:
@@ -189,11 +207,16 @@ def load_classifier(cfg: PipelineConfig, catalog: Catalog | None) -> StageClassi
 
     That is the remote one at ``cfg.classifier_endpoint`` if one is set, else
     the model trained on the pairs at ``cfg.classifier_path`` over
-    ``catalog``'s stages. Only the trained model reads ``catalog``.
+    ``catalog``'s stages. Only the trained model reads ``catalog``. Its
+    errors start with the training file's path.
     """
     if cfg.classifier_endpoint:
         return RemoteClassifier(cfg.classifier_endpoint)
-    return train(load_training_pairs(cfg.classifier_path), catalog.stages)
+    pairs = load_training_pairs(cfg.classifier_path)
+    try:
+        return train(pairs, catalog.stages)
+    except InputError as exc:
+        raise InputError(f"{cfg.classifier_path}: {exc}") from exc
 
 
 def build_runtime(cfg: PipelineConfig) -> Runtime:
@@ -334,7 +357,7 @@ def generate_with_runtime(utterance: str, rt: Runtime) -> Workflow:
 
     calls = [partial(_edge_branch, utterance, nodes, rt)]
     calls += [partial(_property_branch_one, n, rt) for n in nodes]
-    edge_result, *prop_results = run_in_order(calls, cfg.parallel)
+    edge_result, *prop_results = run_in_order(calls, rt.branch_pool())
     graph, renames, pre_violations, edge_trace, edge_diags = edge_result
     diagnostics.extend(edge_diags)
 

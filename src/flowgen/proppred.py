@@ -108,6 +108,9 @@ def load_registry(path: str | Path) -> ExternalRegistry:
             raise InputError(f"{path}: bindings of {stage!r} must be an object")
         bindings[stage] = {}
         for prop, kind in props.items():
+            if not isinstance(kind, str):
+                got = type(kind).__name__
+                raise InputError(f"{path}: binding {stage}/{prop}: kind must be a str, got {got}")
             if kind not in kinds:
                 raise InputError(f"{path}: binding {stage}/{prop} uses undeclared kind {kind!r}")
             bindings[stage][prop] = kind

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from flowgen.edgepred import (
     to_dot,
     validate_cardinality,
 )
-from flowgen.evaluation import load_dataset, report_json, run_eval
+from flowgen.evaluation import EvalRecord, load_dataset, report_json, run_eval
 from flowgen.llm import load_mock_scripts
 from flowgen.pipeline import PipelineConfig, build_runtime, emit, generate_with_runtime
 from flowgen.proppred import (
@@ -459,6 +460,41 @@ def test_criterion_8_determinism_across_runs():
         assert docs[0] == docs[1]
         assert dots[0] == dots[1]
         assert reports[0] == reports[1]
+
+
+GOLD_LINEAR_PROPERTIES = {
+    "teradata": [("Connection Name", "teradata-00"), ("Table Name", "EMPLOYEE2")],
+    "sort": [("Sort Key", "age")],
+    "postgresql": [("Schema Name", "public")],
+}
+
+
+def test_eval_of_full_flows_is_identical_at_every_width():
+    # each record waits on branches that run on the runtime's pool while the records
+    # run on eval's own; one pool for both levels would deadlock, so the run is bounded
+    linear_edges = list(zip(GOLD_LINEAR_SEQUENCE, GOLD_LINEAR_SEQUENCE[1:]))
+    branching_stages = [
+        "mysql", "sample", "switch", "fileset", "sort", "fileset", "join", "sqlserver", "head",
+    ]
+    dataset = [
+        EvalRecord(BRANCHING_FLOW, branching_stages, gold_edges=GOLD_BRANCHING_EDGES),
+        EvalRecord(LINEAR_FLOW, GOLD_LINEAR_SEQUENCE, linear_edges, GOLD_LINEAR_PROPERTIES),
+    ] * 4
+    reports = {}
+
+    def evaluate():
+        for width in (1, 2, 4):
+            report = run_eval(dataset, _demo_config(parallel=width), ("stages", "edges", "props"))
+            reports[width] = report_json(report)
+
+    worker = threading.Thread(target=evaluate, daemon=True)
+    worker.start()
+    worker.join(timeout=20)
+    assert not worker.is_alive(), "run_eval did not finish: its pools deadlocked"
+    assert reports[2] == reports[1] and reports[4] == reports[1]
+    measured = json.loads(reports[1])
+    assert measured["edges"]["records"] == 8 and measured["failures"] == []
+    assert measured["properties"]["recall"] == 1.0
 
 
 # sanity: the scripted provider itself is loadable exactly once per criterion run

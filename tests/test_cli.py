@@ -239,16 +239,46 @@ def test_an_unexpected_exception_exits_two_with_an_internal_envelope(capsys, mon
     assert json.loads(err) == {"error": {"step": "internal", "message": message}}
 
 
-def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):
+def generate_with_pairs(capsys, tmp_path, utterance: str, label: str) -> tuple[int, str, Path]:
+    """Exit code and stderr of ``generate`` with a training file of one pair, and that file."""
     pairs = tmp_path / "pairs.json"
-    pairs.write_text(json.dumps([{"utterance": "zebra stripes", "label": "no_such_stage"}]))
+    pairs.write_text(json.dumps([{"utterance": utterance, "label": label}]))
     code, _, err = run(
         capsys,
         "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
         "--classifier", str(pairs),
     )
+    return code, err, pairs
+
+
+def test_generate_training_pairs_with_unknown_label(capsys, tmp_path):
+    code, err, pairs = generate_with_pairs(capsys, tmp_path, "zebra stripes", "no_such_stage")
     assert code == 1
-    assert err.startswith("error: unknown label 'no_such_stage'")
+    assert err.startswith(f"error: {pairs}: unknown label 'no_such_stage'")
+
+
+def test_generate_training_pair_without_tokens(capsys, tmp_path):
+    code, err, pairs = generate_with_pairs(capsys, tmp_path, "...", "sort")
+    assert code == 1
+    assert err.startswith(f"error: {pairs}: training utterance has no tokens: '...'")
+
+
+@pytest.mark.parametrize("kind", [{}, []], ids=["object", "array"])
+def test_a_registry_kind_that_is_not_a_string_exits_one(capsys, tmp_path, kind):
+    registry = json.loads(fixture_path("demo_registry.json").read_text(encoding="utf-8"))
+    registry["bindings"]["teradata"]["Connection Name"] = kind
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
+    code, out, err = run(
+        capsys,
+        "generate", "--utterance", LINEAR_FLOW, "--mock-scripts", DEMO_SCRIPTS,
+        "--registry", str(path),
+    )
+    assert (code, out) == (1, "")
+    got = type(kind).__name__
+    assert err == (
+        f"error: {path}: binding teradata/Connection Name: kind must be a str, got {got}\n"
+    )
 
 
 def test_generate_without_provider_config(capsys, monkeypatch):
@@ -391,7 +421,7 @@ def test_serial_runs_load_neither_openssl_nor_thread_pools():
         "loaded = [sorted(set(unwanted) & set(sys.modules))]\n"
         "from flowgen import run_in_order\n"
         "from flowgen.llm import parse_template, render_prompt\n"
-        "run_in_order([lambda: render_prompt(parse_template('a {{x}}'), {'x': 'b'})] * 2, 1)\n"
+        "run_in_order([lambda: render_prompt(parse_template('a {{x}}'), {'x': 'b'})] * 2, None)\n"
         "loaded.append(sorted(set(unwanted) & set(sys.modules)))\n"
         "argv = ['generate', '--utterance', sys.argv[1], '--mock-scripts', sys.argv[2]]\n"
         "code = flowgen.cli.main(argv)\n"

@@ -12,6 +12,8 @@ import inspect
 import json
 import re
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from conftest import (
     make_stage,
     scripted,
 )
-from flowgen import InputError, fixture_path, llm
+from flowgen import InputError, fixture_path, llm, thread_pool
 from flowgen.catalog import STRING, CardinalityBound, PropertyDef
 from flowgen.classify import keyword_scan
 from flowgen.condexpr import ConditionTypeError
@@ -253,6 +255,62 @@ def test_generation_is_deterministic_across_parallelism(demo_config):
             (emit(w), to_dot(w.graph), json.dumps(w.provenance, sort_keys=True))
         )
     assert runs[0] == runs[1] == runs[2]
+
+
+class SleepingProvider:
+    """Sleeps a millisecond per call, like a remote endpoint, then asks ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, prompt, params):
+        time.sleep(0.001)
+        return self.inner.complete(prompt, params)
+
+
+def test_a_parallel_runtime_runs_every_utterance_on_one_pool(demo_config):
+    rt = build_runtime(demo_config(parallel=2))
+    # a call sleeps, so the first run's second branch finds no idle worker and starts the second
+    rt.provider = SleepingProvider(rt.provider)
+    doc = emit(generate_with_runtime(LINEAR_FLOW, rt))
+    pool = rt.branch_pool()
+    threads = threading.active_count()
+    for _ in range(49):
+        assert emit(generate_with_runtime(LINEAR_FLOW, rt)) == doc
+        assert rt.branch_pool() is pool
+        assert threading.active_count() == threads
+
+
+def test_concurrent_first_runs_start_one_pool(demo_config, monkeypatch):
+    started = []
+
+    def slow_pool(width):
+        time.sleep(0.01)  # widens the window in which a second first run could start a pool
+        started.append(width)
+        return thread_pool(width)
+
+    monkeypatch.setattr("flowgen.pipeline.thread_pool", slow_pool)
+    rt = build_runtime(demo_config(parallel=2))
+    barrier = threading.Barrier(8)
+    docs = []
+
+    def run():
+        barrier.wait(timeout=10)
+        docs.append(emit(generate_with_runtime(LINEAR_FLOW, rt)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert started == [2]
+    assert len(docs) == 8 and len(set(docs)) == 1
 
 
 # --- prompt assembly -------------------------------------------------------------------
