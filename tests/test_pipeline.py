@@ -278,7 +278,7 @@ def test_a_parallel_runtime_runs_every_utterance_on_one_pool(demo_config):
     for _ in range(49):
         assert emit(generate_with_runtime(LINEAR_FLOW, rt)) == doc
         assert rt.branch_pool() is pool
-        assert threading.active_count() == threads
+        assert threading.active_count() <= threads
 
 
 def test_concurrent_first_runs_start_one_pool(demo_config, monkeypatch):
