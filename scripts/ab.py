@@ -249,11 +249,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", nargs="?", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
+    parser.add_argument(
+        "--workloads", nargs="+", help="space-separated; default: every workload of BENCHMARK.json"
+    )
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # a misspelt name would otherwise fail only after both revisions are exported and run
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    known = [w["name"] for w in declared]
+    for name in args.workloads or ():
+        if name not in known:
+            parser.error(f"--workloads: {name!r} is not a workload of BENCHMARK.json ({', '.join(known)})")
 
     with tempfile.TemporaryDirectory(prefix="flowgen-ab-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 __version__ = "0.1.0"
 
@@ -13,7 +13,11 @@ _T = TypeVar("_T")
 
 
 class InputError(ValueError):
-    """A configuration, data or training file that flowgen cannot use."""
+    """A configuration, data or training file that flowgen cannot use; ``locus`` says where."""
+
+    def __init__(self, message: str, locus: str = ""):
+        super().__init__(f"{locus}: {message}" if locus else message)
+        self.locus = locus
 
 
 class Record:
@@ -57,32 +61,95 @@ def parse_json(text: str) -> object:
     return raw
 
 
-def read_json(path: str | Path, kind: type, what: str, keys: tuple[str, ...] = ()):
-    """Parse a JSON input file and check its top-level shape.
+def read_json(path: str | Path, shape: Any) -> Any:
+    """The JSON value of the file at ``path``, checked to have ``shape`` (see :func:`check`).
 
-    A ``list`` file is an array of ``what`` objects that each carry ``keys``;
-    a ``dict`` file is one object, ``what``, that carries ``keys``. A blank
-    file reads as an empty ``kind``. A bad shape raises :class:`InputError`.
+    A blank file reads as an empty array or object, as ``shape`` is one.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        raw = parse_json(text) if text.strip() else kind()
+        raw = parse_json(text) if text.strip() else type(shape)()
     except ValueError as exc:  # not UTF-8, malformed, a huge integer or a lone surrogate
-        raise InputError(f"{path}: malformed JSON: {exc}") from exc
-    if kind is list:
-        if not isinstance(raw, list):
-            raise InputError(f"{path}: expected a JSON array of {what}s")
-        for i, item in enumerate(raw):
-            if not has_keys(item, keys):
-                raise InputError(f"{path}: {what} {i} needs {' and '.join(keys)}")
-    elif not has_keys(raw, keys):
-        raise InputError(f"{path}: expected {what}")
-    return raw
+        raise InputError(f"malformed JSON: {exc}", str(path)) from exc
+    return check(raw, shape, str(path))
 
 
-def has_keys(item: object, keys: tuple[str, ...]) -> bool:
-    """Whether ``item`` is a JSON object carrying every key of ``keys``."""
-    return isinstance(item, dict) and all(k in item for k in keys)
+_NAMES = {str: "str", int: "integer", bool: "boolean", float: "float", list: "list", dict: "object"}
+
+
+def check(
+    value: Any, shape: Any, source: str = "", at: str = "", what: str = "",
+    error: type[InputError] = InputError,
+) -> Any:
+    """``value``, a parsed JSON value, if it has ``shape``; else raise ``error``.
+
+    A shape is ``str``, ``int``, ``bool``, ``float``, ``list`` or ``dict``
+    for a value of that JSON type (a bool is never an int); ``[item]`` for
+    an array of ``item``s; ``{str: item}`` for an object of ``item``s;
+    ``{"key": shape, "opt?": shape}`` for an object with those keys, where a
+    missing key reads as null unless marked ``?``, and other keys are
+    ignored; or a tuple of shapes, which picks the one for the value's JSON
+    type, ``None`` among them admitting null.
+
+    The error's locus is ``source``, the file, then ``at`` and the path down
+    to the value, as in ``<file>: stages[0].name``, built only on failure.
+    The message reads ``expected str, got int``, or ``expected list`` or
+    ``expected object`` for a container, which ``what`` names instead when
+    it is ``value`` itself.
+    """
+    miss = _misfit(value, shape)
+    if miss is None:
+        return value
+    bad, expected, *parts = miss
+    path = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(parts))
+    locus = at + path if at else path.removeprefix(".")
+    named = [s for s in (expected if type(expected) is tuple else (expected,)) if s is not None]
+    message = "expected " + (what if what and not path else " or ".join(_NAMES[_kind(s)] for s in named))
+    if any(_kind(s) not in (list, dict) for s in named):
+        message += f", got {type(bad).__name__}"
+    raise error(message, ": ".join(filter(None, (source, locus))))
+
+
+def _kind(shape: Any) -> type:
+    """The Python type of the JSON values that ``shape`` fits; ``tuple`` for a choice."""
+    return type(None) if shape is None else shape if type(shape) is type else type(shape)
+
+
+def _misfit(value: Any, shape: Any) -> list | None:
+    """None if ``value`` has ``shape``; else ``[part, its shape, *keys and indexes down to it]``.
+
+    The part is the first that lacks its shape; the keys and indexes run innermost first.
+    """
+    kind = _kind(shape)
+    if kind is tuple:
+        for choice in shape:
+            if type(value) is _kind(choice):
+                return _misfit(value, choice)
+        return [value, shape]
+    if type(value) is not kind:
+        return [value, shape]
+    if type(shape) is list:
+        for i, item in enumerate(value):
+            miss = _misfit(item, shape[0])
+            if miss is not None:
+                miss.append(i)
+                return miss
+    elif type(shape) is dict:
+        for key, sub in shape.items():
+            if key is str:
+                fields = value.items()
+            elif key[-1] != "?":
+                fields = ((key, value.get(key)),)
+            elif key[:-1] in value:
+                fields = ((key[:-1], value[key[:-1]]),)
+            else:
+                continue
+            for name, item in fields:
+                miss = _misfit(item, sub)
+                if miss is not None:
+                    miss.append(name)
+                    return miss
+    return None
 
 
 def thread_pool(width: int):

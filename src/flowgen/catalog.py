@@ -15,7 +15,7 @@ from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 
-from . import InputError, Record, condexpr, parse_json
+from . import InputError, Record, check, condexpr, parse_json
 
 __all__ = [
     "CardinalityBound",
@@ -33,9 +33,7 @@ __all__ = [
 ]
 
 class CatalogParseError(InputError):
-    def __init__(self, message: str, locus: str = ""):
-        super().__init__(f"{locus}: {message}" if locus else message)
-        self.locus = locus
+    """A catalog that is not JSON, or whose JSON lacks a catalog's shape."""
 
 
 class CatalogValidationError(InputError):
@@ -186,28 +184,17 @@ class Catalog:
 # --- parsing ---------------------------------------------------------------
 
 
-def _expect(value: object, typ: type, locus: str) -> object:
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise CatalogParseError(f"expected boolean, got {type(value).__name__}", locus)
-    elif typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CatalogParseError(f"expected integer, got {type(value).__name__}", locus)
-    elif not isinstance(value, typ):
-        raise CatalogParseError(f"expected {typ.__name__}, got {type(value).__name__}", locus)
-    return value
+# each object's keys and their shapes, but for its bounds and its properties' types
+_STAGE = {"name": str, "description": str, "synonyms?": [str], "is_connector?": bool, "properties?": list}
+_PROPERTY = {"name": str, "description": str, "default?": (None, str), "availability?": (None, str)}
 
 
 def _parse_bound(raw: object, locus: str) -> CardinalityBound:
-    if not isinstance(raw, dict):
-        raise CatalogParseError("expected object with min/max", locus)
-    bound_min = _expect(raw.get("min"), int, f"{locus}.min")
-    raw_max = raw.get("max")
-    if raw_max == "unbounded":
-        bound_max: int | None = None
-    else:
-        bound_max = _expect(raw_max, int, f"{locus}.max")
-    return CardinalityBound(bound_min, bound_max)  # type: ignore[arg-type]
+    check(raw, {"min": int}, at=locus, what="object with min/max", error=CatalogParseError)
+    if raw.get("max") == "unbounded":
+        return CardinalityBound(raw["min"], None)
+    check(raw, {"max": int}, at=locus, error=CatalogParseError)
+    return CardinalityBound(raw["min"], raw["max"])
 
 
 def _parse_value_type(raw: object, locus: str) -> ValueType:
@@ -216,45 +203,33 @@ def _parse_value_type(raw: object, locus: str) -> ValueType:
             raise CatalogParseError(f"unknown value type {raw!r}", locus)
         return ValueType(raw)
     if isinstance(raw, dict) and set(raw) == {"enum"} and isinstance(raw["enum"], list):
-        variants = tuple(_expect(v, str, f"{locus}.enum") for v in raw["enum"])
-        return ValueType("enum", variants)  # type: ignore[arg-type]
+        variants = tuple(check(v, str, at=f"{locus}.enum", error=CatalogParseError) for v in raw["enum"])
+        return ValueType("enum", variants)
     raise CatalogParseError('expected a type name or {"enum": [...]}', locus)
 
 
-def _parse_property(raw: object, locus: str) -> PropertyDef:
-    if not isinstance(raw, dict):
-        raise CatalogParseError("expected property object", locus)
+def _parse_property(raw: dict, locus: str) -> PropertyDef:
+    check(raw, _PROPERTY, at=locus, what="property object", error=CatalogParseError)
     return PropertyDef(
-        name=_expect(raw.get("name"), str, f"{locus}.name"),  # type: ignore[arg-type]
-        description=_expect(raw.get("description"), str, f"{locus}.description"),  # type: ignore[arg-type]
+        name=raw["name"],
+        description=raw["description"],
         value_type=_parse_value_type(raw.get("type"), f"{locus}.type"),
-        default=None if raw.get("default") is None else str(raw["default"]),
-        availability=(
-            None
-            if raw.get("availability") is None
-            else _expect(raw["availability"], str, f"{locus}.availability")  # type: ignore[arg-type]
-        ),
+        default=raw.get("default"),
+        availability=raw.get("availability"),
     )
 
 
-def _parse_stage(raw: object, locus: str) -> StageDef:
-    if not isinstance(raw, dict):
-        raise CatalogParseError("expected stage object", locus)
-    synonyms = raw.get("synonyms", [])
-    if not isinstance(synonyms, list):
-        raise CatalogParseError("expected list", f"{locus}.synonyms")
-    properties = raw.get("properties", [])
-    if not isinstance(properties, list):
-        raise CatalogParseError("expected list", f"{locus}.properties")
+def _parse_stage(raw: dict, locus: str) -> StageDef:
+    check(raw, _STAGE, at=locus, what="stage object", error=CatalogParseError)
     return StageDef(
-        name=_expect(raw.get("name"), str, f"{locus}.name"),  # type: ignore[arg-type]
-        description=_expect(raw.get("description"), str, f"{locus}.description"),  # type: ignore[arg-type]
-        synonyms=tuple(_expect(s, str, f"{locus}.synonyms[{i}]") for i, s in enumerate(synonyms)),  # type: ignore[misc]
-        is_connector=_expect(raw.get("is_connector", False), bool, f"{locus}.is_connector"),  # type: ignore[arg-type]
+        name=raw["name"],
+        description=raw["description"],
+        synonyms=tuple(raw.get("synonyms", ())),
+        is_connector=raw.get("is_connector", False),
         inputs=_parse_bound(raw.get("inputs"), f"{locus}.inputs"),
         outputs=_parse_bound(raw.get("outputs"), f"{locus}.outputs"),
         properties=tuple(
-            _parse_property(p, f"{locus}.properties[{i}]") for i, p in enumerate(properties)
+            _parse_property(p, f"{locus}.properties[{i}]") for i, p in enumerate(raw.get("properties", ()))
         ),
     )
 
@@ -350,12 +325,8 @@ def parse_catalog(text: str, source: str = "") -> Catalog:
         raise CatalogParseError(f"malformed JSON: {exc}", f"{where}line {exc.lineno}") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
         raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
-    if not isinstance(doc, dict) or "stages" not in doc:
-        raise CatalogParseError('expected an object with a "stages" array', source)
-    raw_stages = doc["stages"]
-    if not isinstance(raw_stages, list):
-        raise CatalogParseError("expected list", f"{where}stages")
-    stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(raw_stages)]
+    check(doc, {"stages": list}, source, what='an object with a "stages" array', error=CatalogParseError)
+    stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(doc["stages"])]
     violations = _violations(stages)
     if violations:
         raise CatalogValidationError(violations, source)

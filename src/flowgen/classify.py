@@ -223,8 +223,8 @@ def train(pairs: Iterable[tuple[str, str]], labels: Iterable[str]) -> Classifier
 
 def load_training_pairs(path: str | Path) -> list[tuple[str, str]]:
     """The ``(utterance, label)`` pairs of a training file; each label must name a catalog stage."""
-    raw = read_json(path, list, "pair", ("utterance", "label"))
-    return [(str(item["utterance"]), str(item["label"])) for item in raw]
+    raw = read_json(path, [{"utterance": str, "label": str}])
+    return [(item["utterance"], item["label"]) for item in raw]
 
 
 # --- keyword scan ----------------------------------------------------------

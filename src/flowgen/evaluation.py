@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
-from . import InputError, Record, has_keys, read_json, run_in_order, thread_pool
+from . import InputError, Record, read_json, run_in_order, thread_pool
 from .catalog import Catalog
 from .edgepred import FlowGraph, build_nodes, edge_metrics, node_names
 from .llm import usage
@@ -103,39 +103,37 @@ class MetricsReport:
         self.failures: list[dict] = []
 
 
+_PROPERTY = {"name": str, "value": (str, int, float)}
+_DATASET = [{
+    "utterance": str, "gold_stages": [str],
+    "gold_edges?": (None, [{"from": str, "to": str}]), "gold_properties?": (None, {str: [_PROPERTY]}),
+}]
+
+
 def load_dataset(path: str | Path) -> list[EvalRecord]:
-    """Load and validate a dataset; edges must reference gold stage instances."""
+    """Load and validate a dataset; edges must reference gold stage instances.
+
+    A null ``gold_edges`` or ``gold_properties`` reads as absent, a number as a value as its text.
+    """
     records: list[EvalRecord] = []
-    for i, item in enumerate(read_json(path, list, "record", ("utterance", "gold_stages"))):
-        where = f"{path}: record {i}"
-        if not isinstance(item["gold_stages"], list):
-            raise InputError(f"{where} gold_stages must be an array of stage names")
-        gold_stages = [str(s) for s in item["gold_stages"]]
-        if not gold_stages:
-            raise InputError(f"{where} has empty gold_stages")
-        record = EvalRecord(utterance=str(item["utterance"]), gold_stages=gold_stages)
-        names = set(node_names(gold_stages))
+    for i, item in enumerate(read_json(path, _DATASET)):
+        if not item["gold_stages"]:
+            raise InputError("expected at least one stage", f"{path}: [{i}].gold_stages")
+        record = EvalRecord(utterance=item["utterance"], gold_stages=item["gold_stages"])
+        names = set(node_names(record.gold_stages))
         if item.get("gold_edges") is not None:
-            edges = item["gold_edges"]
-            if not isinstance(edges, list) or not all(has_keys(e, ("from", "to")) for e in edges):
-                raise InputError(f"{where} gold_edges must be an array of from/to objects")
-            record.gold_edges = [(str(e["from"]), str(e["to"])) for e in edges]
-            for endpoint in (name for edge in record.gold_edges for name in edge):
-                if endpoint not in names:
-                    raise InputError(f"{where} edge references unknown node {endpoint!r}")
+            for j, edge in enumerate(item["gold_edges"]):
+                for end in ("from", "to"):
+                    if edge[end] not in names:
+                        locus = f"{path}: [{i}].gold_edges[{j}].{end}"
+                        raise InputError(f"unknown node {edge[end]!r}", locus)
+            record.gold_edges = [(e["from"], e["to"]) for e in item["gold_edges"]]
         if item.get("gold_properties") is not None:
-            if not isinstance(item["gold_properties"], dict):
-                raise InputError(f"{where} gold_properties must be an object keyed by node")
-            props: dict[str, list[tuple[str, str]]] = {}
+            record.gold_properties = {}
             for node, items in item["gold_properties"].items():
                 if node not in names:
-                    raise InputError(f"{where} properties reference unknown node {node!r}")
-                if not isinstance(items, list) or not all(
-                    has_keys(p, ("name", "value")) for p in items
-                ):
-                    raise InputError(f"{where} properties of {node!r} need name and value")
-                props[node] = [(str(p["name"]), str(p["value"])) for p in items]
-            record.gold_properties = props
+                    raise InputError(f"unknown node {node!r}", f"{path}: [{i}].gold_properties")
+                record.gold_properties[node] = [(p["name"], canonical_value(p["value"])) for p in items]
         records.append(record)
     return records
 

@@ -373,14 +373,12 @@ class MockProvider:
 
 def load_mock_scripts(path: str | Path) -> MockProvider:
     scripts: list[MockScript] = []
-    for i, item in enumerate(read_json(path, list, "script", ("match", "response"))):
-        match = item["match"]
-        if not isinstance(match, dict) or len(match) != 1:
-            raise InputError(f"{path}: script {i} match must be {{exact|contains: text}}")
-        (kind, pattern), = match.items()
-        if kind not in ("exact", "contains"):
-            raise InputError(f"{path}: script {i} has unknown matcher {kind!r}")
-        scripts.append(MockScript(kind=kind, pattern=str(pattern), response=str(item["response"])))
+    for i, item in enumerate(read_json(path, [{"match": {str: str}, "response": str}])):
+        matchers = sorted(item["match"])
+        if matchers not in (["contains"], ["exact"]):
+            raise InputError(f"expected exact or contains, got {matchers}", f"{path}: [{i}].match")
+        (kind, pattern), = item["match"].items()
+        scripts.append(MockScript(kind=kind, pattern=pattern, response=item["response"]))
     return MockProvider(scripts=scripts)
 
 

@@ -450,11 +450,11 @@ def _array(items: list[str], indent: str) -> str:
     return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _string(value: object, field: str) -> str:
-    """``value``, which must be a string: a ``TypeError`` names ``field`` otherwise."""
-    if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, not {type(value).__name__}")
-    return value
+_PROPERTY = {"name": str, "value": str}
+_WORKFLOW = {
+    "nodes": [{"unique_name": str, "stage": str, "sub_utterance?": str, "properties?": [_PROPERTY]}],
+    "edges": [{"from": str, "to": str}],
+}
 
 
 def load_workflow_doc(path: str | Path) -> Workflow:
@@ -467,42 +467,24 @@ def load_workflow_doc(path: str | Path) -> Workflow:
     edge to a missing node is an ``InputError``: no generate run writes such
     a graph.
     """
-    raw = read_json(path, dict, "a workflow document", ("nodes", "edges"))
+    raw = read_json(path, _WORKFLOW)
     anybound = CardinalityBound(0, None)
-    try:
-        nodes = []
-        properties: dict[str, list[PropertyAssignment]] = {}
-        for n in raw["nodes"]:
-            nodes.append(
-                NodeInstance(
-                    unique_name=_string(n["unique_name"], "unique_name"),
-                    stage=_string(n["stage"], "stage"),
-                    inputs=anybound,
-                    outputs=anybound,
-                    sub_utterance=_string(n.get("sub_utterance", ""), "sub_utterance"),
-                )
-            )
-            properties[nodes[-1].unique_name] = [
-                PropertyAssignment(
-                    name=_string(p["name"], "property name"),
-                    raw_value=_string(p["value"], "property value"),
-                    coerced=p["value"],
-                    status=ACCEPTED,
-                )
-                for p in n.get("properties", [])
-            ]
-        edges = [(_string(e["from"], "from"), _string(e["to"], "to")) for e in raw["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a workflow document ({exc})") from exc
-    names: set[str] = set()
-    for node in nodes:
-        if node.unique_name in names:
-            raise InputError(f"{path}: node {node.unique_name!r} appears twice")
-        names.add(node.unique_name)
+    nodes = []
+    properties: dict[str, list[PropertyAssignment]] = {}
+    for n in raw["nodes"]:
+        if n["unique_name"] in properties:
+            raise InputError(f"{path}: node {n['unique_name']!r} appears twice")
+        node = NodeInstance(n["unique_name"], n["stage"], anybound, anybound, n.get("sub_utterance", ""))
+        nodes.append(node)
+        properties[n["unique_name"]] = [
+            PropertyAssignment(name=p["name"], raw_value=p["value"], coerced=p["value"], status=ACCEPTED)
+            for p in n.get("properties", [])
+        ]
+    edges = [(e["from"], e["to"]) for e in raw["edges"]]
     for src, dst in edges:
         if src == dst:
             raise InputError(f"{path}: edge {src!r} -> {dst!r} is a self-loop")
-        if src not in names or dst not in names:
+        if src not in properties or dst not in properties:
             raise InputError(f"{path}: edge {src!r} -> {dst!r} names a node the document lacks")
     graph = FlowGraph(nodes=nodes, edges=edges)
     return Workflow(graph=graph, properties=properties, provenance={"source": str(path)})

@@ -89,32 +89,16 @@ class ExternalRegistry:
 
 
 def load_registry(path: str | Path) -> ExternalRegistry:
-    expected = "kinds and bindings objects"
-    raw = read_json(path, dict, expected)
-    kinds_raw = raw.get("kinds")
-    bindings_raw = raw.get("bindings")
-    if not isinstance(kinds_raw, dict) or not isinstance(bindings_raw, dict):
-        raise InputError(f"{path}: expected {expected}")
-    kinds = {}
-    for kind, names in kinds_raw.items():
+    raw = read_json(path, {"kinds": {str: [str]}, "bindings": {str: {str: str}}})
+    for kind in raw["kinds"]:
         if kind not in REGISTRY_KINDS:
-            raise InputError(f"{path}: unknown registry kind {kind!r}")
-        if not isinstance(names, list):
-            raise InputError(f"{path}: registry kind {kind!r} needs an array of names")
-        kinds[kind] = frozenset(str(n) for n in names)
-    bindings: dict[str, dict[str, str]] = {}
-    for stage, props in bindings_raw.items():
-        if not isinstance(props, dict):
-            raise InputError(f"{path}: bindings of {stage!r} must be an object")
-        bindings[stage] = {}
+            raise InputError(f"unknown registry kind {kind!r}", f"{path}: kinds")
+    for stage, props in raw["bindings"].items():
         for prop, kind in props.items():
-            if not isinstance(kind, str):
-                got = type(kind).__name__
-                raise InputError(f"{path}: binding {stage}/{prop}: kind must be a str, got {got}")
-            if kind not in kinds:
-                raise InputError(f"{path}: binding {stage}/{prop} uses undeclared kind {kind!r}")
-            bindings[stage][prop] = kind
-    return ExternalRegistry(kinds=kinds, bindings=bindings)
+            if kind not in raw["kinds"]:
+                raise InputError(f"undeclared kind {kind!r}", f"{path}: bindings.{stage}.{prop}")
+    kinds = {kind: frozenset(names) for kind, names in raw["kinds"].items()}
+    return ExternalRegistry(kinds=kinds, bindings=raw["bindings"])
 
 
 # --- prediction -----------------------------------------------------------------

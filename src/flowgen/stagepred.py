@@ -117,25 +117,18 @@ class StagePrediction:
 
 def load_examples(path: str | Path, catalog: Catalog) -> list[FewShotExample]:
     out: list[FewShotExample] = []
-    for i, item in enumerate(read_json(path, list, "example", ("utterance", "operators"))):
-        if not isinstance(item["operators"], list):
-            raise InputError(f"{path}: example {i} operators must be an array")
-        ops = tuple(str(op) for op in item["operators"])
-        for op in ops:
+    for i, item in enumerate(read_json(path, [{"utterance": str, "operators": [str]}])):
+        for j, op in enumerate(item["operators"]):
             if op not in catalog.stages:
-                raise InputError(f"{path}: example {i} references unknown stage {op!r}")
-        out.append(FewShotExample(str(item["utterance"]), ops))
+                raise InputError(f"unknown stage {op!r}", f"{path}: [{i}].operators[{j}]")
+        out.append(FewShotExample(item["utterance"], tuple(item["operators"])))
     return out
 
 
 def load_split_examples(path: str | Path) -> list[tuple[str, tuple[str, ...]]]:
     """The ``(utterance, subs)`` decomposition examples of a file."""
-    out: list[tuple[str, tuple[str, ...]]] = []
-    for i, item in enumerate(read_json(path, list, "split example", ("utterance", "subs"))):
-        if not isinstance(item["subs"], list):
-            raise InputError(f"{path}: split example {i} subs must be an array")
-        out.append((str(item["utterance"]), tuple(str(s) for s in item["subs"])))
-    return out
+    raw = read_json(path, [{"utterance": str, "subs": [str]}])
+    return [(item["utterance"], tuple(item["subs"])) for item in raw]
 
 
 # --- prompt assembly ---------------------------------------------------------

@@ -185,3 +185,28 @@ def test_a_run_keeps_its_raw_wall_p50_and_the_summary_prints_both_medians(ab, mo
     del runs[0]["wall_p50_ms"]
     walls = ab.summarize(runs, END_TO_END)["synth-single"]["latency_p50_ms"]["wall_p50_ms"]
     assert walls == {"parent": None, "change": pytest.approx(0.44)}
+
+
+
+@pytest.mark.parametrize(
+    "names, bad",
+    [
+        (["synth-cag,demo-pipeline"], "synth-cag,demo-pipeline"),
+        (["synth-cag", "demo-pipeline", "demo-pipline"], "demo-pipline"),
+    ],
+    ids=["comma-joined", "misspelt-after-valid-ones"],
+)
+def test_an_unknown_workload_is_a_usage_error_before_any_export(
+    ab, monkeypatch, capsys, tmp_path, names, bad
+):
+    def export(rev: str, dest: Path) -> str:
+        raise AssertionError(f"{rev} was exported")
+
+    monkeypatch.setattr(ab, "export", export)
+    with pytest.raises(SystemExit) as exited:
+        ab.main(["HEAD~1", "--workloads", *names, "--out", str(tmp_path / "ab.json")])
+    assert exited.value.code == 2
+    benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    valid = ", ".join(w["name"] for w in benchmark["workloads"])
+    message = f"error: --workloads: {bad!r} is not a workload of BENCHMARK.json ({valid})\n"
+    assert capsys.readouterr().err.endswith(message)

@@ -131,10 +131,10 @@ def test_demo_pairs_recall_their_own_labels():
 def test_load_training_pairs_rejects_malformed(tmp_path):
     bad = tmp_path / "pairs.json"
     bad.write_text(json.dumps([{"utterance": "x"}]))
-    with pytest.raises(InputError, match="pair 0"):
+    with pytest.raises(InputError, match=r"pairs\.json: \[0\]\.label: expected str, got NoneType$"):
         load_training_pairs(bad)
     bad.write_text(json.dumps({"not": "a list"}))
-    with pytest.raises(InputError, match="array"):
+    with pytest.raises(InputError, match=r"pairs\.json: expected list$"):
         load_training_pairs(bad)
     bad.write_text('[{"utterance": ')
     with pytest.raises(InputError, match="pairs.json: malformed JSON"):

@@ -64,26 +64,45 @@ def test_load_dataset_empty_file(tmp_path):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"utterance": "u"}, "expected a JSON array"),
-        ([{"utterance": "u"}], "needs utterance and gold_stages"),
-        ([{"gold_stages": ["a"]}], "needs utterance and gold_stages"),
-        ([{"utterance": "u", "gold_stages": []}], "empty gold_stages"),
-        ([{"utterance": "u", "gold_stages": "sort"}], "record 0 gold_stages must be an array"),
-        (
+        # each id names its case
+        pytest.param({"utterance": "u"}, r"data\.json: expected list$", id="payload0-expected a JSON array"),
+        pytest.param(
+            [{"utterance": "u"}], r"data\.json: \[0\]\.gold_stages: expected list$",
+            id="payload1-needs utterance and gold_stages",
+        ),
+        pytest.param(
+            [{"gold_stages": ["a"]}], r"data\.json: \[0\]\.utterance: expected str, got NoneType$",
+            id="payload2-needs utterance and gold_stages",
+        ),
+        pytest.param(
+            [{"utterance": "u", "gold_stages": []}],
+            r"data\.json: \[0\]\.gold_stages: expected at least one stage$",
+            id="payload3-empty gold_stages",
+        ),
+        pytest.param(
+            [{"utterance": "u", "gold_stages": "sort"}], r"data\.json: \[0\]\.gold_stages: expected list$",
+            id="payload4-record 0 gold_stages must be an array",
+        ),
+        pytest.param(
             [{"utterance": "u", "gold_stages": ["sort"], "gold_edges": [{"to": "sort"}]}],
-            "record 0 gold_edges must be an array of from/to objects",
+            r"data\.json: \[0\]\.gold_edges\[0\]\.from: expected str, got NoneType$",
+            id="payload5-record 0 gold_edges must be an array of from/to objects",
         ),
-        (
+        pytest.param(
             [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": [["sort"]]}],
-            "record 0 gold_properties must be an object",
+            r"data\.json: \[0\]\.gold_properties: expected object$",
+            id="payload6-record 0 gold_properties must be an object",
         ),
-        (
+        pytest.param(
             [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": [{"name": "P"}]}}],
-            "record 0 properties of 'sort' need name and value",
+            r"data\.json: \[0\]\.gold_properties\.sort\[0\]\.value: "
+            r"expected str or integer or float, got NoneType$",
+            id="payload7-record 0 properties of 'sort' need name and value",
         ),
-        (
+        pytest.param(
             [{"utterance": "u", "gold_stages": ["sort"], "gold_properties": {"sort": {"name": "P", "value": "v"}}}],
-            "record 0 properties of 'sort' need name and value",
+            r"data\.json: \[0\]\.gold_properties\.sort: expected list$",
+            id="payload8-record 0 properties of 'sort' need name and value",
         ),
         # bytes go in as they are: not UTF-8, and an integer past the 4300-digit limit
         pytest.param(

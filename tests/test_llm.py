@@ -381,10 +381,16 @@ def test_load_mock_scripts_round_trip(tmp_path):
 def test_load_mock_scripts_rejects_bad_shapes(tmp_path):
     path = tmp_path / "scripts.json"
     for doc, message in [
-        ({"match": {}}, "array"),
-        ([{"match": {"exact": "x", "contains": "y"}, "response": "r"}], "script 0"),
-        ([{"match": {"regex": "x"}, "response": "r"}], "unknown matcher"),
-        ([{"response": "r"}], "needs match"),
+        ({"match": {}}, r"scripts\.json: expected list$"),
+        (
+            [{"match": {"exact": "x", "contains": "y"}, "response": "r"}],
+            r"scripts\.json: \[0\]\.match: expected exact or contains, got \['contains', 'exact'\]$",
+        ),
+        (
+            [{"match": {"regex": "x"}, "response": "r"}],
+            r"scripts\.json: \[0\]\.match: expected exact or contains, got \['regex'\]$",
+        ),
+        ([{"response": "r"}], r"scripts\.json: \[0\]\.match: expected object$"),
     ]:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputError, match=message):

@@ -802,5 +802,6 @@ def test_emit_doc_is_byte_identical_to_json_dumps(tmp_path, w):
 def test_load_workflow_doc_rejects_other_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"nodes": [{"name": "x"}], "edges": []}))
-    with pytest.raises(ValueError, match="not a workflow document"):
+    message = r"other\.json: nodes\[0\]\.unique_name: expected str, got NoneType$"
+    with pytest.raises(ValueError, match=message):
         load_workflow_doc(path)

@@ -371,17 +371,17 @@ def test_load_registry_rejects_undeclared_binding_kind(tmp_path):
 def test_load_registry_requires_both_sections(tmp_path):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"kinds": {}}))
-    with pytest.raises(InputError, match="expected kinds and bindings"):
+    with pytest.raises(InputError, match=r"reg\.json: bindings: expected object$"):
         load_registry(p)
 
 
 def test_load_registry_rejects_nested_shapes(tmp_path):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"kinds": {"table": "orders"}, "bindings": {}}))
-    with pytest.raises(InputError, match="kind 'table' needs an array of names"):
+    with pytest.raises(InputError, match=r"reg\.json: kinds\.table: expected list$"):
         load_registry(p)
     p.write_text(json.dumps({"kinds": {"table": []}, "bindings": {"sort": ["table"]}}))
-    with pytest.raises(InputError, match="bindings of 'sort' must be an object"):
+    with pytest.raises(InputError, match=r"reg\.json: bindings\.sort: expected object$"):
         load_registry(p)
 
 

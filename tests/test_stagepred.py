@@ -102,10 +102,10 @@ def test_load_split_examples():
 def test_load_split_examples_shape_errors(tmp_path):
     p = tmp_path / "splits.json"
     p.write_text(json.dumps([{"utterance": "u"}]))
-    with pytest.raises(InputError, match="needs utterance and subs"):
+    with pytest.raises(InputError, match=r"splits\.json: \[0\]\.subs: expected list$"):
         load_split_examples(p)
     p.write_text(json.dumps([{"utterance": "u", "subs": "sort the rows"}]))
-    with pytest.raises(InputError, match="subs must be an array"):
+    with pytest.raises(InputError, match=r"splits\.json: \[0\]\.subs: expected list$"):
         load_split_examples(p)
 
 
