@@ -77,10 +77,7 @@ def read_json(path: str | Path, shape: Any) -> Any:
 _NAMES = {str: "str", int: "integer", bool: "boolean", float: "float", list: "list", dict: "object"}
 
 
-def check(
-    value: Any, shape: Any, source: str = "", at: str = "", what: str = "",
-    error: type[InputError] = InputError,
-) -> Any:
+def check(value: Any, shape: Any, source: str = "", at: str = "", error: type[InputError] = InputError):
     """``value``, a parsed JSON value, if it has ``shape``; else raise ``error``.
 
     A shape is ``str``, ``int``, ``bool``, ``float``, ``list`` or ``dict``
@@ -94,8 +91,8 @@ def check(
     The error's locus is ``source``, the file, then ``at`` and the path down
     to the value, as in ``<file>: stages[0].name``, built only on failure.
     The message reads ``expected str, got int``, or ``expected list`` or
-    ``expected object`` for a container, which ``what`` names instead when
-    it is ``value`` itself.
+    ``expected object`` for a container; an object shape's ``None`` key,
+    if any, names it instead of ``object``.
     """
     miss = _misfit(value, shape)
     if miss is None:
@@ -104,15 +101,13 @@ def check(
     path = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(parts))
     locus = at + path if at else path.removeprefix(".")
     named = [s for s in (expected if type(expected) is tuple else (expected,)) if s is not None]
-    message = "expected " + (what if what and not path else " or ".join(_NAMES[_kind(s)] for s in named))
-    if any(_kind(s) not in (list, dict) for s in named):
+    words = (
+        s.get(None, "object") if type(s) is dict else "list" if type(s) is list else _NAMES[s] for s in named
+    )
+    message = "expected " + " or ".join(words)
+    if any(type(s) is type and s not in (list, dict) for s in named):  # not a container
         message += f", got {type(bad).__name__}"
     raise error(message, ": ".join(filter(None, (source, locus))))
-
-
-def _kind(shape: Any) -> type:
-    """The Python type of the JSON values that ``shape`` fits; ``tuple`` for a choice."""
-    return type(None) if shape is None else shape if type(shape) is type else type(shape)
 
 
 def _misfit(value: Any, shape: Any) -> list | None:
@@ -120,35 +115,38 @@ def _misfit(value: Any, shape: Any) -> list | None:
 
     The part is the first that lacks its shape; the keys and indexes run innermost first.
     """
-    kind = _kind(shape)
-    if kind is tuple:
+    if type(shape) is type:
+        return None if type(value) is shape else [value, shape]
+    if type(shape) is tuple:
+        if type(value) in shape or value is None and None in shape:
+            return None
         for choice in shape:
-            if type(value) is _kind(choice):
+            if type(value) is type(choice):  # an array or object shape
                 return _misfit(value, choice)
         return [value, shape]
-    if type(value) is not kind:
+    if type(value) is not type(shape):
         return [value, shape]
-    if type(shape) is list:
-        for i, item in enumerate(value):
-            miss = _misfit(item, shape[0])
+    if type(shape) is list or str in shape:  # every element or value has the one shape
+        sub = shape[0] if type(shape) is list else shape[str]
+        for key, item in enumerate(value) if type(value) is list else value.items():
+            # a value of its JSON type, the common case, needs no call
+            miss = None if type(item) is sub else _misfit(item, sub)
             if miss is not None:
-                miss.append(i)
+                miss.append(key)
                 return miss
-    elif type(shape) is dict:
-        for key, sub in shape.items():
-            if key is str:
-                fields = value.items()
-            elif key[-1] != "?":
-                fields = ((key, value.get(key)),)
-            elif key[:-1] in value:
-                fields = ((key[:-1], value[key[:-1]]),)
-            else:
+        return None
+    for key, sub in shape.items():
+        if key is None:  # the object's name
+            continue
+        if key[-1] == "?":
+            key = key[:-1]
+            if key not in value:
                 continue
-            for name, item in fields:
-                miss = _misfit(item, sub)
-                if miss is not None:
-                    miss.append(name)
-                    return miss
+        item = value.get(key)
+        miss = None if type(item) is sub or type(sub) is tuple and type(item) in sub else _misfit(item, sub)
+        if miss is not None:
+            miss.append(key)
+            return miss
     return None
 
 

@@ -184,53 +184,56 @@ class Catalog:
 # --- parsing ---------------------------------------------------------------
 
 
-# each object's keys and their shapes, but for its bounds and its properties' types
-_STAGE = {"name": str, "description": str, "synonyms?": [str], "is_connector?": bool, "properties?": list}
-_PROPERTY = {"name": str, "description": str, "default?": (None, str), "availability?": (None, str)}
+# the catalog's shape, but for each bound's max and each property's type; None keys name objects
+_BOUND = {None: "object with min/max", "min": int}
+_PROPERTY = {
+    None: "property object", "name": str, "description": str,
+    "default?": (None, str), "availability?": (None, str),
+}
+_STAGE = {
+    None: "stage object", "name": str, "description": str, "synonyms?": [str], "is_connector?": bool,
+    "inputs": _BOUND, "outputs": _BOUND, "properties?": [_PROPERTY],
+}
+_CATALOG = {None: 'an object with a "stages" array', "stages": [_STAGE]}
 
 
-def _parse_bound(raw: object, locus: str) -> CardinalityBound:
-    check(raw, {"min": int}, at=locus, what="object with min/max", error=CatalogParseError)
+def _parse_bound(raw: dict, locus: str) -> CardinalityBound:
     if raw.get("max") == "unbounded":
         return CardinalityBound(raw["min"], None)
-    check(raw, {"max": int}, at=locus, error=CatalogParseError)
-    return CardinalityBound(raw["min"], raw["max"])
+    bound_max = check(raw.get("max"), int, at=f"{locus}.max", error=CatalogParseError)
+    return CardinalityBound(raw["min"], bound_max)
 
 
-def _parse_value_type(raw: object, locus: str) -> ValueType:
-    if isinstance(raw, str):
-        if raw not in ("string", "integer", "decimal", "boolean"):
-            raise CatalogParseError(f"unknown value type {raw!r}", locus)
+def _parse_value_type(raw: object, locus: str, i: int) -> ValueType:
+    """The type of the ``i``th property of the stage at ``locus``."""
+    if raw in ("string", "integer", "decimal", "boolean"):
         return ValueType(raw)
+    locus = f"{locus}.properties[{i}].type"
+    if isinstance(raw, str):
+        raise CatalogParseError(f"unknown value type {raw!r}", locus)
     if isinstance(raw, dict) and set(raw) == {"enum"} and isinstance(raw["enum"], list):
-        variants = tuple(check(v, str, at=f"{locus}.enum", error=CatalogParseError) for v in raw["enum"])
-        return ValueType("enum", variants)
+        at = f"{locus}.enum"
+        return ValueType("enum", tuple(check(v, str, at=at, error=CatalogParseError) for v in raw["enum"]))
     raise CatalogParseError('expected a type name or {"enum": [...]}', locus)
 
 
-def _parse_property(raw: dict, locus: str) -> PropertyDef:
-    check(raw, _PROPERTY, at=locus, what="property object", error=CatalogParseError)
-    return PropertyDef(
-        name=raw["name"],
-        description=raw["description"],
-        value_type=_parse_value_type(raw.get("type"), f"{locus}.type"),
-        default=raw.get("default"),
-        availability=raw.get("availability"),
-    )
-
-
 def _parse_stage(raw: dict, locus: str) -> StageDef:
-    check(raw, _STAGE, at=locus, what="stage object", error=CatalogParseError)
+    """The stage of ``raw``, a ``_STAGE``, at ``locus``."""
+    properties = [
+        PropertyDef(
+            p["name"], p["description"], _parse_value_type(p.get("type"), locus, i), p.get("default"),
+            p.get("availability"),
+        )
+        for i, p in enumerate(raw.get("properties", ()))
+    ]
     return StageDef(
         name=raw["name"],
         description=raw["description"],
         synonyms=tuple(raw.get("synonyms", ())),
         is_connector=raw.get("is_connector", False),
-        inputs=_parse_bound(raw.get("inputs"), f"{locus}.inputs"),
-        outputs=_parse_bound(raw.get("outputs"), f"{locus}.outputs"),
-        properties=tuple(
-            _parse_property(p, f"{locus}.properties[{i}]") for i, p in enumerate(raw.get("properties", ()))
-        ),
+        inputs=_parse_bound(raw["inputs"], f"{locus}.inputs"),
+        outputs=_parse_bound(raw["outputs"], f"{locus}.outputs"),
+        properties=tuple(properties),
     )
 
 
@@ -325,7 +328,7 @@ def parse_catalog(text: str, source: str = "") -> Catalog:
         raise CatalogParseError(f"malformed JSON: {exc}", f"{where}line {exc.lineno}") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
         raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
-    check(doc, {"stages": list}, source, what='an object with a "stages" array', error=CatalogParseError)
+    check(doc, _CATALOG, source, error=CatalogParseError)
     stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(doc["stages"])]
     violations = _violations(stages)
     if violations:

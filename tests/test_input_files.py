@@ -162,10 +162,10 @@ def violations(path: Path) -> str | None:
         ("x", (None, [str]), {}, "in.json: expected list"),
         ([], (str, int, float), {}, "in.json: expected str or integer or float, got list"),
         ({"a": None, "b": {}, "c": 1.5}, {"a?": (None, str), "b": dict, "c": (str, int, float)}, {}, None),
-        # ``at`` leads the path; ``what`` names the value itself, but not a part of it
+        # ``at`` leads the path; a None key names an object
         ({"b": 1}, {"b": str}, {"at": "doc[2]"}, "in.json: doc[2].b: expected str, got int"),
-        (5, {"b": str}, {"at": "doc[2]", "what": "doc object"}, "in.json: doc[2]: expected doc object"),
-        ({"b": 1}, {"b": str}, {"what": "doc object"}, "in.json: b: expected str, got int"),
+        ([5], [{None: "doc object", "b": str}], {"at": "doc"}, "in.json: doc[0]: expected doc object"),
+        ({"b": None}, {"b": (None, {None: "doc object"})}, {}, None),
     ],
 )
 def test_check_names_the_locus_and_the_expected_and_found_types(value, shape, where, message):
