@@ -77,7 +77,7 @@ def read_json(path: str | Path, shape: Any) -> Any:
 _NAMES = {str: "str", int: "integer", bool: "boolean", float: "float", list: "list", dict: "object"}
 
 
-def check(value: Any, shape: Any, source: str = "", at: str = "", error: type[InputError] = InputError):
+def check(value: Any, shape: Any, where: str = "", error: type[InputError] = InputError) -> Any:
     """``value``, a parsed JSON value, if it has ``shape``; else raise ``error``.
 
     A shape is ``str``, ``int``, ``bool``, ``float``, ``list`` or ``dict``
@@ -88,18 +88,17 @@ def check(value: Any, shape: Any, source: str = "", at: str = "", error: type[In
     ignored; or a tuple of shapes, which picks the one for the value's JSON
     type, ``None`` among them admitting null.
 
-    The error's locus is ``source``, the file, then ``at`` and the path down
-    to the value, as in ``<file>: stages[0].name``, built only on failure.
-    The message reads ``expected str, got int``, or ``expected list`` or
-    ``expected object`` for a container; an object shape's ``None`` key,
-    if any, names it instead of ``object``.
+    The error's locus is ``where``, the file or a locus in it, then the path
+    down to the part that fails, as in ``<file>: stages[0].name``; it is
+    built only on failure. The message reads ``expected str, got int``, or
+    ``expected list`` or ``expected object`` for a container; an object
+    shape's ``None`` key, if any, names it instead of ``object``.
     """
     miss = _misfit(value, shape)
     if miss is None:
         return value
     bad, expected, *parts = miss
-    path = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(parts))
-    locus = at + path if at else path.removeprefix(".")
+    path = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in reversed(parts)).removeprefix(".")
     named = [s for s in (expected if type(expected) is tuple else (expected,)) if s is not None]
     words = (
         s.get(None, "object") if type(s) is dict else "list" if type(s) is list else _NAMES[s] for s in named
@@ -107,7 +106,7 @@ def check(value: Any, shape: Any, source: str = "", at: str = "", error: type[In
     message = "expected " + " or ".join(words)
     if any(type(s) is type and s not in (list, dict) for s in named):  # not a container
         message += f", got {type(bad).__name__}"
-    raise error(message, ": ".join(filter(None, (source, locus))))
+    raise error(message, ": ".join(filter(None, (where, path))))
 
 
 def _misfit(value: Any, shape: Any) -> list | None:

@@ -200,7 +200,7 @@ _CATALOG = {None: 'an object with a "stages" array', "stages": [_STAGE]}
 def _parse_bound(raw: dict, locus: str) -> CardinalityBound:
     if raw.get("max") == "unbounded":
         return CardinalityBound(raw["min"], None)
-    bound_max = check(raw.get("max"), int, at=f"{locus}.max", error=CatalogParseError)
+    bound_max = check(raw.get("max"), int, f"{locus}.max", CatalogParseError)
     return CardinalityBound(raw["min"], bound_max)
 
 
@@ -212,8 +212,8 @@ def _parse_value_type(raw: object, locus: str, i: int) -> ValueType:
     if isinstance(raw, str):
         raise CatalogParseError(f"unknown value type {raw!r}", locus)
     if isinstance(raw, dict) and set(raw) == {"enum"} and isinstance(raw["enum"], list):
-        at = f"{locus}.enum"
-        return ValueType("enum", tuple(check(v, str, at=at, error=CatalogParseError) for v in raw["enum"]))
+        where = f"{locus}.enum"
+        return ValueType("enum", tuple(check(v, str, where, CatalogParseError) for v in raw["enum"]))
     raise CatalogParseError('expected a type name or {"enum": [...]}', locus)
 
 
@@ -328,7 +328,7 @@ def parse_catalog(text: str, source: str = "") -> Catalog:
         raise CatalogParseError(f"malformed JSON: {exc}", f"{where}line {exc.lineno}") from exc
     except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
         raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
-    check(doc, _CATALOG, source, error=CatalogParseError)
+    check(doc, _CATALOG, source, CatalogParseError)
     stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(doc["stages"])]
     violations = _violations(stages)
     if violations:

@@ -162,18 +162,20 @@ def violations(path: Path) -> str | None:
         ("x", (None, [str]), {}, "in.json: expected list"),
         ([], (str, int, float), {}, "in.json: expected str or integer or float, got list"),
         ({"a": None, "b": {}, "c": 1.5}, {"a?": (None, str), "b": dict, "c": (str, int, float)}, {}, None),
-        # ``at`` leads the path; a None key names an object
-        ({"b": 1}, {"b": str}, {"at": "doc[2]"}, "in.json: doc[2].b: expected str, got int"),
-        ([5], [{None: "doc object", "b": str}], {"at": "doc"}, "in.json: doc[0]: expected doc object"),
+        # a None key names an object; ``where`` may be a locus in a file, or nothing
+        ([5], [{None: "doc object", "b": str}], {}, "in.json: [0]: expected doc object"),
         ({"b": None}, {"b": (None, {None: "doc object"})}, {}, None),
+        (1, str, {"where": "in.json: doc[2].b"}, "in.json: doc[2].b: expected str, got int"),
+        ({"b": 1}, {"b": str}, {"where": ""}, "b: expected str, got int"),
     ],
 )
 def test_check_names_the_locus_and_the_expected_and_found_types(value, shape, where, message):
+    where = {"where": "in.json", **where}
     if message is None:
-        assert check(value, shape, "in.json", **where) is value
+        assert check(value, shape, **where) is value
         return
     with pytest.raises(InputError) as err:
-        check(value, shape, "in.json", **where)
+        check(value, shape, **where)
     assert str(err.value) == message
 
 
@@ -185,9 +187,10 @@ def test_a_changed_input_file_exits_0_1_or_2_as_the_contract_says(command, flag,
     with tempfile.TemporaryDirectory() as tmp:
         changed_file = Path(tmp, "input.json")
         changed_file.write_bytes(content)
-        files = {f: str(fixture_path(name)) for f, name in GENERATE_FILES.items() if command == "generate"}
-        files[flag] = str(changed_file)
-        named = [*files.values(), EVAL_SCRIPTS, *(str(fixture_path(n)) for n in GENERATE_FILES.values())]
+        defaults = {f: str(fixture_path(name)) for f, name in GENERATE_FILES.items()}
+        files = {**defaults, flag: str(changed_file)} if command == "generate" else {flag: str(changed_file)}
+        # the files a run reads: eval reads the default demo files, and its own scripts
+        named = [*files.values(), *((EVAL_SCRIPTS, *defaults.values()) if command == "eval" else ())]
         out_file = Path(tmp, "flow.json")
         code, out, err = run(argv_of(command, files, out_file))
         if typo is not None and flag != "--catalog":
