@@ -77,8 +77,8 @@ def read_json(path: str | Path, shape: Any) -> Any:
 _NAMES = {str: "str", int: "integer", bool: "boolean", float: "float", list: "list", dict: "object"}
 
 
-def check(value: Any, shape: Any, where: str = "", error: type[InputError] = InputError) -> Any:
-    """``value``, a parsed JSON value, if it has ``shape``; else raise ``error``.
+def check(value: Any, shape: Any, where: str = "") -> Any:
+    """``value``, a parsed JSON value, if it has ``shape``; else raise ``InputError``.
 
     A shape is ``str``, ``int``, ``bool``, ``float``, ``list`` or ``dict``
     for a value of that JSON type (a bool is never an int); ``[item]`` for
@@ -106,7 +106,7 @@ def check(value: Any, shape: Any, where: str = "", error: type[InputError] = Inp
     message = "expected " + " or ".join(words)
     if any(type(s) is type and s not in (list, dict) for s in named):  # not a container
         message += f", got {type(bad).__name__}"
-    raise error(message, ": ".join(filter(None, (where, path))))
+    raise InputError(message, ": ".join(filter(None, (where, path))))
 
 
 def _misfit(value: Any, shape: Any) -> list | None:

@@ -15,7 +15,7 @@ from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 
-from . import InputError, Record, check, condexpr, parse_json
+from . import InputError, Record, check, condexpr, read_json
 
 __all__ = [
     "CardinalityBound",
@@ -24,23 +24,16 @@ __all__ = [
     "StageDef",
     "Catalog",
     "Violation",
-    "CatalogParseError",
     "CatalogValidationError",
     "load_catalog",
-    "parse_catalog",
     "dump_catalog",
     "keyword_parts",
 ]
 
-class CatalogParseError(InputError):
-    """A catalog that is not JSON, or whose JSON lacks a catalog's shape."""
-
-
 class CatalogValidationError(InputError):
-    def __init__(self, violations: list["Violation"], source: str = ""):
+    def __init__(self, violations: list["Violation"], source: str):
         lines = "\n".join(f"  - {v}" for v in violations)
-        where = f"{source}: " if source else ""
-        super().__init__(f"{where}catalog failed validation:\n{lines}")
+        super().__init__(f"catalog failed validation:\n{lines}", source)
         self.violations = violations
 
 
@@ -200,7 +193,7 @@ _CATALOG = {None: 'an object with a "stages" array', "stages": [_STAGE]}
 def _parse_bound(raw: dict, locus: str) -> CardinalityBound:
     if raw.get("max") == "unbounded":
         return CardinalityBound(raw["min"], None)
-    bound_max = check(raw.get("max"), int, f"{locus}.max", CatalogParseError)
+    bound_max = check(raw.get("max"), int, f"{locus}.max")
     return CardinalityBound(raw["min"], bound_max)
 
 
@@ -210,11 +203,11 @@ def _parse_value_type(raw: object, locus: str, i: int) -> ValueType:
         return ValueType(raw)
     locus = f"{locus}.properties[{i}].type"
     if isinstance(raw, str):
-        raise CatalogParseError(f"unknown value type {raw!r}", locus)
+        raise InputError(f"unknown value type {raw!r}", locus)
     if isinstance(raw, dict) and set(raw) == {"enum"} and isinstance(raw["enum"], list):
         where = f"{locus}.enum"
-        return ValueType("enum", tuple(check(v, str, where, CatalogParseError) for v in raw["enum"]))
-    raise CatalogParseError('expected a type name or {"enum": [...]}', locus)
+        return ValueType("enum", tuple(check(v, str, where) for v in raw["enum"]))
+    raise InputError('expected a type name or {"enum": [...]}', locus)
 
 
 def _parse_stage(raw: dict, locus: str) -> StageDef:
@@ -314,34 +307,14 @@ def _violations(stages: list[StageDef]) -> list[Violation]:
     return out
 
 
-def parse_catalog(text: str, source: str = "") -> Catalog:
-    """Parse and validate a catalog document from JSON text.
-
-    Every error names ``source``, when given: the file ``text`` was read
-    from. It leads the locus, as in ``<source>: line 2`` or
-    ``<source>: stages[0].name``.
-    """
-    where = f"{source}: " if source else ""
-    try:
-        doc = parse_json(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogParseError(f"malformed JSON: {exc}", f"{where}line {exc.lineno}") from exc
-    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits``, or a lone surrogate
-        raise CatalogParseError(f"malformed JSON: {exc}", source) from exc
-    check(doc, _CATALOG, source, CatalogParseError)
-    stages = [_parse_stage(raw, f"{where}stages[{i}]") for i, raw in enumerate(doc["stages"])]
+def load_catalog(path: str | Path) -> Catalog:
+    """The catalog of the file at ``path``; every error names the file."""
+    doc = read_json(path, _CATALOG)
+    stages = [_parse_stage(raw, f"{path}: stages[{i}]") for i, raw in enumerate(doc["stages"])]
     violations = _violations(stages)
     if violations:
-        raise CatalogValidationError(violations, source)
+        raise CatalogValidationError(violations, str(path))
     return Catalog({s.name: s for s in stages})
-
-
-def load_catalog(path: str | Path) -> Catalog:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CatalogParseError(f"malformed JSON: {exc}", str(path)) from exc
-    return parse_catalog(text, str(path))
 
 
 # --- serialization ---------------------------------------------------------

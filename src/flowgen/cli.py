@@ -155,18 +155,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     # local: only eval needs the harness, so a one-shot generate does not load it
-    from .evaluation import MEASURES, load_dataset, report_json, report_table, run_eval
+    from .evaluation import load_dataset, report_json, report_table, run_eval
 
     cfg = _config_from_args(args)
-    dataset = load_dataset(args.dataset)
-    measures = tuple(m.strip() for m in args.measure.split(",") if m.strip())
+    measures = tuple(dict.fromkeys(m.strip() for m in args.measure.split(",") if m.strip()))
     if not measures:
         raise InputError("--measure needs at least one of stages,edges,props")
     runtime = build_runtime(cfg)
-    try:
-        report = run_eval(dataset, cfg, measures=measures, runtime=runtime)
-    except InputError as exc:  # with every measure known, the dataset's gold stages are at fault
-        raise InputError(str(exc), args.dataset if set(measures) <= set(MEASURES) else "") from exc
+    dataset = load_dataset(args.dataset, runtime.catalog)
+    report = run_eval(dataset, cfg, measures=measures, runtime=runtime)
     sys.stdout.write(report_table(report))
     if args.report:
         Path(args.report).write_text(report_json(report), encoding="utf-8")

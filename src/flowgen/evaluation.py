@@ -110,15 +110,20 @@ _DATASET = [{
 }]
 
 
-def load_dataset(path: str | Path) -> list[EvalRecord]:
-    """Load and validate a dataset; edges must reference gold stage instances.
+def load_dataset(path: str | Path, catalog: Catalog) -> list[EvalRecord]:
+    """Load and validate a dataset; gold stages must be ``catalog``'s, edges their instances.
 
     A null ``gold_edges`` or ``gold_properties`` reads as absent, a number as a value as its text.
     """
     records: list[EvalRecord] = []
     for i, item in enumerate(read_json(path, _DATASET)):
+        if not item["utterance"].strip():
+            raise InputError("empty utterance", f"{path}: [{i}].utterance")
         if not item["gold_stages"]:
             raise InputError("expected at least one stage", f"{path}: [{i}].gold_stages")
+        for j, stage in enumerate(item["gold_stages"]):
+            if stage not in catalog.stages:
+                raise InputError(f"unknown stage {stage!r}", f"{path}: [{i}].gold_stages[{j}]")
         record = EvalRecord(utterance=item["utterance"], gold_stages=item["gold_stages"])
         names = set(node_names(record.gold_stages))
         if item.get("gold_edges") is not None:
@@ -252,12 +257,6 @@ def run_eval(
         if m not in MEASURES:
             raise InputError(f"unknown measure {m!r} (choose from {MEASURES})")
     rt = runtime or build_runtime(cfg)
-    stages = rt.catalog.stages
-    for index, record in enumerate(dataset):
-        # the record's own names: a set minus the keys view would walk the whole catalog
-        unknown = sorted({s for s in record.gold_stages if s not in stages})
-        if unknown:
-            raise InputError(f"record {index} has gold stages outside the catalog: {unknown}")
     report = MetricsReport(measures=list(measures), records=len(dataset))
 
     calls = [partial(_eval_record, record, rt, measures) for record in dataset]

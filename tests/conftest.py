@@ -7,12 +7,13 @@ import threading
 import urllib.request
 from email.message import Message
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
 from flowgen import fixture_path
-from flowgen.catalog import Catalog, CardinalityBound, PropertyDef, StageDef, STRING
+from flowgen.catalog import Catalog, CardinalityBound, PropertyDef, StageDef, STRING, load_catalog
 from flowgen.classify import Classification
 from flowgen.llm import MockProvider, MockScript, ProviderError
 from flowgen.pipeline import PipelineConfig, Runtime
@@ -67,6 +68,13 @@ def make_stage(
 
 def make_catalog(*stages: StageDef) -> Catalog:
     return Catalog(stages={s.name: s for s in stages})
+
+
+def load_catalog_text(directory: Path, text: str) -> Catalog:
+    """The catalog of ``text``, written to ``directory``'s ``catalog.json`` and read by ``load_catalog``."""
+    path = directory / "catalog.json"
+    path.write_text(text, encoding="utf-8")
+    return load_catalog(path)
 
 
 def scripted(*pairs: tuple[str, str]) -> MockProvider:

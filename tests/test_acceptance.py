@@ -135,7 +135,7 @@ def test_criterion_2_token_reduction():
                 mock_scripts_path=fixture_path("mock_scripts_synthetic.json"),
             )
         )
-        records = load_dataset(fixture_path("synthetic_utterances.json"))
+        records = load_dataset(fixture_path("synthetic_utterances.json"), rt.catalog)
         assert len(records) == 20
         listing = rt.prompts.listing()
         for record in records:
@@ -210,7 +210,8 @@ def test_criterion_3_repair_soundness():
 
 def test_criterion_4_metric_correctness():
     with criterion("4 metrics: stage accuracy 95.0, edge similarity 14/15, P/R/F1 0.5"):
-        dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+        catalog = load_catalog(fixture_path("demo_catalog.json"))
+        dataset = load_dataset(fixture_path("eval_dataset_small.json"), catalog)
         report = run_eval(
             dataset,
             _demo_config(
@@ -220,7 +221,6 @@ def test_criterion_4_metric_correctness():
         assert report.stages is not None
         assert report.stages.total == 95.0
 
-        catalog = load_catalog(fixture_path("demo_catalog.json"))
         stages = ["mysql", "sample", "switch", "fileset", "sort", "fileset", "join", "sqlserver", "head"]
         gold = FlowGraph(nodes=build_nodes(stages, catalog), edges=list(GOLD_BRANCHING_EDGES))
         pred = FlowGraph(nodes=build_nodes(stages, catalog), edges=GOLD_BRANCHING_EDGES[:-1])
@@ -448,7 +448,7 @@ def test_criterion_8_determinism_across_runs():
             parallel=4,
             mock_scripts_path=fixture_path("mock_scripts_eval_gold.json"),
         )
-        dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+        dataset = load_dataset(fixture_path("eval_dataset_small.json"), load_catalog(fixture_path("demo_catalog.json")))
 
         docs, dots, reports = [], [], []
         for _ in range(2):

@@ -8,11 +8,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_catalog, make_stage
-from flowgen import fixture_path
+from conftest import load_catalog_text, make_catalog, make_stage
+from flowgen import InputError, fixture_path
 from flowgen.catalog import (
     Catalog,
-    CatalogParseError,
     CatalogValidationError,
     CardinalityBound,
     PropertyDef,
@@ -20,7 +19,6 @@ from flowgen.catalog import (
     ValueType,
     dump_catalog,
     load_catalog,
-    parse_catalog,
 )
 from flowgen.condexpr import COMPARISON_OPS
 from flowgen.proppred import ACCEPTED, REJECTED_DEPENDENCY, PropertyAssignment, validate
@@ -43,11 +41,11 @@ def doc_with(stage_overrides: dict) -> str:
 # --- shipped fixtures -------------------------------------------------------------
 
 
-def test_demo_catalog_loads_clean_and_round_trips():
+def test_demo_catalog_loads_clean_and_round_trips(tmp_path):
     catalog = load_catalog(fixture_path("demo_catalog.json"))
     assert len(catalog.stages) == 31
-    # parse_catalog raises on any violation
-    again = parse_catalog(dump_catalog(catalog))
+    # load_catalog raises on any violation
+    again = load_catalog_text(tmp_path, dump_catalog(catalog))
     assert again.stages == catalog.stages
 
 
@@ -68,25 +66,39 @@ def test_mini_catalog_stage_set():
 # --- parse errors -----------------------------------------------------------------
 
 
-def test_top_level_must_hold_stages():
-    with pytest.raises(CatalogParseError, match="stages"):
-        parse_catalog("[]")
+def catalog_at(directory) -> str:
+    """A pattern for the path that ``load_catalog_text`` writes in ``directory``."""
+    return re.escape(str(directory / "catalog.json"))
 
 
-def test_malformed_json_reports_line():
-    with pytest.raises(CatalogParseError, match="malformed JSON"):
-        parse_catalog("{nope}")
+def test_top_level_must_hold_stages(tmp_path):
+    with pytest.raises(InputError, match=f'^{catalog_at(tmp_path)}: expected an object with a "stages" array$'):
+        load_catalog_text(tmp_path, "[]")
+
+
+def test_malformed_json_reports_line(tmp_path):
+    expecting = r"Expecting property name enclosed in double quotes: line 1 column 2 \(char 1\)"
+    with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: malformed JSON: {expecting}$"):
+        load_catalog_text(tmp_path, "{nope}")
+
+
+def test_a_blank_catalog_file_reads_as_an_object_with_no_stages(tmp_path):
+    # a blank file reads as {}, as every input file does
+    for blank in ("", "  \n"):
+        with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: stages: expected list$"):
+            load_catalog_text(tmp_path, blank)
 
 
 def test_undecodable_catalog_file_is_a_parse_error(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_bytes(b"\xff\xfe{}")
-    with pytest.raises(CatalogParseError, match="malformed JSON: 'utf-8' codec") as err:
+    undecodable = "malformed JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {undecodable}$") as err:
         load_catalog(path)
     assert str(err.value).startswith(f"{path}: ") and err.value.locus == str(path)
     path.write_bytes(b'{"stages": [' + b"1" * 5000 + b"]}")
     exceeds = r"malformed JSON: Exceeds the limit \(4300 digits\)"
-    with pytest.raises(CatalogParseError, match=f"^{re.escape(str(path))}: {exceeds}"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {exceeds}"):
         load_catalog(path)
 
 
@@ -95,15 +107,19 @@ def test_every_json_error_of_a_catalog_file_names_the_file(tmp_path):
     named = re.escape(str(path))
     text = fixture_path("demo_catalog.json").read_text(encoding="utf-8")
     path.write_text(text.replace('"description": "', '"description": "\\ud800', 1), encoding="utf-8")
-    with pytest.raises(CatalogParseError, match=f"^{named}: malformed JSON: a string holds the lone surrogate"):
+    with pytest.raises(InputError, match=f"^{named}: malformed JSON: a string holds the lone surrogate"):
         load_catalog(path)
     path.write_text('{"stages": [\n  {nope}\n]}', encoding="utf-8")
-    with pytest.raises(CatalogParseError, match=f"^{named}: line 2: malformed JSON: Expecting") as err:
+    expecting = r"Expecting property name enclosed in double quotes: line 2 column 4 \(char 16\)"
+    with pytest.raises(InputError, match=f"^{named}: malformed JSON: {expecting}$") as err:
         load_catalog(path)
-    assert err.value.locus == f"{path}: line 2"
-    # text with no file keeps the bare line
-    with pytest.raises(CatalogParseError, match=r"^line 2: malformed JSON"):
-        parse_catalog('{"stages": [\n  {nope}\n]}')
+    assert err.value.locus == str(path)
+
+
+@pytest.fixture(scope="module")
+def catalog_dir(tmp_path_factory):
+    """A directory for the Hypothesis tests, which a function-scoped ``tmp_path`` would not suit."""
+    return tmp_path_factory.mktemp("catalog")
 
 
 def stage_doc(**overrides) -> dict:
@@ -161,14 +177,10 @@ def prop(**overrides) -> dict:
 def test_every_catalog_error_of_a_file_names_the_file_and_the_locus(tmp_path, doc, message):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    expected_type = CatalogValidationError if "validation" in message else CatalogParseError
-    with pytest.raises(expected_type) as err:
+    with pytest.raises(InputError) as err:
         load_catalog(path)
     assert str(err.value) == f"{path}: {message}"
-    # text with no file keeps the bare message
-    with pytest.raises(expected_type) as err:
-        parse_catalog(json.dumps(doc))
-    assert str(err.value) == message
+    assert isinstance(err.value, CatalogValidationError) == ("validation" in message)
 
 
 @pytest.mark.parametrize(
@@ -176,91 +188,92 @@ def test_every_catalog_error_of_a_file_names_the_file_and_the_locus(tmp_path, do
     [("\\ud800", True), ("x\\uDFFF", True), ("\\ud83d\\ude00", False), ("\\\\ud800", False)],
     ids=["high", "low", "pair", "escaped-backslash"],
 )
-def test_a_lone_surrogate_escape_is_malformed_json(escape, lone):
+def test_a_lone_surrogate_escape_is_malformed_json(tmp_path, escape, lone):
     # a lone surrogate parses, but the prompt hash and the output could not encode it
     text = fixture_path("demo_catalog.json").read_text(encoding="utf-8")
     text = text.replace('"description": "', '"description": "' + escape, 1)
     if lone:
-        with pytest.raises(CatalogParseError, match=r"^malformed JSON: a string holds the lone surrogate"):
-            parse_catalog(text)
+        lone_surrogate = "malformed JSON: a string holds the lone surrogate"
+        with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: {lone_surrogate}"):
+            load_catalog_text(tmp_path, text)
     else:
-        assert len(parse_catalog(text).stages) == 31
+        assert len(load_catalog_text(tmp_path, text).stages) == 31
 
 
-def test_missing_field_reports_locus():
-    with pytest.raises(CatalogParseError, match=r"stages\[0\].description"):
-        parse_catalog(json.dumps({"stages": [{"name": "x"}]}))
+def test_missing_field_reports_locus(tmp_path):
+    locus = r"stages\[0\]\.description"
+    with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: {locus}: expected str, got NoneType$"):
+        load_catalog_text(tmp_path, json.dumps({"stages": [{"name": "x"}]}))
 
 
-def test_bad_bound_and_bad_type_loci():
-    with pytest.raises(CatalogParseError, match=r"stages\[0\].inputs.min"):
-        parse_catalog(doc_with({"inputs": {"min": "one", "max": 1}}))
-    with pytest.raises(CatalogParseError, match=r"type"):
-        parse_catalog(
-            doc_with(
-                {"properties": [{"name": "p", "description": "d", "type": "float"}]}
-            )
-        )
+def test_bad_bound_and_bad_type_loci(tmp_path):
+    locus = r"stages\[0\]\.inputs\.min"
+    with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: {locus}: expected integer, got str$"):
+        load_catalog_text(tmp_path, doc_with({"inputs": {"min": "one", "max": 1}}))
+    locus = r"stages\[0\]\.properties\[0\]\.type"
+    with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: {locus}: unknown value type 'float'$"):
+        load_catalog_text(tmp_path, doc_with({"properties": [prop(type="float")]}))
 
 
-def test_boolean_field_rejects_nonbool():
-    with pytest.raises(CatalogParseError, match="expected boolean"):
-        parse_catalog(doc_with({"is_connector": "yes"}))
+def test_boolean_field_rejects_nonbool(tmp_path):
+    locus = r"stages\[0\]\.is_connector"
+    with pytest.raises(InputError, match=f"^{catalog_at(tmp_path)}: {locus}: expected boolean, got str$"):
+        load_catalog_text(tmp_path, doc_with({"is_connector": "yes"}))
 
 
-def test_unbounded_max_parses_to_none():
-    catalog = parse_catalog(doc_with({"outputs": {"min": 0, "max": "unbounded"}}))
+def test_unbounded_max_parses_to_none(tmp_path):
+    catalog = load_catalog_text(tmp_path, doc_with({"outputs": {"min": 0, "max": "unbounded"}}))
     assert catalog.stages["head"].outputs == CardinalityBound(0, None)
 
 
 # --- validation -------------------------------------------------------------------
 
 
-def test_duplicate_stage_name_rejected():
+def test_duplicate_stage_name_rejected(tmp_path):
     doc = json.dumps({"stages": [json.loads(doc_with({}))["stages"][0]] * 2})
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc)
+        load_catalog_text(tmp_path, doc)
     assert any("duplicate stage name" in str(v) for v in err.value.violations)
 
 
-def test_bound_min_above_max_rejected():
+def test_bound_min_above_max_rejected(tmp_path):
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"inputs": {"min": 3, "max": 1}}))
+        load_catalog_text(tmp_path, doc_with({"inputs": {"min": 3, "max": 1}}))
     assert any("exceeds max" in str(v) for v in err.value.violations)
 
 
-def test_empty_description_rejected():
+def test_empty_description_rejected(tmp_path):
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"description": ""}))
+        load_catalog_text(tmp_path, doc_with({"description": ""}))
     assert any("description" in str(v) for v in err.value.violations)
 
 
-def test_duplicate_property_names_rejected():
+def test_duplicate_property_names_rejected(tmp_path):
     prop = {"name": "Mode", "description": "d", "type": "string"}
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"properties": [prop, prop]}))
+        load_catalog_text(tmp_path, doc_with({"properties": [prop, prop]}))
     assert any("duplicate property name" in str(v) for v in err.value.violations)
 
 
-def test_property_names_that_differ_only_in_case_are_duplicates():
+def test_property_names_that_differ_only_in_case_are_duplicates(tmp_path):
     # find_property matches case-insensitively, so "mode" could never be assigned
     upper = {"name": "Mode", "description": "d", "type": "string"}
     lower = {"name": "mode", "description": "d", "type": "integer"}
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"properties": [upper, lower]}))
+        load_catalog_text(tmp_path, doc_with({"properties": [upper, lower]}))
     assert [str(v) for v in err.value.violations] == [
         "head.properties[mode]: duplicate property name: 'Mode' and 'mode' differ only in case"
     ]
 
 
-def test_enum_without_variants_rejected():
+def test_enum_without_variants_rejected(tmp_path):
     prop = {"name": "Mode", "description": "d", "type": {"enum": []}}
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"properties": [prop]}))
+        load_catalog_text(tmp_path, doc_with({"properties": [prop]}))
     assert any("no variants" in str(v) for v in err.value.violations)
 
 
-def test_availability_must_parse_and_reference_siblings():
+def test_availability_must_parse_and_reference_siblings(tmp_path):
     bad_syntax = {
         "name": "Col",
         "description": "d",
@@ -268,7 +281,7 @@ def test_availability_must_parse_and_reference_siblings():
         "availability": "mode = Explicit",
     }
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"properties": [bad_syntax]}))
+        load_catalog_text(tmp_path, doc_with({"properties": [bad_syntax]}))
     assert any("does not parse" in str(v) for v in err.value.violations)
 
     dangling = {
@@ -278,18 +291,18 @@ def test_availability_must_parse_and_reference_siblings():
         "availability": "'Missing' = \"x\"",
     }
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(doc_with({"properties": [dangling]}))
+        load_catalog_text(tmp_path, doc_with({"properties": [dangling]}))
     assert any("unknown property" in str(v) for v in err.value.violations)
 
 
-def test_availability_must_type_check_and_name_enum_variants():
+def test_availability_must_type_check_and_name_enum_variants(tmp_path):
     mode = {"name": "Mode", "description": "d", "type": {"enum": ["Explicit", "Schema File"]}}
     flag = {"name": "Flag", "description": "d", "type": "boolean"}
 
     def violations(availability: str) -> list[str]:
         gated = {"name": "Col", "description": "d", "type": "string", "availability": availability}
         with pytest.raises(CatalogValidationError) as err:
-            parse_catalog(doc_with({"properties": [mode, flag, gated]}))
+            load_catalog_text(tmp_path, doc_with({"properties": [mode, flag, gated]}))
         return [str(v) for v in err.value.violations]
 
     # a misspelt variant never equals a coerced value; each message is given once
@@ -345,7 +358,7 @@ def conditions(paths: list[str]):
 
 
 @given(st.data())
-def test_a_catalog_that_loads_raises_no_condition_type_error_in_validate(data):
+def test_a_catalog_that_loads_raises_no_condition_type_error_in_validate(catalog_dir, data):
     """Either the catalog fails to load, or no set of typed answers makes a condition raise."""
     kinds = data.draw(st.lists(st.sampled_from(sorted(TYPED)), min_size=1, max_size=4))
     names = [f"P{i}" for i in range(len(kinds))]
@@ -353,7 +366,7 @@ def test_a_catalog_that_loads_raises_no_condition_type_error_in_validate(data):
     availability = data.draw(conditions(names), label="availability")
     gated = {"name": "Gated", "description": "d", "type": "string", "availability": availability}
     try:
-        catalog = parse_catalog(doc_with({"properties": [*props, gated]}))
+        catalog = load_catalog_text(catalog_dir, doc_with({"properties": [*props, gated]}))
     except CatalogValidationError:
         return
     for mask in range(2 ** len(kinds)):  # every subset of the typed assignments
@@ -364,16 +377,16 @@ def test_a_catalog_that_loads_raises_no_condition_type_error_in_validate(data):
         assert statused[-1].status in (ACCEPTED, REJECTED_DEPENDENCY)
 
 
-def test_stage_name_colliding_with_node_names_rejected():
+def test_stage_name_colliding_with_node_names_rejected(tmp_path):
     head = json.loads(doc_with({}))["stages"][0]
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(json.dumps({"stages": [head, {**head, "name": "head_1"}]}))
+        load_catalog_text(tmp_path, json.dumps({"stages": [head, {**head, "name": "head_1"}]}))
     assert [str(v) for v in err.value.violations] == [
         "head_1.name: collides with the node names of stage 'head'"
     ]
 
 
-def test_catalog_validation_reports_all():
+def test_catalog_validation_reports_all(tmp_path):
     no_description = StageDef(
         name="a",
         description="",
@@ -389,7 +402,7 @@ def test_catalog_validation_reports_all():
         no_description, make_stage("b"), make_stage("Mixed"), make_stage("b_2"), make_stage("b_x")
     )
     with pytest.raises(CatalogValidationError) as err:
-        parse_catalog(dump_catalog(bad))
+        load_catalog_text(tmp_path, dump_catalog(bad))
     messages = [str(v) for v in err.value.violations]
     assert len(messages) == 4
     assert any("exceeds max" in m for m in messages)
@@ -491,8 +504,8 @@ def catalogs(draw):
 
 
 @given(catalogs())
-def test_dump_parse_round_trip(catalog):
-    assert parse_catalog(dump_catalog(catalog)).stages == catalog.stages
+def test_dump_parse_round_trip(catalog_dir, catalog):
+    assert load_catalog_text(catalog_dir, dump_catalog(catalog)).stages == catalog.stages
 
 
 @given(catalogs())

@@ -460,11 +460,12 @@ def test_eval_prints_table_and_writes_report(capsys, tmp_path):
     code, out, _ = run(
         capsys,
         "eval", "--dataset", EVAL_DATASET, "--strategy", "single",
-        "--mock-scripts", EVAL_GOLD, "--report", str(report_path),
+        "--mock-scripts", EVAL_GOLD, "--report", str(report_path), "--measure", "stages, stages",
     )
     assert code == 0
     assert "stage accuracy [%]" in out
     report = json.loads(report_path.read_text())
+    assert report["measures"] == ["stages"]  # a repeated measure is measured once
     assert report["stage_accuracy"]["total"] == 100.0
     assert report["stage_accuracy"]["records"] == 20
 
@@ -507,6 +508,27 @@ def test_eval_malformed_dataset(capsys, tmp_path):
     )
     assert code == 1
     assert err == f"error: {bad}: [0].gold_stages: expected list\n"
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"utterance": " ", "gold_stages": ["tail"]}, "[1].utterance: empty utterance"),
+        ({"utterance": "u", "gold_stages": ["tail", "warp"]}, "[1].gold_stages[1]: unknown stage 'warp'"),
+    ],
+    ids=["blank-utterance", "stage-outside-the-catalog"],
+)
+def test_eval_names_the_dataset_record_at_fault_before_any_model_call(capsys, tmp_path, record, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"utterance": "Use Tail", "gold_stages": ["tail"]}, record]))
+    # no script answers: a model call would fail its record, and eval would exit 0
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text("[]")
+    code, _, err = run(
+        capsys, "eval", "--dataset", str(bad), "--strategy", "single", "--mock-scripts", str(scripts)
+    )
+    assert code == 1
+    assert err == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import FailingOn, make_catalog, make_runtime, make_stage, scripted
 from flowgen import InputError, fixture_path
-from flowgen.catalog import INTEGER, STRING, PropertyDef
+from flowgen.catalog import INTEGER, STRING, PropertyDef, load_catalog
 from flowgen.evaluation import (
     EvalRecord,
     StageAccuracy,
@@ -23,6 +24,9 @@ from flowgen.evaluation import (
 )
 from flowgen.llm import render_prompt
 from flowgen.pipeline import PipelineConfig
+
+
+DEMO_CATALOG = load_catalog(fixture_path("demo_catalog.json"))
 
 
 @pytest.fixture()
@@ -42,7 +46,7 @@ def eval_config(demo_config):
 
 
 def test_load_demo_dataset():
-    records = load_dataset(fixture_path("eval_dataset_small.json"))
+    records = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     assert len(records) == 20
     assert sum(1 for r in records if len(r.gold_stages) == 1) == 12
     assert sum(1 for r in records if len(r.gold_stages) > 1) == 8
@@ -50,7 +54,7 @@ def test_load_demo_dataset():
 
 def test_load_dataset_tolerates_extra_keys():
     # the synthetic corpus carries decomposition data alongside the gold labels
-    records = load_dataset(fixture_path("synthetic_utterances.json"))
+    records = load_dataset(fixture_path("synthetic_utterances.json"), load_catalog(fixture_path("synthetic_catalog.json")))
     assert len(records) == 20
     assert all(r.gold_stages for r in records)
 
@@ -58,7 +62,7 @@ def test_load_dataset_tolerates_extra_keys():
 def test_load_dataset_empty_file(tmp_path):
     p = tmp_path / "empty.json"
     p.write_text("  \n")
-    assert load_dataset(p) == []
+    assert load_dataset(p, DEMO_CATALOG) == []
 
 
 @pytest.mark.parametrize(
@@ -73,6 +77,16 @@ def test_load_dataset_empty_file(tmp_path):
         pytest.param(
             [{"gold_stages": ["a"]}], r"data\.json: \[0\]\.utterance: expected str, got NoneType$",
             id="payload2-needs utterance and gold_stages",
+        ),
+        # blank, as generate rejects a blank utterance
+        pytest.param(
+            [{"utterance": "", "gold_stages": ["sort"]}], r"data\.json: \[0\]\.utterance: empty utterance$",
+            id="empty-utterance",
+        ),
+        pytest.param(
+            [{"utterance": "u", "gold_stages": ["sort"]}, {"utterance": "  ", "gold_stages": ["sort"]}],
+            r"data\.json: \[1\]\.utterance: empty utterance$",
+            id="spaces-utterance",
         ),
         pytest.param(
             [{"utterance": "u", "gold_stages": []}],
@@ -122,7 +136,17 @@ def test_load_dataset_shape_errors(tmp_path, payload, message):
     else:
         p.write_text(json.dumps(payload))
     with pytest.raises(InputError, match=message):
-        load_dataset(p)
+        load_dataset(p, DEMO_CATALOG)
+
+
+def test_load_dataset_rejects_gold_stages_outside_the_catalog(tmp_path):
+    p = tmp_path / "data.json"
+    records = json.loads(fixture_path("eval_dataset_small.json").read_text(encoding="utf-8"))
+    records.insert(2, {"utterance": "sort it", "gold_stages": ["warp", "sort", "warp"]})
+    p.write_text(json.dumps(records))
+    locus = rf"^{re.escape(str(p))}: \[2\]\.gold_stages\[0\]"
+    with pytest.raises(InputError, match=rf"{locus}: unknown stage 'warp'$"):
+        load_dataset(p, DEMO_CATALOG)
 
 
 def test_load_dataset_validates_edge_endpoints(tmp_path):
@@ -138,7 +162,7 @@ def test_load_dataset_validates_edge_endpoints(tmp_path):
             ]
         )
     )
-    (record,) = load_dataset(p)
+    (record,) = load_dataset(p, DEMO_CATALOG)
     assert record.gold_edges == [("head_1", "head_2")]
     p.write_text(
         json.dumps(
@@ -153,7 +177,7 @@ def test_load_dataset_validates_edge_endpoints(tmp_path):
         )
     )
     with pytest.raises(InputError, match="unknown node 'head'"):
-        load_dataset(p)
+        load_dataset(p, DEMO_CATALOG)
 
 
 def test_load_dataset_validates_property_nodes(tmp_path):
@@ -170,7 +194,7 @@ def test_load_dataset_validates_property_nodes(tmp_path):
         )
     )
     with pytest.raises(InputError, match="unknown node 'ghost'"):
-        load_dataset(p)
+        load_dataset(p, DEMO_CATALOG)
 
 
 def test_load_dataset_reads_gold_properties(tmp_path):
@@ -181,7 +205,7 @@ def test_load_dataset_reads_gold_properties(tmp_path):
         "gold_properties": {"sort": [{"name": "Sort Key", "value": "age"}, {"name": "Limit", "value": 5}]},
     }
     p.write_text(json.dumps([item]))
-    (loaded,) = load_dataset(p)
+    (loaded,) = load_dataset(p, DEMO_CATALOG)
     assert loaded.gold_properties == {"sort": [("Sort Key", "age"), ("Limit", "5")]}
 
 
@@ -237,7 +261,7 @@ def test_stage_accuracy_matches_the_counter_oracle(data):
 
 
 def test_run_eval_gold_scripts_are_fully_correct(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     report = run_eval(dataset, eval_config())
     assert report.stages == StageAccuracy(
         total=100.0, one_op=100.0, n_op=100.0, n_records=20, n_one_op=12, n_n_op=8
@@ -247,7 +271,7 @@ def test_run_eval_gold_scripts_are_fully_correct(eval_config):
 
 
 def test_run_eval_seeded_error_lowers_the_right_bucket(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     report = run_eval(dataset, eval_config(mock_scripts_path=fixture_path("mock_scripts_eval.json")))
     assert report.stages.total == pytest.approx(95.0)
     assert report.stages.one_op == pytest.approx(100.0)
@@ -259,16 +283,8 @@ def test_run_eval_rejects_unknown_measure(eval_config):
         run_eval([], eval_config(), measures=("speed",))
 
 
-def test_run_eval_rejects_gold_stages_outside_the_catalog(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
-    dataset.insert(2, EvalRecord(utterance="sort it", gold_stages=["warp", "sort", "warp"]))
-    with pytest.raises(InputError) as err:
-        run_eval(dataset, eval_config())
-    assert str(err.value) == "record 2 has gold stages outside the catalog: ['warp']"
-
-
 def test_run_eval_parallel_report_is_identical(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     sequential = run_eval(dataset, eval_config(parallel=1))
     concurrent = run_eval(dataset, eval_config(parallel=4))
     assert report_json(sequential) == report_json(concurrent)
@@ -281,7 +297,7 @@ def test_run_eval_empty_dataset(eval_config):
 
 
 def test_run_eval_records_failures_and_continues(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     dataset.insert(3, EvalRecord(utterance="utterly unscripted text", gold_stages=["head"]))
     report = run_eval(dataset, eval_config())
     assert [f["record"] for f in report.failures] == [3]
@@ -292,7 +308,7 @@ def test_run_eval_records_failures_and_continues(eval_config):
 
 def test_run_eval_all_records_failing_scores_zero(eval_config):
     # the eval scripts answer only the single strategy, so every cag record fails
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     cfg = eval_config(strategy="cag", mock_scripts_path=fixture_path("mock_scripts_eval.json"))
     report = run_eval(dataset, cfg, measures=("stages", "edges", "props"))
     assert len(report.failures) == 20
@@ -462,7 +478,7 @@ def test_run_eval_counts_the_requests_of_failed_records(failure):
 
 
 def test_report_json_structure(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     report = run_eval(dataset, eval_config())
     doc = json.loads(report_json(report))
     assert doc["measures"] == ["stages"]
@@ -490,7 +506,7 @@ def test_report_json_includes_measured_sections():
 
 
 def test_report_table_rendering(eval_config):
-    dataset = load_dataset(fixture_path("eval_dataset_small.json"))
+    dataset = load_dataset(fixture_path("eval_dataset_small.json"), DEMO_CATALOG)
     report = run_eval(
         dataset, eval_config(mock_scripts_path=fixture_path("mock_scripts_eval.json"))
     )

@@ -179,7 +179,6 @@ def test_every_module_level_name_is_read_somewhere():
 # each exception class defined under ``flowgen``, with its base
 EXCEPTIONS = {
     "flowgen.InputError": "ValueError",
-    "flowgen.catalog.CatalogParseError": "InputError",
     "flowgen.catalog.CatalogValidationError": "InputError",
     "flowgen.condexpr.ConditionSyntaxError": "ValueError",
     "flowgen.condexpr.ConditionTypeError": "TypeError",

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_catalog_text
 from flowgen import fixture_path
-from flowgen.catalog import dump_catalog, parse_catalog
+from flowgen.catalog import dump_catalog
 from flowgen.classify import keyword_scan, train
 from flowgen.synthdata import (
     DEFAULT_SEED,
@@ -72,15 +73,15 @@ def test_generator_is_seed_deterministic():
     assert render_all(DEFAULT_SEED) != render_all(DEFAULT_SEED + 1)
 
 
-def test_catalog_composition():
+def test_catalog_composition(tmp_path):
     catalog = generate_catalog(DEFAULT_SEED)
     assert len(catalog.stages) == len(connector_names()) + len(transform_names()) == 142
     connectors = [s for s in catalog.stages.values() if s.is_connector]
     assert len(connectors) == 90
-    # parse_catalog raises on any violation
-    assert parse_catalog(dump_catalog(catalog)).stages == catalog.stages
-    # the rendered file parses back into the same catalog
-    parsed = parse_catalog(render_all(DEFAULT_SEED)["synthetic_catalog.json"])
+    # load_catalog raises on any violation
+    assert load_catalog_text(tmp_path, dump_catalog(catalog)).stages == catalog.stages
+    # the rendered file loads back into the same catalog
+    parsed = load_catalog_text(tmp_path, render_all(DEFAULT_SEED)["synthetic_catalog.json"])
     assert parsed.stages.keys() == catalog.stages.keys()
 
 
